@@ -23,9 +23,10 @@ from .spectral import (DecaySpec, Spectrum, bound_N, effective_dimension,
                        polynomial_theta_threshold, quantity_N)
 from .synth import (CovModel, TargetSpec, evaluate_target, make_covariance,
                     random_orthogonal_rows, sample_dataset, sample_features)
-from .risk import (LinModel, MomentParams, RegSchedule, RiskEstimate,
-                   bias_ref, bound_v1, bound_v2, empirical_bias,
-                   empirical_variance, excess_risk_mc, schedule_lambda)
+from .risk import (LinModel, MomentParams, QuerySample, RegSchedule,
+                   RiskEstimate, bias_ref, bound_v1, bound_v2, empirical_bias,
+                   empirical_variance, excess_risk_mc, schedule_lambda,
+                   spectral_risk_mc)
 from .libsvm import export_libsvm, parse_libsvm
 from .svgplot import emit_plot
 from .sweep import (CurveShape, EigComparison, ExperimentConfig, RiskPoint,

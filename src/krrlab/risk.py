@@ -10,11 +10,23 @@ points x drawn from the data distribution:
 Expectations over x are Monte-Carlo averages over a shared test sample.
 The risk can also be estimated directly by averaging over fresh noise
 draws; the gap to bias + variance is pure Monte-Carlo error.
+
+`excess_risk_mc` computes all three for any kernel model by one Cholesky
+solve against the clean responses, the noise draws and the m cross-kernel
+columns.  For the linearized core without curvature, K = F F^T + gamma I
+with F = [sqrt(alpha) 1, sqrt(beta/d) X] has rank <= d+1, and
+`spectral_risk_mc` gets the same quantities from one eigendecomposition of
+the smaller of F F^T (n x n) and F^T F ((d+1) x (d+1)): with
+r = n*lambda + gamma and the cross kernel A F^T, A = [1, Q] diag(h/sqrt(alpha),
+sqrt(beta/d) ...), the fit is the filter A V diag(1/(s+r)) V^T F^T y and the
+variance is the filter sum sigma^2/m * sum_i s_i/(s_i+r)^2 ||A v_i||^2, the
+weighted form of the paper's N(b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -30,11 +42,13 @@ __all__ = [
     "RiskEstimate",
     "LinModel",
     "KernelModel",
+    "QuerySample",
     "schedule_lambda",
     "gram_and_cross",
     "empirical_bias",
     "empirical_variance",
     "excess_risk_mc",
+    "spectral_risk_mc",
     "bound_v1",
     "bound_v2",
     "bias_ref",
@@ -157,6 +171,24 @@ class RiskEstimate:
     mc_stderr: float
 
 
+def _mc_estimate(bias_resid: np.ndarray, noise_pred: np.ndarray,
+                 variance: float) -> RiskEstimate:
+    """Bias from the clean-fit residual on the test sample, and the risk
+    averaged over the noise draws (columns of `noise_pred`) with its
+    standard error."""
+    bias = float(np.mean(bias_resid ** 2))
+    resid = bias_resid[:, None] + noise_pred                  # m x draws
+    per_draw = np.mean(resid ** 2, axis=0)
+    risk = float(np.mean(per_draw))
+    stderr = float(np.std(per_draw, ddof=1) / np.sqrt(per_draw.shape[0]))
+    return RiskEstimate(risk=risk, bias=bias, variance=variance, mc_stderr=stderr)
+
+
+def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return sigma * rng.standard_normal((n, noise_draws))
+
+
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: KernelModel, lam: float,
                    sigma: float, test_points: np.ndarray, clean_test: np.ndarray,
                    noise_draws: int, seed) -> RiskEstimate:
@@ -171,23 +203,119 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: KernelModel, lam: fl
     K, cross = gram_and_cross(model, data, Q)
     ridge = data.n * lam
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    eps = sigma * rng.standard_normal((data.n, noise_draws))
+    eps = _noise(seed, sigma, data.n, noise_draws)
     rhs = np.concatenate([clean[:, None], eps, cross.T], axis=1)
     sol = solve_regularized(K, ridge, rhs)
     coef_clean = sol[:, 0]
     coef_eps = sol[:, 1:1 + noise_draws]
     minv_cross = sol[:, 1 + noise_draws:]                    # n x m
 
-    pred_clean = cross @ coef_clean
-    bias = float(np.mean((pred_clean - clean_test) ** 2))
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
+    return _mc_estimate(cross @ coef_clean - clean_test, cross @ coef_eps, variance)
 
-    resid = (pred_clean - clean_test)[:, None] + cross @ coef_eps   # m x draws
-    per_draw = np.mean(resid ** 2, axis=0)
-    risk = float(np.mean(per_draw))
-    stderr = float(np.std(per_draw, ddof=1) / np.sqrt(noise_draws))
-    return RiskEstimate(risk=risk, bias=bias, variance=variance, mc_stderr=stderr)
+
+@dataclass(frozen=True)
+class QuerySample:
+    """Test points Q (m x d) with their clean responses.
+
+    `gram` is the (d+1) x (d+1) moment matrix [1, Q]^T [1, Q] that
+    `spectral_risk_mc` weighs eigenvectors by; it is computed on first use,
+    so build one QuerySample per test sample and share it across cells.
+    """
+
+    points: np.ndarray
+    clean: np.ndarray
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        Q = self.points
+        m, d = Q.shape
+        G = np.empty((d + 1, d + 1))
+        G[0, 0] = m
+        G[0, 1:] = G[1:, 0] = Q.sum(axis=0)
+        G[1:, 1:] = Q.T @ Q
+        return G
+
+
+def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
+    """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values),
+    the input of `bound_v1`."""
+    n, d = X.shape
+    M = params.beta * (X @ X.T) / d + params.alpha
+    w = np.linalg.eigvalsh(M)[::-1]
+    return np.maximum(w, 0.0)
+
+
+def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: float,
+                     sigma: float, test: QuerySample, noise_draws: int, seed):
+    """`excess_risk_mc` for the linearized core without curvature, from one
+    small-side eigendecomposition; returns (RiskEstimate, V1 spectrum).
+
+    K = F F^T + gamma I with F = [sqrt(alpha) 1, sqrt(beta/d) X]; the cross
+    kernel h_pivot + beta <q, x_i>/d is A F^T with A = [1, Q] diag(a),
+    a = (h_pivot/sqrt(alpha), sqrt(beta/d), ...).  When alpha = 0 the
+    constant column is dropped (it then needs h_pivot = 0).  With
+    r = n*lam + gamma, n <= p (p columns of F) decomposes F F^T = U W U^T:
+
+        predictions = A F^T U diag(1/(w+r)) U^T y,
+        variance    = sigma^2/m sum_i ||A F^T u_i||^2 / (w_i+r)^2;
+
+    n > p decomposes F^T F = V S V^T:
+
+        predictions = A V diag(1/(s+r)) V^T F^T y,
+        variance    = sigma^2/m sum_i s_i/(s_i+r)^2 ||A v_i||^2,
+
+    with ||A z||^2 = (a*z)^T [1, Q]^T [1, Q] (a*z) read off `test.gram`.
+    y runs over the clean responses and `noise_draws` noise vectors drawn
+    from `seed` exactly as in `excess_risk_mc`, so the two agree draw for
+    draw.  The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0
+    and sorted descending: the eigenvalues of F F^T when n <= p, otherwise
+    a separate `eigvalsh` of that n x n matrix.  Counts and test-point
+    numbers are not checked here; `ExperimentConfig` validates them.
+    """
+    if model.curvature:
+        raise ValueError("spectral_risk_mc fits the core without curvature; "
+                         "use excess_risk_mc")
+    params = model.params
+    X = data.features
+    n, d = X.shape
+    gamma = params.gamma if model.gamma_override is None else float(model.gamma_override)
+    r = n * lam + gamma
+    if not r > 0:
+        raise ValueError("n*lam + gamma must be > 0")
+    Y = np.column_stack([np.asarray(clean, dtype=float), _noise(seed, sigma, n, noise_draws)])
+
+    root = np.sqrt(params.beta / d)
+    if params.alpha > 0:
+        F = np.column_stack([np.full(n, np.sqrt(params.alpha)), root * X])
+        a = np.concatenate([[params.h_pivot / np.sqrt(params.alpha)], np.full(d, root)])
+        S = test.gram
+    elif params.h_pivot == 0:
+        F, a, S = root * X, np.full(d, root), test.gram[1:, 1:]
+    else:
+        raise ValueError("a constant cross kernel term needs alpha > 0")
+
+    if n <= F.shape[1]:
+        core = params.beta * (X @ X.T) / d + params.alpha      # F F^T
+        w, U = np.linalg.eigh(core)
+        Z = a[:, None] * (F.T @ U)
+        coef = Z @ ((U.T @ Y) / (w + r)[:, None])
+        mass = 1.0 / (w + r) ** 2
+        spectrum = np.maximum(w[::-1], 0.0)
+    else:
+        s, V = np.linalg.eigh(F.T @ F)
+        Z = a[:, None] * V
+        coef = Z @ ((V.T @ (F.T @ Y)) / (s + r)[:, None])
+        mass = s / (s + r) ** 2
+        spectrum = _xtilde_spectrum(params, X)
+
+    Q = test.points
+    pred = Q @ coef[1:] + coef[0] if params.alpha > 0 else Q @ coef     # m x (1+draws)
+    variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
+                     / Q.shape[0])
+    est = _mc_estimate(pred[:, 0] - np.asarray(test.clean, dtype=float), pred[:, 1:],
+                       variance)
+    return est, spectrum
 
 
 def bound_v1(spec: Union[Spectrum, np.ndarray], beta: float, d: int, n: int,

@@ -8,12 +8,23 @@ bias, variance and risk together with the evaluable bound curves.  All
 Monte-Carlo expectations share one test sample per sweep (common random
 numbers) and every (n, trial) cell carries its own seeded stream, so the
 output is byte-identical across reruns.
+
+A linearized cell without curvature is one small-side eigendecomposition
+of its rank <= d+1 core (`risk.spectral_risk_mc`): fit, bias, variance and
+MC risk are filter sums over it, and V1 reads its spectrum when n <= d+1
+(an n x n `eigvalsh` otherwise).  Exact kernels and `lin_curvature` cells
+keep the Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full
+rank n, and on 2 cores an `eigh` of a 2000 x 2000 gaussian K takes about 1 s
+against 0.2-0.3 s for its factor and a solve with 651 right-hand sides.
+`ExperimentConfig` checks types and ranges once, when it is built.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -27,8 +38,9 @@ from .libsvm import parse_libsvm
 from .linearize import (LinParams, build_lin_kernel, estimate_trace_ratio,
                         interlacing_check, linearize_params,
                         perturbation_inertia)
-from .risk import (LinModel, MomentParams, bias_ref, bound_v1, bound_v2,
-                   excess_risk_mc)
+from .risk import (LinModel, MomentParams, QuerySample, _xtilde_spectrum,
+                   bias_ref, bound_v1, bound_v2, excess_risk_mc,
+                   spectral_risk_mc)
 from .synth import (CovModel, TargetSpec, evaluate_target, make_covariance,
                     sample_dataset, sample_features)
 
@@ -136,6 +148,12 @@ def parse_grid(text) -> list:
     return grid
 
 
+_COUNT_FIELDS = ("degree", "d", "trials", "seed", "test_points", "noise_draws")
+_REAL_FIELDS = ("sigma", "cbar", "theta", "source_r", "a", "fixed_lambda", "gamma_override")
+_OPTIONAL_FIELDS = ("a", "fixed_lambda", "gamma_override")
+_FLAG_FIELDS = ("use_linearized", "lin_curvature", "standardize")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one sweep needs; JSON-serializable, unknown keys rejected."""
@@ -164,12 +182,34 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            if v is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        for name in _FLAG_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise ConfigError(f"{name} must be true or false, got {v!r}")
         if self.mode not in ("synth", "real"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         kernel_by_name(self.kernel, self.degree)
         self.grid = parse_grid(self.n_grid)
+        if self.d < 1:
+            raise ConfigError("d must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.test_points < 100:
+            raise ConfigError(f"test_points must be >= 100, got {self.test_points}")
+        if self.noise_draws < 2:
+            raise ConfigError(f"noise_draws must be >= 2, got {self.noise_draws}")
         if self.mode == "real" and not self.input_path:
             raise ConfigError("real mode requires input_path")
         if self.sigma < 0:
@@ -178,6 +218,8 @@ class ExperimentConfig:
             raise ConfigError("need 0 <= theta <= 1 and 0 <= cbar <= 1")
         if self.fixed_lambda is not None and self.fixed_lambda < 0:
             raise ConfigError("fixed_lambda must be >= 0")
+        if self.gamma_override is not None and self.gamma_override < 0:
+            raise ConfigError("gamma_override must be >= 0")
         if self.mode == "synth" and self.decay not in ("harmonic", "polynomial",
                                                        "exponential", "identity"):
             raise ConfigError(f"unknown decay {self.decay!r}")
@@ -248,13 +290,6 @@ def _gamma_eff(config: ExperimentConfig, params: LinParams) -> float:
     return params.gamma
 
 
-def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    M = params.beta * (X @ X.T) / d + params.alpha
-    w = np.linalg.eigvalsh(M)[::-1]
-    return np.maximum(w, 0.0)
-
-
 def run_sweep(config: ExperimentConfig):
     """Run the sweep; returns (points, csv_text).  Writes the CSV if
     `config.output_path` is set."""
@@ -267,8 +302,7 @@ def run_sweep(config: ExperimentConfig):
         target = TargetSpec(noise_sigma=config.sigma)
         rng_test = np.random.default_rng([config.seed, 7, 1])
         test_X = sample_features(cov, config.test_points, rng_test)
-        clean_test = evaluate_target(target, test_X)
-        pool = None
+        shared_test = QuerySample(test_X, evaluate_target(target, test_X))
     else:
         full = parse_libsvm(config.input_path, config.d)
         X = full.features
@@ -285,6 +319,13 @@ def run_sweep(config: ExperimentConfig):
                 f"real mode needs max(n_grid) + 100 <= rows; have {pool.n} rows, "
                 f"max n {grid[-1]}")
         m_test = min(config.test_points, m_avail)
+        # one shuffle per trial: training sets are nested prefixes and the
+        # held-out tail is shared across the whole grid
+        perms = [np.random.default_rng([config.seed, 900, t]).permutation(pool.n)
+                 for t in range(config.trials)]
+        held_out = [QuerySample(pool.features[p[pool.n - m_test:]],
+                                pool.responses[p[pool.n - m_test:]]) for p in perms]
+    spectral = config.use_linearized and not config.lin_curvature
 
     points = []
     for n in grid:
@@ -299,24 +340,25 @@ def run_sweep(config: ExperimentConfig):
             rng = np.random.default_rng([config.seed, n, t])
             if config.mode == "synth":
                 data, clean = sample_dataset(cov, n, target, rng)
-                t_X, t_clean = test_X, clean_test
+                test = shared_test
             else:
-                # one shuffle per trial: training sets are nested prefixes and
-                # the held-out tail is shared across the whole grid
-                perm = np.random.default_rng([config.seed, 900, t]).permutation(pool.n)
-                tr = perm[:n]
-                te = perm[pool.n - m_test:]
+                tr = perms[t][:n]
                 data = Dataset(pool.features[tr], pool.responses[tr])
                 clean = data.responses
-                t_X = pool.features[te]
-                t_clean = pool.responses[te]
+                test = held_out[t]
             params = _lin_params_for(config, spec, data.features, cov)
             model = _model_for(config, params)
-            est = excess_risk_mc(data, clean, model, lam_solve, config.sigma,
-                                 t_X, t_clean, config.noise_draws, rng)
+            if spectral:
+                est, spectrum = spectral_risk_mc(data, clean, model, lam_solve,
+                                                 config.sigma, test, config.noise_draws,
+                                                 rng)
+            else:
+                est = excess_risk_mc(data, clean, model, lam_solve, config.sigma,
+                                     test.points, test.clean, config.noise_draws, rng)
+                spectrum = _xtilde_spectrum(params, data.features)
             gamma_eff = _gamma_eff(config, params)
-            v1 = bound_v1(_xtilde_spectrum(params, data.features), params.beta,
-                          data.d, n, lam_solve, gamma_eff, config.sigma)
+            v1 = bound_v1(spectrum, params.beta, data.d, n, lam_solve, gamma_eff,
+                          config.sigma)
             bias_l.append(est.bias)
             var_l.append(est.variance)
             risk_l.append(est.risk)

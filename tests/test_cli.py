@@ -74,6 +74,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_invalid_config_values_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"trials": "2"}')
+    assert cli.main(["sweep", "--config", str(bad)]) == 2
+    assert "trials must be an integer" in capsys.readouterr().err
+    bad.write_text('{"sigma": NaN}')
+    assert cli.main(["sweep", "--config", str(bad)]) == 2
+    assert "sigma must be a finite number" in capsys.readouterr().err
+    rc = cli.main(["sweep", "--d", "10", "--n-grid", "5:10:5", "--noise-draws", "1"])
+    assert rc == 2
+    assert "noise_draws must be >= 2" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.libsvm")
     rc = cli.main(["sweep", "--mode", "real", "--input", missing, "--d", "10",

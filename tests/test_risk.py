@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from krrlab import (Dataset, KernelSpec, LinModel, MomentParams, RegSchedule,
-                    TargetSpec, bias_ref, bound_v1, bound_v2, empirical_bias,
-                    empirical_variance, evaluate_target, excess_risk_mc,
-                    linearize_params, make_covariance, quantity_N,
-                    sample_dataset, sample_features, schedule_lambda)
+from krrlab import (Dataset, KernelSpec, LinModel, MomentParams, QuerySample,
+                    RegSchedule, TargetSpec, bias_ref, bound_v1, bound_v2,
+                    empirical_bias, empirical_variance, evaluate_target,
+                    excess_risk_mc, linearize_params, make_covariance,
+                    quantity_N, sample_dataset, sample_features,
+                    schedule_lambda, spectral_risk_mc)
+from krrlab.risk import _xtilde_spectrum
 
 
 class TestSchedule:
@@ -132,6 +136,55 @@ class TestExcessRiskMc:
         with pytest.raises(ValueError):
             excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0, test_X,
                            clean_test, noise_draws=1, seed=0)
+
+
+class TestSpectralRiskMc:
+    """The small-side spectral cell against the Cholesky route plus the
+    n x n V1 spectrum, on both sides of n = p (p = d+1 columns of F, or d
+    for the linear kernel, whose alpha = 0 drops the constant column)."""
+
+    D = 30
+
+    @pytest.mark.parametrize("kernel,n,gamma_override,fixed", itertools.product(
+        ("polynomial", "gaussian", "linear"), (15, 30, 31, 60), (None, 0.0),
+        (False, True)))
+    def test_matches_cholesky_route(self, kernel, n, gamma_override, fixed):
+        d = self.D
+        cov = make_covariance(d, "harmonic")
+        target = TargetSpec(noise_sigma=1.0)
+        spec = {"polynomial": KernelSpec.polynomial(3), "gaussian": KernelSpec.gaussian(),
+                "linear": KernelSpec.linear()}[kernel]
+        params = linearize_params(spec, cov.tau, cov.trace_ratio)
+        model = LinModel(params, gamma_override=gamma_override)
+        test_X = sample_features(cov, 150, 21)
+        test = QuerySample(test_X, evaluate_target(target, test_X))
+        data, clean = sample_dataset(cov, n, target, [4, n])
+        lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
+        gamma = params.gamma if gamma_override is None else gamma_override
+
+        ref = excess_risk_mc(data, clean, model, lam, 1.0, test.points, test.clean,
+                             6, np.random.default_rng(8))
+        est, spectrum = spectral_risk_mc(data, clean, model, lam, 1.0, test, 6,
+                                         np.random.default_rng(8))
+        for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
+                          (est.risk, ref.risk), (est.mc_stderr, ref.mc_stderr)):
+            assert got == pytest.approx(want, rel=1e-9)
+        v1_ref = bound_v1(_xtilde_spectrum(params, data.features), params.beta, d, n,
+                          lam, gamma, 1.0)
+        v1 = bound_v1(spectrum, params.beta, d, n, lam, gamma, 1.0)
+        assert v1 == pytest.approx(v1_ref, rel=1e-9)
+        assert spectrum.shape == (n,) and np.all(np.diff(spectrum) <= 0)
+
+    def test_rejects_curvature_and_zero_ridge(self):
+        cov, data, clean, test_X, clean_test = _config(n=20, d=30, m=100)
+        test = QuerySample(test_X, clean_test)
+        p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
+        with pytest.raises(ValueError, match="curvature"):
+            spectral_risk_mc(data, clean, LinModel(p, curvature=True), 1e-3, 1.0, test,
+                             4, 0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            spectral_risk_mc(data, clean, LinModel(p, gamma_override=0.0), 0.0, 1.0,
+                             test, 4, 0)
 
 
 class TestBounds:

@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from krrlab import (ConfigError, CurveShape, ExperimentConfig, classify_curve,
-                    eig_compare, run_sweep)
+from krrlab import (ConfigError, CurveShape, ExperimentConfig, LinModel,
+                    TargetSpec, bound_v1, classify_curve, eig_compare,
+                    evaluate_target, excess_risk_mc, kernel_by_name,
+                    linearize_params, make_covariance, run_sweep,
+                    sample_dataset, sample_features)
+from krrlab.risk import _xtilde_spectrum
 from krrlab.sweep import CSV_HEADER, parse_grid
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
@@ -66,6 +70,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(mode="real")
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_draws", 1), ("test_points", 99), ("trials", "2"), ("trials", 2.0),
+        ("d", True), ("seed", -1), ("sigma", float("nan")), ("cbar", float("inf")),
+        ("theta", "0.5"), ("fixed_lambda", float("nan")),
+        ("gamma_override", float("-inf")), ("gamma_override", -0.1),
+        ("use_linearized", "false")])
+    def test_bad_values_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_real_mode_test_points_checked(self):
+        with pytest.raises(ConfigError, match="test_points"):
+            ExperimentConfig(mode="real", input_path=FIXTURE, test_points=50)
+
+    def test_json_string_count_rejected(self, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"trials": "2"}))
+        with pytest.raises(ConfigError, match="trials must be an integer"):
+            ExperimentConfig.from_json(str(p))
+
 
 def _small_config(**kw):
     base = dict(mode="synth", kernel="gaussian", d=60, n_grid=[30, 60, 90],
@@ -117,6 +141,62 @@ class TestRunSweep:
         for p in points:
             assert np.isfinite([p.bias_emp, p.var_emp, p.risk_emp, p.v1_bound]).all()
         assert text.startswith(CSV_HEADER)
+
+
+def _direct_points(cfg):
+    """bias, variance, risk, stderr and V1 per grid row, recomputed cell by
+    cell through the Cholesky route excess_risk_mc and the n x n V1 spectrum,
+    on the same per-cell streams as run_sweep (synth mode)."""
+    cov = make_covariance(cfg.d, cfg.decay, cfg.a)
+    target = TargetSpec(noise_sigma=cfg.sigma)
+    spec = kernel_by_name(cfg.kernel, cfg.degree)
+    params = linearize_params(spec, cov.tau, cov.trace_ratio)
+    model = (LinModel(params, cfg.gamma_override, cfg.lin_curvature)
+             if cfg.use_linearized else spec)
+    gamma = (cfg.gamma_override if cfg.use_linearized and cfg.gamma_override is not None
+             else params.gamma)
+    test_X = sample_features(cov, cfg.test_points, np.random.default_rng([cfg.seed, 7, 1]))
+    clean_test = evaluate_target(target, test_X)
+    rows = []
+    for n in cfg.grid:
+        lam = cfg.fixed_lambda / n if cfg.fixed_lambda is not None else cfg.cbar * n ** -cfg.theta
+        cells = []
+        for t in range(cfg.trials):
+            rng = np.random.default_rng([cfg.seed, n, t])
+            data, clean = sample_dataset(cov, n, target, rng)
+            est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test_X, clean_test,
+                                 cfg.noise_draws, rng)
+            v1 = bound_v1(_xtilde_spectrum(params, data.features), params.beta, cfg.d,
+                          n, lam, gamma, cfg.sigma)
+            cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
+        b, v, r, se2, v1 = np.mean(cells, axis=0)
+        rows.append((b, v, r, np.sqrt(se2 / cfg.trials), v1))
+    return rows
+
+
+def _sweep_rows(points):
+    return [(p.bias_emp, p.var_emp, p.risk_emp, p.mc_stderr, p.v1_bound) for p in points]
+
+
+class TestSweepRoutes:
+    @pytest.mark.parametrize("kw", [dict(use_linearized=False, gamma_override=None),
+                                    dict(lin_curvature=True, gamma_override=None)],
+                             ids=["exact", "curvature"])
+    def test_cholesky_routes_equal_direct_computation(self, kw):
+        cfg = _small_config(**kw)
+        points, _ = run_sweep(cfg)
+        for got, want in zip(_sweep_rows(points), _direct_points(cfg)):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [dict(), dict(kernel="polynomial", fixed_lambda=1e-2),
+                                    dict(kernel="linear", gamma_override=None)],
+                             ids=["gaussian-schedule", "polynomial-fixed", "linear"])
+    def test_spectral_route_matches_cholesky_route(self, kw):
+        # grid 30, 60, 90 at d=60 straddles n = d+1, so both sides are swept
+        cfg = _small_config(**kw)
+        points, _ = run_sweep(cfg)
+        for got, want in zip(_sweep_rows(points), _direct_points(cfg)):
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestEigCompare:
