@@ -5,14 +5,15 @@ experiment, CSV output), eig-compare (spectra of K vs its linearization),
 bounds (print the closed-form bound values for given parameters), plot
 (CSV columns -> SVG).  `--config path.json` overrides flags.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error (ConfigError, raised where the
+input enters), 3 data error (DataFormatError or any OSError), 4 numerical
+failure.  Any other exception is a bug and ends with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
 
 from .errors import ConfigError, DataFormatError, NumericalError
@@ -61,18 +62,21 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         return ExperimentConfig.from_json(args.config)
-    return ExperimentConfig(
-        mode=args.mode, kernel=args.kernel, degree=args.degree,
-        use_linearized=not args.true_kernel, lin_curvature=args.lin_curvature,
-        gamma_override=args.gamma_override, decay=args.decay, a=args.a, d=args.d,
-        n_grid=args.n_grid, cbar=args.cbar, theta=args.theta,
-        fixed_lambda=args.fixed_lambda, sigma=args.sigma, trials=args.trials,
-        seed=args.seed, test_points=args.test_points, noise_draws=args.noise_draws,
-        source_r=args.source_r, standardize=args.standardize,
-        input_path=args.input_path, output_path=args.output_path)
+    # every sweep flag but --true-kernel is named after its config field
+    fields = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}
+    return ExperimentConfig(use_linearized=not args.true_kernel, **fields)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def _cmd_synth(args) -> int:
+    _require(args.n >= 1, f"n must be >= 1, got {args.n}")
+    _require(args.seed >= 0, f"seed must be >= 0, got {args.seed}")
+    _require(math.isfinite(args.sigma) and args.sigma >= 0,
+             f"sigma must be finite and >= 0, got {args.sigma}")
     cov = make_covariance(args.d, args.decay, args.a)
     target = TargetSpec(noise_sigma=args.sigma)
     data, _ = sample_dataset(cov, args.n, target, args.seed)
@@ -109,6 +113,12 @@ def _cmd_eig_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     decay = DecaySpec(args.decay, args.a, args.rstar)
+    _require(args.n >= 1 and args.d >= 1, f"n and d must be >= 1, got n={args.n}, d={args.d}")
+    _require(0 <= args.theta <= 1, f"theta must lie in [0, 1], got {args.theta}")
+    _require(args.cbar >= 0 and args.gamma >= 0,
+             f"cbar and gamma must be >= 0, got cbar={args.cbar}, gamma={args.gamma}")
+    _require(args.cbar > 0 or args.gamma > 0,
+             "cbar = 0 and gamma = 0 make b = n*lambda + gamma = 0; make one positive")
     b = args.n * args.cbar * args.n ** (-args.theta) + args.gamma
     exact = quantity_N(generate_decay_spectrum(decay, args.n), b)
     bnd = bound_N(decay, args.n, b)
@@ -119,7 +129,7 @@ def _cmd_bounds(args) -> int:
         try:
             ns = peak_point(decay, args.cbar, args.theta, args.gamma)
             print(f"peak n_* = {ns:.6g}")
-        except ValueError as exc:
+        except ConfigError as exc:                # no closed-form peak here
             print(f"peak n_*: {exc}")
     grid = list(range(max(args.n // 10, 1), args.n + 1, max(args.n // 10, 1)))
     n_at, vmax = numeric_peak(decay, grid, args.d, args.cbar, args.theta,
@@ -194,15 +204,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:        # out-of-range parameter reaching a library op
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

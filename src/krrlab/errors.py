@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError -> 3,
-NumericalError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError (and
+OSError) -> 3, NumericalError -> 4.
 """
 
 

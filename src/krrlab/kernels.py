@@ -17,14 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import KernelEvaluationError, SingularKernelError
+from .errors import ConfigError, KernelEvaluationError, SingularKernelError
 
 __all__ = [
     "Dataset",
     "KernelSpec",
     "KrrModel",
     "kernel_matrix",
-    "cross_kernel",
     "cross_kernel_matrix",
     "krr_fit",
     "krr_predict",
@@ -93,7 +92,7 @@ class KernelSpec:
     def polynomial(degree: int) -> "KernelSpec":
         p = int(degree)
         if p < 1:
-            raise ValueError("polynomial degree must be >= 1")
+            raise ConfigError(f"polynomial degree must be >= 1, got {degree}")
         return KernelSpec(
             "inner_product", "polynomial", degree=p,
             h=lambda t, p=p: (1.0 + t) ** p,
@@ -134,14 +133,23 @@ class KernelSpec:
         return D
 
 
-def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
-    """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric."""
-    K = np.asarray(spec.h(spec.argument_matrix(data.features)), dtype=float)
+def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
+    """k(q_i, x_j) for query rows q_i (rows of X itself when `queries` is None)."""
+    Q = None if queries is None else np.atleast_2d(np.asarray(queries, dtype=float))
+    if Q is not None and Q.shape[1] != X.shape[1]:
+        raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
+    K = np.asarray(spec.h(spec.argument_matrix(X, Q)), dtype=float)
     if not np.all(np.isfinite(K)):
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise KernelEvaluationError(
             f"kernel evaluation produced a non-finite value at entry ({i}, {j})",
             int(i), int(j))
+    return K
+
+
+def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
+    """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric."""
+    K = _kernel_values(spec, data.features)
     # mirror the upper triangle so K is symmetric to the bit
     iu = np.triu_indices_from(K, k=1)
     K[(iu[1], iu[0])] = K[iu]
@@ -150,24 +158,7 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
 
 def cross_kernel_matrix(spec: KernelSpec, data: Dataset, queries: np.ndarray) -> np.ndarray:
     """m x n matrix of k(q_i, x_j) for query rows q_i."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if Q.shape[1] != data.d:
-        raise ValueError(f"queries have width {Q.shape[1]}, expected {data.d}")
-    K = np.asarray(spec.h(spec.argument_matrix(data.features, Q)), dtype=float)
-    if not np.all(np.isfinite(K)):
-        i, j = np.argwhere(~np.isfinite(K))[0]
-        raise KernelEvaluationError(
-            f"cross-kernel evaluation produced a non-finite value at entry ({i}, {j})",
-            int(i), int(j))
-    return K
-
-
-def cross_kernel(spec: KernelSpec, data: Dataset, query: np.ndarray) -> np.ndarray:
-    """n-vector of k(query, x_i) for a single query point."""
-    q = np.asarray(query, dtype=float).ravel()
-    if q.shape[0] != data.d:
-        raise ValueError(f"query has length {q.shape[0]}, expected {data.d}")
-    return cross_kernel_matrix(spec, data, q[None, :])[0]
+    return _kernel_values(spec, data.features, queries)
 
 
 # Jitter policy: when the SPD factorization of K + n*lambda*I fails (the
@@ -216,10 +207,6 @@ def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
     return KrrModel(spec=spec, features=data.features, dual_coef=c, lam=float(lam))
 
 
-def krr_predict(model: KrrModel, spec: KernelSpec, queries: np.ndarray) -> np.ndarray:
+def krr_predict(model: KrrModel, queries: np.ndarray) -> np.ndarray:
     """Predict at the rows of `queries` (m x d), linearly in the training responses."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if Q.shape[1] != model.features.shape[1]:
-        raise ValueError(f"queries have width {Q.shape[1]}, expected {model.features.shape[1]}")
-    Kc = np.asarray(spec.h(spec.argument_matrix(model.features, Q)), dtype=float)
-    return Kc @ model.dual_coef
+    return _kernel_values(model.spec, model.features, queries) @ model.dual_coef

@@ -21,8 +21,11 @@ def parse_libsvm(path: str, d: int) -> Dataset:
         raise DataFormatError("d must be >= 1")
     rows = []
     labels = []
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape keeps a non-ASCII byte (as a surrogate) so its line can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise DataFormatError(f"non-ASCII byte at line {lineno}")
             line = raw.strip()
             if not line:
                 continue
@@ -31,6 +34,8 @@ def parse_libsvm(path: str, d: int) -> Dataset:
                 label = float(tokens[0])
             except ValueError:
                 raise DataFormatError(f"bad label {tokens[0]!r} at line {lineno}") from None
+            if not np.isfinite(label):
+                raise DataFormatError(f"non-finite label at line {lineno}")
             x = np.zeros(d)
             prev = 0
             for tok in tokens[1:]:

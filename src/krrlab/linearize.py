@@ -30,11 +30,11 @@ from .kernels import Dataset, KernelSpec
 
 __all__ = [
     "LinParams",
+    "LinModel",
     "LinKernel",
     "MomentDiagnostics",
     "linearize_params",
     "build_lin_kernel",
-    "lin_cross_kernel",
     "lin_cross_kernel_matrix",
     "approx_error",
     "interlacing_check",
@@ -108,6 +108,34 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
 
 
 @dataclass(frozen=True)
+class LinModel:
+    """Linearized-kernel regression model used by the risk sweeps.
+
+    When `curvature` is False (the default for risk-curve experiments) the
+    Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
+    gamma_eff I and the cross kernel is its bilinear form h_pivot + beta
+    <x, x_i>/d; this matrix is positive semi-definite for every sample.
+    With `curvature` True the full construction including the radial
+    correction T is used (T is indefinite, so a gamma override of 0 can
+    make the system singular at isolated sample sizes).
+    """
+
+    params: LinParams
+    gamma_override: Optional[float] = None
+    curvature: bool = False
+
+    def __post_init__(self):
+        if self.gamma_override is not None and not self.gamma_override >= 0:
+            raise ValueError("gamma_override must be >= 0")
+
+    @property
+    def gamma(self) -> float:
+        """gamma_eff, the ridge the linearized kernel carries: the implicit
+        gamma, or `gamma_override` when given."""
+        return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
+
+
+@dataclass(frozen=True)
 class LinKernel:
     """The assembled linearized kernel matrix, split into its pieces.
 
@@ -115,15 +143,13 @@ class LinKernel:
     alpha 11^T + t_matrix.
     """
 
-    params: LinParams
-    base: np.ndarray          # alpha 11^T + beta XX^T/d + gamma_eff I
-    psi: np.ndarray           # ||x_i||^2/d - tau
-    t_matrix: np.ndarray      # curvature correction (zero for inner products)
-    gamma_eff: float
+    base: np.ndarray                  # alpha 11^T + beta XX^T/d + gamma_eff I
+    psi: np.ndarray                   # ||x_i||^2/d - tau
+    t_matrix: Optional[np.ndarray]    # curvature correction; None for inner products
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.base + self.t_matrix
+        return self.base if self.t_matrix is None else self.base + self.t_matrix
 
 
 def build_lin_kernel(params: LinParams, data: Dataset,
@@ -135,18 +161,14 @@ def build_lin_kernel(params: LinParams, data: Dataset,
     """
     X = data.features
     n, d = X.shape
-    gamma_eff = params.gamma if gamma_override is None else float(gamma_override)
-    if gamma_eff < 0:
-        raise ValueError("gamma_override must be >= 0")
     base = params.alpha + params.beta * (X @ X.T) / d
-    base[np.diag_indices(n)] += gamma_eff
+    base[np.diag_indices(n)] += LinModel(params, gamma_override).gamma
     psi = np.einsum("ij,ij->i", X, X) / d - params.tau
+    T = None
     if params.family == "radial":
         A = psi[:, None] + psi[None, :]
         T = params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
-    else:
-        T = np.zeros((n, n))
-    return LinKernel(params=params, base=base, psi=psi, t_matrix=T, gamma_eff=gamma_eff)
+    return LinKernel(base=base, psi=psi, t_matrix=T)
 
 
 def lin_cross_kernel_matrix(params: LinParams, data: Dataset,
@@ -167,14 +189,6 @@ def lin_cross_kernel_matrix(params: LinParams, data: Dataset,
         psi_q = np.einsum("ij,ij->i", Q, Q) / d - params.tau
         out -= 0.5 * params.beta * (psi_q[:, None] + psi[None, :])
     return out
-
-
-def lin_cross_kernel(params: LinParams, data: Dataset, query: np.ndarray) -> np.ndarray:
-    """n-vector form of the linearized cross kernel for one query point."""
-    q = np.asarray(query, dtype=float).ravel()
-    if q.shape[0] != data.d:
-        raise ValueError(f"query has length {q.shape[0]}, expected {data.d}")
-    return lin_cross_kernel_matrix(params, data, q[None, :])[0]
 
 
 def approx_error(K: np.ndarray, K_lin: np.ndarray) -> float:

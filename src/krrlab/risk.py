@@ -32,21 +32,17 @@ from typing import Optional, Union
 import numpy as np
 
 from .kernels import Dataset, KernelSpec, kernel_matrix, cross_kernel_matrix, solve_regularized
-from .linearize import LinParams, build_lin_kernel, lin_cross_kernel_matrix
+from .linearize import LinModel, LinParams, build_lin_kernel, lin_cross_kernel_matrix
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
     "RegSchedule",
     "MomentParams",
-    "RiskPoint",
     "RiskEstimate",
-    "LinModel",
     "KernelModel",
     "QuerySample",
     "schedule_lambda",
     "gram_and_cross",
-    "empirical_bias",
-    "empirical_variance",
     "excess_risk_mc",
     "spectral_risk_mc",
     "bound_v1",
@@ -100,24 +96,6 @@ class MomentParams:
         return 0.5 - 2.0 / (8.0 + self.m)
 
 
-@dataclass(frozen=True)
-class LinModel:
-    """Linearized-kernel regression model used by the risk sweeps.
-
-    When `curvature` is False (the default for risk-curve experiments) the
-    Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
-    gamma_eff I and the cross kernel is its bilinear form h_pivot + beta
-    <x, x_i>/d; this matrix is positive semi-definite for every sample.
-    With `curvature` True the full construction including the radial
-    correction T is used (T is indefinite, so a gamma override of 0 can
-    make the system singular at isolated sample sizes).
-    """
-
-    params: LinParams
-    gamma_override: Optional[float] = None
-    curvature: bool = False
-
-
 KernelModel = Union[KernelSpec, LinModel]
 
 
@@ -131,36 +109,6 @@ def gram_and_cross(model: KernelModel, data: Dataset, queries: np.ndarray):
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     cross = model.params.h_pivot + model.params.beta * (Q @ data.features.T) / data.d
     return lk.base, cross
-
-
-def _check_test_points(test_points: np.ndarray, d: int) -> np.ndarray:
-    Q = np.atleast_2d(np.asarray(test_points, dtype=float))
-    if Q.shape[0] < 100:
-        raise ValueError(f"need at least 100 test points, got {Q.shape[0]}")
-    if Q.shape[1] != d:
-        raise ValueError(f"test points have width {Q.shape[1]}, expected {d}")
-    return Q
-
-
-def empirical_bias(data: Dataset, clean: np.ndarray, model: KernelModel, lam: float,
-                   test_points: np.ndarray, clean_test: np.ndarray) -> float:
-    """Monte-Carlo estimate of the squared bias over the test sample."""
-    Q = _check_test_points(test_points, data.d)
-    K, cross = gram_and_cross(model, data, Q)
-    coef = solve_regularized(K, data.n * lam, np.asarray(clean, dtype=float))
-    pred = cross @ coef
-    return float(np.mean((pred - np.asarray(clean_test, dtype=float)) ** 2))
-
-
-def empirical_variance(data: Dataset, model: KernelModel, lam: float, sigma: float,
-                       test_points: np.ndarray) -> float:
-    """sigma^2 * E_x ||(K + n lam I)^{-1} k(x, X)||^2 over the test sample."""
-    if sigma == 0:
-        return 0.0
-    Q = _check_test_points(test_points, data.d)
-    K, cross = gram_and_cross(model, data, Q)
-    sol = solve_regularized(K, data.n * lam, cross.T)        # n x m
-    return float(sigma ** 2 * np.mean(np.sum(sol ** 2, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -185,8 +133,7 @@ def _mc_estimate(bias_resid: np.ndarray, noise_pred: np.ndarray,
 
 
 def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return sigma * rng.standard_normal((n, noise_draws))
+    return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: KernelModel, lam: float,
@@ -197,7 +144,11 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: KernelModel, lam: fl
     with its standard error reported in `mc_stderr`."""
     if noise_draws < 2:
         raise ValueError("noise_draws must be >= 2")
-    Q = _check_test_points(test_points, data.d)
+    Q = np.atleast_2d(np.asarray(test_points, dtype=float))
+    if Q.shape[0] < 100:
+        raise ValueError(f"need at least 100 test points, got {Q.shape[0]}")
+    if Q.shape[1] != data.d:
+        raise ValueError(f"test points have width {Q.shape[1]}, expected {data.d}")
     clean = np.asarray(clean, dtype=float)
     clean_test = np.asarray(clean_test, dtype=float)
     K, cross = gram_and_cross(model, data, Q)
@@ -279,8 +230,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     params = model.params
     X = data.features
     n, d = X.shape
-    gamma = params.gamma if model.gamma_override is None else float(model.gamma_override)
-    r = n * lam + gamma
+    r = n * lam + model.gamma
     if not r > 0:
         raise ValueError("n*lam + gamma must be > 0")
     Y = np.column_stack([np.asarray(clean, dtype=float), _noise(seed, sigma, n, noise_draws)])

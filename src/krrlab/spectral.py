@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
+from .errors import ConfigError
+
 __all__ = [
     "Spectrum",
     "DecaySpec",
@@ -72,13 +74,13 @@ class DecaySpec:
 
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
-            raise ValueError(f"unknown decay kind {self.kind!r}")
+            raise ConfigError(f"unknown decay kind {self.kind!r}")
         if self.r_star < 1:
-            raise ValueError("r_star must be >= 1")
+            raise ConfigError(f"r_star must be >= 1, got {self.r_star}")
         if self.kind == "polynomial" and not self.a > 0.5:
-            raise ValueError("polynomial decay requires a > 1/2")
+            raise ConfigError(f"polynomial decay requires a > 1/2, got a={self.a}")
         if self.kind == "exponential" and not self.a > 0:
-            raise ValueError("exponential decay requires a > 0")
+            raise ConfigError(f"exponential decay requires a > 0, got a={self.a}")
 
 
 def generate_decay_spectrum(decay: DecaySpec, n: int) -> Spectrum:
@@ -193,23 +195,24 @@ def peak_point(decay: DecaySpec, cbar: float, theta: float, gamma: float) -> flo
     polynomial:  (gamma / (2 a cbar (1 - (1 + 1/(2a)) theta)))^{1/(1-theta)}
 
     No closed form exists for exponential decay; use `numeric_peak`.
+    Parameters with no closed-form peak raise `ConfigError`.
     """
     if decay.kind == "exponential":
-        raise ValueError("exponential decay has no closed-form peak; use numeric_peak")
+        raise ConfigError("exponential decay has no closed-form peak; use numeric_peak")
     if not 0 <= theta < 1:
-        raise ValueError("theta must lie in [0, 1)")
+        raise ConfigError("theta must lie in [0, 1)")
     if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+        raise ConfigError("gamma must be >= 0")
     if decay.kind == "harmonic":
         den = 2.0 - 2.0 * theta - cbar
         if den <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"out of regime: 2 - 2*theta - cbar = {den:.3e} <= 0 "
                 "(no interior peak for this schedule)")
         return float((gamma / den) ** (1.0 / (1.0 - theta)))
     den = 2.0 * decay.a * cbar * (1.0 - (1.0 + 1.0 / (2.0 * decay.a)) * theta)
     if den <= 0:
-        raise ValueError(
+        raise ConfigError(
             f"out of regime: polynomial peak denominator {den:.3e} <= 0")
     return float((gamma / den) ** (1.0 / (1.0 - theta)))
 

@@ -36,7 +36,8 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
     The y-axis switches to log scale when the plotted values span more than
     two decades (and are all positive).  Returns the bytes written.
     """
-    with open(csv_path, "r", encoding="ascii", newline="") as fh:
+    # a non-ASCII byte survives as a surrogate and fails the checks below
+    with open(csv_path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataFormatError(f"{csv_path} has no header")
@@ -48,8 +49,11 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
     if not rows:
         raise DataFormatError(f"{csv_path} has no data rows")
 
-    xs = [float(r[x_column]) for r in rows]
-    series = {c: [float(r[c]) for r in rows] for c in columns}
+    try:
+        xs = [float(r[x_column]) for r in rows]
+        series = {c: [float(r[c]) for r in rows] for c in columns}
+    except (TypeError, ValueError):          # a short row, or a non-numeric cell
+        raise DataFormatError(f"{csv_path} has a missing or non-numeric value") from None
 
     all_y = [v for vals in series.values() for v in vals]
     positive = all(v > 0 for v in all_y)

@@ -16,7 +16,9 @@ MC risk are filter sums over it, and V1 reads its spectrum when n <= d+1
 keep the Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full
 rank n, and on 2 cores an `eigh` of a 2000 x 2000 gaussian K takes about 1 s
 against 0.2-0.3 s for its factor and a solve with 651 right-hand sides.
-`ExperimentConfig` checks types and ranges once, when it is built.
+`ExperimentConfig` checks types and ranges once, when it is built, so no
+cell fails on its input; `DataSource` loads the data of one call, synthetic
+or real, in one place.
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ import scipy.stats
 from .errors import ConfigError
 from .kernels import Dataset, KernelSpec, kernel_matrix
 from .libsvm import parse_libsvm
-from .linearize import (LinParams, build_lin_kernel, estimate_trace_ratio,
-                        interlacing_check, linearize_params,
-                        perturbation_inertia)
-from .risk import (LinModel, MomentParams, QuerySample, _xtilde_spectrum,
-                   bias_ref, bound_v1, bound_v2, excess_risk_mc,
-                   spectral_risk_mc)
-from .synth import (CovModel, TargetSpec, evaluate_target, make_covariance,
-                    sample_dataset, sample_features)
+from .linearize import (LinModel, LinParams, build_lin_kernel,
+                        estimate_trace_ratio, interlacing_check,
+                        linearize_params, perturbation_inertia)
+from .risk import (MomentParams, QuerySample, _xtilde_spectrum, bias_ref,
+                   bound_v1, bound_v2, excess_risk_mc, spectral_risk_mc)
+from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
+                    sample_features)
 
 __all__ = [
     "CurveShape",
@@ -141,8 +142,11 @@ def parse_grid(text) -> list:
         if step < 1 or stop < start:
             raise ConfigError(f"bad n_grid {text!r}")
         grid = list(range(start, stop + 1, step))
-    else:
+    elif isinstance(text, (list, tuple)) and all(
+            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in text):
         grid = [int(x) for x in text]
+    else:
+        raise ConfigError(f"n_grid must be 'start:stop:step' or a list of integers, got {text!r}")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ConfigError("n_grid must be nonempty, positive, strictly increasing")
     return grid
@@ -198,10 +202,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be true or false, got {v!r}")
         if self.mode not in ("synth", "real"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("input_path", "output_path"):
+            v = getattr(self, name)
+            if v is not None and not isinstance(v, str):
+                raise ConfigError(f"{name} must be a path string, got {v!r}")
         kernel_by_name(self.kernel, self.degree)
         self.grid = parse_grid(self.n_grid)
-        if self.d < 1:
-            raise ConfigError("d must be >= 1")
+        if self.d < 2:
+            raise ConfigError(f"d must be >= 2, got {self.d}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.trials < 1:
@@ -220,14 +228,29 @@ class ExperimentConfig:
             raise ConfigError("fixed_lambda must be >= 0")
         if self.gamma_override is not None and self.gamma_override < 0:
             raise ConfigError("gamma_override must be >= 0")
-        if self.mode == "synth" and self.decay not in ("harmonic", "polynomial",
-                                                       "exponential", "identity"):
-            raise ConfigError(f"unknown decay {self.decay!r}")
+        if not 0 < self.source_r <= 1:
+            raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
+        if self.mode == "synth":
+            make_covariance(self.d, self.decay, self.a)     # rejects a bad decay or a
+        # a ridgeless fit: the spectral cell divides by n*lam + gamma_eff, and
+        # the bounds do when sigma > 0; an affine profile h has gamma = 0
+        lam_field = "cbar" if self.fixed_lambda is None else "fixed_lambda"
+        affine = self.kernel == "linear" or (self.kernel, self.degree) == ("polynomial", 1)
+        gamma_zero = (self.gamma_override == 0
+                      if self.use_linearized and self.gamma_override is not None else affine)
+        if (getattr(self, lam_field) == 0 and gamma_zero
+                and (self.sigma > 0 or (self.use_linearized and not self.lin_curvature))):
+            raise ConfigError(
+                f"{lam_field} = 0 and gamma_eff = 0 (gamma_override = 0, or an affine "
+                f"kernel) make n*lambda + gamma = 0; make {lam_field} or gamma_override > 0")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
@@ -269,66 +292,82 @@ def write_csv(points, path: str) -> str:
     return text
 
 
-def _lin_params_for(config: ExperimentConfig, spec: KernelSpec, X: np.ndarray,
-                    cov: Optional[CovModel]) -> LinParams:
-    if cov is not None:
-        return linearize_params(spec, cov.tau, cov.trace_ratio)
-    tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
-    return linearize_params(spec, tau, estimate_trace_ratio(X))
+class DataSource:
+    """The data of one `run_sweep` or `eig_compare` call, for n <= n_max.
 
+    Synth mode: the covariance, the target, the LinParams (they depend only
+    on the covariance) and one test sample from [seed, 7, 1] shared by all
+    cells.  Real mode: the parsed, optionally standardized pool and one
+    permutation per trial from [seed, 900, t]; training sets are its nested
+    prefixes and its tail of up to `test_points` (at least 100) rows is held
+    out.  `with_test` False builds no test sample (eig_compare needs none).
+    """
 
-def _model_for(config: ExperimentConfig, params: LinParams):
-    if config.use_linearized:
-        return LinModel(params, gamma_override=config.gamma_override,
-                        curvature=config.lin_curvature)
-    return kernel_by_name(config.kernel, config.degree)
+    def __init__(self, config: ExperimentConfig, spec: KernelSpec, n_max: int,
+                 with_test: bool = True):
+        self.config, self.spec = config, spec
+        self.cov = self.params = None
+        if config.mode == "synth":
+            self.cov = make_covariance(config.d, config.decay, config.a)
+            self.target = TargetSpec(noise_sigma=config.sigma)
+            self.params = linearize_params(spec, self.cov.tau, self.cov.trace_ratio)
+            if with_test:
+                test_X = sample_features(self.cov, config.test_points,
+                                         np.random.default_rng([config.seed, 7, 1]))
+                shared = QuerySample(test_X, evaluate_target(self.target, test_X))
+                self._tests = [shared] * config.trials
+            return
+        self.raw = parse_libsvm(config.input_path, config.d)
+        need = n_max + (100 if with_test else 0)
+        if self.raw.n < need:
+            raise ConfigError(f"real mode needs {need} rows for n = {n_max}; "
+                              f"{config.input_path} has {self.raw.n}")
+        X = self.raw.features
+        if config.standardize:
+            sd = X.std(axis=0, ddof=0)
+            sd[sd == 0] = 1.0
+            X = (X - X.mean(axis=0)) / sd
+        self.pool = Dataset(X, self.raw.responses)
+        self.perms = [np.random.default_rng([config.seed, 900, t]).permutation(self.pool.n)
+                      for t in range(config.trials)]
+        if with_test:
+            tails = [p[max(self.pool.n - config.test_points, n_max):] for p in self.perms]
+            self._tests = [QuerySample(self.pool.features[h], self.pool.responses[h])
+                           for h in tails]
 
+    def train(self, n: int, trial: int, rng: np.random.Generator):
+        """Training set of cell (n, trial) and its clean responses."""
+        if self.cov is not None:
+            return sample_dataset(self.cov, n, self.target, rng)
+        rows = self.perms[trial][:n]
+        data = Dataset(self.pool.features[rows], self.pool.responses[rows])
+        return data, data.responses
 
-def _gamma_eff(config: ExperimentConfig, params: LinParams) -> float:
-    if config.use_linearized and config.gamma_override is not None:
-        return float(config.gamma_override)
-    return params.gamma
+    def test(self, trial: int) -> QuerySample:
+        return self._tests[trial]
+
+    def lin_model(self, X: np.ndarray) -> LinModel:
+        """The LinModel that fits and bounds training set X; its LinParams are
+        the covariance's (synth) or plug-in estimates from X (real)."""
+        params = self.params
+        if self.cov is None:
+            tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
+            params = linearize_params(self.spec, tau, estimate_trace_ratio(X))
+        c = self.config         # exact kernels keep the implicit gamma in their bounds
+        return LinModel(params, c.gamma_override if c.use_linearized else None,
+                        c.lin_curvature)
 
 
 def run_sweep(config: ExperimentConfig):
     """Run the sweep; returns (points, csv_text).  Writes the CSV if
     `config.output_path` is set."""
     spec = kernel_by_name(config.kernel, config.degree)
+    source = DataSource(config, spec, config.grid[-1])
     moments = MomentParams()
-    grid = config.grid
-
-    if config.mode == "synth":
-        cov = make_covariance(config.d, config.decay, config.a)
-        target = TargetSpec(noise_sigma=config.sigma)
-        rng_test = np.random.default_rng([config.seed, 7, 1])
-        test_X = sample_features(cov, config.test_points, rng_test)
-        shared_test = QuerySample(test_X, evaluate_target(target, test_X))
-    else:
-        full = parse_libsvm(config.input_path, config.d)
-        X = full.features
-        if config.standardize:
-            mu = X.mean(axis=0)
-            sd = X.std(axis=0, ddof=0)
-            sd[sd == 0] = 1.0
-            X = (X - mu) / sd
-        pool = Dataset(X, full.responses)
-        cov = None
-        m_avail = pool.n - grid[-1]
-        if m_avail < 100:
-            raise ConfigError(
-                f"real mode needs max(n_grid) + 100 <= rows; have {pool.n} rows, "
-                f"max n {grid[-1]}")
-        m_test = min(config.test_points, m_avail)
-        # one shuffle per trial: training sets are nested prefixes and the
-        # held-out tail is shared across the whole grid
-        perms = [np.random.default_rng([config.seed, 900, t]).permutation(pool.n)
-                 for t in range(config.trials)]
-        held_out = [QuerySample(pool.features[p[pool.n - m_test:]],
-                                pool.responses[p[pool.n - m_test:]]) for p in perms]
     spectral = config.use_linearized and not config.lin_curvature
 
     points = []
-    for n in grid:
+    for n in config.grid:
         if config.fixed_lambda is not None:
             lam_user = config.fixed_lambda
             lam_solve = lam_user / n          # ridge n*lam_solve == lam_user
@@ -338,32 +377,25 @@ def run_sweep(config: ExperimentConfig):
         bias_l, var_l, risk_l, v1_l, v2_l, stderr_sq = [], [], [], [], [], []
         for t in range(config.trials):
             rng = np.random.default_rng([config.seed, n, t])
-            if config.mode == "synth":
-                data, clean = sample_dataset(cov, n, target, rng)
-                test = shared_test
-            else:
-                tr = perms[t][:n]
-                data = Dataset(pool.features[tr], pool.responses[tr])
-                clean = data.responses
-                test = held_out[t]
-            params = _lin_params_for(config, spec, data.features, cov)
-            model = _model_for(config, params)
+            data, clean = source.train(n, t, rng)
+            test = source.test(t)
+            lin = source.lin_model(data.features)
             if spectral:
-                est, spectrum = spectral_risk_mc(data, clean, model, lam_solve,
+                est, spectrum = spectral_risk_mc(data, clean, lin, lam_solve,
                                                  config.sigma, test, config.noise_draws,
                                                  rng)
             else:
-                est = excess_risk_mc(data, clean, model, lam_solve, config.sigma,
-                                     test.points, test.clean, config.noise_draws, rng)
-                spectrum = _xtilde_spectrum(params, data.features)
-            gamma_eff = _gamma_eff(config, params)
-            v1 = bound_v1(spectrum, params.beta, data.d, n, lam_solve, gamma_eff,
+                est = excess_risk_mc(data, clean, lin if config.use_linearized else spec,
+                                     lam_solve, config.sigma, test.points, test.clean,
+                                     config.noise_draws, rng)
+                spectrum = _xtilde_spectrum(lin.params, data.features)
+            v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam_solve, lin.gamma,
                           config.sigma)
             bias_l.append(est.bias)
             var_l.append(est.variance)
             risk_l.append(est.risk)
             v1_l.append(v1)
-            v2_l.append(bound_v2(spec.family, n, lam_solve, gamma_eff, config.d,
+            v2_l.append(bound_v2(spec.family, n, lam_solve, lin.gamma, config.d,
                                  moments, config.sigma))
             stderr_sq.append(est.mc_stderr ** 2)
         ref = bias_ref(n, config.theta if config.fixed_lambda is None else 0.0,
@@ -404,23 +436,23 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     The first eigenvalue is flagged in the CSV (column is_top1) since its
     scale is dominated by the rank-one mean component.
     """
-    spec = kernel_by_name(config.kernel, config.degree)
     n = n if n is not None else config.grid[-1]
+    if n < 1 or k < 1:
+        raise ConfigError(f"eig-compare needs n >= 1 and k >= 1, got n={n}, k={k}")
+    spec = kernel_by_name(config.kernel, config.degree)
+    source = DataSource(config, spec, n, with_test=False)
     rng = np.random.default_rng([config.seed, n, 0])
-    if config.mode == "synth":
-        cov = make_covariance(config.d, config.decay, config.a)
-        data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=config.sigma), rng)
+    if source.cov is not None:
+        data, _ = source.train(n, 0, rng)
     else:
-        full = parse_libsvm(config.input_path, config.d)
-        perm = rng.permutation(full.n)
-        data = Dataset(full.features[perm[:n]], full.responses[perm[:n]])
-        cov = None
-    params = _lin_params_for(config, spec, data.features, cov)
-    gamma_eff = _gamma_eff(config, params)
-    gamma_arg = config.gamma_override if config.use_linearized else None
+        # unlike the sweep: the raw pool (never standardized), rows drawn by [seed, n, 0]
+        rows = rng.permutation(source.raw.n)[:n]
+        data = Dataset(source.raw.features[rows], source.raw.responses[rows])
+    lin = source.lin_model(data.features)
+    params, gamma_eff = lin.params, lin.gamma
 
     K = kernel_matrix(spec, data)
-    lk = build_lin_kernel(params, data, gamma_arg)
+    lk = build_lin_kernel(params, data, gamma_eff)
     G = data.features @ data.features.T / data.d
 
     eig_true = np.linalg.eigvalsh(K)[::-1]
@@ -432,11 +464,11 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     rho = scipy.stats.spearmanr(eig_true[5:], eig_g[5:]).statistic
 
     k = min(k, n)
+    scaled = params.beta * eig_g[:k] + gamma_eff
     lines = ["i,eig_true,eig_lin,eig_scaled_gram,is_top1"]
     for i in range(k):
         lines.append(",".join([str(i + 1), _fmt(eig_true[i]), _fmt(eig_lin[i]),
-                               _fmt(params.beta * eig_g[i] + gamma_eff),
-                               "1" if i == 0 else "0"]))
+                               _fmt(scaled[i]), "1" if i == 0 else "0"]))
     csv_text = "\n".join(lines) + "\n"
     if output_path:
         with open(output_path, "w", encoding="ascii", newline="") as fh:
@@ -445,7 +477,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
         ranks=np.arange(1, k + 1),
         eig_true=eig_true[:k],
         eig_lin=eig_lin[:k],
-        eig_scaled_gram=params.beta * eig_g[:k] + gamma_eff,
+        eig_scaled_gram=scaled,
         interlacing_violations=len(report.violations),
         interlacing_max_violation=report.max_violation,
         spearman_beyond_top5=float(rho),

@@ -11,10 +11,11 @@ fall back to i.i.d. standard normals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .kernels import Dataset
 
 __all__ = [
@@ -49,30 +50,24 @@ class CovModel:
 def make_covariance(d: int, kind: str, a: Optional[float] = None) -> CovModel:
     """Diagonal covariance with the requested decay, normalized to tr = d."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ConfigError(f"d must be >= 1, got {d}")
     i = np.arange(1, d + 1, dtype=float)
     if kind == "harmonic":
         base = 1.0 / i
     elif kind == "polynomial":
         if a is None or not a > 0.5:
-            raise ValueError("polynomial decay requires a > 1/2")
+            raise ConfigError(f"polynomial decay requires a > 1/2, got a={a}")
         base = i ** (-2.0 * a)
     elif kind == "exponential":
         if a is None or not a > 0:
-            raise ValueError("exponential decay requires a > 0")
+            raise ConfigError(f"exponential decay requires a > 0, got a={a}")
         base = np.exp(-a * i)
     elif kind == "identity":
         base = np.ones(d)
     else:
-        raise ValueError(f"unknown covariance kind {kind!r}")
+        raise ConfigError(f"unknown decay {kind!r}")
     diag = base * (d / base.sum())
     return CovModel(d=d, kind=kind, a=a, diag=diag)
-
-
-def _as_rng(seed: Union[int, list, np.random.Generator]) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def random_orthogonal_rows(n: int, d: int, seed) -> np.ndarray:
@@ -83,7 +78,7 @@ def random_orthogonal_rows(n: int, d: int, seed) -> np.ndarray:
     of the seed.  For n > d, where row-orthogonality cannot hold, rows are
     i.i.d. standard normal.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if n <= d:
         G = rng.standard_normal((d, n))
         Q, R = np.linalg.qr(G)
@@ -129,7 +124,7 @@ def sample_dataset(cov: CovModel, n: int, target: TargetSpec, seed):
     Noise draws consume the same generator after the features, so a fixed
     seed pins the whole dataset.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     X = sample_features(cov, n, rng)
     clean = evaluate_target(target, X)
     y = clean + target.noise_sigma * rng.standard_normal(n)

@@ -98,7 +98,7 @@ def test_c02_interpolation_and_solver_oracle():
     data, _ = sample_dataset(cov, 200, TargetSpec(noise_sigma=1.0), 2)
     spec = KernelSpec.gaussian()
     model = krr_fit(spec, data, 0.0)
-    resid = np.max(np.abs(krr_predict(model, spec, data.features) - data.responses))
+    resid = np.max(np.abs(krr_predict(model, data.features) - data.responses))
     cap = 1e-6 * np.max(np.abs(data.responses))
 
     lam = 1e-3

@@ -114,3 +114,115 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--kernel", "not-a-kernel"])
     assert exc.value.code == 2
+
+
+SMALL = ["--d", "10", "--n-grid", "20:40:10", "--trials", "1", "--test-points", "100",
+         "--noise-draws", "2"]
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Bad input must be rejected before the first training set is drawn."""
+    def reached(*args, **kwargs):
+        raise AssertionError("sample_dataset reached")
+    monkeypatch.setattr("krrlab.sweep.sample_dataset", reached)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["sweep", *SMALL, "--source-r", "2"], "source_r"),
+    (["sweep", *SMALL, "--d", "1"], "d must be >= 2"),
+    (["sweep", *SMALL, "--cbar", "0", "--gamma-override", "0"], "cbar = 0"),
+    (["sweep", *SMALL, "--fixed-lambda", "0", "--gamma-override", "0"], "fixed_lambda = 0"),
+    (["sweep", *SMALL, "--kernel", "linear", "--true-kernel", "--cbar", "0"], "cbar = 0"),
+    (["sweep", *SMALL, "--decay", "polynomial"], "requires a > 1/2, got a=None"),
+    (["sweep", *SMALL, "--kernel", "polynomial", "--degree", "0"], "degree"),
+    (["eig-compare", *SMALL, "--n", "0"], "n >= 1"),
+    (["eig-compare", *SMALL, "--k", "0"], "k >= 1"),
+], ids=["source-r", "d", "cbar-gamma", "fixed-lambda-gamma", "linear-cbar", "decay-a",
+        "degree", "eig-n", "eig-k"])
+def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+def test_ridgeless_exact_fit_without_noise_still_runs(capsys):
+    # n*lam + gamma = 0 only matters to the bounds when sigma > 0
+    rc = cli.main(["sweep", *SMALL, "--kernel", "linear", "--true-kernel", "--cbar", "0",
+                   "--sigma", "0"])
+    assert rc == 0 and "sweep done" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"n_grid": 5}', "n_grid"), ('{"output_path": 5}', "output_path"),
+    ('{"n_grid": [10, 20.5]}', "n_grid"), ("{", "not valid JSON"),
+    (b'{"kernel": "\xe9"}', "not valid JSON")], ids=["grid", "output", "grid-float", "json",
+                                                      "utf8"])
+def test_bad_config_file_exits_two(text, field, tmp_path, no_sampling, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("k", ["400", "10"])
+def test_eig_compare_n_beyond_rows_exits_two(k, capsys):
+    rc = cli.main(["eig-compare", "--mode", "real", "--input", FIXTURE, "--d", "24",
+                   "--n-grid", "80:80:1", "--n", "5000", "--k", k])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n = 5000" in err and "has 200" in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["bounds", "--decay", "harmonic", "--n", "0"], "n=0"),
+    (["bounds", "--decay", "harmonic", "--cbar", "0", "--gamma", "0"], "cbar = 0 and gamma = 0"),
+    (["bounds", "--decay", "polynomial", "--a", "0.25"], "a=0.25"),
+    (["bounds", "--decay", "harmonic", "--theta", "nan"], "theta"),
+    (["synth", "--n", "0"], "n must be >= 1"),
+    (["synth", "--n", "5", "--decay", "exponential"], "a=None"),
+], ids=["bounds-n", "bounds-b", "bounds-a", "bounds-theta", "synth-n", "synth-a"])
+def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
+    out = tmp_path / "data.libsvm"
+    if argv[0] == "synth":
+        argv = [*argv, "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not out.exists()
+
+
+def test_out_of_regime_peak_is_reported_not_fatal(capsys):
+    rc = cli.main(["bounds", "--decay", "harmonic", "--theta", "0.99", "--cbar", "0.5",
+                   "--gamma", "0.1"])
+    assert rc == 0
+    assert "peak n_*: out of regime" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"1 1:1\n2 1:\xff\n", "non-ASCII byte at line 2"),
+    (b"1 1:1\nnan 1:2\n", "non-finite label at line 2"),
+    (None, "Is a directory"),
+], ids=["non-ascii", "nan-label", "directory"])
+def test_malformed_data_exits_three(content, message, tmp_path, capsys):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(content)
+    rc = cli.main(["sweep", "--mode", "real", "--input", str(path), "--d", "4",
+                   "--n-grid", "5:10:5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("content", [b"n,var_emp\n1,0.5\n2,abc\n", b"n,var_emp\n1,0.5\n2,\xe9\n",
+                                     b"n,var_emp\n1,0.5\n2\n"], ids=["text", "non-ascii", "short"])
+def test_malformed_plot_csv_exits_three(content, tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_bytes(content)
+    rc = cli.main(["plot", "--csv", str(csv), "--columns", "var_emp",
+                   "--out", str(tmp_path / "s.svg")])
+    assert rc == 3
+    assert "non-numeric" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from krrlab import (Dataset, KernelSpec, KernelEvaluationError, SingularKernelError,
-                    cross_kernel, kernel_matrix, krr_fit, krr_predict,
+                    cross_kernel_matrix, kernel_matrix, krr_fit, krr_predict,
                     make_covariance, sample_dataset, solve_regularized, TargetSpec)
 
 
@@ -72,37 +72,37 @@ class TestCrossKernel:
         data, _ = _synth(10, 25, seed=1)
         spec = KernelSpec.gaussian()
         K = kernel_matrix(spec, data)
-        v = cross_kernel(spec, data, data.features[0])
+        v = cross_kernel_matrix(spec, data, data.features[0][None])[0]
         assert v[0] == pytest.approx(K[0, 0], rel=1e-12)
 
     def test_linear_zero_query(self):
         data, _ = _synth(8, 16, seed=2)
-        v = cross_kernel(KernelSpec.linear(), data, np.zeros(16))
+        v = cross_kernel_matrix(KernelSpec.linear(), data, np.zeros(16)[None])[0]
         assert np.allclose(v, 0.0)
 
     def test_gaussian_far_query(self):
         data = Dataset(np.zeros((3, 1)), np.zeros(3))
-        v = cross_kernel(KernelSpec.gaussian(), data, np.array([10.0]))
+        v = cross_kernel_matrix(KernelSpec.gaussian(), data, np.array([10.0])[None])[0]
         assert np.allclose(v, np.exp(-100.0))
 
     def test_dimension_mismatch(self):
         data, _ = _synth(5, 10)
         with pytest.raises(ValueError):
-            cross_kernel(KernelSpec.gaussian(), data, np.zeros(9))
+            cross_kernel_matrix(KernelSpec.gaussian(), data, np.zeros(9)[None])
 
 
 class TestKrr:
     def test_huge_lambda_shrinks_to_zero(self):
         data, _ = _synth(20, 40, seed=4)
         model = krr_fit(KernelSpec.gaussian(), data, 1e12)
-        pred = krr_predict(model, KernelSpec.gaussian(), data.features)
+        pred = krr_predict(model, data.features)
         assert np.max(np.abs(pred)) <= 1e-9
 
     def test_ridgeless_interpolates(self):
         data, _ = _synth(30, 60, seed=5)
         spec = KernelSpec.gaussian()
         model = krr_fit(spec, data, 0.0)
-        pred = krr_predict(model, spec, data.features)
+        pred = krr_predict(model, data.features)
         assert np.max(np.abs(pred - data.responses)) <= 1e-6 * np.max(np.abs(data.responses))
 
     def test_single_point_closed_form(self):
@@ -116,21 +116,31 @@ class TestKrr:
         model = krr_fit(spec, data, lam)
         x = np.array([0.5, -1.0, 2.0])
         expect = (x @ x1 / d) * y1 / (s + lam)
-        assert krr_predict(model, spec, x[None, :])[0] == pytest.approx(expect, rel=1e-12)
+        assert krr_predict(model, x[None, :])[0] == pytest.approx(expect, rel=1e-12)
 
     def test_linear_in_responses(self):
         data, _ = _synth(15, 30, seed=6)
         spec = KernelSpec.polynomial(2)
         q = _synth(5, 30, seed=7)[0].features
-        p1 = krr_predict(krr_fit(spec, data, 1e-3), spec, q)
+        p1 = krr_predict(krr_fit(spec, data, 1e-3), q)
         doubled = Dataset(data.features, 2.0 * data.responses)
-        p2 = krr_predict(krr_fit(spec, doubled, 1e-3), spec, q)
+        p2 = krr_predict(krr_fit(spec, doubled, 1e-3), q)
         assert np.allclose(p2, 2.0 * p1, rtol=1e-10)
         other = Dataset(data.features, np.sin(np.arange(15.0)))
-        p3 = krr_predict(krr_fit(spec, other, 1e-3), spec, q)
+        p3 = krr_predict(krr_fit(spec, other, 1e-3), q)
         both = Dataset(data.features, 2.0 * data.responses + other.responses)
-        p4 = krr_predict(krr_fit(spec, both, 1e-3), spec, q)
+        p4 = krr_predict(krr_fit(spec, both, 1e-3), q)
         assert np.allclose(p4, 2.0 * p1 + p3, rtol=1e-10)
+
+    def test_predict_uses_the_fitted_spec(self):
+        data, _ = _synth(12, 20, seed=9)
+        q = _synth(4, 20, seed=10)[0].features
+        for spec in (KernelSpec.gaussian(), KernelSpec.polynomial(2)):
+            model = krr_fit(spec, data, 1e-2)
+            want = cross_kernel_matrix(spec, data, q) @ model.dual_coef
+            assert np.array_equal(krr_predict(model, q), want)
+        with pytest.raises(ValueError, match="width"):
+            krr_predict(model, np.zeros((2, 19)))
 
     def test_diagonal_two_point_toy(self):
         # K = I, n*lambda = 1, y = (2, 0), k(x, X) = (1, 0) -> prediction 1

@@ -55,6 +55,32 @@ def test_malformed_token(tmp_path):
         parse_libsvm(str(p), 2)
 
 
+def test_non_ascii_byte(tmp_path):
+    p = tmp_path / "toy.libsvm"
+    p.write_bytes(b"1 1:1\n2 1:\xe9\n")
+    with pytest.raises(DataFormatError, match="non-ASCII byte at line 2"):
+        parse_libsvm(str(p), 2)
+
+
+def test_non_finite_label(tmp_path):
+    p = tmp_path / "toy.libsvm"
+    p.write_text("1 1:1\n\nnan 1:2\n")
+    with pytest.raises(DataFormatError, match="non-finite label at line 3"):
+        parse_libsvm(str(p), 2)
+
+
+def test_directory_is_an_os_error(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        parse_libsvm(str(tmp_path), 2)
+
+
+def test_carriage_return_line_ends(tmp_path):
+    p = tmp_path / "toy.libsvm"
+    p.write_bytes(b"1 1:1\r\n-2 2:3.5\r3 1:2\n")
+    data = parse_libsvm(str(p), 2)
+    assert np.array_equal(data.responses, [1.0, -2.0, 3.0])
+
+
 def test_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 9))

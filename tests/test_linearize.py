@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from krrlab import (Dataset, KernelSpec, approx_error, build_lin_kernel,
+from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kernel,
                     cross_kernel_matrix, estimate_trace_ratio, interlacing_check,
-                    kernel_matrix, lin_cross_kernel, lin_cross_kernel_matrix,
+                    kernel_matrix, lin_cross_kernel_matrix,
                     linearize_params, make_covariance, moment_diagnostics,
                     perturbation_inertia, sample_dataset, sample_features,
                     TargetSpec)
@@ -78,7 +78,7 @@ class TestBuildLinKernel:
         cov, data = _dataset(20, 50, seed=1)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
         lk = build_lin_kernel(p, data)
-        assert np.all(lk.t_matrix == 0.0)
+        assert lk.t_matrix is None and lk.matrix is lk.base
 
     def test_pure_gram_when_alpha_gamma_zero(self):
         cov, data = _dataset(15, 40, seed=2)
@@ -102,6 +102,19 @@ class TestBuildLinKernel:
         noreg = build_lin_kernel(p, data, gamma_override=0.0)
         diff = full.matrix - noreg.matrix
         assert np.allclose(diff, p.gamma * np.eye(data.n), atol=1e-14)
+
+    def test_gamma_eff_is_decided_by_lin_model(self):
+        cov, data = _dataset(10, 30, seed=4)
+        p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
+        assert LinModel(p).gamma == p.gamma
+        assert LinModel(p, gamma_override=0.25).gamma == 0.25
+        diff = (build_lin_kernel(p, data, gamma_override=0.25).base
+                - build_lin_kernel(p, data, gamma_override=0.0).base)
+        assert np.allclose(diff, 0.25 * np.eye(data.n), atol=1e-14)
+        with pytest.raises(ValueError, match="gamma_override"):
+            LinModel(p, gamma_override=-0.1)
+        with pytest.raises(ValueError, match="gamma_override"):
+            build_lin_kernel(p, data, gamma_override=-0.1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rank_structure_of_correction(self, seed):
@@ -127,7 +140,7 @@ class TestLinCross:
         cov, data = _dataset(10, 20, seed=5)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
         q = np.linspace(-1, 1, 20)
-        assert np.allclose(lin_cross_kernel(p, data, q), data.features @ q / 20.0)
+        assert np.allclose(lin_cross_kernel_matrix(p, data, q[None])[0], data.features @ q / 20.0)
 
     def test_radial_correction_vanishes_at_pivot_norm(self):
         cov, data = _dataset(10, 30, seed=6, kind="identity")
@@ -135,7 +148,7 @@ class TestLinCross:
         rng = np.random.default_rng(0)
         q = rng.standard_normal(30)
         q *= np.sqrt(30.0 * cov.tau) / np.linalg.norm(q)     # ||q||^2/d = tau
-        got = lin_cross_kernel(p, data, q)
+        got = lin_cross_kernel_matrix(p, data, q[None])[0]
         expect = p.h_pivot + p.beta * data.features @ q / 30.0
         assert np.allclose(got, expect, atol=1e-12)
 

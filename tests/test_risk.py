@@ -5,9 +5,8 @@ import pytest
 
 from krrlab import (Dataset, KernelSpec, LinModel, MomentParams, QuerySample,
                     RegSchedule, TargetSpec, bias_ref, bound_v1, bound_v2,
-                    empirical_bias, empirical_variance, evaluate_target,
-                    excess_risk_mc, linearize_params, make_covariance,
-                    quantity_N, sample_dataset, sample_features,
+                    evaluate_target, excess_risk_mc, linearize_params,
+                    make_covariance, quantity_N, sample_dataset, sample_features,
                     schedule_lambda, spectral_risk_mc)
 from krrlab.risk import _xtilde_spectrum
 
@@ -39,17 +38,27 @@ def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
     return cov, data, clean, test_X, clean_test
 
 
+def _bias(data, clean, model, lam, test_X, clean_test):
+    return excess_risk_mc(data, clean, model, lam, 0.0, test_X, clean_test,
+                          noise_draws=2, seed=0).bias
+
+
+def _variance(data, model, lam, sigma, test_X):
+    m = np.atleast_2d(test_X).shape[0]
+    return excess_risk_mc(data, np.zeros(data.n), model, lam, sigma, test_X, np.zeros(m),
+                          noise_draws=2, seed=0).variance
+
+
 class TestEmpiricalBias:
     def test_zero_target(self):
         cov, data, clean, test_X, _ = _config()
         z = np.zeros_like(clean)
-        b = empirical_bias(data, z, KernelSpec.gaussian(), 1e-3, test_X,
-                           np.zeros(test_X.shape[0]))
+        b = _bias(data, z, KernelSpec.gaussian(), 1e-3, test_X, np.zeros(test_X.shape[0]))
         assert b == 0.0
 
     def test_huge_lambda_leaves_target_energy(self):
         cov, data, clean, test_X, clean_test = _config()
-        b = empirical_bias(data, clean, KernelSpec.gaussian(), 1e12, test_X, clean_test)
+        b = _bias(data, clean, KernelSpec.gaussian(), 1e12, test_X, clean_test)
         assert b == pytest.approx(np.mean(clean_test ** 2), rel=1e-6)
 
     def test_single_point_closed_form(self):
@@ -62,26 +71,25 @@ class TestEmpiricalBias:
         q = x @ x1 / d
         f_star = 0.25
         test_X = np.tile(x, (100, 1))
-        got = empirical_bias(data, np.array([c]), KernelSpec.linear(), lam,
-                             test_X, np.full(100, f_star))
+        got = _bias(data, np.array([c]), KernelSpec.linear(), lam, test_X,
+                    np.full(100, f_star))
         assert got == pytest.approx((q * c / (s + lam) - f_star) ** 2, rel=1e-12)
 
     def test_requires_enough_test_points(self):
         cov, data, clean, test_X, clean_test = _config()
         with pytest.raises(ValueError):
-            empirical_bias(data, clean, KernelSpec.gaussian(), 1e-3, test_X[:50],
-                           clean_test[:50])
+            _bias(data, clean, KernelSpec.gaussian(), 1e-3, test_X[:50], clean_test[:50])
 
 
 class TestEmpiricalVariance:
     def test_zero_noise(self):
         cov, data, _, test_X, _ = _config()
-        assert empirical_variance(data, KernelSpec.gaussian(), 1e-3, 0.0, test_X) == 0.0
+        assert _variance(data, KernelSpec.gaussian(), 1e-3, 0.0, test_X) == 0.0
 
     def test_sigma_scaling(self):
         cov, data, _, test_X, _ = _config()
-        v1 = empirical_variance(data, KernelSpec.gaussian(), 1e-3, 1.0, test_X)
-        v2 = empirical_variance(data, KernelSpec.gaussian(), 1e-3, 2.0, test_X)
+        v1 = _variance(data, KernelSpec.gaussian(), 1e-3, 1.0, test_X)
+        v2 = _variance(data, KernelSpec.gaussian(), 1e-3, 2.0, test_X)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_identity_gram_toy(self):
@@ -92,12 +100,12 @@ class TestEmpiricalVariance:
         X[0, 0] = X[1, 1] = np.sqrt(d)
         data = Dataset(X, np.zeros(2))
         q = np.tile(X[0], (100, 1))
-        v = empirical_variance(data, KernelSpec.linear(), 0.5, 1.3, q)
+        v = _variance(data, KernelSpec.linear(), 0.5, 1.3, q)
         assert v == pytest.approx(1.3 ** 2 / 4.0, rel=1e-12)
 
     def test_nonincreasing_in_lambda(self):
         cov, data, _, test_X, _ = _config()
-        vals = [empirical_variance(data, KernelSpec.gaussian(), lam, 1.0, test_X)
+        vals = [_variance(data, KernelSpec.gaussian(), lam, 1.0, test_X)
                 for lam in (0.0, 1e-4, 1e-2, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -253,7 +261,7 @@ class TestInSpanRate:
         for n in ns:
             data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=0.0), n)
             lam = 0.01 * n ** (-theta)
-            b = empirical_bias(data, np.ones(n), model, lam, test_X, ones_test)
+            b = _bias(data, np.ones(n), model, lam, test_X, ones_test)
             biases.append(b)
         assert biases[0] > biases[1] > biases[2]
         slope = np.polyfit(np.log(ns), np.log(biases), 1)[0]

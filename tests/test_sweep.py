@@ -75,7 +75,8 @@ class TestConfig:
         ("d", True), ("seed", -1), ("sigma", float("nan")), ("cbar", float("inf")),
         ("theta", "0.5"), ("fixed_lambda", float("nan")),
         ("gamma_override", float("-inf")), ("gamma_override", -0.1),
-        ("use_linearized", "false")])
+        ("use_linearized", "false"), ("source_r", 0.0), ("n_grid", [10, True]),
+        ("input_path", 3)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
@@ -83,6 +84,26 @@ class TestConfig:
     def test_real_mode_test_points_checked(self):
         with pytest.raises(ConfigError, match="test_points"):
             ExperimentConfig(mode="real", input_path=FIXTURE, test_points=50)
+
+    @pytest.mark.parametrize("kw,match", [
+        (dict(decay="exponential", a=-1.0), "a=-1.0"), (dict(decay="cubic"), "unknown decay"),
+        (dict(kernel="linear", cbar=0.0), "cbar = 0"),
+        (dict(kernel="polynomial", degree=1, cbar=0.0), "cbar = 0"),
+        (dict(cbar=0.0, gamma_override=0.0, sigma=0.0), "cbar = 0")],
+        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noiseless"])
+    def test_inputs_that_failed_downstream_are_rejected_here(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(kernel="linear", cbar=0.0, gamma_override=0.5),
+        dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0),
+        dict(cbar=0.0, gamma_override=None), dict(use_linearized=False, cbar=0.0),
+        dict(mode="real", input_path=FIXTURE, decay="cubic", d=24)],
+        ids=["linear-override", "curvature-noiseless", "implicit-gamma", "exact-gaussian",
+             "real-ignores-decay"])
+    def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
+        ExperimentConfig(**kw)
 
     def test_json_string_count_rejected(self, tmp_path):
         p = tmp_path / "config.json"
@@ -130,6 +151,20 @@ class TestRunSweep:
         points, _ = run_sweep(_small_config(noise_draws=40, trials=3))
         for p in points:
             assert abs(p.risk_emp - p.bias_emp - p.var_emp) <= 4 * p.mc_stderr
+
+    def test_lin_params_once_per_synth_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("krrlab.sweep.linearize_params",
+                            lambda *a: calls.append(a) or linearize_params(*a))
+        run_sweep(_small_config())
+        assert len(calls) == 1
+
+    def test_real_mode_needs_held_out_rows(self):
+        cfg = ExperimentConfig(mode="real", input_path=FIXTURE, d=24, n_grid=[50, 150],
+                               trials=1, test_points=100, noise_draws=2)
+        with pytest.raises(ConfigError, match="needs 250 rows for n = 150"):
+            run_sweep(cfg)
+        assert eig_compare(cfg, n=200, k=5).ranks.tolist() == [1, 2, 3, 4, 5]
 
     def test_real_mode_on_fixture(self, tmp_path):
         cfg = ExperimentConfig(mode="real", input_path=FIXTURE, d=24,
