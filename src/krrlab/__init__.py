@@ -12,8 +12,8 @@ from .kernels import (Dataset, KernelSpec, KrrModel, cross_kernel_matrix,
                       kernel_matrix, krr_fit, krr_predict, solve_regularized)
 from .linearize import (InterlacingReport, LinKernel, LinModel, LinParams,
                         MomentDiagnostics, approx_error, build_lin_kernel,
-                        estimate_trace_ratio, interlacing_check,
-                        lin_cross_kernel_matrix, linearize_params,
+                        estimate_trace_ratio, factored_spectrum, interlacing_check,
+                        lin_cross_kernel_matrix, lin_factors, linearize_params,
                         moment_diagnostics, perturbation_inertia)
 from .spectral import (DecaySpec, Spectrum, bound_N, effective_dimension,
                        exp_monotone_condition, generate_decay_spectrum,

@@ -151,8 +151,8 @@ def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric."""
     K = _kernel_values(spec, data.features)
     # mirror the upper triangle so K is symmetric to the bit
-    iu = np.triu_indices_from(K, k=1)
-    K[(iu[1], iu[0])] = K[iu]
+    for i in range(K.shape[0] - 1):
+        K[i + 1:, i] = K[i, i + 1:]
     return K
 
 
@@ -168,6 +168,13 @@ _JITTER_RELATIVE = 1e-12
 _JITTER_ESCALATIONS = 3
 
 
+def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
+    """K + shift*I as one copy of K with the shift added to its diagonal."""
+    A = np.array(K, dtype=float)
+    A.flat[::A.shape[0] + 1] += shift
+    return A
+
+
 def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy."""
     if ridge < 0:
@@ -177,12 +184,12 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     jitter = 0.0
     for attempt in range(_JITTER_ESCALATIONS + 1):
         try:
-            cf = scipy.linalg.cho_factor(
-                K + (ridge + jitter) * np.eye(n), lower=True, check_finite=False)
+            cf = scipy.linalg.cho_factor(_shifted(K, ridge + jitter), lower=True,
+                                         check_finite=False)
             return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             jitter = _JITTER_RELATIVE * max(abs(base), 1.0) * 10.0 ** attempt
-    smallest = float(np.linalg.eigvalsh(K + ridge * np.eye(n))[0])
+    smallest = float(np.linalg.eigvalsh(_shifted(K, ridge))[0])
     raise SingularKernelError(
         f"system remained non-positive-definite after {_JITTER_ESCALATIONS} jitter "
         f"escalations (smallest eigenvalue {smallest:.3e})", smallest)

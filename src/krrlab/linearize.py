@@ -40,6 +40,8 @@ __all__ = [
     "interlacing_check",
     "InterlacingReport",
     "perturbation_inertia",
+    "lin_factors",
+    "factored_spectrum",
     "moment_diagnostics",
     "estimate_trace_ratio",
 ]
@@ -65,6 +67,19 @@ class LinParams:
     h2_pivot: float
 
 
+# A coefficient that is 0 in exact arithmetic (gamma of an affine profile:
+# linear, or polynomial of degree 1) can round to a few ulps below 0 of the
+# terms it is the difference of; within this many ulps it is taken as 0.
+_ROUNDOFF_ULPS = 8
+
+
+def _clip_roundoff(value: float, *terms: float) -> float:
+    scale = sum(abs(t) for t in terms)
+    if -_ROUNDOFF_ULPS * np.finfo(float).eps * scale <= value < 0:
+        return 0.0
+    return value
+
+
 def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinParams:
     """Coefficients (alpha, beta, gamma) of the high-dimensional linearization.
 
@@ -76,6 +91,9 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
         alpha = h(2 tau) + 2 h''(2 tau) * trace_ratio
         beta  = -2 h'(2 tau)
         gamma = h(0) + 2 tau h'(2 tau) - h(2 tau)
+
+    alpha or gamma within a few ulps below 0 of the terms it sums (the exact
+    0 of an affine profile, rounded) is taken as 0; below that it is rejected.
     """
     if tau < 0 or trace_ratio < 0:
         raise ValueError("tau and trace_ratio must be >= 0")
@@ -84,18 +102,20 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
         h0 = float(spec.h(np.float64(0.0)))
         h1 = float(spec.h1(pivot))
         h2 = float(spec.h2(pivot))
-        alpha = h0 + h2 * trace_ratio / 2.0
+        h_tau = float(spec.h(np.float64(tau)))
+        alpha = _clip_roundoff(h0 + h2 * trace_ratio / 2.0, h0, h2 * trace_ratio / 2.0)
         beta = h1
-        gamma = float(spec.h(np.float64(tau))) - h0 - tau * h1
+        gamma = _clip_roundoff(h_tau - h0 - tau * h1, h_tau, h0, tau * h1)
         h_pivot = h0
     else:
         pivot = 2.0 * tau
         hp = float(spec.h(np.float64(pivot)))
         h1 = float(spec.h1(pivot))
         h2 = float(spec.h2(pivot))
-        alpha = hp + 2.0 * h2 * trace_ratio
+        h0 = float(spec.h(np.float64(0.0)))
+        alpha = _clip_roundoff(hp + 2.0 * h2 * trace_ratio, hp, 2.0 * h2 * trace_ratio)
         beta = -2.0 * h1
-        gamma = float(spec.h(np.float64(0.0))) + 2.0 * tau * h1 - hp
+        gamma = _clip_roundoff(h0 + 2.0 * tau * h1 - hp, h0, 2.0 * tau * h1, hp)
         h_pivot = hp
     if beta <= 0:
         raise ValueError(f"linearization requires beta > 0, got {beta:.3e}")
@@ -213,6 +233,17 @@ class InterlacingReport:
         return not self.violations
 
 
+def _perturbation_form(params: LinParams) -> np.ndarray:
+    """The matrix M of the perturbation alpha 11^T + T = V M V^T, with
+    V = [1, psi, psi∘psi] (radial) or V = [1] (inner product)."""
+    if params.family == "radial":
+        h1, h2 = params.h1_pivot, params.h2_pivot
+        return np.array([[params.alpha, h1, h2 / 2.0],
+                         [h1, h2, 0.0],
+                         [h2 / 2.0, 0.0, 0.0]])
+    return np.array([[params.alpha]])
+
+
 def perturbation_inertia(params: LinParams) -> tuple:
     """Inertia (p, q) of the perturbation P = alpha 11^T + T, the number of
     its positive and negative eigenvalues.
@@ -226,15 +257,54 @@ def perturbation_inertia(params: LinParams) -> tuple:
     when V has full column rank and at most that otherwise, so M's inertia
     is a valid (p, q) for `interlacing_check` on any data.
     """
-    if params.family == "radial":
-        h1, h2 = params.h1_pivot, params.h2_pivot
-        M = np.array([[params.alpha, h1, h2 / 2.0],
-                      [h1, h2, 0.0],
-                      [h2 / 2.0, 0.0, 0.0]])
-    else:
-        M = np.array([[params.alpha]])
-    w = np.linalg.eigvalsh(M)
+    w = np.linalg.eigvalsh(_perturbation_form(params))
     return int(np.sum(w > 0)), int(np.sum(w < 0))
+
+
+def lin_factors(params: LinParams, X: np.ndarray) -> tuple:
+    """(W, D) with W D W^T = K_lin - gamma_eff I on the rows of X.
+
+    W = [1, psi, psi∘psi, X] and D = blockdiag(M, beta/d I) for radial
+    kernels, W = [1, X] and D = blockdiag(alpha, beta/d I) for inner-product
+    ones; M is the form of `perturbation_inertia`.  W has p = d+3 (radial)
+    or d+1 columns, so `factored_spectrum(W, D, gamma_eff)` is the spectrum
+    of K_lin without forming the n x n matrix.
+    """
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    M = _perturbation_form(params)
+    ones = np.ones((n, 1))
+    if params.family == "radial":
+        psi = np.einsum("ij,ij->i", X, X) / d - params.tau
+        W = np.hstack([ones, psi[:, None], (psi * psi)[:, None], X])
+    else:
+        W = np.hstack([ones, X])
+    k = M.shape[0]
+    D = np.zeros((k + d, k + d))
+    D[:k, :k] = M
+    np.fill_diagonal(D[k:, k:], params.beta / d)
+    return W, D
+
+
+def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Eigenvalues of the n x n matrix W D W^T + shift*I, sorted descending.
+
+    W is n x p and D a symmetric p x p matrix (possibly indefinite).  With the
+    thin QR W = Q R, W D W^T = Q (R D R^T) Q^T, so the spectrum is that of
+    the min(n, p) x min(n, p) matrix R D R^T plus `shift`, padded with
+    `shift` (the null space of W^T) up to length n; one path covers n < p,
+    n = p and n > p.
+    """
+    W = np.asarray(W, dtype=float)
+    D = np.asarray(D, dtype=float)
+    n, p = W.shape
+    if D.shape != (p, p):
+        raise ValueError(f"D has shape {D.shape}, expected ({p}, {p})")
+    R = np.linalg.qr(W, mode="r")
+    core = R @ D @ R.T
+    out = np.full(n, float(shift))
+    out[:core.shape[0]] += np.linalg.eigvalsh((core + core.T) / 2.0)
+    return np.sort(out)[::-1]
 
 
 def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,
@@ -278,15 +348,15 @@ def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,
 def estimate_trace_ratio(X: np.ndarray) -> float:
     """Plug-in estimate of tr(Sigma^2)/d^2 from data with unknown covariance.
 
-    Uses the bias-corrected tr(S^2) - (tr S)^2/n over the sample covariance
-    S, clipped at zero.
+    Uses the bias-corrected tr(S^2) - (tr S)^2/n over the d x d sample
+    covariance S, clipped at zero.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     Xc = X - X.mean(axis=0, keepdims=True)
-    G = Xc @ Xc.T / max(n - 1, 1)
-    tr_s2 = float(np.sum(G * G))
-    tr_s = float(np.trace(G))
+    S = Xc.T @ Xc / max(n - 1, 1)
+    tr_s2 = float(np.sum(S * S))
+    tr_s = float(np.trace(S))
     return max(tr_s2 - tr_s ** 2 / n, 0.0) / d ** 2
 
 

@@ -226,3 +226,12 @@ def test_malformed_plot_csv_exits_three(content, tmp_path, capsys):
                    "--out", str(tmp_path / "s.svg")])
     assert rc == 3
     assert "non-numeric" in capsys.readouterr().err
+
+
+def test_degree_one_polynomial_real_sweep_runs(capsys):
+    # gamma of the affine profile 1 + t is 0; roundoff must not reject it
+    rc = cli.main(["sweep", "--mode", "real", "--input", FIXTURE, "--d", "24",
+                   "--n-grid", "50:100:50", "--test-points", "100",
+                   "--kernel", "polynomial", "--degree", "1"])
+    assert rc == 0
+    assert "sweep done: 2 grid points" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from krrlab import (Dataset, KernelSpec, KernelEvaluationError, SingularKernelError,
@@ -65,6 +66,17 @@ class TestKernelMatrix:
         with pytest.raises(KernelEvaluationError) as exc:
             kernel_matrix(bad, data)     # off-diagonal argument is 0 -> inf
         assert exc.value.i != exc.value.j
+
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(), KernelSpec.polynomial(3)])
+    def test_upper_triangle_mirrored_to_the_bit(self, spec):
+        data, _ = _synth(37, 20, seed=6)
+        want = np.asarray(spec.h(spec.argument_matrix(data.features)), dtype=float)
+        iu = np.triu_indices_from(want, k=1)
+        want[(iu[1], iu[0])] = want[iu]
+        K = kernel_matrix(spec, data)
+        assert K.tobytes() == want.tobytes()
+        assert np.array_equal(K, K.T)
 
 
 class TestCrossKernel:
@@ -164,6 +176,18 @@ class TestSolver:
         c_it, info = scipy.sparse.linalg.cg(A, data.responses, rtol=1e-12, maxiter=10_000)
         assert info == 0
         assert np.linalg.norm(c - c_it) <= 1e-6 * np.linalg.norm(c_it)
+
+    def test_equals_factor_of_explicit_system(self):
+        # the shift goes onto the diagonal of one copy; the result is that of
+        # factoring K + ridge*I built with an identity matrix, bit for bit
+        data, _ = _synth(40, 30, seed=9)
+        K = kernel_matrix(KernelSpec.gaussian(), data)
+        rhs = np.column_stack([data.responses, np.arange(40.0)])
+        cf = scipy.linalg.cho_factor(K + 0.37 * np.eye(40), lower=True, check_finite=False)
+        want = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+        K_before = K.copy()
+        assert solve_regularized(K, 0.37, rhs).tobytes() == want.tobytes()
+        assert np.array_equal(K, K_before)
 
     def test_singular_system_reports_eigenvalue(self):
         K = -np.ones((4, 4))        # not a kernel; forces factorization failure

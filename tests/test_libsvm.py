@@ -81,6 +81,36 @@ def test_carriage_return_line_ends(tmp_path):
     assert np.array_equal(data.responses, [1.0, -2.0, 3.0])
 
 
+@pytest.mark.parametrize("line,message", [
+    (b"1 1:2:3", "malformed token '1:2:3' at line 2"),
+    (b"1 1:", "malformed token '1:' at line 2"),
+    (b"1 :5", "malformed token ':5' at line 2"),
+    (b"1 a:1", "malformed token 'a:1' at line 2"),
+    (b"1 1.0:2", "malformed token '1.0:2' at line 2"),
+    (b"1 7", "malformed token '7' at line 2"),
+    (b"1 0:1", "non-increasing index at line 2"),
+    (b"1 -1:2", "non-increasing index at line 2"),
+    (b"1 3:1 2:1", "non-increasing index at line 2"),
+    (b"1 2:1 9:1", "index 9 out of range (d=4) at line 2"),
+    (b"1 1:nan", "non-finite value at line 2"),
+    (b"1 1:inf", "non-finite value at line 2"),
+    (b"nan 1:1", "non-finite label at line 2"),
+    (b"x 1:1", "bad label 'x' at line 2"),
+    (b"1 1:\xe9", "non-ASCII byte at line 2"),
+    # the first bad token of a line decides the message
+    (b"1 9:1 x:1", "index 9 out of range (d=4) at line 2"),
+    (b"1 3:1 2:x", "malformed token '2:x' at line 2"),
+    (b"1 2:inf 1:1", "non-finite value at line 2"),
+    (b"1 2:1 2:nan", "non-increasing index at line 2"),
+])
+def test_malformed_line_message(tmp_path, line, message):
+    p = tmp_path / "toy.libsvm"
+    p.write_bytes(b"1 1:1 4:2\n" + line + b"\n3 2:1\n")
+    with pytest.raises(DataFormatError) as excinfo:
+        parse_libsvm(str(p), 4)
+    assert str(excinfo.value) == message
+
+
 def test_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 9))
@@ -102,3 +132,17 @@ def test_fixture_parses(tmp_path):
     again = parse_libsvm(out, 24)
     assert np.array_equal(again.features, data.features)
     assert np.array_equal(again.responses, data.responses)
+
+
+def test_random_round_trip_with_zeros_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((300, 25)) * 10.0 ** rng.integers(-300, 300, (300, 25))
+    X[rng.random((300, 25)) < 0.4] = 0.0
+    X[7] = 0.0                              # a line with a label only
+    X[8, :] = 1.0                           # a line with every index
+    y = rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, 300)
+    path = str(tmp_path / "rt.libsvm")
+    export_libsvm(Dataset(X, y), path)
+    back = parse_libsvm(path, 25)
+    assert back.features.tobytes() == X.tobytes()
+    assert back.responses.tobytes() == y.tobytes()

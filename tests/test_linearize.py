@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kernel,
-                    cross_kernel_matrix, estimate_trace_ratio, interlacing_check,
-                    kernel_matrix, lin_cross_kernel_matrix,
-                    linearize_params, make_covariance, moment_diagnostics,
+                    cross_kernel_matrix, estimate_trace_ratio, factored_spectrum,
+                    interlacing_check, kernel_matrix, lin_cross_kernel_matrix,
+                    lin_factors, linearize_params, make_covariance, moment_diagnostics,
                     perturbation_inertia, sample_dataset, sample_features,
                     TargetSpec)
 
@@ -65,6 +65,24 @@ class TestLinearizeParams:
                                 h1=lambda t: -1.0, h2=lambda t: 0.0)
         with pytest.raises(ValueError):
             linearize_params(bad, 1.0, 0.0)
+
+    def test_affine_profile_gamma_roundoff_is_zero(self):
+        # gamma = h(tau) - h(0) - tau h'(0) is 0 for h(t) = 1 + t, but rounds
+        # below 0 at some tau; those must not be rejected
+        spec = KernelSpec.polynomial(1)
+        taus = np.linspace(0.01, 3.0, 300)
+        assert any((1.0 + t) - 1.0 - t < 0 for t in taus)
+        for tau in taus:
+            p = linearize_params(spec, tau, 0.01)
+            assert p.gamma == 0.0 or 0.0 < p.gamma <= 1e-15
+            assert p.alpha == 1.0
+
+    def test_negative_gamma_beyond_roundoff_rejected(self):
+        # h(t) = 1 + t - t^2/8 has h(tau) - h(0) - tau h'(0) = -tau^2/8
+        bad = KernelSpec.custom("inner_product", h=lambda t: 1.0 + t - t * t / 8.0,
+                                h1=lambda t: 1.0 - t / 4.0, h2=lambda t: -0.25)
+        with pytest.raises(ValueError, match="gamma="):
+            linearize_params(bad, 1e-6, 0.0)
 
 
 def _dataset(n, d, seed=0, kind="harmonic"):
@@ -293,6 +311,59 @@ class TestPerturbationInertia:
         assert (int(np.sum(w > tol)), int(np.sum(w < -tol))) == perturbation_inertia(p)
 
 
+_SPECS = {"polynomial": KernelSpec.polynomial(3), "gaussian": KernelSpec.gaussian(),
+          "linear": KernelSpec.linear()}
+
+
+class TestFactoredSpectrum:
+    # d = 20: W has p = 23 columns (radial) or 21 (inner product); the
+    # offsets give n < p, n = p and n > p
+    @pytest.mark.parametrize("kernel", sorted(_SPECS))
+    @pytest.mark.parametrize("gamma_override", [None, 0.0])
+    @pytest.mark.parametrize("offset", [-6, 0, 17])
+    def test_matches_dense_spectra(self, kernel, gamma_override, offset):
+        d = 20
+        spec = _SPECS[kernel]
+        p_cols = d + (3 if spec.family == "radial" else 1)
+        n = p_cols + offset
+        cov, data = _dataset(n, d, seed=30 + n)
+        params = linearize_params(spec, cov.tau, cov.trace_ratio)
+        gamma_eff = LinModel(params, gamma_override).gamma
+        W, D = lin_factors(params, data.features)
+        assert W.shape == (n, p_cols)
+
+        eig_lin = factored_spectrum(W, D, gamma_eff)
+        dense_lin = np.linalg.eigvalsh(
+            build_lin_kernel(params, data, gamma_override).matrix)[::-1]
+        assert eig_lin.shape == (n,)
+        assert np.max(np.abs(eig_lin - dense_lin)) <= 1e-10 * abs(dense_lin[0])
+
+        X = data.features
+        eig_g = factored_spectrum(X, np.eye(d) / d)
+        dense_g = np.linalg.eigvalsh(X @ X.T / d)[::-1]
+        assert eig_g.shape == (n,)
+        assert np.max(np.abs(eig_g - dense_g)) <= 1e-10 * dense_g[0]
+        assert np.all(eig_g[min(n, d):] == 0.0)
+
+        report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,
+                                   perturbation_inertia(params))
+        assert len(report.violations) == 0
+
+    def test_indefinite_core_is_sorted_and_padded(self):
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((7, 2))
+        D = np.diag([2.0, -1.0])
+        eig = factored_spectrum(W, D, 0.5)
+        dense = np.linalg.eigvalsh(W @ D @ W.T + 0.5 * np.eye(7))[::-1]
+        assert np.all(np.diff(eig) <= 0)
+        assert np.allclose(eig, dense, atol=1e-12)
+        assert np.sum(eig == 0.5) == 5
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="expected"):
+            factored_spectrum(np.ones((4, 3)), np.eye(2))
+
+
 class TestMomentDiagnostics:
     def test_gaussian_entry_moments(self):
         d, n, m = 80, 120, 500
@@ -339,3 +410,14 @@ def test_estimate_trace_ratio_recovers_known_covariance():
     X = rng.standard_normal((4000, d)) * np.sqrt(cov.diag)[None, :]
     est = estimate_trace_ratio(X)
     assert est == pytest.approx(cov.trace_ratio, rel=0.15)
+
+
+@pytest.mark.parametrize("n,d", [(30, 80), (200, 40)])
+def test_estimate_trace_ratio_equals_n_by_n_form(n, d):
+    # tr(S^2) from the d x d covariance equals tr(G^2) of the n x n G = Xc Xc^T/(n-1)
+    rng = np.random.default_rng(n + d)
+    X = rng.standard_normal((n, d)) * np.linspace(0.5, 2.0, d) + 3.0
+    Xc = X - X.mean(axis=0)
+    G = Xc @ Xc.T / (n - 1)
+    dense = (np.sum(G * G) - np.trace(G) ** 2 / n) / d ** 2
+    assert estimate_trace_ratio(X) == pytest.approx(dense, rel=1e-12)

@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from krrlab import (ConfigError, CurveShape, ExperimentConfig, LinModel,
-                    TargetSpec, bound_v1, classify_curve, eig_compare,
-                    evaluate_target, excess_risk_mc, kernel_by_name,
-                    linearize_params, make_covariance, run_sweep,
-                    sample_dataset, sample_features)
+from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
+                    TargetSpec, bound_v1, build_lin_kernel, classify_curve,
+                    eig_compare, estimate_trace_ratio, evaluate_target,
+                    excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
+                    make_covariance, parse_libsvm, run_sweep, sample_dataset,
+                    sample_features)
 from krrlab.risk import _xtilde_spectrum
 from krrlab.sweep import CSV_HEADER, parse_grid
 
@@ -259,3 +260,56 @@ class TestEigCompare:
         assert lines[1].endswith(",1")
         assert all(l.endswith(",0") for l in lines[2:])
         assert len(res.ranks) == 10
+
+
+def _dense_eig_columns(cfg, n, k):
+    """eig_true, eig_lin and the scaled Gram column of eig_compare, recomputed
+    from n x n matrices on the same draw: [seed, n, 0] from the covariance
+    (synth) or a [seed, n, 0] permutation of the raw file (real)."""
+    spec = kernel_by_name(cfg.kernel, cfg.degree)
+    rng = np.random.default_rng([cfg.seed, n, 0])
+    if cfg.mode == "synth":
+        cov = make_covariance(cfg.d, cfg.decay, cfg.a)
+        data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=cfg.sigma), rng)
+        params = linearize_params(spec, cov.tau, cov.trace_ratio)
+    else:
+        raw = parse_libsvm(cfg.input_path, cfg.d)
+        rows = rng.permutation(raw.n)[:n]
+        data = Dataset(raw.features[rows], raw.responses[rows])
+        X = data.features
+        tau = float(np.mean(np.sum(X * X, axis=1))) / cfg.d
+        params = linearize_params(spec, tau, estimate_trace_ratio(X))
+    gamma = LinModel(params, cfg.gamma_override if cfg.use_linearized else None).gamma
+    X = data.features
+    eig_true = np.linalg.eigvalsh(kernel_matrix(spec, data))[::-1]
+    eig_lin = np.linalg.eigvalsh(build_lin_kernel(params, data, gamma).matrix)[::-1]
+    eig_g = np.linalg.eigvalsh(X @ X.T / cfg.d)[::-1]
+    return [eig_true[:k], eig_lin[:k], params.beta * eig_g[:k] + gamma]
+
+
+class TestEigCompareSmallSide:
+    @pytest.mark.parametrize("kw,n", [
+        (dict(kernel="gaussian", use_linearized=False, gamma_override=None), 40),
+        (dict(kernel="gaussian"), 90),
+        (dict(kernel="polynomial", use_linearized=False, gamma_override=None), 61),
+        (dict(kernel="polynomial"), 90),
+        (dict(kernel="linear", gamma_override=None, use_linearized=False), 90),
+        (dict(mode="real", input_path=FIXTURE, d=24, kernel="gaussian",
+              use_linearized=False, gamma_override=None), 150),
+    ])
+    def test_csv_values_equal_dense_recomputation(self, kw, n):
+        cfg = _small_config(**kw)
+        k = min(n, 30)
+        res = eig_compare(cfg, n=n, k=k)
+        rows = [line.split(",") for line in res.csv_text.splitlines()[1:]]
+        assert len(rows) == k
+        for col, want in enumerate(_dense_eig_columns(cfg, n, k), start=1):
+            got = np.array([float(r[col]) for r in rows])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+        assert res.interlacing_violations == 0
+
+    def test_spearman_stops_at_rank_d(self):
+        # n = 90 > d = 60: beyond rank d the Gram spectrum is 0, with no order
+        res = eig_compare(_small_config(kernel="gaussian", use_linearized=False,
+                                        gamma_override=None), n=90, k=10)
+        assert res.spearman_beyond_top5 == pytest.approx(1.0, abs=1e-12)
