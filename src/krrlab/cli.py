@@ -115,8 +115,12 @@ def _cmd_bounds(args) -> int:
     decay = DecaySpec(args.decay, args.a, args.rstar)
     _require(args.n >= 1 and args.d >= 1, f"n and d must be >= 1, got n={args.n}, d={args.d}")
     _require(0 <= args.theta <= 1, f"theta must lie in [0, 1], got {args.theta}")
-    _require(args.cbar >= 0 and args.gamma >= 0,
-             f"cbar and gamma must be >= 0, got cbar={args.cbar}, gamma={args.gamma}")
+    for flag in ("cbar", "gamma", "sigma"):
+        value = getattr(args, flag)
+        _require(math.isfinite(value) and value >= 0,
+                 f"--{flag} must be finite and >= 0, got {value}")
+    _require(math.isfinite(args.beta) and args.beta > 0,
+             f"--beta must be finite and > 0, got {args.beta}")
     _require(args.cbar > 0 or args.gamma > 0,
              "cbar = 0 and gamma = 0 make b = n*lambda + gamma = 0; make one positive")
     b = args.n * args.cbar * args.n ** (-args.theta) + args.gamma

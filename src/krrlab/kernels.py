@@ -163,9 +163,9 @@ def cross_kernel_matrix(spec: KernelSpec, data: Dataset, queries: np.ndarray) ->
 
 # Jitter policy: when the SPD factorization of K + n*lambda*I fails (the
 # ridgeless limit with a near-singular Gram matrix), retry with a diagonal
-# jitter of 1e-12 * tr(K)/n, escalating by x10 at most three times.
+# jitter of 1, 10 and then 100 times 1e-12 * max(|tr(K)/n|, 1).
 _JITTER_RELATIVE = 1e-12
-_JITTER_ESCALATIONS = 3
+_JITTER_ESCALATIONS = (1.0, 10.0, 100.0)
 
 
 def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
@@ -179,19 +179,17 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy."""
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    n = K.shape[0]
-    base = float(np.trace(K)) / n
-    jitter = 0.0
-    for attempt in range(_JITTER_ESCALATIONS + 1):
+    unit = _JITTER_RELATIVE * max(abs(float(np.trace(K)) / K.shape[0]), 1.0)
+    for jitter in (0.0, *(unit * step for step in _JITTER_ESCALATIONS)):
         try:
             cf = scipy.linalg.cho_factor(_shifted(K, ridge + jitter), lower=True,
                                          check_finite=False)
             return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
-            jitter = _JITTER_RELATIVE * max(abs(base), 1.0) * 10.0 ** attempt
+            pass
     smallest = float(np.linalg.eigvalsh(_shifted(K, ridge))[0])
     raise SingularKernelError(
-        f"system remained non-positive-definite after {_JITTER_ESCALATIONS} jitter "
+        f"system remained non-positive-definite after {len(_JITTER_ESCALATIONS)} jitter "
         f"escalations (smallest eigenvalue {smallest:.3e})", smallest)
 
 

@@ -17,6 +17,10 @@ inertia (see `perturbation_inertia`) sets how far the spectrum of K_lin can
 move against that of beta XX^T/d + gamma I.  gamma acts as an implicit
 ridge built into the kernel curvature; `gamma_override` replaces it
 (typically with 0) to study explicit regularization in isolation.
+
+A `LinModel` holds both choices, the ridge and whether T is fitted, and
+`build_lin_kernel` and `lin_cross_kernel_matrix` assemble the Gram matrix
+and the cross kernel it fits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .kernels import Dataset, KernelSpec
 __all__ = [
     "LinParams",
     "LinModel",
-    "LinKernel",
     "MomentDiagnostics",
     "linearize_params",
     "build_lin_kernel",
@@ -155,59 +158,41 @@ class LinModel:
         return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
 
 
-@dataclass(frozen=True)
-class LinKernel:
-    """The assembled linearized kernel matrix, split into its pieces.
-
-    `matrix` is beta XX^T/d + gamma_eff I plus the rank <= 3 perturbation
-    alpha 11^T + t_matrix.
-    """
-
-    base: np.ndarray                  # alpha 11^T + beta XX^T/d + gamma_eff I
-    psi: np.ndarray                   # ||x_i||^2/d - tau
-    t_matrix: Optional[np.ndarray]    # curvature correction; None for inner products
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.base if self.t_matrix is None else self.base + self.t_matrix
+def _psi(X: np.ndarray, tau: float) -> np.ndarray:
+    """Norm fluctuations psi_i = ||x_i||^2/d - tau of the rows of X."""
+    return np.einsum("ij,ij->i", X, X) / X.shape[1] - tau
 
 
-def build_lin_kernel(params: LinParams, data: Dataset,
-                     gamma_override: Optional[float] = None) -> LinKernel:
-    """Assemble K_lin = alpha 11^T + beta XX^T/d + gamma I + T on a dataset.
-
-    `gamma_override`, when given, replaces the implicit ridge gamma (setting
-    it to 0 removes the kernel-curvature regularization).
-    """
+def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
+    """The n x n Gram matrix `model` fits on a dataset:
+    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when `model.curvature` is
+    set and the kernel is radial."""
+    params = model.params
     X = data.features
     n, d = X.shape
-    base = params.alpha + params.beta * (X @ X.T) / d
-    base[np.diag_indices(n)] += LinModel(params, gamma_override).gamma
-    psi = np.einsum("ij,ij->i", X, X) / d - params.tau
-    T = None
-    if params.family == "radial":
+    K = params.alpha + params.beta * (X @ X.T) / d
+    K[np.diag_indices(n)] += model.gamma
+    if model.curvature and params.family == "radial":
+        psi = _psi(X, params.tau)
         A = psi[:, None] + psi[None, :]
-        T = params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
-    return LinKernel(base=base, psi=psi, t_matrix=T)
+        K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
+    return K
 
 
-def lin_cross_kernel_matrix(params: LinParams, data: Dataset,
+def lin_cross_kernel_matrix(model: LinModel, data: Dataset,
                             queries: np.ndarray) -> np.ndarray:
-    """m x n linearized cross kernel.
-
-    Inner-product: h(0) 1 + beta X q / d.  Radial additionally carries the
-    first-order norm correction -beta/2 (psi_q + psi_i).
-    """
+    """m x n cross kernel `model` fits with: h_pivot 1 + beta Q X^T / d, plus
+    the first-order norm correction -beta/2 (psi_q + psi_i) when
+    `model.curvature` is set and the kernel is radial."""
+    params = model.params
     X = data.features
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
-    d = X.shape[1]
-    out = params.h_pivot + params.beta * (Q @ X.T) / d
-    if params.family == "radial":
-        psi = np.einsum("ij,ij->i", X, X) / d - params.tau
-        psi_q = np.einsum("ij,ij->i", Q, Q) / d - params.tau
-        out -= 0.5 * params.beta * (psi_q[:, None] + psi[None, :])
+    out = params.h_pivot + params.beta * (Q @ X.T) / X.shape[1]
+    if model.curvature and params.family == "radial":
+        out -= 0.5 * params.beta * (_psi(Q, params.tau)[:, None]
+                                    + _psi(X, params.tau)[None, :])
     return out
 
 
@@ -275,7 +260,7 @@ def lin_factors(params: LinParams, X: np.ndarray) -> tuple:
     M = _perturbation_form(params)
     ones = np.ones((n, 1))
     if params.family == "radial":
-        psi = np.einsum("ij,ij->i", X, X) / d - params.tau
+        psi = _psi(X, params.tau)
         W = np.hstack([ones, psi[:, None], (psi * psi)[:, None], X])
     else:
         W = np.hstack([ones, X])
@@ -399,8 +384,8 @@ def moment_diagnostics(data: Dataset, queries: np.ndarray,
     mu3 = float(np.mean(T_white ** 3))
     mu4 = float(np.mean(T_white ** 4))
 
-    psi = np.einsum("ij,ij->i", X, X) / d - tau
-    psi_q = np.einsum("ij,ij->i", Q, Q) / d - tau
+    psi = _psi(X, tau)
+    psi_q = _psi(Q, tau)
     # (1/m) sum_q (psi_q 1 + psi)(psi_q 1 + psi)^T in closed form
     c1 = float(np.mean(psi_q))
     c2 = float(np.mean(psi_q ** 2))

@@ -11,7 +11,9 @@ Expectations over x are Monte-Carlo averages over a shared test sample.
 The risk can also be estimated directly by averaging over fresh noise
 draws; the gap to bias + variance is pure Monte-Carlo error.
 
-`excess_risk_mc` computes all three for any kernel model by one Cholesky
+`excess_risk_mc` computes all three for an exact kernel (`KernelSpec`) or
+a linearized one (`LinModel`, whose Gram matrix and cross kernel come from
+`linearize.build_lin_kernel` and `lin_cross_kernel_matrix`) by one Cholesky
 solve against the clean responses, the noise draws and the m cross-kernel
 columns.  For the linearized core without curvature, K = F F^T + gamma I
 with F = [sqrt(alpha) 1, sqrt(beta/d) X] has rank <= d+1, and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,12 +38,9 @@ from .linearize import LinModel, LinParams, build_lin_kernel, lin_cross_kernel_m
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
-    "RegSchedule",
     "MomentParams",
     "RiskEstimate",
-    "KernelModel",
     "QuerySample",
-    "schedule_lambda",
     "gram_and_cross",
     "excess_risk_mc",
     "spectral_risk_mc",
@@ -49,33 +48,6 @@ __all__ = [
     "bound_v2",
     "bias_ref",
 ]
-
-
-@dataclass(frozen=True)
-class RegSchedule:
-    """Regularization schedule lambda = cbar * n^(-theta)."""
-
-    cbar: float
-    theta: float
-    eta: Optional[float] = None      # capacity exponent, validation only
-
-    def __post_init__(self):
-        if not 0 <= self.cbar <= 1:
-            raise ValueError("cbar must lie in [0, 1]")
-        if not 0 <= self.theta <= 1:
-            raise ValueError("theta must lie in [0, 1]")
-        if self.eta is not None:
-            if not 0 <= self.eta <= 1:
-                raise ValueError("eta must lie in [0, 1]")
-            if self.theta > 1.0 / (1.0 + self.eta) + 1e-12:
-                raise ValueError(
-                    f"theta={self.theta} exceeds admissible 1/(1+eta)={1/(1+self.eta):.4f}")
-
-
-def schedule_lambda(sched: RegSchedule, n: int) -> float:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(sched.cbar * float(n) ** (-sched.theta))
 
 
 @dataclass(frozen=True)
@@ -96,19 +68,11 @@ class MomentParams:
         return 0.5 - 2.0 / (8.0 + self.m)
 
 
-KernelModel = Union[KernelSpec, LinModel]
-
-
-def gram_and_cross(model: KernelModel, data: Dataset, queries: np.ndarray):
+def gram_and_cross(model: Union[KernelSpec, LinModel], data: Dataset, queries: np.ndarray):
     """Gram matrix on `data` and m x n cross kernel against `queries`."""
     if isinstance(model, KernelSpec):
         return kernel_matrix(model, data), cross_kernel_matrix(model, data, queries)
-    lk = build_lin_kernel(model.params, data, model.gamma_override)
-    if model.curvature:
-        return lk.matrix, lin_cross_kernel_matrix(model.params, data, queries)
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    cross = model.params.h_pivot + model.params.beta * (Q @ data.features.T) / data.d
-    return lk.base, cross
+    return build_lin_kernel(model, data), lin_cross_kernel_matrix(model, data, queries)
 
 
 @dataclass(frozen=True)
@@ -136,9 +100,9 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
-def excess_risk_mc(data: Dataset, clean: np.ndarray, model: KernelModel, lam: float,
-                   sigma: float, test_points: np.ndarray, clean_test: np.ndarray,
-                   noise_draws: int, seed) -> RiskEstimate:
+def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
+                   lam: float, sigma: float, test_points: np.ndarray,
+                   clean_test: np.ndarray, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
     with its standard error reported in `mc_stderr`."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 
 from .errors import DataFormatError
 
@@ -34,7 +35,9 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
     """Render the requested CSV columns against `x_column` as an SVG chart.
 
     The y-axis switches to log scale when the plotted values span more than
-    two decades (and are all positive).  Returns the bytes written.
+    two decades (and are all positive).  A missing, non-numeric or
+    non-finite cell raises DataFormatError.  Creates the parent directory of
+    `out_path` and returns the bytes written.
     """
     # a non-ASCII byte survives as a surrogate and fails the checks below
     with open(csv_path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
@@ -49,13 +52,16 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
     if not rows:
         raise DataFormatError(f"{csv_path} has no data rows")
 
+    bad = f"{csv_path} has a missing, non-numeric or non-finite value"
     try:
         xs = [float(r[x_column]) for r in rows]
         series = {c: [float(r[c]) for r in rows] for c in columns}
     except (TypeError, ValueError):          # a short row, or a non-numeric cell
-        raise DataFormatError(f"{csv_path} has a missing or non-numeric value") from None
+        raise DataFormatError(bad) from None
 
     all_y = [v for vals in series.values() for v in vals]
+    if not all(math.isfinite(v) for v in xs + all_y):
+        raise DataFormatError(bad)
     positive = all(v > 0 for v in all_y)
     log_y = positive and max(all_y) / min(all_y) > 100.0
     ty = (lambda v: math.log10(v)) if log_y else (lambda v: v)
@@ -115,6 +121,7 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
                      f'font-family="monospace">{name}</text>')
     parts.append("</svg>")
     blob = ("\n".join(parts) + "\n").encode("ascii")
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     with open(out_path, "wb") as fh:
         fh.write(blob)
     return blob

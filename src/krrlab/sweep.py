@@ -291,10 +291,15 @@ def write_csv(points, path: str) -> str:
                                _fmt(p.bias_ref), _fmt(p.mc_stderr)]))
     text = "\n".join(lines) + "\n"
     if path:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        _write_text(text, path)
     return text
+
+
+def _write_text(text: str, path: str) -> None:
+    """Write `text` to `path` as ASCII, creating its parent directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
 
 
 class DataSource:
@@ -485,8 +490,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
                                _fmt(scaled[i]), "1" if i == 0 else "0"]))
     csv_text = "\n".join(lines) + "\n"
     if output_path:
-        with open(output_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(csv_text)
+        _write_text(csv_text, output_path)
     return EigComparison(
         ranks=np.arange(1, k + 1),
         eig_true=eig_true[:k],

@@ -192,9 +192,9 @@ def eig_setup():
 
 def _eig_pieces(cov, data, spec):
     params = linearize_params(spec, cov.tau, cov.trace_ratio)
-    lk = build_lin_kernel(params, data)
+    K_lin = build_lin_kernel(LinModel(params, curvature=True), data)
     G = data.features @ data.features.T / data.d
-    eig_lin = np.linalg.eigvalsh(lk.matrix)[::-1]
+    eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
     eig_g = np.linalg.eigvalsh(G)[::-1]
     return params, eig_lin, eig_g
 
@@ -360,8 +360,8 @@ def test_c11_linearization_convergence():
             data = Dataset(X, np.zeros(n))
             params = linearize_params(spec, 1.0, 1.0 / d)
             K = kernel_matrix(spec, data)
-            lk = build_lin_kernel(params, data)
-            vals.append(approx_error(K, lk.matrix))
+            K_lin = build_lin_kernel(LinModel(params, curvature=True), data)
+            vals.append(approx_error(K, K_lin))
         errs[(n, d)] = float(np.mean(vals))
     ratio = errs[(400, 800)] / errs[(100, 200)]
     dt = time.time() - t0

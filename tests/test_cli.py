@@ -180,9 +180,17 @@ def test_eig_compare_n_beyond_rows_exits_two(k, capsys):
     (["bounds", "--decay", "harmonic", "--cbar", "0", "--gamma", "0"], "cbar = 0 and gamma = 0"),
     (["bounds", "--decay", "polynomial", "--a", "0.25"], "a=0.25"),
     (["bounds", "--decay", "harmonic", "--theta", "nan"], "theta"),
+    (["bounds", "--decay", "harmonic", "--sigma", "nan"], "--sigma"),
+    (["bounds", "--decay", "harmonic", "--sigma", "-2"], "--sigma"),
+    (["bounds", "--decay", "harmonic", "--beta", "-1"], "--beta"),
+    (["bounds", "--decay", "harmonic", "--beta", "inf"], "--beta"),
+    (["bounds", "--decay", "harmonic", "--gamma", "inf"], "--gamma"),
+    (["bounds", "--decay", "harmonic", "--cbar", "inf"], "--cbar"),
     (["synth", "--n", "0"], "n must be >= 1"),
     (["synth", "--n", "5", "--decay", "exponential"], "a=None"),
-], ids=["bounds-n", "bounds-b", "bounds-a", "bounds-theta", "synth-n", "synth-a"])
+], ids=["bounds-n", "bounds-b", "bounds-a", "bounds-theta", "bounds-sigma-nan",
+        "bounds-sigma-negative", "bounds-beta-negative", "bounds-beta-inf", "bounds-gamma-inf",
+        "bounds-cbar-inf", "synth-n", "synth-a"])
 def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
     out = tmp_path / "data.libsvm"
     if argv[0] == "synth":
@@ -218,7 +226,9 @@ def test_malformed_data_exits_three(content, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [b"n,var_emp\n1,0.5\n2,abc\n", b"n,var_emp\n1,0.5\n2,\xe9\n",
-                                     b"n,var_emp\n1,0.5\n2\n"], ids=["text", "non-ascii", "short"])
+                                     b"n,var_emp\n1,0.5\n2\n", b"n,var_emp\n1,0.5\n2,nan\n",
+                                     b"n,var_emp\n1,0.5\ninf,0.7\n"],
+                         ids=["text", "non-ascii", "short", "nan", "inf"])
 def test_malformed_plot_csv_exits_three(content, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     csv.write_bytes(content)
@@ -226,6 +236,22 @@ def test_malformed_plot_csv_exits_three(content, tmp_path, capsys):
                    "--out", str(tmp_path / "s.svg")])
     assert rc == 3
     assert "non-numeric" in capsys.readouterr().err
+    assert not (tmp_path / "s.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "eig-compare", "plot"])
+def test_output_flag_creates_parent_directory(command, tmp_path):
+    csv = tmp_path / "s.csv"
+    csv.write_text("n,var_emp\n1,0.5\n2,0.7\n")
+    argv = {
+        "sweep": ["sweep", *SMALL, "--out"],
+        "eig-compare": ["eig-compare", "--mode", "real", "--input", FIXTURE, "--d", "24",
+                        "--n", "40", "--k", "5", "--n-grid", "40:40:1", "--eig-out"],
+        "plot": ["plot", "--csv", str(csv), "--columns", "var_emp", "--out"],
+    }[command]
+    out = tmp_path / "new" / "dir" / "result.out"
+    assert cli.main([*argv, str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_degree_one_polynomial_real_sweep_runs(capsys):

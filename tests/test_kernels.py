@@ -189,6 +189,24 @@ class TestSolver:
         assert solve_regularized(K, 0.37, rhs).tobytes() == want.tobytes()
         assert np.array_equal(K, K_before)
 
+    @pytest.mark.parametrize("low,unit", [(-8.0, 4e-12), (-1.0, 1e-12)])
+    def test_jitter_shifts_tried(self, low, unit, monkeypatch):
+        # K[0, 0] = 0, so the (0, 0) entry of each factored matrix is its shift;
+        # the unit is 1e-12 * max(|tr(K)/n|, 1)
+        K = np.array([[0.0, 0.0], [0.0, low]])
+        shifts = []
+        factor = scipy.linalg.cho_factor
+
+        def record(A, **kwargs):
+            shifts.append(float(A[0, 0]))
+            return factor(A, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", record)
+        with pytest.raises(SingularKernelError,
+                           match="non-positive-definite after 3 jitter escalations"):
+            solve_regularized(K, 0.0, np.ones(2))
+        assert shifts == pytest.approx([0.0, unit, 10 * unit, 100 * unit], rel=1e-12)
+
     def test_singular_system_reports_eigenvalue(self):
         K = -np.ones((4, 4))        # not a kernel; forces factorization failure
         with pytest.raises(SingularKernelError) as exc:

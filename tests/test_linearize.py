@@ -95,30 +95,31 @@ class TestBuildLinKernel:
     def test_inner_product_has_zero_t(self):
         cov, data = _dataset(20, 50, seed=1)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
-        assert lk.t_matrix is None and lk.matrix is lk.base
+        full = build_lin_kernel(LinModel(p, curvature=True), data)
+        assert np.array_equal(full, build_lin_kernel(LinModel(p), data))
 
     def test_pure_gram_when_alpha_gamma_zero(self):
         cov, data = _dataset(15, 40, seed=2)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
+        K = build_lin_kernel(LinModel(p, curvature=True), data)
         G = data.features @ data.features.T / data.d
-        assert np.allclose(lk.matrix, G, atol=1e-14)
+        assert np.allclose(K, G, atol=1e-14)
 
     def test_equal_norms_kill_radial_correction(self):
         # identity covariance + orthogonal rows: ||x_i||^2 = d exactly
         cov, data = _dataset(12, 30, seed=3, kind="identity")
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
-        assert np.allclose(lk.psi, 0.0, atol=1e-12)
-        assert np.allclose(lk.t_matrix, 0.0, atol=1e-12)
+        assert np.allclose(lin_factors(p, data.features)[0][:, 1], 0.0, atol=1e-12)
+        T = (build_lin_kernel(LinModel(p, curvature=True), data)
+             - build_lin_kernel(LinModel(p), data))
+        assert np.allclose(T, 0.0, atol=1e-12)
 
     def test_gamma_override_changes_diagonal_only(self):
         cov, data = _dataset(18, 45, seed=4)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        full = build_lin_kernel(p, data)
-        noreg = build_lin_kernel(p, data, gamma_override=0.0)
-        diff = full.matrix - noreg.matrix
+        full = build_lin_kernel(LinModel(p, curvature=True), data)
+        noreg = build_lin_kernel(LinModel(p, 0.0, curvature=True), data)
+        diff = full - noreg
         assert np.allclose(diff, p.gamma * np.eye(data.n), atol=1e-14)
 
     def test_gamma_eff_is_decided_by_lin_model(self):
@@ -126,20 +127,17 @@ class TestBuildLinKernel:
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         assert LinModel(p).gamma == p.gamma
         assert LinModel(p, gamma_override=0.25).gamma == 0.25
-        diff = (build_lin_kernel(p, data, gamma_override=0.25).base
-                - build_lin_kernel(p, data, gamma_override=0.0).base)
+        diff = (build_lin_kernel(LinModel(p, 0.25), data)
+                - build_lin_kernel(LinModel(p, 0.0), data))
         assert np.allclose(diff, 0.25 * np.eye(data.n), atol=1e-14)
         with pytest.raises(ValueError, match="gamma_override"):
             LinModel(p, gamma_override=-0.1)
-        with pytest.raises(ValueError, match="gamma_override"):
-            build_lin_kernel(p, data, gamma_override=-0.1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rank_structure_of_correction(self, seed):
         cov, data = _dataset(25, 60, seed=seed)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
-        psi = lk.psi
+        psi = lin_factors(p, data.features)[0][:, 1]
         A = psi[:, None] + psi[None, :]
         sv = np.linalg.svd(A, compute_uv=False)
         assert sv[2] <= 1e-8 * sv[0]
@@ -158,7 +156,8 @@ class TestLinCross:
         cov, data = _dataset(10, 20, seed=5)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
         q = np.linspace(-1, 1, 20)
-        assert np.allclose(lin_cross_kernel_matrix(p, data, q[None])[0], data.features @ q / 20.0)
+        got = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, q[None])[0]
+        assert np.allclose(got, data.features @ q / 20.0)
 
     def test_radial_correction_vanishes_at_pivot_norm(self):
         cov, data = _dataset(10, 30, seed=6, kind="identity")
@@ -166,7 +165,7 @@ class TestLinCross:
         rng = np.random.default_rng(0)
         q = rng.standard_normal(30)
         q *= np.sqrt(30.0 * cov.tau) / np.linalg.norm(q)     # ||q||^2/d = tau
-        got = lin_cross_kernel_matrix(p, data, q[None])[0]
+        got = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, q[None])[0]
         expect = p.h_pivot + p.beta * data.features @ q / 30.0
         assert np.allclose(got, expect, atol=1e-12)
 
@@ -181,7 +180,7 @@ class TestLinCross:
                 rng = np.random.default_rng([99, d, seed])
                 Q = rng.standard_normal((50, d))
                 true = cross_kernel_matrix(spec, data, Q)
-                lin = lin_cross_kernel_matrix(p, data, Q)
+                lin = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, Q)
                 vals.append(np.abs(true - lin).max())
             devs[d] = np.mean(vals)
         assert devs[800] < devs[200]
@@ -209,8 +208,8 @@ class TestApproxError:
                 data = Dataset(X, np.zeros(n))
                 p = linearize_params(spec, 1.0, 1.0 / d)
                 K = kernel_matrix(spec, data)
-                lk = build_lin_kernel(p, data)
-                vals.append(approx_error(K, lk.matrix))
+                K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+                vals.append(approx_error(K, K_lin))
             errs[(n, d)] = np.mean(vals)
         assert errs[(400, 800)] < errs[(100, 200)]
 
@@ -231,8 +230,8 @@ class TestInterlacing:
     def test_rank_one_perturbation_interlaces(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
-        eig_lin = np.linalg.eigvalsh(lk.matrix)[::-1]
+        K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+        eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
         report = interlacing_check(eig_lin, eig_g, p.beta, p.gamma, (1, 0))
@@ -241,8 +240,8 @@ class TestInterlacing:
     def test_radial_perturbation_obeys_weyl_bracket(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data)
-        eig_lin = np.linalg.eigvalsh(lk.matrix)[::-1]
+        K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+        eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
         report = interlacing_check(eig_lin, eig_g, p.beta, p.gamma,
@@ -304,8 +303,8 @@ class TestPerturbationInertia:
         # the inertia of alpha 11^T + T on data equals that of the 3x3 form
         cov, data = _dataset(40, 90, seed=11)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        lk = build_lin_kernel(p, data, gamma_override=0.0)
-        P = lk.matrix - p.beta * data.features @ data.features.T / data.d
+        K_lin = build_lin_kernel(LinModel(p, 0.0, curvature=True), data)
+        P = K_lin - p.beta * data.features @ data.features.T / data.d
         w = np.linalg.eigvalsh((P + P.T) / 2.0)
         tol = 1e-10 * np.max(np.abs(w))
         assert (int(np.sum(w > tol)), int(np.sum(w < -tol))) == perturbation_inertia(p)
@@ -334,7 +333,7 @@ class TestFactoredSpectrum:
 
         eig_lin = factored_spectrum(W, D, gamma_eff)
         dense_lin = np.linalg.eigvalsh(
-            build_lin_kernel(params, data, gamma_override).matrix)[::-1]
+            build_lin_kernel(LinModel(params, gamma_override, curvature=True), data))[::-1]
         assert eig_lin.shape == (n,)
         assert np.max(np.abs(eig_lin - dense_lin)) <= 1e-10 * abs(dense_lin[0])
 

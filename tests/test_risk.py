@@ -4,29 +4,10 @@ import numpy as np
 import pytest
 
 from krrlab import (Dataset, KernelSpec, LinModel, MomentParams, QuerySample,
-                    RegSchedule, TargetSpec, bias_ref, bound_v1, bound_v2,
-                    evaluate_target, excess_risk_mc, linearize_params,
-                    make_covariance, quantity_N, sample_dataset, sample_features,
-                    schedule_lambda, spectral_risk_mc)
+                    TargetSpec, bias_ref, bound_v1, bound_v2, evaluate_target,
+                    excess_risk_mc, linearize_params, make_covariance, quantity_N,
+                    sample_dataset, sample_features, spectral_risk_mc)
 from krrlab.risk import _xtilde_spectrum
-
-
-class TestSchedule:
-    def test_values(self):
-        s = RegSchedule(cbar=0.01, theta=2 / 3)
-        assert schedule_lambda(s, 1) == pytest.approx(0.01)
-        assert schedule_lambda(s, 1000) == pytest.approx(1e-4)
-        flat = RegSchedule(cbar=0.3, theta=0.0)
-        assert schedule_lambda(flat, 5) == schedule_lambda(flat, 500) == 0.3
-
-    def test_eta_restricts_theta(self):
-        RegSchedule(cbar=0.5, theta=0.5, eta=1.0)
-        with pytest.raises(ValueError):
-            RegSchedule(cbar=0.5, theta=0.6, eta=1.0)
-
-    def test_ranges(self):
-        with pytest.raises(ValueError):
-            RegSchedule(cbar=1.5, theta=0.5)
 
 
 def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
@@ -236,12 +217,8 @@ class TestBounds:
             n = int(rng.integers(1, 5000))
             theta = rng.uniform(0, 1)
             r = rng.uniform(0.05, 1.0)
-            cbar = rng.uniform(0, 1)
             assert bias_ref(n, theta, r) == pytest.approx(
                 np.exp(-2 * theta * r * np.log(n)), rel=1e-12)
-            sched = RegSchedule(cbar=cbar, theta=theta)
-            assert schedule_lambda(sched, n) == pytest.approx(
-                cbar * np.exp(-theta * np.log(n)), rel=1e-12)
 
 
 class TestInSpanRate:

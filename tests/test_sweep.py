@@ -282,7 +282,8 @@ def _dense_eig_columns(cfg, n, k):
     gamma = LinModel(params, cfg.gamma_override if cfg.use_linearized else None).gamma
     X = data.features
     eig_true = np.linalg.eigvalsh(kernel_matrix(spec, data))[::-1]
-    eig_lin = np.linalg.eigvalsh(build_lin_kernel(params, data, gamma).matrix)[::-1]
+    K_lin = build_lin_kernel(LinModel(params, gamma, curvature=True), data)
+    eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
     eig_g = np.linalg.eigvalsh(X @ X.T / cfg.d)[::-1]
     return [eig_true[:k], eig_lin[:k], params.beta * eig_g[:k] + gamma]
 
