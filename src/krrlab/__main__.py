@@ -1,0 +1,8 @@
+"""`python -m krrlab ...` runs the krrlab command line (`krrlab.cli`)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

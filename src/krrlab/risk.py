@@ -23,6 +23,12 @@ r = n*lambda + gamma and the cross kernel A F^T, A = [1, Q] diag(h/sqrt(alpha),
 sqrt(beta/d) ...), the fit is the filter A V diag(1/(s+r)) V^T F^T y and the
 variance is the filter sum sigma^2/m * sum_i s_i/(s_i+r)^2 ||A v_i||^2, the
 weighted form of the paper's N(b).
+
+`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d = F F^T.  The
+Cholesky route takes it from the smaller of F F^T and F^T F
+(`_v1_spectrum`, padded with zeros past rank d+1); `spectral_risk_mc` reads
+it off its own F F^T when n <= d+1 and still runs an n x n `eigvalsh`
+(`_xtilde_spectrum`) when n > d+1.
 """
 
 from __future__ import annotations
@@ -154,11 +160,29 @@ class QuerySample:
 
 def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
     """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values),
-    the input of `bound_v1`."""
+    the input of `bound_v1`, from an n x n `eigvalsh`.  Outside the tests,
+    which use it as the n x n reference, its one caller is `spectral_risk_mc`
+    when n > d+1; `_v1_spectrum` takes the same spectrum from the small side."""
     n, d = X.shape
     M = params.beta * (X @ X.T) / d + params.alpha
     w = np.linalg.eigvalsh(M)[::-1]
     return np.maximum(w, 0.0)
+
+
+def _v1_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
+    """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values)
+    from the smaller Gram side of F = [sqrt(alpha) 1, sqrt(beta/d) X]: the
+    n x n core when n <= d+1, else F^T F ((d+1) x (d+1)) padded with the
+    n-d-1 zeros of its rank deficit."""
+    n, d = X.shape
+    if n <= d + 1:
+        w = np.linalg.eigvalsh(params.beta * (X @ X.T) / d + params.alpha)
+    else:
+        F = np.column_stack([np.full(n, np.sqrt(params.alpha)), np.sqrt(params.beta / d) * X])
+        w = np.linalg.eigvalsh(F.T @ F)
+    spectrum = np.zeros(n)
+    spectrum[:w.size] = np.maximum(w[::-1], 0.0)
+    return spectrum
 
 
 def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: float,
@@ -221,6 +245,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
         Z = a[:, None] * V
         coef = Z @ ((V.T @ (F.T @ Y)) / (s + r)[:, None])
         mass = s / (s + r) ** 2
+        # n x n on purpose: see CHANGES.md's FOUND entry on _xtilde_spectrum, ROADMAP item 1
         spectrum = _xtilde_spectrum(params, X)
 
     Q = test.points

@@ -77,6 +77,8 @@ class DecaySpec:
             raise ConfigError(f"unknown decay kind {self.kind!r}")
         if self.r_star < 1:
             raise ConfigError(f"r_star must be >= 1, got {self.r_star}")
+        if not np.isfinite(self.a):
+            raise ConfigError(f"decay parameter a must be finite, got a={self.a}")
         if self.kind == "polynomial" and not self.a > 0.5:
             raise ConfigError(f"polynomial decay requires a > 1/2, got a={self.a}")
         if self.kind == "exponential" and not self.a > 0:

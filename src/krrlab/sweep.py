@@ -16,6 +16,9 @@ MC risk are filter sums over it, and V1 reads its spectrum when n <= d+1
 keep the Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full
 rank n, and on 2 cores an `eigh` of a 2000 x 2000 gaussian K takes about 1 s
 against 0.2-0.3 s for its factor and a solve with 651 right-hand sides.
+Their V1 spectrum, of the rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes
+from the smaller Gram side (`risk._v1_spectrum`): the n x n core when
+n <= d+1, else the (d+1) x (d+1) F^T F padded with zeros.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
@@ -45,8 +48,8 @@ from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
                         perturbation_inertia)
-from .risk import (MomentParams, QuerySample, _xtilde_spectrum, bias_ref,
-                   bound_v1, bound_v2, excess_risk_mc, spectral_risk_mc)
+from .risk import (MomentParams, QuerySample, _v1_spectrum, bias_ref, bound_v1,
+                   bound_v2, excess_risk_mc, spectral_risk_mc)
 from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
                     sample_features)
 
@@ -398,7 +401,7 @@ def run_sweep(config: ExperimentConfig):
                 est = excess_risk_mc(data, clean, lin if config.use_linearized else spec,
                                      lam_solve, config.sigma, test.points, test.clean,
                                      config.noise_draws, rng)
-                spectrum = _xtilde_spectrum(lin.params, data.features)
+                spectrum = _v1_spectrum(lin.params, data.features)
             v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam_solve, lin.gamma,
                           config.sigma)
             bias_l.append(est.bias)

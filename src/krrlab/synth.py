@@ -51,6 +51,8 @@ def make_covariance(d: int, kind: str, a: Optional[float] = None) -> CovModel:
     """Diagonal covariance with the requested decay, normalized to tr = d."""
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
+    if a is not None and not np.isfinite(a):
+        raise ConfigError(f"decay parameter a must be finite, got a={a}")
     i = np.arange(1, d + 1, dtype=float)
     if kind == "harmonic":
         base = 1.0 / i

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,10 +189,12 @@ def test_eig_compare_n_beyond_rows_exits_two(k, capsys):
     (["bounds", "--decay", "harmonic", "--gamma", "inf"], "--gamma"),
     (["bounds", "--decay", "harmonic", "--cbar", "inf"], "--cbar"),
     (["synth", "--n", "0"], "n must be >= 1"),
+    (["bounds", "--decay", "exponential", "--a", "inf"], "a=inf"),
     (["synth", "--n", "5", "--decay", "exponential"], "a=None"),
+    (["synth", "--d", "5", "--n", "3", "--decay", "exponential", "--a", "inf"], "a=inf"),
 ], ids=["bounds-n", "bounds-b", "bounds-a", "bounds-theta", "bounds-sigma-nan",
         "bounds-sigma-negative", "bounds-beta-negative", "bounds-beta-inf", "bounds-gamma-inf",
-        "bounds-cbar-inf", "synth-n", "synth-a"])
+        "bounds-cbar-inf", "bounds-a-inf", "synth-n", "synth-a", "synth-a-inf"])
 def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
     out = tmp_path / "data.libsvm"
     if argv[0] == "synth":
@@ -199,6 +203,20 @@ def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,code", [([], 0), (["--a", "inf"], 2)], ids=["ok", "a-inf"])
+def test_python_dash_m_runs_the_cli(extra, code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    decay = "exponential" if extra else "harmonic"
+    proc = subprocess.run([sys.executable, "-m", "krrlab", "bounds", "--decay", decay, *extra],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert "exact N =" in proc.stdout
+    else:
+        assert proc.stderr.startswith("config error:") and "a=inf" in proc.stderr
 
 
 def test_out_of_regime_peak_is_reported_not_fatal(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krrlab import (DecaySpec, Spectrum, bound_N, effective_dimension,
+from krrlab import (ConfigError, DecaySpec, Spectrum, bound_N, effective_dimension,
                     exp_monotone_condition, generate_decay_spectrum,
                     harmonic_theta_threshold, numeric_peak, peak_point,
                     polynomial_theta_threshold, quantity_N)
@@ -15,6 +15,12 @@ class TestSpectrumType:
             Spectrum(np.array([1.0, -0.1]))
         with pytest.raises(ValueError):
             Spectrum(np.array([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["exponential", "polynomial", "harmonic"])
+    @pytest.mark.parametrize("a", [np.inf, np.nan])
+    def test_decay_spec_rejects_non_finite_a(self, kind, a):
+        with pytest.raises(ConfigError, match="must be finite"):
+            DecaySpec(kind, a=a, r_star=3)
 
     def test_decay_spec_validation(self):
         with pytest.raises(ValueError):

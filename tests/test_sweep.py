@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
                     TargetSpec, bound_v1, build_lin_kernel, classify_curve,
@@ -233,6 +234,52 @@ class TestSweepRoutes:
         points, _ = run_sweep(cfg)
         for got, want in zip(_sweep_rows(points), _direct_points(cfg)):
             assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestCholeskyV1Spectrum:
+    """Exact and curvature cells read V1 off the (d+1) x (d+1) F^T F, not an
+    n x n eigensolve, once n > d+1."""
+
+    @pytest.mark.parametrize("kw", [dict(use_linearized=False, gamma_override=None),
+                                    dict(lin_curvature=True, gamma_override=None)],
+                             ids=["exact", "curvature"])
+    def test_spectrum_comes_from_the_small_side(self, kw, monkeypatch):
+        cfg = _small_config(**kw)           # grid 30, 60, 90 at d=60 crosses n = d+1
+        p = cfg.d + 1
+        shapes, draws, spectra = [], [], []
+
+        def spy(fn, record):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                record(args, out)
+                return out
+            return wrapper
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name),
+                                                     lambda a, out: shapes.append(a[0].shape)))
+        monkeypatch.setattr("krrlab.sweep.sample_dataset",
+                            spy(sample_dataset, lambda a, out: draws.append(out[0])))
+        monkeypatch.setattr("krrlab.sweep.bound_v1",
+                            spy(bound_v1, lambda a, out: spectra.append(np.asarray(a[0]))))
+        run_sweep(cfg)
+
+        assert max(max(s) for s in shapes) <= p
+        assert shapes.count((p, p)) >= cfg.trials
+        cov = make_covariance(cfg.d, cfg.decay, cfg.a)
+        params = linearize_params(kernel_by_name(cfg.kernel, cfg.degree), cov.tau,
+                                  cov.trace_ratio)
+        wide = [(data, spec) for data, spec in zip(draws, spectra) if data.n > p]
+        assert len(wide) == cfg.trials
+        for data, spectrum in wide:
+            n = data.n
+            assert spectrum.shape == (n,)
+            assert np.count_nonzero(spectrum == 0.0) >= n - p
+            F = np.column_stack([np.full(n, np.sqrt(params.alpha)),
+                                 np.sqrt(params.beta / cfg.d) * data.features])
+            want = scipy.linalg.svdvals(F) ** 2
+            assert spectrum[:p] == pytest.approx(want, rel=1e-12)
+            assert not spectrum[p:].any()
 
 
 class TestEigCompare:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krrlab import (TargetSpec, evaluate_target, make_covariance,
+from krrlab import (ConfigError, TargetSpec, evaluate_target, make_covariance,
                     random_orthogonal_rows, sample_dataset, sample_features)
 
 
@@ -27,6 +27,12 @@ class TestMakeCovariance:
             make_covariance(10, "polynomial", 0.4)
         with pytest.raises(ValueError):
             make_covariance(0, "harmonic")
+
+    @pytest.mark.parametrize("kind,a", [("exponential", np.inf), ("polynomial", np.inf),
+                                        ("exponential", np.nan), ("harmonic", np.inf)])
+    def test_non_finite_a_is_a_config_error(self, kind, a):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make_covariance(10, kind, a)
 
 
 class TestOrthogonalRows:
