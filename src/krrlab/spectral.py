@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import ConfigError
 
@@ -123,11 +122,13 @@ def effective_dimension(spec, lam: float) -> float:
 
 
 def _poly_bound_constant(a: float) -> float:
-    """The integral of u^{1/(2a)} / (1+u)^2 over (0, inf), by adaptive quadrature."""
+    """The integral of u^s / (1+u)^2 over (0, inf), s = 1/(2a), in closed form.
+
+    It is the beta function B(1+s, 1-s) = Gamma(1+s) Gamma(1-s) = pi s / sin(pi s),
+    exact for s in (0, 1), i.e. for every a > 1/2 that `DecaySpec` accepts.
+    """
     s = 1.0 / (2.0 * a)
-    val, _ = scipy.integrate.quad(lambda u: u ** s / (1.0 + u) ** 2, 0.0, np.inf,
-                                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
+    return float(np.pi * s / np.sin(np.pi * s))
 
 
 def _peak_term(decay: DecaySpec, n: int, b: float) -> float:
@@ -152,7 +153,7 @@ def bound_N(decay: DecaySpec, n: int, b: float) -> float:
     """Closed-form upper bound on quantity_N for the given decay.
 
     harmonic:    (n/b^2) * ln((n + (r+1) b) / (n + b))
-    polynomial:  C / (2 a b) * (n/b)^{1/(2a)} + P,  C the exact integral constant
+    polynomial:  C / (2 a b) * (n/b)^{1/(2a)} + P,  C = pi s / sin(pi s), s = 1/(2a)
     exponential: (1/a) * (1/(b + n e^{-a(r+1)}) - 1/(b + n e^{-a})) + P
 
     The polynomial and exponential forms integrate the summand

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.stats
 
 from .errors import ConfigError
 from .kernels import Dataset, KernelSpec, kernel_matrix
@@ -428,14 +427,39 @@ def run_sweep(config: ExperimentConfig):
     return points, csv_text
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[start, xs.size])
+    ranks = np.empty(xs.size)
+    ranks[order] = np.repeat(start + (counts + 1) / 2.0, counts)
+    return ranks
+
+
+def _spearman(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of average ranks.
+
+    NaN when there are fewer than 2 pairs or either input is constant.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
 @dataclass(frozen=True)
 class EigComparison:
     """Top-k spectra of `eig_compare` and its two summary statistics.
 
     `spearman_beyond_top5` is the Spearman correlation of eig_true and the
-    Gram spectrum over ranks 6..min(n, d).  Both are sorted descending, so
-    it is 1 by construction whenever neither has ties (the same holds for
-    acceptance criterion 5c); it does not measure how alike the decays are.
+    Gram spectrum over ranks 6..min(n, d): the Pearson correlation of their
+    average ranks, computed in numpy (`_spearman`), and NaN when fewer than
+    2 ranks remain or either spectrum is constant there.  Both spectra are
+    sorted descending, so it is 1 by construction whenever neither has ties
+    (the same holds for acceptance criterion 5c); it does not measure how
+    alike the decays are.
     """
 
     ranks: np.ndarray
@@ -483,7 +507,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
                                perturbation_inertia(params))
     # beyond rank d the Gram spectrum is exactly 0, and its ties carry no order
     top = min(n, data.d)
-    rho = scipy.stats.spearmanr(eig_true[5:top], eig_g[5:top]).statistic
+    rho = _spearman(eig_true[5:top], eig_g[5:top])
 
     k = min(k, n)
     scaled = params.beta * eig_g[:k] + gamma_eff

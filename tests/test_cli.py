@@ -11,6 +11,7 @@ from krrlab import parse_libsvm
 from krrlab.errors import NumericalError
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_synth_export_roundtrip(tmp_path, capsys):
@@ -207,16 +208,26 @@ def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
 
 @pytest.mark.parametrize("extra,code", [([], 0), (["--a", "inf"], 2)], ids=["ok", "a-inf"])
 def test_python_dash_m_runs_the_cli(extra, code):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     decay = "exponential" if extra else "harmonic"
     proc = subprocess.run([sys.executable, "-m", "krrlab", "bounds", "--decay", decay, *extra],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert "exact N =" in proc.stdout
     else:
         assert proc.stderr.startswith("config error:") and "a=inf" in proc.stderr
+
+
+@pytest.mark.parametrize("a", ["0.51", "0.5001"])
+def test_polynomial_bounds_near_half_are_silent(a):
+    # the decay constant is exact here; a quadrature did not converge and warned
+    proc = subprocess.run([sys.executable, "-m", "krrlab", "bounds", "--decay", "polynomial",
+                           "--a", a], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "bound N =" in proc.stdout
 
 
 def test_out_of_regime_peak_is_reported_not_fatal(capsys):

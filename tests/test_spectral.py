@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,13 +155,22 @@ class TestBoundN:
                       DecaySpec("exponential", a=0.5, r_star=20)):
             assert bound_N(decay, 50, 1e9) <= 1e-6
 
+    @pytest.mark.parametrize("a", [0.55, 0.6, 0.75, 1.0, 2.0, 8.0, 50.0])
+    def test_polynomial_constant_matches_quadrature(self, a):
+        import scipy.integrate
+        from krrlab.spectral import _poly_bound_constant
+        s = 1 / (2 * a)
+        want, _ = scipy.integrate.quad(lambda u: u ** s / (1.0 + u) ** 2, 0.0, np.inf,
+                                       epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert _poly_bound_constant(a) == pytest.approx(want, rel=1e-9)
+
     def test_polynomial_constant_matches_beta_function(self):
-        # the quadrature constant equals pi*s/sin(pi*s) for s = 1/(2a)
+        # the constant is B(1+s, 1-s) = Gamma(1+s) Gamma(1-s) for s = 1/(2a)
         from krrlab.spectral import _poly_bound_constant
         for a in (0.75, 1.0, 2.0):
             s = 1 / (2 * a)
             assert _poly_bound_constant(a) == pytest.approx(
-                np.pi * s / np.sin(np.pi * s), rel=1e-9)
+                math.gamma(1 + s) * math.gamma(1 - s), rel=1e-9)
 
     def test_harmonic_domination_random_draws(self):
         rng = np.random.default_rng(1234)

@@ -1,9 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
                     TargetSpec, bound_v1, build_lin_kernel, classify_curve,
@@ -12,7 +14,7 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
                     sample_features)
 from krrlab.risk import _xtilde_spectrum
-from krrlab.sweep import CSV_HEADER, parse_grid
+from krrlab.sweep import CSV_HEADER, _spearman, parse_grid
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
 
@@ -361,3 +363,43 @@ class TestEigCompareSmallSide:
         res = eig_compare(_small_config(kernel="gaussian", use_linearized=False,
                                         gamma_override=None), n=90, k=10)
         assert res.spearman_beyond_top5 == pytest.approx(1.0, abs=1e-12)
+
+
+def _scipy_spearman(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # ConstantInputWarning
+        return scipy.stats.spearmanr(x, y).statistic
+
+
+class TestSpearman:
+    def _assert_matches_scipy(self, x, y):
+        got, want = _spearman(x, y), _scipy_spearman(x, y)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert abs(got - want) <= 1e-15
+
+    def test_random_vectors_with_and_without_ties(self):
+        rng = np.random.default_rng(8)
+        for trial in range(400):
+            m = int(rng.integers(2, 60))
+            x, y = rng.standard_normal(m), rng.standard_normal(m)
+            if trial % 2:       # few distinct values, so most entries tie
+                x = np.round(x * 2) / 2
+                y = np.floor(rng.uniform(0, 4, m))
+            self._assert_matches_scipy(x, y)
+
+    def test_descending_spectra_with_ties(self):
+        x = np.array([5.0, 4.0, 4.0, 3.0, 1.0, 1.0, 1.0, 0.5])
+        y = np.array([9.0, 8.0, 7.0, 7.0, 7.0, 2.0, 1.0, 0.0])
+        self._assert_matches_scipy(x, y)
+        self._assert_matches_scipy(x, x[::-1])
+
+    @pytest.mark.parametrize("x,y", [
+        ([], []), ([1.0], [2.0]), ([1.0, 2.0], [3.0, 5.0]), ([1.0, 2.0], [5.0, 3.0]),
+        ([1.0, 1.0], [1.0, 2.0]), ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+    ], ids=["len0", "len1", "len2", "len2-reversed", "len2-constant", "constant-x",
+            "constant-y"])
+    def test_edge_cases(self, x, y):
+        self._assert_matches_scipy(np.array(x), np.array(y))
