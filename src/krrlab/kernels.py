@@ -6,7 +6,9 @@ Two kernel families are supported, both driven by a scalar profile h:
 * radial kernels          k(x, x') = h(||x - x'||^2 / d)
 
 The ridge estimator solves (K + n*lambda*I) c = y and predicts with
-k(x, X)^T c.  All arrays are dense float64.
+k(x, X)^T c.  All arrays are dense float64.  `scipy.linalg`, whose Cholesky
+routines solve that system, is imported on the first factorization, so
+importing this module (and krrlab) loads numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, KernelEvaluationError, SingularKernelError
 
@@ -176,7 +177,13 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
 
 
 def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy."""
+    """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy.
+
+    `scipy.linalg` is imported here, on the first factorization, rather than
+    when krrlab is imported: only exact-kernel and curvature cells need it.
+    """
+    import scipy.linalg
+
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     unit = _JITTER_RELATIVE * max(abs(float(np.trace(K)) / K.shape[0]), 1.0)
@@ -185,7 +192,7 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
             cf = scipy.linalg.cho_factor(_shifted(K, ridge + jitter), lower=True,
                                          check_finite=False)
             return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
     smallest = float(np.linalg.eigvalsh(_shifted(K, ridge))[0])
     raise SingularKernelError(

@@ -8,6 +8,7 @@ indices; export writes only nonzero entries with round-trip-exact floats.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -84,7 +85,9 @@ def parse_libsvm(path: str, d: int) -> Dataset:
 
 
 def export_libsvm(data: Dataset, path: str) -> None:
-    """Write a Dataset in libsvm format; zeros are omitted, floats round-trip."""
+    """Write a Dataset in libsvm format, creating the parent directory of
+    `path`; zeros are omitted, floats round-trip."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         for i in range(data.n):
             parts = [format(data.responses[i], ".17g")]

@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, every function the
-benchmark tracer wraps still exists under the module it names, and importing
-krrlab leaves scipy's heavy subpackages unloaded."""
+benchmark tracer wraps still exists under the module it names, importing
+krrlab and running its numpy-only paths (linearized spectral sweeps, bounds,
+synth, plot) loads no scipy module at all, and an exact-kernel fit loads
+`scipy.linalg` on its first factorization."""
 
 import ast
 import importlib
@@ -53,3 +55,37 @@ def test_import_leaves_out_heavy_scipy_subpackages():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _fresh_interpreter(code: str, cwd) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_numpy_only_paths_load_no_scipy(tmp_path):
+    code = ("import sys, krrlab, krrlab.cli\n"
+            "cfg = krrlab.ExperimentConfig(d=10, n_grid='5:20:5', trials=1, test_points=100,\n"
+            "                              noise_draws=2, output_path='s.csv')\n"
+            "points, _ = krrlab.run_sweep(cfg)\n"
+            "assert len(points) == 4\n"
+            "main = krrlab.cli.main\n"
+            "assert main(['bounds', '--decay', 'polynomial', '--a', '1']) == 0\n"
+            "assert main(['synth', '--d', '10', '--n', '20', '--out', 'x.libsvm']) == 0\n"
+            "assert main(['plot', '--csv', 's.csv', '--columns', 'var_emp',\n"
+            "             '--out', 's.svg']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh_interpreter(code, tmp_path) == "[]"
+
+
+def test_exact_kernel_fit_loads_scipy_linalg_on_demand(tmp_path):
+    code = ("import sys, numpy as np, krrlab\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "rng = np.random.default_rng(0)\n"
+            "data = krrlab.Dataset(rng.standard_normal((30, 5)), rng.standard_normal(30))\n"
+            "model = krrlab.krr_fit(krrlab.KernelSpec.gaussian(), data, 1e-3)\n"
+            "assert np.all(np.isfinite(model.dual_coef))\n"
+            "print('scipy.linalg' in sys.modules)")
+    assert _fresh_interpreter(code, tmp_path) == "True"

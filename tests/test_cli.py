@@ -268,11 +268,12 @@ def test_malformed_plot_csv_exits_three(content, tmp_path, capsys):
     assert not (tmp_path / "s.svg").exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "eig-compare", "plot"])
+@pytest.mark.parametrize("command", ["synth", "sweep", "eig-compare", "plot"])
 def test_output_flag_creates_parent_directory(command, tmp_path):
     csv = tmp_path / "s.csv"
     csv.write_text("n,var_emp\n1,0.5\n2,0.7\n")
     argv = {
+        "synth": ["synth", "--d", "10", "--n", "20", "--out"],
         "sweep": ["sweep", *SMALL, "--out"],
         "eig-compare": ["eig-compare", "--mode", "real", "--input", FIXTURE, "--d", "24",
                         "--n", "40", "--k", "5", "--n-grid", "40:40:1", "--eig-out"],
