@@ -22,49 +22,48 @@ from .spectral import (DecaySpec, bound_N, exp_monotone_condition,
                        generate_decay_spectrum, numeric_peak, peak_point,
                        quantity_N)
 from .svgplot import emit_plot
-from .sweep import ExperimentConfig, classify_curve, eig_compare, run_sweep
+from .sweep import _KERNELS, ExperimentConfig, classify_curve, eig_compare, run_sweep
 from .synth import TargetSpec, make_covariance, sample_dataset
 
 __all__ = ["main"]
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config; overrides all other flags")
-    p.add_argument("--mode", choices=["synth", "real"], default="synth")
-    p.add_argument("--kernel", default="gaussian",
-                   choices=["linear", "polynomial", "exponential_inner", "gaussian"])
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--true-kernel", action="store_true",
+    """Flags named after `ExperimentConfig` fields; an unset flag keeps the
+    field's default (the parser is built with argument_default=SUPPRESS)."""
+    p.add_argument("--config", default=None, help="JSON config; overrides all other flags")
+    p.add_argument("--mode", choices=["synth", "real"])
+    p.add_argument("--kernel", choices=_KERNELS)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--true-kernel", dest="use_linearized", action="store_false",
                    help="fit the exact kernel instead of its linearization")
     p.add_argument("--lin-curvature", action="store_true",
                    help="include the radial curvature matrix T in linearized fits")
-    p.add_argument("--gamma-override", type=float, default=None)
-    p.add_argument("--decay", default="harmonic",
-                   choices=["harmonic", "polynomial", "exponential", "identity"])
-    p.add_argument("--a", type=float, default=None, help="decay parameter")
-    p.add_argument("--d", type=int, default=500)
-    p.add_argument("--n-grid", default="100:1000:100")
-    p.add_argument("--cbar", type=float, default=0.01)
-    p.add_argument("--theta", type=float, default=2.0 / 3.0)
-    p.add_argument("--fixed-lambda", type=float, default=None,
+    p.add_argument("--gamma-override", type=float)
+    p.add_argument("--decay", choices=["harmonic", "polynomial", "exponential", "identity"])
+    p.add_argument("--a", type=float, help="decay parameter")
+    p.add_argument("--d", type=int)
+    p.add_argument("--n-grid")
+    p.add_argument("--cbar", type=float)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--fixed-lambda", type=float,
                    help="n-independent ridge: solve (K + lambda I) instead of the schedule")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-points", type=int, default=2000)
-    p.add_argument("--noise-draws", type=int, default=50)
-    p.add_argument("--source-r", type=float, default=1.0)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--test-points", type=int)
+    p.add_argument("--noise-draws", type=int)
+    p.add_argument("--source-r", type=float)
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--input", dest="input_path", default=None)
-    p.add_argument("--out", dest="output_path", default=None)
+    p.add_argument("--input", dest="input_path")
+    p.add_argument("--out", dest="output_path")
 
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         return ExperimentConfig.from_json(args.config)
-    # every sweep flag but --true-kernel is named after its config field
     fields = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}
-    return ExperimentConfig(use_linearized=not args.true_kernel, **fields)
+    return ExperimentConfig(**fields)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -104,8 +103,7 @@ def _cmd_eig_compare(args) -> int:
     config = _config_from_args(args)
     res = eig_compare(config, n=args.n, k=args.k, output_path=args.eig_out)
     print(f"eig-compare: interlacing violations={res.interlacing_violations} "
-          f"(max {res.interlacing_max_violation:.3e}), "
-          f"spearman beyond top 5 = {res.spearman_beyond_top5:.5f}")
+          f"(max {res.interlacing_max_violation:.3e})")
     if args.eig_out:
         print(f"csv {args.eig_out}")
     return 0
@@ -167,11 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("sweep", help="risk-curve sweep over a sample-size grid")
+    p = sub.add_parser("sweep", help="risk-curve sweep over a sample-size grid",
+                       argument_default=argparse.SUPPRESS)
     _add_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("eig-compare", help="spectra of K vs its linearization")
+    p = sub.add_parser("eig-compare", help="spectra of K vs its linearization",
+                       argument_default=argparse.SUPPRESS)
     _add_sweep_flags(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=60)

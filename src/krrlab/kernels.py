@@ -184,7 +184,7 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     """
     import scipy.linalg
 
-    if ridge < 0:
+    if not ridge >= 0:
         raise ValueError("ridge must be >= 0")
     unit = _JITTER_RELATIVE * max(abs(float(np.trace(K)) / K.shape[0]), 1.0)
     for jitter in (0.0, *(unit * step for step in _JITTER_ESCALATIONS)):
@@ -212,7 +212,7 @@ class KrrModel:
 
 def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
     """Fit kernel ridge regression with penalty lam >= 0 (0 = interpolation)."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
     K = kernel_matrix(spec, data)
     c = solve_regularized(K, data.n * lam, data.responses)

@@ -98,7 +98,7 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
     0 of an affine profile, rounded) is taken as 0; below that it is rejected.
     """
-    if tau < 0 or trace_ratio < 0:
+    if not (tau >= 0 and trace_ratio >= 0):
         raise ValueError("tau and trace_ratio must be >= 0")
     if spec.family == "inner_product":
         pivot = 0.0
@@ -354,13 +354,14 @@ class MomentDiagnostics:
 
 
 def moment_diagnostics(data: Dataset, queries: np.ndarray,
-                       sigma_d: Optional[np.ndarray] = None) -> MomentDiagnostics:
+                       sigma_d: np.ndarray) -> MomentDiagnostics:
     """Monte-Carlo diagnostics of the norm-fluctuation structure.
 
     Estimates E_x[A(x, X) A(X, x)] over the m query points, where
     A(x, X)_i = psi_x + psi_i, and reports the ratio of its second to first
     eigenvalue (near 0 when the estimate is close to rank one) together
-    with empirical third/fourth moments of the whitened entries.
+    with empirical third/fourth moments of the entries whitened by the
+    population covariance diagonal `sigma_d` (tau = tr(Sigma)/d).
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     m = Q.shape[0]
@@ -370,17 +371,11 @@ def moment_diagnostics(data: Dataset, queries: np.ndarray,
         raise ValueError(f"queries have width {Q.shape[1]}, expected {data.d}")
     X = data.features
     d = data.d
-    if sigma_d is not None:
-        diag = np.asarray(sigma_d, dtype=float).ravel()
-        if diag.shape[0] != d or np.any(diag <= 0):
-            raise ValueError("sigma_d must be a positive length-d diagonal")
-        tau = float(diag.sum()) / d
-        T_white = X / np.sqrt(diag)[None, :]
-    else:
-        tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / d
-        scale = X.std(axis=0, ddof=0)
-        scale[scale == 0] = 1.0
-        T_white = (X - X.mean(axis=0)) / scale[None, :]
+    diag = np.asarray(sigma_d, dtype=float).ravel()
+    if diag.shape[0] != d or not np.all(diag > 0):
+        raise ValueError("sigma_d must be a positive length-d diagonal")
+    tau = float(diag.sum()) / d
+    T_white = X / np.sqrt(diag)[None, :]
     mu3 = float(np.mean(T_white ** 3))
     mu4 = float(np.mean(T_white ** 4))
 

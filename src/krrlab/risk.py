@@ -24,11 +24,12 @@ sqrt(beta/d) ...), the fit is the filter A V diag(1/(s+r)) V^T F^T y and the
 variance is the filter sum sigma^2/m * sum_i s_i/(s_i+r)^2 ||A v_i||^2, the
 weighted form of the paper's N(b).
 
-`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d = F F^T.  The
-Cholesky route takes it from the smaller of F F^T and F^T F
-(`_v1_spectrum`, padded with zeros past rank d+1); `spectral_risk_mc` reads
-it off its own F F^T when n <= d+1 and still runs an n x n `eigvalsh`
-(`_xtilde_spectrum`) when n > d+1.
+`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d = F F^T.  When
+n <= d+1 both routes take it from the n x n core: the Cholesky route's
+`_v1_spectrum` by `_xtilde_spectrum`, and `spectral_risk_mc` off its own
+F F^T.  When n > d+1 `_v1_spectrum` pads the spectrum of F^T F with zeros,
+while `spectral_risk_mc` still runs the n x n `eigvalsh` of
+`_xtilde_spectrum`.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class MomentParams:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("m must be > 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
 
     @property
@@ -160,9 +161,9 @@ class QuerySample:
 
 def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
     """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values),
-    the input of `bound_v1`, from an n x n `eigvalsh`.  Outside the tests,
-    which use it as the n x n reference, its one caller is `spectral_risk_mc`
-    when n > d+1; `_v1_spectrum` takes the same spectrum from the small side."""
+    the input of `bound_v1`, from an n x n `eigvalsh`.  `_v1_spectrum` uses
+    it when n <= d+1 and `spectral_risk_mc` when n > d+1; the tests use it
+    as the n x n reference."""
     n, d = X.shape
     M = params.beta * (X @ X.T) / d + params.alpha
     w = np.linalg.eigvalsh(M)[::-1]
@@ -172,14 +173,13 @@ def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
 def _v1_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
     """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values)
     from the smaller Gram side of F = [sqrt(alpha) 1, sqrt(beta/d) X]: the
-    n x n core when n <= d+1, else F^T F ((d+1) x (d+1)) padded with the
-    n-d-1 zeros of its rank deficit."""
+    n x n core (`_xtilde_spectrum`) when n <= d+1, else F^T F
+    ((d+1) x (d+1)) padded with the n-d-1 zeros of its rank deficit."""
     n, d = X.shape
     if n <= d + 1:
-        w = np.linalg.eigvalsh(params.beta * (X @ X.T) / d + params.alpha)
-    else:
-        F = np.column_stack([np.full(n, np.sqrt(params.alpha)), np.sqrt(params.beta / d) * X])
-        w = np.linalg.eigvalsh(F.T @ F)
+        return _xtilde_spectrum(params, X)
+    F = np.column_stack([np.full(n, np.sqrt(params.alpha)), np.sqrt(params.beta / d) * X])
+    w = np.linalg.eigvalsh(F.T @ F)
     spectrum = np.zeros(n)
     spectrum[:w.size] = np.maximum(w[::-1], 0.0)
     return spectrum

@@ -13,6 +13,7 @@ variance curves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,8 @@ class DecaySpec:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ConfigError(f"unknown decay kind {self.kind!r}")
+        if isinstance(self.r_star, bool) or not isinstance(self.r_star, numbers.Integral):
+            raise ConfigError(f"r_star must be an integer, got {self.r_star!r}")
         if self.r_star < 1:
             raise ConfigError(f"r_star must be >= 1, got {self.r_star}")
         if not np.isfinite(self.a):
@@ -165,8 +168,8 @@ def bound_N(decay: DecaySpec, n: int, b: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not b > 0:
-        raise ValueError("b must be > 0")
+    if not 0 < b < np.inf:
+        raise ValueError(f"b must be finite and > 0, got {b}")
     r = decay.r_star
     if decay.kind == "harmonic":
         return float(n / b ** 2 * np.log((n + (r + 1) * b) / (n + b)))
@@ -204,7 +207,7 @@ def peak_point(decay: DecaySpec, cbar: float, theta: float, gamma: float) -> flo
         raise ConfigError("exponential decay has no closed-form peak; use numeric_peak")
     if not 0 <= theta < 1:
         raise ConfigError("theta must lie in [0, 1)")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ConfigError("gamma must be >= 0")
     if decay.kind == "harmonic":
         den = 2.0 - 2.0 * theta - cbar

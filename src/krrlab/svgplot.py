@@ -31,8 +31,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + i * step for i in range(count)]
 
 
-def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> bytes:
-    """Render the requested CSV columns against `x_column` as an SVG chart.
+def emit_plot(csv_path: str, columns, out_path: str) -> bytes:
+    """Render the requested CSV columns against the column `n` as an SVG chart.
 
     The y-axis switches to log scale when the plotted values span more than
     two decades (and are all positive).  A missing, non-numeric or
@@ -46,7 +46,7 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
             raise DataFormatError(f"{csv_path} has no header")
         header = list(reader.fieldnames)
         rows = list(reader)
-    for col in [x_column, *columns]:
+    for col in ["n", *columns]:
         if col not in header:
             raise DataFormatError(f"column {col!r} not in {csv_path} (has {header})")
     if not rows:
@@ -54,7 +54,7 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
 
     bad = f"{csv_path} has a missing, non-numeric or non-finite value"
     try:
-        xs = [float(r[x_column]) for r in rows]
+        xs = [float(r["n"]) for r in rows]
         series = {c: [float(r[c]) for r in rows] for c in columns}
     except (TypeError, ValueError):          # a short row, or a non-numeric cell
         raise DataFormatError(bad) from None
@@ -103,7 +103,7 @@ def emit_plot(csv_path: str, columns, out_path: str, x_column: str = "n") -> byt
         parts.append(f'<text x="{_ML - 8}" y="{_fmt(py + 4)}" font-size="11" '
                      f'text-anchor="end" font-family="monospace">{format(label, ".3g")}</text>')
     parts.append(f'<text x="{_ML + pw / 2:.0f}" y="{_HEIGHT - 10}" font-size="12" '
-                 f'text-anchor="middle" font-family="monospace">{x_column}</text>')
+                 f'text-anchor="middle" font-family="monospace">n</text>')
     if log_y:
         parts.append(f'<text x="{_ML}" y="{_MT - 10}" font-size="10" '
                      'font-family="monospace">log scale</text>')

@@ -23,10 +23,11 @@ n <= d+1, else the (d+1) x (d+1) F^T F padded with zeros.
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
 
-`eig_compare` runs one n x n `eigvalsh`, for the exact K, which has full
-rank.  The linearized kernel minus gamma_eff I and the Gram matrix XX^T/d
-have rank <= d+3 and d; their spectra come from a thin QR of their n x (d+3)
-and n x d factors (`linearize.factored_spectrum`), padded to length n.
+`eig_compare` reports the top-k spectra and the Weyl interlacing count.  It
+runs one n x n `eigvalsh`, for the exact K, which has full rank.  The
+linearized kernel minus gamma_eff I and the Gram matrix XX^T/d have rank
+<= d+3 and d; their spectra come from a thin QR of their n x (d+3) and
+n x d factors (`linearize.factored_spectrum`), padded to length n.
 """
 
 from __future__ import annotations
@@ -277,7 +278,6 @@ class RiskPoint:
     v1_bound: float
     v2_bound: float
     bias_ref: float
-    trial_count: int
     mc_stderr: float
 
 
@@ -420,55 +420,21 @@ def run_sweep(config: ExperimentConfig):
             v1_bound=float(np.mean(v1_l)),
             v2_bound=float(np.mean(v2_l)),
             bias_ref=float(ref),
-            trial_count=config.trials,
             mc_stderr=float(np.sqrt(np.mean(stderr_sq) / config.trials)),
         ))
     csv_text = write_csv(points, config.output_path)
     return points, csv_text
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x; tied values share the mean of their ranks."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    counts = np.diff(np.r_[start, xs.size])
-    ranks = np.empty(xs.size)
-    ranks[order] = np.repeat(start + (counts + 1) / 2.0, counts)
-    return ranks
-
-
-def _spearman(x, y) -> float:
-    """Spearman rank correlation: the Pearson correlation of average ranks.
-
-    NaN when there are fewer than 2 pairs or either input is constant.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
-        return float("nan")
-    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
-
-
 @dataclass(frozen=True)
 class EigComparison:
-    """Top-k spectra of `eig_compare` and its two summary statistics.
+    """Top-k spectra of `eig_compare` and its interlacing report."""
 
-    `spearman_beyond_top5` is the Spearman correlation of eig_true and the
-    Gram spectrum over ranks 6..min(n, d): the Pearson correlation of their
-    average ranks, computed in numpy (`_spearman`), and NaN when fewer than
-    2 ranks remain or either spectrum is constant there.  Both spectra are
-    sorted descending, so it is 1 by construction whenever neither has ties
-    (the same holds for acceptance criterion 5c); it does not measure how
-    alike the decays are.
-    """
-
-    ranks: np.ndarray
     eig_true: np.ndarray
     eig_lin: np.ndarray
     eig_scaled_gram: np.ndarray
     interlacing_violations: int
     interlacing_max_violation: float
-    spearman_beyond_top5: float
     csv_text: str
 
 
@@ -505,9 +471,6 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
 
     report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,
                                perturbation_inertia(params))
-    # beyond rank d the Gram spectrum is exactly 0, and its ties carry no order
-    top = min(n, data.d)
-    rho = _spearman(eig_true[5:top], eig_g[5:top])
 
     k = min(k, n)
     scaled = params.beta * eig_g[:k] + gamma_eff
@@ -519,12 +482,10 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     if output_path:
         _write_text(csv_text, output_path)
     return EigComparison(
-        ranks=np.arange(1, k + 1),
         eig_true=eig_true[:k],
         eig_lin=eig_lin[:k],
         eig_scaled_gram=scaled,
         interlacing_violations=len(report.violations),
         interlacing_max_violation=report.max_violation,
-        spearman_beyond_top5=float(rho),
         csv_text=csv_text,
     )

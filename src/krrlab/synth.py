@@ -98,7 +98,7 @@ class TargetSpec:
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.kind == "custom" and self.f is None:
             raise ValueError("custom target needs a callable f")

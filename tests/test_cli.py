@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import krrlab.cli as cli
-from krrlab import parse_libsvm
+from krrlab import ExperimentConfig, parse_libsvm
 from krrlab.errors import NumericalError
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
@@ -56,7 +57,7 @@ def test_eig_compare_command(tmp_path, capsys):
                    "--n", "80", "--k", "20", "--n-grid", "80:80:1",
                    "--eig-out", out])
     assert rc == 0
-    assert "spearman" in capsys.readouterr().out
+    assert "interlacing violations" in capsys.readouterr().out
     assert len(open(out).read().splitlines()) == 21
 
 
@@ -111,6 +112,21 @@ def test_numerical_error_exit_code(monkeypatch, capsys):
     rc = cli.main(["sweep", "--d", "10", "--n-grid", "5:10:5"])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["sweep"], ExperimentConfig()),
+    (["sweep", "--true-kernel", "--d", "40"], ExperimentConfig(use_linearized=False, d=40)),
+], ids=["no-flags", "true-kernel"])
+def test_unset_flags_keep_config_defaults(argv, want):
+    assert cli._config_from_args(cli._build_parser().parse_args(argv)) == want
+
+
+def test_sweep_flag_dests_are_config_fields():
+    p = argparse.ArgumentParser()
+    cli._add_sweep_flags(p)
+    dests = {a.dest for a in p._actions} - {"help", "config"}
+    assert dests == set(ExperimentConfig.__dataclass_fields__)
 
 
 def test_usage_error_exits_two():

@@ -212,3 +212,12 @@ class TestSolver:
         with pytest.raises(SingularKernelError) as exc:
             solve_regularized(K, 0.0, np.ones(4))
         assert exc.value.smallest_eigenvalue < 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: krr_fit(KernelSpec.gaussian(), _synth(10, 5)[0], np.nan),
+    lambda: solve_regularized(np.eye(3), np.nan, np.ones(3)),
+], ids=["krr_fit", "solve_regularized"])
+def test_nan_ridge_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()

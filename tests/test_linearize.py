@@ -420,3 +420,14 @@ def test_estimate_trace_ratio_equals_n_by_n_form(n, d):
     G = Xc @ Xc.T / (n - 1)
     dense = (np.sum(G * G) - np.trace(G) ** 2 / n) / d ** 2
     assert estimate_trace_ratio(X) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linearize_params(KernelSpec.gaussian(), np.nan, 0.1),
+    lambda: linearize_params(KernelSpec.polynomial(3), 1.0, np.nan),
+    lambda: moment_diagnostics(Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((100, 3)),
+                               sigma_d=np.array([1.0, np.nan, 1.0])),
+], ids=["tau", "trace_ratio", "sigma_d"])
+def test_nan_rejected(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()

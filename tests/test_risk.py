@@ -243,3 +243,14 @@ class TestInSpanRate:
         assert biases[0] > biases[1] > biases[2]
         slope = np.polyfit(np.log(ns), np.log(biases), 1)[0]
         assert -2.4 <= slope <= -1.0      # schedule-driven decay, rate ~ n^(-2 theta)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), np.nan, 1.0,
+                           *_config()[3:], noise_draws=2, seed=0),
+    lambda: MomentParams(m=np.nan),
+    lambda: MomentParams(epsilon=np.nan),
+], ids=["excess_risk_mc-lam", "moment-m", "moment-epsilon"])
+def test_nan_rejected(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()

@@ -287,3 +287,19 @@ class TestExpMonotoneCondition:
 
     def test_large_gamma_fails(self):
         assert not exp_monotone_condition(1.0, 1.0, 10.0, 5.0, 10)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 0.5, np.nan), "gamma must be >= 0"),
+    (lambda: DecaySpec("harmonic", 1.0, 2.5), "r_star must be an integer"),
+    (lambda: DecaySpec("exponential", 1.0, True), "r_star must be an integer"),
+], ids=["peak_point-nan-gamma", "decay-float-r_star", "decay-bool-r_star"])
+def test_bad_parameters_raise_config_error(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("b", [np.inf, np.nan])
+def test_bound_N_rejects_non_finite_b(b):
+    with pytest.raises(ValueError, match="b must be finite and > 0"):
+        bound_N(DecaySpec("harmonic", 1.0, 10), 100, b)

@@ -109,3 +109,9 @@ class TestEigenDecayOfGram:
         idx = np.arange(2, n // 2 + 1)
         slope = np.polyfit(idx, np.log(ev[idx - 1]), 1)[0]
         assert abs(slope - (-a)) <= 0.15 * a
+
+
+@pytest.mark.parametrize("sigma", [np.nan, -1.0])
+def test_target_rejects_bad_noise_sigma(sigma):
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        TargetSpec(noise_sigma=sigma)
