@@ -21,8 +21,8 @@ from .spectral import (DecaySpec, Spectrum, bound_N, effective_dimension,
                        polynomial_theta_threshold, quantity_N)
 from .synth import (CovModel, TargetSpec, evaluate_target, make_covariance,
                     random_orthogonal_rows, sample_dataset, sample_features)
-from .risk import (MomentParams, QuerySample, RiskEstimate, bias_ref, bound_v1,
-                   bound_v2, excess_risk_mc, spectral_risk_mc)
+from .risk import (QuerySample, RiskEstimate, bias_ref, bound_v1, bound_v2,
+                   excess_risk_mc, spectral_risk_mc)
 from .libsvm import export_libsvm, parse_libsvm
 from .svgplot import emit_plot
 from .sweep import (CurveShape, EigComparison, ExperimentConfig, RiskPoint,

@@ -18,12 +18,12 @@ import sys
 
 from .errors import ConfigError, DataFormatError, NumericalError
 from .libsvm import export_libsvm
-from .spectral import (DecaySpec, bound_N, exp_monotone_condition,
+from .spectral import (DECAY_KINDS, DecaySpec, bound_N, exp_monotone_condition,
                        generate_decay_spectrum, numeric_peak, peak_point,
                        quantity_N)
 from .svgplot import emit_plot
 from .sweep import _KERNELS, ExperimentConfig, classify_curve, eig_compare, run_sweep
-from .synth import TargetSpec, make_covariance, sample_dataset
+from .synth import COV_KINDS, TargetSpec, make_covariance, sample_dataset
 
 __all__ = ["main"]
 
@@ -40,7 +40,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lin-curvature", action="store_true",
                    help="include the radial curvature matrix T in linearized fits")
     p.add_argument("--gamma-override", type=float)
-    p.add_argument("--decay", choices=["harmonic", "polynomial", "exponential", "identity"])
+    p.add_argument("--decay", choices=COV_KINDS)
     p.add_argument("--a", type=float, help="decay parameter")
     p.add_argument("--d", type=int)
     p.add_argument("--n-grid")
@@ -157,8 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset as libsvm")
     p.add_argument("--d", type=int, default=500)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--decay", default="harmonic",
-                   choices=["harmonic", "polynomial", "exponential", "identity"])
+    p.add_argument("--decay", default="harmonic", choices=COV_KINDS)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -179,8 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eig_compare)
 
     p = sub.add_parser("bounds", help="print spectral bound values")
-    p.add_argument("--decay", required=True,
-                   choices=["harmonic", "polynomial", "exponential"])
+    p.add_argument("--decay", required=True, choices=DECAY_KINDS)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--rstar", type=int, default=100)
     p.add_argument("--n", type=int, default=500)

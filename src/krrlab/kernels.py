@@ -149,12 +149,12 @@ def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
-    """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric."""
-    K = _kernel_values(spec, data.features)
-    # mirror the upper triangle so K is symmetric to the bit
-    for i in range(K.shape[0] - 1):
-        K[i + 1:, i] = K[i, i + 1:]
-    return K
+    """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric.
+
+    numpy forms X X^T by a symmetric rank-k update, which is symmetric to the
+    bit, and the radial argument and h act entrywise, so K needs no mirroring.
+    """
+    return _kernel_values(spec, data.features)
 
 
 def cross_kernel_matrix(spec: KernelSpec, data: Dataset, queries: np.ndarray) -> np.ndarray:
@@ -184,8 +184,8 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     """
     import scipy.linalg
 
-    if not ridge >= 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be >= 0 and finite, got {ridge}")
     unit = _JITTER_RELATIVE * max(abs(float(np.trace(K)) / K.shape[0]), 1.0)
     for jitter in (0.0, *(unit * step for step in _JITTER_ESCALATIONS)):
         try:
@@ -212,8 +212,8 @@ class KrrModel:
 
 def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
     """Fit kernel ridge regression with penalty lam >= 0 (0 = interpolation)."""
-    if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
     K = kernel_matrix(spec, data)
     c = solve_regularized(K, data.n * lam, data.responses)
     return KrrModel(spec=spec, features=data.features, dual_coef=c, lam=float(lam))

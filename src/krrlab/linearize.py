@@ -98,8 +98,9 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
     0 of an affine profile, rounded) is taken as 0; below that it is rejected.
     """
-    if not (tau >= 0 and trace_ratio >= 0):
-        raise ValueError("tau and trace_ratio must be >= 0")
+    if not (0 <= tau < np.inf and 0 <= trace_ratio < np.inf):
+        raise ValueError(f"tau and trace_ratio must be >= 0 and finite, "
+                         f"got tau={tau}, trace_ratio={trace_ratio}")
     if spec.family == "inner_product":
         pivot = 0.0
         h0 = float(spec.h(np.float64(0.0)))

@@ -45,7 +45,6 @@ from .linearize import LinModel, LinParams, build_lin_kernel, lin_cross_kernel_m
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
-    "MomentParams",
     "RiskEstimate",
     "QuerySample",
     "gram_and_cross",
@@ -55,24 +54,6 @@ __all__ = [
     "bound_v2",
     "bias_ref",
 ]
-
-
-@dataclass(frozen=True)
-class MomentParams:
-    """Moment-order surplus m of the entry distribution, with log-slack epsilon."""
-
-    m: float = 8.0
-    epsilon: float = 0.01
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("m must be > 0")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-
-    @property
-    def theta_moment(self) -> float:
-        return 0.5 - 2.0 / (8.0 + self.m)
 
 
 def gram_and_cross(model: Union[KernelSpec, LinModel], data: Dataset, queries: np.ndarray):
@@ -268,12 +249,21 @@ def bound_v1(spec: Union[Spectrum, np.ndarray], beta: float, d: int, n: int,
     return float(sigma ** 2 * beta / d * quantity_N(spec, b))
 
 
+# V2's moment settings: moment-order surplus m of the entry distribution,
+# which sets theta = 1/2 - 2/(8 + m) = 3/8, and log-slack eps.
+MOMENT_M = 8.0
+MOMENT_EPSILON = 0.01
+THETA_MOMENT = 0.5 - 2.0 / (8.0 + MOMENT_M)
+
+
 def bound_v2(family: str, n: int, lam: float, gamma: float, d: int,
-             moments: MomentParams, sigma: float) -> float:
+             sigma: float) -> float:
     """Residual variance term V2 (shape curve; constants set to 1).
 
     inner-product: sigma^2 log^{2+4eps} d / ((n lam + gamma)^2 d^{4 theta - 1})
     radial:        sigma^2 d^{-2 theta} log^{1+eps} d / (n lam + gamma)^2
+
+    with theta = THETA_MOMENT and eps = MOMENT_EPSILON.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -282,13 +272,13 @@ def bound_v2(family: str, n: int, lam: float, gamma: float, d: int,
     b = n * lam + gamma
     if not b > 0:
         raise ValueError("n*lam + gamma must be > 0")
-    th = moments.theta_moment
+    th = THETA_MOMENT
     logd = np.log(d)
     if family == "inner_product":
-        return float(sigma ** 2 * logd ** (2 + 4 * moments.epsilon)
+        return float(sigma ** 2 * logd ** (2 + 4 * MOMENT_EPSILON)
                      / (b ** 2 * d ** (4 * th - 1)))
     if family == "radial":
-        return float(sigma ** 2 * d ** (-2 * th) * logd ** (1 + moments.epsilon) / b ** 2)
+        return float(sigma ** 2 * d ** (-2 * th) * logd ** (1 + MOMENT_EPSILON) / b ** 2)
     raise ValueError(f"unknown kernel family {family!r}")
 
 

@@ -8,13 +8,15 @@ evaluated on the eigenvalues of X~ = beta XX^T/d + alpha 11^T with
 b = n*lambda + gamma.  Closed-form upper bounds exist for three parametric
 eigenvalue decays (harmonic n/i, polynomial n i^{-2a}, exponential
 n e^{-ai}), together with peak-location formulas for the resulting
-variance curves.
+variance curves.  `DecaySpec.profile` is the only definition of these
+decays: `synth.make_covariance` draws the sampler's covariance from it too.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,10 +68,11 @@ def _values(spec) -> np.ndarray:
 @dataclass(frozen=True)
 class DecaySpec:
     """Parametric eigenvalue decay: harmonic n/i, polynomial n i^{-2a},
-    or exponential n e^{-ai}, truncated at rank r_star."""
+    or exponential n e^{-ai}, truncated at rank r_star.  `a` is unused by the
+    harmonic decay and may be None there."""
 
     kind: str
-    a: float = 1.0
+    a: Optional[float] = 1.0
     r_star: int = 1
 
     def __post_init__(self):
@@ -79,12 +82,21 @@ class DecaySpec:
             raise ConfigError(f"r_star must be an integer, got {self.r_star!r}")
         if self.r_star < 1:
             raise ConfigError(f"r_star must be >= 1, got {self.r_star}")
-        if not np.isfinite(self.a):
+        if self.a is not None and not np.isfinite(self.a):
             raise ConfigError(f"decay parameter a must be finite, got a={self.a}")
-        if self.kind == "polynomial" and not self.a > 0.5:
+        if self.kind == "polynomial" and (self.a is None or not self.a > 0.5):
             raise ConfigError(f"polynomial decay requires a > 1/2, got a={self.a}")
-        if self.kind == "exponential" and not self.a > 0:
+        if self.kind == "exponential" and (self.a is None or not self.a > 0):
             raise ConfigError(f"exponential decay requires a > 0, got a={self.a}")
+
+    def profile(self, i: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """The decay at (1-based, float) ranks i: scale/i, scale i^{-2a} or
+        scale e^{-ai}, with no truncation at r_star."""
+        if self.kind == "harmonic":
+            return scale / i
+        if self.kind == "polynomial":
+            return scale * i ** (-2.0 * self.a)
+        return scale * np.exp(-self.a * i)
 
 
 def generate_decay_spectrum(decay: DecaySpec, n: int) -> Spectrum:
@@ -95,22 +107,15 @@ def generate_decay_spectrum(decay: DecaySpec, n: int) -> Spectrum:
     if n < 1:
         raise ValueError("n must be >= 1")
     r = min(decay.r_star, n)
-    i = np.arange(1, r + 1, dtype=float)
-    if decay.kind == "harmonic":
-        head = n / i
-    elif decay.kind == "polynomial":
-        head = n * i ** (-2.0 * decay.a)
-    else:
-        head = n * np.exp(-decay.a * i)
     out = np.zeros(n)
-    out[:r] = head
+    out[:r] = decay.profile(np.arange(1, r + 1, dtype=float), scale=n)
     return Spectrum(out)
 
 
 def quantity_N(spec, b: float) -> float:
     """sum_i l_i / (b + l_i)^2, equal to tr((M + bI)^{-2} M) on eigenvalues of M."""
-    if not b > 0:
-        raise ValueError("b must be > 0")
+    if not 0 < b < np.inf:
+        raise ValueError(f"b must be finite and > 0, got {b}")
     v = _values(spec)
     v = v[v > 0]           # zero eigenvalues contribute nothing
     return float(np.sum(v / (b + v) ** 2))
@@ -118,8 +123,8 @@ def quantity_N(spec, b: float) -> float:
 
 def effective_dimension(spec, lam: float) -> float:
     """sum_i l_i / (l_i + lam); lies in [0, number of nonzero eigenvalues]."""
-    if not lam > 0:
-        raise ValueError("lam must be > 0")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
     v = _values(spec)
     return float(np.sum(v / (v + lam)))
 
@@ -145,10 +150,7 @@ def _peak_term(decay: DecaySpec, n: int, b: float) -> float:
     else:
         x = np.log(n / b) / decay.a
     i = np.clip([np.floor(x), np.ceil(x)], 1, min(decay.r_star, n))
-    if decay.kind == "polynomial":
-        lam = n * i ** (-2.0 * decay.a)
-    else:
-        lam = n * np.exp(-decay.a * i)
+    lam = decay.profile(i, scale=n)
     return float(np.max(lam / (b + lam) ** 2))
 
 
@@ -178,8 +180,8 @@ def bound_N(decay: DecaySpec, n: int, b: float) -> float:
         integral = c / (2.0 * decay.a * b) * (n / b) ** (1.0 / (2.0 * decay.a))
     else:
         integral = ((1.0 / decay.a)
-                    * (1.0 / (b + n * np.exp(-decay.a * (r + 1)))
-                       - 1.0 / (b + n * np.exp(-decay.a))))
+                    * (1.0 / (b + decay.profile(r + 1, scale=n))
+                       - 1.0 / (b + decay.profile(1, scale=n))))
     return float(integral + _peak_term(decay, n, b))
 
 
@@ -207,8 +209,10 @@ def peak_point(decay: DecaySpec, cbar: float, theta: float, gamma: float) -> flo
         raise ConfigError("exponential decay has no closed-form peak; use numeric_peak")
     if not 0 <= theta < 1:
         raise ConfigError("theta must lie in [0, 1)")
-    if not gamma >= 0:
-        raise ConfigError("gamma must be >= 0")
+    if not 0 <= gamma < np.inf:
+        raise ConfigError(f"gamma must be >= 0 and finite, got {gamma}")
+    if not 0 <= cbar < np.inf:
+        raise ConfigError(f"cbar must be >= 0 and finite, got {cbar}")
     if decay.kind == "harmonic":
         den = 2.0 - 2.0 * theta - cbar
         if den <= 0:

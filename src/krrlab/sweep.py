@@ -48,8 +48,8 @@ from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
                         perturbation_inertia)
-from .risk import (MomentParams, QuerySample, _v1_spectrum, bias_ref, bound_v1,
-                   bound_v2, excess_risk_mc, spectral_risk_mc)
+from .risk import (QuerySample, _v1_spectrum, bias_ref, bound_v1, bound_v2,
+                   excess_risk_mc, spectral_risk_mc)
 from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
                     sample_features)
 
@@ -375,7 +375,6 @@ def run_sweep(config: ExperimentConfig):
     `config.output_path` is set."""
     spec = kernel_by_name(config.kernel, config.degree)
     source = DataSource(config, spec, config.grid[-1])
-    moments = MomentParams()
     spectral = config.use_linearized and not config.lin_curvature
 
     points = []
@@ -408,7 +407,7 @@ def run_sweep(config: ExperimentConfig):
             risk_l.append(est.risk)
             v1_l.append(v1)
             v2_l.append(bound_v2(spec.family, n, lam_solve, lin.gamma, config.d,
-                                 moments, config.sigma))
+                                 config.sigma))
             stderr_sq.append(est.mc_stderr ** 2)
         ref = bias_ref(n, config.theta if config.fixed_lambda is None else 0.0,
                        config.source_r)

@@ -1,11 +1,12 @@
 """Synthetic data with a prescribed covariance eigen-decay.
 
 Samples follow x_i = Sigma^{1/2} t_i with diagonal Sigma whose entries decay
-harmonically, polynomially, or exponentially, rescaled so tr(Sigma) = d
-(hence tau = tr(Sigma)/d = 1).  For n <= d the rows t_i come from the QR
-decomposition of a Gaussian matrix, scaled by sqrt(d) so entries have unit
-empirical variance; for n > d exact row-orthogonality is impossible and rows
-fall back to i.i.d. standard normals.
+harmonically, polynomially, or exponentially by `spectral.DecaySpec.profile`,
+the law the spectral bounds use (or are all equal, "identity"), rescaled so
+tr(Sigma) = d (hence tau = tr(Sigma)/d = 1).  For n <= d the rows t_i come
+from the QR decomposition of a Gaussian matrix, scaled by sqrt(d) so entries
+have unit empirical variance; for n > d exact row-orthogonality is impossible
+and rows fall back to i.i.d. standard normals.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import Dataset
+from .spectral import DECAY_KINDS, DecaySpec
 
 __all__ = [
     "CovModel",
@@ -27,6 +29,8 @@ __all__ = [
     "sample_features",
     "evaluate_target",
 ]
+
+COV_KINDS = DECAY_KINDS + ("identity",)
 
 
 @dataclass(frozen=True)
@@ -48,26 +52,16 @@ class CovModel:
 
 
 def make_covariance(d: int, kind: str, a: Optional[float] = None) -> CovModel:
-    """Diagonal covariance with the requested decay, normalized to tr = d."""
+    """Diagonal covariance with the requested decay, normalized to tr = d.
+
+    `kind` is one of `COV_KINDS`; the decays are `DecaySpec(kind, a, d).profile`.
+    """
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
-    if a is not None and not np.isfinite(a):
-        raise ConfigError(f"decay parameter a must be finite, got a={a}")
-    i = np.arange(1, d + 1, dtype=float)
-    if kind == "harmonic":
-        base = 1.0 / i
-    elif kind == "polynomial":
-        if a is None or not a > 0.5:
-            raise ConfigError(f"polynomial decay requires a > 1/2, got a={a}")
-        base = i ** (-2.0 * a)
-    elif kind == "exponential":
-        if a is None or not a > 0:
-            raise ConfigError(f"exponential decay requires a > 0, got a={a}")
-        base = np.exp(-a * i)
-    elif kind == "identity":
+    if kind == "identity":
         base = np.ones(d)
     else:
-        raise ConfigError(f"unknown decay {kind!r}")
+        base = DecaySpec(kind, a, d).profile(np.arange(1, d + 1, dtype=float))
     diag = base * (d / base.sum())
     return CovModel(d=d, kind=kind, a=a, diag=diag)
 
@@ -98,8 +92,8 @@ class TargetSpec:
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.kind == "custom" and self.f is None:
             raise ValueError("custom target needs a callable f")
         if self.kind not in ("sin_sqnorm", "custom"):

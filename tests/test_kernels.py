@@ -78,6 +78,15 @@ class TestKernelMatrix:
         assert K.tobytes() == want.tobytes()
         assert np.array_equal(K, K.T)
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.polynomial(3),
+                                      KernelSpec.exponential_inner(), KernelSpec.gaussian()],
+                             ids=["linear", "polynomial", "exponential_inner", "gaussian"])
+    def test_gram_symmetric_to_the_bit_without_mirroring(self, spec, n):
+        data, _ = _synth(n, 50, seed=n)
+        K = kernel_matrix(spec, data)
+        assert np.array_equal(K, K.T)
+
 
 class TestCrossKernel:
     def test_consistent_with_gram(self):
@@ -217,7 +226,9 @@ class TestSolver:
 @pytest.mark.parametrize("call", [
     lambda: krr_fit(KernelSpec.gaussian(), _synth(10, 5)[0], np.nan),
     lambda: solve_regularized(np.eye(3), np.nan, np.ones(3)),
-], ids=["krr_fit", "solve_regularized"])
+    lambda: krr_fit(KernelSpec.gaussian(), _synth(10, 5)[0], np.inf),
+    lambda: solve_regularized(np.eye(3), np.inf, np.ones(3)),
+], ids=["krr_fit", "solve_regularized", "krr_fit-inf", "solve_regularized-inf"])
 def test_nan_ridge_rejected(call):
     with pytest.raises(ValueError, match="must be >= 0"):
         call()

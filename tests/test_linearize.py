@@ -427,7 +427,9 @@ def test_estimate_trace_ratio_equals_n_by_n_form(n, d):
     lambda: linearize_params(KernelSpec.polynomial(3), 1.0, np.nan),
     lambda: moment_diagnostics(Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((100, 3)),
                                sigma_d=np.array([1.0, np.nan, 1.0])),
-], ids=["tau", "trace_ratio", "sigma_d"])
+    lambda: linearize_params(KernelSpec.gaussian(), np.inf, 0.1),
+    lambda: linearize_params(KernelSpec.polynomial(3), 1.0, np.inf),
+], ids=["tau", "trace_ratio", "sigma_d", "tau-inf", "trace_ratio-inf"])
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from krrlab import (Dataset, KernelSpec, LinModel, MomentParams, QuerySample,
+from krrlab import (Dataset, KernelSpec, LinModel, QuerySample,
                     TargetSpec, bias_ref, bound_v1, bound_v2, evaluate_target,
                     excess_risk_mc, linearize_params, make_covariance, quantity_N,
                     sample_dataset, sample_features, spectral_risk_mc)
@@ -192,15 +192,17 @@ class TestBounds:
         assert v == pytest.approx(4.0 * 1.7 / 20 * quantity_N(spec, 8 * 0.05 + 0.3))
 
     def test_v2_cases(self):
-        m = MomentParams(m=8.0)
-        assert m.theta_moment == pytest.approx(0.375)
-        assert bound_v2("radial", 100, 1e-3, 0.1, 50, m, 0.0) == 0.0
-        vals = [bound_v2("radial", 100, 1e-3, 0.1, d, m, 1.0) for d in (50, 100, 200)]
+        # moment-order surplus m = 8 gives theta = 1/2 - 2/(8 + m) = 0.375; eps = 0.01
+        assert bound_v2("radial", 100, 1e-3, 0.1, 50, 0.0) == 0.0
+        vals = [bound_v2("radial", 100, 1e-3, 0.1, d, 1.0) for d in (50, 100, 200)]
         assert vals[0] > vals[1] > vals[2]
-        inner = bound_v2("inner_product", 100, 1e-3, 0.1, 50, m, 1.0)
+        inner = bound_v2("inner_product", 100, 1e-3, 0.1, 50, 1.0)
         b = 100 * 1e-3 + 0.1
-        expect = np.log(50) ** (2 + 4 * m.epsilon) / (b ** 2 * 50 ** (4 * 0.375 - 1))
+        expect = np.log(50) ** (2 + 4 * 0.01) / (b ** 2 * 50 ** (4 * 0.375 - 1))
         assert inner == pytest.approx(expect, rel=1e-12)
+        radial = bound_v2("radial", 100, 1e-3, 0.1, 50, 1.0)
+        assert radial == pytest.approx(50 ** (-2 * 0.375) * np.log(50) ** (1 + 0.01) / b ** 2,
+                                       rel=1e-12)
 
     def test_bias_ref(self):
         assert bias_ref(1, 0.7, 0.9) == 1.0
@@ -248,9 +250,7 @@ class TestInSpanRate:
 @pytest.mark.parametrize("call", [
     lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), np.nan, 1.0,
                            *_config()[3:], noise_draws=2, seed=0),
-    lambda: MomentParams(m=np.nan),
-    lambda: MomentParams(epsilon=np.nan),
-], ids=["excess_risk_mc-lam", "moment-m", "moment-epsilon"])
+], ids=["excess_risk_mc-lam"])
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()

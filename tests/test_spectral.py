@@ -49,6 +49,17 @@ class TestGenerateDecay:
         assert s.values[0] == pytest.approx(4 * np.exp(-50.0))
         assert s.values[1] <= 1e-20 * s.values[0]
 
+    @pytest.mark.parametrize("kind,a", [("harmonic", 1.0), ("polynomial", 0.75),
+                                        ("polynomial", 2.0), ("exponential", 0.05),
+                                        ("exponential", 1.0)])
+    @pytest.mark.parametrize("n", [1, 37, 1000])
+    def test_values_equal_closed_form_to_the_bit(self, n, kind, a):
+        i = np.arange(1, n + 1, dtype=float)
+        want = {"harmonic": lambda: n / i, "polynomial": lambda: n * i ** (-2.0 * a),
+                "exponential": lambda: n * np.exp(-a * i)}[kind]()
+        s = generate_decay_spectrum(DecaySpec(kind, a=a, r_star=n), n)
+        assert np.array_equal(s.values, want)
+
     def test_rank_soft_cap(self):
         s = generate_decay_spectrum(DecaySpec("harmonic", r_star=100), 3)
         assert len(s) == 3 and np.all(s.values > 0)
@@ -293,7 +304,13 @@ class TestExpMonotoneCondition:
     (lambda: peak_point(DecaySpec("harmonic"), 0.01, 0.5, np.nan), "gamma must be >= 0"),
     (lambda: DecaySpec("harmonic", 1.0, 2.5), "r_star must be an integer"),
     (lambda: DecaySpec("exponential", 1.0, True), "r_star must be an integer"),
-], ids=["peak_point-nan-gamma", "decay-float-r_star", "decay-bool-r_star"])
+    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 0.5, np.inf), "gamma must be >= 0"),
+    (lambda: peak_point(DecaySpec("harmonic"), np.nan, 0.5, 1.0), "cbar must be >= 0"),
+    (lambda: peak_point(DecaySpec("polynomial"), -0.1, 0.5, 1.0), "cbar must be >= 0"),
+    (lambda: peak_point(DecaySpec("polynomial"), np.inf, 0.5, 1.0), "cbar must be >= 0"),
+], ids=["peak_point-nan-gamma", "decay-float-r_star", "decay-bool-r_star",
+        "peak_point-inf-gamma", "peak_point-nan-cbar", "peak_point-negative-cbar",
+        "peak_point-inf-cbar"])
 def test_bad_parameters_raise_config_error(call, match):
     with pytest.raises(ConfigError, match=match):
         call()
@@ -303,3 +320,13 @@ def test_bad_parameters_raise_config_error(call, match):
 def test_bound_N_rejects_non_finite_b(b):
     with pytest.raises(ValueError, match="b must be finite and > 0"):
         bound_N(DecaySpec("harmonic", 1.0, 10), 100, b)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: quantity_N(np.array([1.0]), np.inf), "b must be finite and > 0"),
+    (lambda: quantity_N(np.array([1.0]), np.nan), "b must be finite and > 0"),
+    (lambda: effective_dimension(np.array([1.0]), np.inf), "lam must be finite and > 0"),
+], ids=["quantity_N-inf", "quantity_N-nan", "effective_dimension-inf"])
+def test_non_finite_scale_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

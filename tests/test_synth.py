@@ -28,6 +28,25 @@ class TestMakeCovariance:
         with pytest.raises(ValueError):
             make_covariance(0, "harmonic")
 
+    @pytest.mark.parametrize("kind,a", [("harmonic", None), ("polynomial", 1.0),
+                                        ("polynomial", 0.75), ("exponential", 0.5),
+                                        ("exponential", 1e-4)])
+    @pytest.mark.parametrize("d", [1, 37, 500])
+    def test_diag_equals_closed_form_to_the_bit(self, d, kind, a):
+        i = np.arange(1, d + 1, dtype=float)
+        base = {"harmonic": lambda: 1.0 / i, "polynomial": lambda: i ** (-2.0 * a),
+                "exponential": lambda: np.exp(-a * i)}[kind]()
+        assert np.array_equal(make_covariance(d, kind, a).diag, base * (d / base.sum()))
+
+    @pytest.mark.parametrize("kind,match", [
+        ("polynomial", "polynomial decay requires a > 1/2, got a=None"),
+        ("exponential", "exponential decay requires a > 0, got a=None"),
+        ("zipf", "unknown decay"),
+    ])
+    def test_missing_a_or_unknown_kind_is_a_config_error(self, kind, match):
+        with pytest.raises(ConfigError, match=match):
+            make_covariance(10, kind)
+
     @pytest.mark.parametrize("kind,a", [("exponential", np.inf), ("polynomial", np.inf),
                                         ("exponential", np.nan), ("harmonic", np.inf)])
     def test_non_finite_a_is_a_config_error(self, kind, a):
@@ -111,7 +130,7 @@ class TestEigenDecayOfGram:
         assert abs(slope - (-a)) <= 0.15 * a
 
 
-@pytest.mark.parametrize("sigma", [np.nan, -1.0])
+@pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
 def test_target_rejects_bad_noise_sigma(sigma):
     with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
         TargetSpec(noise_sigma=sigma)
