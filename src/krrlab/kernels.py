@@ -120,31 +120,54 @@ class KernelSpec:
         return KernelSpec(family, "custom", h=h, h1=h1, h2=h2)
 
     def argument_matrix(self, X: np.ndarray, Q: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel argument <x,x'>/d or ||x-x'||^2/d for rows of Q against rows of X."""
+        """Kernel argument <x,x'>/d or ||x-x'||^2/d for rows of Q against rows of X.
+
+        The product Q X^T (X X^T, a symmetric rank-k update, when Q is None)
+        is formed once and scaled by 1/d in place; the radial argument
+        sq_q + sq_x - 2 G and its clip at 0 then overwrite it row block by
+        row block, so the only scratch is one block of rows.
+        """
         d = X.shape[1]
-        if Q is None:
-            Q = X
-        G = Q @ X.T / d
+        G = X @ X.T if Q is None else Q @ X.T
+        G /= d
         if self.family == "inner_product":
             return G
         sq_x = np.einsum("ij,ij->i", X, X) / d
-        sq_q = np.einsum("ij,ij->i", Q, Q) / d
-        D = sq_q[:, None] + sq_x[None, :] - 2.0 * G
-        np.maximum(D, 0.0, out=D)
-        return D
+        sq_q = sq_x if Q is None else np.einsum("ij,ij->i", Q, Q) / d
+        for rows in _row_blocks(G.shape[0]):
+            block = G[rows]
+            block *= 2.0
+            np.subtract(sq_q[rows, None] + sq_x, block, out=block)
+            np.maximum(block, 0.0, out=block)
+        return G
+
+
+# Rows per block of the in-place entrywise passes over a kernel matrix.
+_ROW_BLOCK = 256
+
+
+def _row_blocks(rows: int):
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, rows, _ROW_BLOCK))
 
 
 def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
-    """k(q_i, x_j) for query rows q_i (rows of X itself when `queries` is None)."""
+    """k(q_i, x_j) for query rows q_i (rows of X itself when `queries` is None).
+
+    h overwrites the argument matrix in place, one row block at a time.
+    """
     Q = None if queries is None else np.atleast_2d(np.asarray(queries, dtype=float))
     if Q is not None and Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
-    K = np.asarray(spec.h(spec.argument_matrix(X, Q)), dtype=float)
-    if not np.all(np.isfinite(K)):
-        i, j = np.argwhere(~np.isfinite(K))[0]
-        raise KernelEvaluationError(
-            f"kernel evaluation produced a non-finite value at entry ({i}, {j})",
-            int(i), int(j))
+    K = spec.argument_matrix(X, Q)
+    for rows in _row_blocks(K.shape[0]):
+        block = K[rows]
+        block[...] = spec.h(block)
+        if not np.all(np.isfinite(block)):
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            i += rows.start
+            raise KernelEvaluationError(
+                f"kernel evaluation produced a non-finite value at entry ({i}, {j})",
+                int(i), int(j))
     return K
 
 
@@ -170,8 +193,9 @@ _JITTER_ESCALATIONS = (1.0, 10.0, 100.0)
 
 
 def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
-    """K + shift*I as one copy of K with the shift added to its diagonal."""
-    A = np.array(K, dtype=float)
+    """K + shift*I as one Fortran-ordered copy of K with the shift added to
+    its diagonal, the layout LAPACK factors in place."""
+    A = np.array(K, dtype=float, order="F")
     A.flat[::A.shape[0] + 1] += shift
     return A
 
@@ -179,8 +203,10 @@ def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
 def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy.
 
-    `scipy.linalg` is imported here, on the first factorization, rather than
-    when krrlab is imported: only exact-kernel and curvature cells need it.
+    Each attempt factors one shifted copy of K in place (`_shifted`), so K
+    is left untouched and no further n x n copy is made.  `scipy.linalg` is
+    imported here, on the first factorization, rather than when krrlab is
+    imported: only exact-kernel and curvature cells need it.
     """
     import scipy.linalg
 
@@ -190,7 +216,7 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     for jitter in (0.0, *(unit * step for step in _JITTER_ESCALATIONS)):
         try:
             cf = scipy.linalg.cho_factor(_shifted(K, ridge + jitter), lower=True,
-                                         check_finite=False)
+                                         overwrite_a=True, check_finite=False)
             return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             pass

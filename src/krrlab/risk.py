@@ -14,9 +14,11 @@ draws; the gap to bias + variance is pure Monte-Carlo error.
 `excess_risk_mc` computes all three for an exact kernel (`KernelSpec`) or
 a linearized one (`LinModel`, whose Gram matrix and cross kernel come from
 `linearize.build_lin_kernel` and `lin_cross_kernel_matrix`) by one Cholesky
-solve against the clean responses, the noise draws and the m cross-kernel
-columns.  For the linearized core without curvature, K = F F^T + gamma I
-with F = [sqrt(alpha) 1, sqrt(beta/d) X] has rank <= d+1, and
+solve against the m cross-kernel columns: M is symmetric, so the test-point
+fits of the clean responses and of the noise draws are read off M^{-1} C^T
+(C the m x n cross kernel) without solving for them.  For the linearized
+core without curvature, K = F F^T + gamma I with F = [sqrt(alpha) 1,
+sqrt(beta/d) X] has rank <= d+1, and
 `spectral_risk_mc` gets the same quantities from one eigendecomposition of
 the smaller of F F^T (n x n) and F^T F ((d+1) x (d+1)): with
 r = n*lambda + gamma and the cross kernel A F^T, A = [1, Q] diag(h/sqrt(alpha),
@@ -88,12 +90,25 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
+def _check_length(name: str, values: np.ndarray, expected: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (expected,):
+        raise ValueError(f"{name} must be a vector of length {expected}, got shape "
+                         f"{values.shape}")
+    return values
+
+
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
                    lam: float, sigma: float, test_points: np.ndarray,
                    clean_test: np.ndarray, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
-    with its standard error reported in `mc_stderr`."""
+    with its standard error reported in `mc_stderr`.
+
+    One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
+    (C the m x n cross kernel); since M is symmetric the test-point fits of
+    the clean responses and the noise draws are (M^{-1} C^T)^T [clean, eps].
+    """
     if noise_draws < 2:
         raise ValueError("noise_draws must be >= 2")
     Q = np.atleast_2d(np.asarray(test_points, dtype=float))
@@ -101,20 +116,16 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
         raise ValueError(f"need at least 100 test points, got {Q.shape[0]}")
     if Q.shape[1] != data.d:
         raise ValueError(f"test points have width {Q.shape[1]}, expected {data.d}")
-    clean = np.asarray(clean, dtype=float)
-    clean_test = np.asarray(clean_test, dtype=float)
+    clean = _check_length("clean", clean, data.n)
+    clean_test = _check_length("clean_test", clean_test, Q.shape[0])
     K, cross = gram_and_cross(model, data, Q)
-    ridge = data.n * lam
+    minv_cross = solve_regularized(K, data.n * lam, cross.T)        # n x m
+    del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
-    rhs = np.concatenate([clean[:, None], eps, cross.T], axis=1)
-    sol = solve_regularized(K, ridge, rhs)
-    coef_clean = sol[:, 0]
-    coef_eps = sol[:, 1:1 + noise_draws]
-    minv_cross = sol[:, 1 + noise_draws:]                    # n x m
-
+    pred = minv_cross.T @ np.column_stack([clean, eps])           # m x (1+draws)
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
-    return _mc_estimate(cross @ coef_clean - clean_test, cross @ coef_eps, variance)
+    return _mc_estimate(pred[:, 0] - clean_test, pred[:, 1:], variance)
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,13 @@ class QuerySample:
 
     points: np.ndarray
     clean: np.ndarray
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"points must be an m x d matrix, got shape {points.shape}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "clean", _check_length("clean", self.clean, points.shape[0]))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -202,7 +220,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     r = n * lam + model.gamma
     if not r > 0:
         raise ValueError("n*lam + gamma must be > 0")
-    Y = np.column_stack([np.asarray(clean, dtype=float), _noise(seed, sigma, n, noise_draws)])
+    Y = np.column_stack([_check_length("clean", clean, n), _noise(seed, sigma, n, noise_draws)])
 
     root = np.sqrt(params.beta / d)
     if params.alpha > 0:
@@ -233,8 +251,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     pred = Q @ coef[1:] + coef[0] if params.alpha > 0 else Q @ coef     # m x (1+draws)
     variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
                      / Q.shape[0])
-    est = _mc_estimate(pred[:, 0] - np.asarray(test.clean, dtype=float), pred[:, 1:],
-                       variance)
+    est = _mc_estimate(pred[:, 0] - test.clean, pred[:, 1:], variance)
     return est, spectrum
 
 

@@ -185,14 +185,23 @@ def bound_N(decay: DecaySpec, n: int, b: float) -> float:
     return float(integral + _peak_term(decay, n, b))
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < np.inf:
+        raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def harmonic_theta_threshold(cbar: float) -> float:
     """Schedule exponent above which the harmonic-decay variance bound has no
-    interior peak: theta >= 1 / (2 (2 - cbar))."""
+    interior peak: theta >= 1 / (2 (2 - cbar)), for 0 <= cbar < 2 (beyond,
+    2 - 2 theta - cbar < 0 for every theta >= 0 and there is no peak)."""
+    if not 0 <= cbar < 2:
+        raise ConfigError(f"cbar must lie in [0, 2), got {cbar}")
     return 1.0 / (2.0 * (2.0 - cbar))
 
 
 def polynomial_theta_threshold(a: float) -> float:
-    """Polynomial-decay analogue: theta >= 1 / (1 + 1/(2a))."""
+    """Polynomial-decay analogue: theta >= 1 / (1 + 1/(2a)), for a > 1/2."""
+    DecaySpec("polynomial", a)
     return 1.0 / (1.0 + 1.0 / (2.0 * a))
 
 
@@ -209,10 +218,8 @@ def peak_point(decay: DecaySpec, cbar: float, theta: float, gamma: float) -> flo
         raise ConfigError("exponential decay has no closed-form peak; use numeric_peak")
     if not 0 <= theta < 1:
         raise ConfigError("theta must lie in [0, 1)")
-    if not 0 <= gamma < np.inf:
-        raise ConfigError(f"gamma must be >= 0 and finite, got {gamma}")
-    if not 0 <= cbar < np.inf:
-        raise ConfigError(f"cbar must be >= 0 and finite, got {cbar}")
+    _check_nonnegative("gamma", gamma)
+    _check_nonnegative("cbar", cbar)
     if decay.kind == "harmonic":
         den = 2.0 - 2.0 * theta - cbar
         if den <= 0:
@@ -256,7 +263,15 @@ def exp_monotone_condition(cbar: float, theta: float, gamma: float, a: float,
 
         (theta*cbar + gamma)^2 <= (e^{-a} + (1-theta) cbar)
                                   * (e^{-a(r*+1)} + (1-theta) cbar).
+
+    a and r_star are checked as `DecaySpec` checks an exponential decay;
+    cbar and gamma must be finite and >= 0 and theta must lie in [0, 1].
     """
+    DecaySpec("exponential", a, r_star)
+    _check_nonnegative("cbar", cbar)
+    _check_nonnegative("gamma", gamma)
+    if not 0 <= theta <= 1:
+        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
     lhs = (theta * cbar + gamma) ** 2
     rhs = (np.exp(-a) + (1.0 - theta) * cbar) * (np.exp(-a * (r_star + 1)) + (1.0 - theta) * cbar)
     return bool(lhs <= rhs)

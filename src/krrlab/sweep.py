@@ -15,7 +15,7 @@ MC risk are filter sums over it, and V1 reads its spectrum when n <= d+1
 (an n x n `eigvalsh` otherwise).  Exact kernels and `lin_curvature` cells
 keep the Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full
 rank n, and on 2 cores an `eigh` of a 2000 x 2000 gaussian K takes about 1 s
-against 0.2-0.3 s for its factor and a solve with 651 right-hand sides.
+against 0.2-0.3 s for its factor and a solve with 600 right-hand sides.
 Their V1 spectrum, of the rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes
 from the smaller Gram side (`risk._v1_spectrum`): the n x n core when
 n <= d+1, else the (d+1) x (d+1) F^T F padded with zeros.

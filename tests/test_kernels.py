@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
 from krrlab import (Dataset, KernelSpec, KernelEvaluationError, SingularKernelError,
-                    cross_kernel_matrix, kernel_matrix, krr_fit, krr_predict,
-                    make_covariance, sample_dataset, solve_regularized, TargetSpec)
+                    cross_kernel_matrix, excess_risk_mc, kernel_matrix, krr_fit,
+                    krr_predict, make_covariance, sample_dataset, solve_regularized,
+                    TargetSpec)
 
 
 def _synth(n, d, seed=0, kind="harmonic", sigma=1.0):
@@ -232,3 +235,104 @@ class TestSolver:
 def test_nan_ridge_rejected(call):
     with pytest.raises(ValueError, match="must be >= 0"):
         call()
+
+
+def _full_argument(spec, X, Q=None):
+    """The kernel argument as one full-matrix expression, the reference for
+    the in-place, row-blocked `KernelSpec.argument_matrix`."""
+    d = X.shape[1]
+    if Q is None:
+        Q = X
+    G = Q @ X.T / d
+    if spec.family == "inner_product":
+        return G
+    sq_x = np.einsum("ij,ij->i", X, X) / d
+    sq_q = np.einsum("ij,ij->i", Q, Q) / d
+    D = sq_q[:, None] + sq_x[None, :] - 2.0 * G
+    np.maximum(D, 0.0, out=D)
+    return D
+
+
+_ALL_SPECS = [KernelSpec.linear(), KernelSpec.polynomial(3), KernelSpec.exponential_inner(),
+              KernelSpec.gaussian()]
+_SPEC_IDS = ["linear", "polynomial", "exponential_inner", "gaussian"]
+
+
+class TestInPlaceRowBlocks:
+    """Row blocks of 256: n and m on both sides of each block edge."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_SPEC_IDS)
+    def test_gram_equals_full_matrix_formula(self, spec, n):
+        data, _ = _synth(n, 40, seed=n)
+        want = np.asarray(spec.h(_full_argument(spec, data.features)), dtype=float)
+        assert kernel_matrix(spec, data).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 300])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_SPEC_IDS)
+    def test_cross_kernel_equals_full_matrix_formula(self, spec, n, m):
+        data, _ = _synth(n, 40, seed=n)
+        Q = _synth(m, 40, seed=n + m)[0].features
+        want = np.asarray(spec.h(_full_argument(spec, data.features, Q)), dtype=float)
+        assert cross_kernel_matrix(spec, data, Q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_SPEC_IDS)
+    def test_gram_symmetric_across_blocks(self, spec):
+        data, _ = _synth(600, 40, seed=11)
+        K = kernel_matrix(spec, data)
+        assert np.array_equal(K, K.T)
+
+    def test_non_finite_entry_reported_past_the_first_block(self):
+        X = np.ones((300, 2))
+        X[270] = (1e200, 1e200)       # <x_270, x_270>/d overflows to inf
+        with pytest.raises(KernelEvaluationError) as exc, np.errstate(over="ignore"):
+            kernel_matrix(KernelSpec.linear(), Dataset(X, np.zeros(300)))
+        assert (exc.value.i, exc.value.j) == (270, 270)
+
+
+class TestExactCellMemory:
+    """Peak traced allocation, in units of n^2 doubles, of the exact cell's
+    steps (gaussian, n=1200, d=100, m=300), after scipy.linalg is loaded.
+    Holding K and two n x n temporaries, or K and two copies of it in the
+    solve, reads 3.0 and 2.0 or more."""
+
+    N, D, M = 1200, 100, 300
+
+    def _peak(self, call):
+        solve_regularized(np.eye(3), 1.0, np.ones(3))      # imports scipy.linalg
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (8.0 * self.N ** 2), result
+
+    def _problem(self):
+        data, _ = _synth(self.N, self.D, seed=3)
+        Q = _synth(self.M, self.D, seed=4)[0].features
+        return KernelSpec.gaussian(), data, Q
+
+    def test_kernel_matrix(self):
+        spec, data, _ = self._problem()
+        peak, _ = self._peak(lambda: kernel_matrix(spec, data))
+        assert peak < 1.6
+
+    def test_solve_regularized(self):
+        spec, data, Q = self._problem()
+        K = kernel_matrix(spec, data)
+        rhs = cross_kernel_matrix(spec, data, Q).T
+        K_before = K.copy()
+        peak, _ = self._peak(lambda: solve_regularized(K, 1.0, rhs))
+        assert peak < 1.4
+        assert np.array_equal(K, K_before)
+
+    def test_excess_risk_mc(self):
+        spec, data, Q = self._problem()
+        clean, clean_test = np.sin(data.features[:, 0]), np.sin(Q[:, 0])
+        peak, est = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, Q,
+                                                      clean_test, 50, 0))
+        assert peak < 2.7
+        assert est.variance > 0

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krrlab import (Dataset, KernelSpec, LinModel, QuerySample,
                     TargetSpec, bias_ref, bound_v1, bound_v2, evaluate_target,
                     excess_risk_mc, linearize_params, make_covariance, quantity_N,
                     sample_dataset, sample_features, spectral_risk_mc)
-from krrlab.risk import _xtilde_spectrum
+from krrlab.risk import _xtilde_spectrum, gram_and_cross
 
 
 def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
@@ -254,3 +255,77 @@ class TestInSpanRate:
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()
+
+
+def _explicit_cholesky_cell(data, clean, model, lam, sigma, test_X, clean_test, draws, seed):
+    """The cell as one Cholesky solve of [clean, eps, cross^T], fits read as
+    cross @ coefficients: the reference for `excess_risk_mc`."""
+    K, cross = gram_and_cross(model, data, test_X)
+    eps = sigma * np.random.default_rng(seed).standard_normal((data.n, draws))
+    rhs = np.concatenate([clean[:, None], eps, cross.T], axis=1)
+    cf = scipy.linalg.cho_factor(K + data.n * lam * np.eye(data.n), lower=True)
+    sol = scipy.linalg.cho_solve(cf, rhs)
+    bias_resid = cross @ sol[:, 0] - clean_test
+    resid = bias_resid[:, None] + cross @ sol[:, 1:1 + draws]
+    per_draw = np.mean(resid ** 2, axis=0)
+    return (float(np.mean(bias_resid ** 2)),
+            float(sigma ** 2 * np.mean(np.sum(sol[:, 1 + draws:] ** 2, axis=0))),
+            float(np.mean(per_draw)),
+            float(np.std(per_draw, ddof=1) / np.sqrt(draws)))
+
+
+@pytest.mark.parametrize("kind", ["exact", "lin_curvature"])
+def test_cross_kernel_solve_matches_explicit_cholesky(kind):
+    cov, data, clean, test_X, clean_test = _config(n=90, d=60, m=150)
+    spec = KernelSpec.gaussian()
+    model = (spec if kind == "exact" else
+             LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
+    est = excess_risk_mc(data, clean, model, 1e-3, 0.7, test_X, clean_test, 20, 5)
+    bias, variance, risk, stderr = _explicit_cholesky_cell(data, clean, model, 1e-3, 0.7,
+                                                           test_X, clean_test, 20, 5)
+    assert est.bias == pytest.approx(bias, rel=1e-12)
+    assert est.variance == pytest.approx(variance, rel=1e-12)
+    assert est.risk == pytest.approx(risk, rel=1e-12)
+    assert est.mc_stderr == pytest.approx(stderr, rel=1e-12)
+
+
+class TestResponseLengths:
+    """Clean responses whose length does not match their points are refused,
+    not broadcast."""
+
+    def _cell(self, clean=None, clean_test=None):
+        cov, data, good_clean, test_X, good_test = _config(n=30, d=40, m=120)
+        return excess_risk_mc(data, good_clean if clean is None else clean,
+                              KernelSpec.gaussian(), 1e-3, 1.0, test_X,
+                              good_test if clean_test is None else clean_test, 4, 0)
+
+    def test_scalar_clean_test(self):
+        with pytest.raises(ValueError, match=r"clean_test must be a vector of length 120, "
+                                             r"got shape \(\)"):
+            self._cell(clean_test=0.5)
+
+    def test_length_one_clean_test(self):
+        with pytest.raises(ValueError, match=r"length 120, got shape \(1,\)"):
+            self._cell(clean_test=np.array([0.5]))
+
+    def test_short_clean_test(self):
+        with pytest.raises(ValueError, match=r"length 120, got shape \(119,\)"):
+            self._cell(clean_test=np.zeros(119))
+
+    def test_wrong_length_clean(self):
+        with pytest.raises(ValueError, match=r"clean must be a vector of length 30, "
+                                             r"got shape \(29,\)"):
+            self._cell(clean=np.zeros(29))
+
+    def test_query_sample_mismatch(self):
+        with pytest.raises(ValueError, match=r"clean must be a vector of length 120, "
+                                             r"got shape \(1,\)"):
+            QuerySample(np.zeros((120, 5)), np.zeros(1))
+
+    def test_spectral_cell_wrong_length_clean(self):
+        cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+        p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
+        with pytest.raises(ValueError, match=r"clean must be a vector of length 30, "
+                                             r"got shape \(\)"):
+            spectral_risk_mc(data, 1.0, LinModel(p), 1e-3, 1.0,
+                             QuerySample(test_X, clean_test), 4, 0)

@@ -330,3 +330,38 @@ def test_bound_N_rejects_non_finite_b(b):
 def test_non_finite_scale_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: harmonic_theta_threshold(2.0), r"cbar must lie in \[0, 2\)"),
+    (lambda: harmonic_theta_threshold(3.0), r"cbar must lie in \[0, 2\)"),
+    (lambda: harmonic_theta_threshold(-0.1), r"cbar must lie in \[0, 2\)"),
+    (lambda: harmonic_theta_threshold(np.nan), r"cbar must lie in \[0, 2\)"),
+    (lambda: polynomial_theta_threshold(0.0), "polynomial decay requires a > 1/2"),
+    (lambda: polynomial_theta_threshold(-1.0), "polynomial decay requires a > 1/2"),
+    (lambda: polynomial_theta_threshold(np.nan), "must be finite"),
+    (lambda: exp_monotone_condition(np.nan, 0.5, 0.0, 1.0, 10), "cbar must be >= 0"),
+    (lambda: exp_monotone_condition(-0.1, 0.5, 0.0, 1.0, 10), "cbar must be >= 0"),
+    (lambda: exp_monotone_condition(0.01, np.nan, 0.0, 1.0, 10), "theta must lie in"),
+    (lambda: exp_monotone_condition(0.01, 1.5, 0.0, 1.0, 10), "theta must lie in"),
+    (lambda: exp_monotone_condition(0.01, 0.5, -1.0, 1.0, 10), "gamma must be >= 0"),
+    (lambda: exp_monotone_condition(0.01, 0.5, np.inf, 1.0, 10), "gamma must be >= 0"),
+    (lambda: exp_monotone_condition(0.01, 0.5, 0.0, np.nan, 10), "must be finite"),
+    (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 0.0, 10), "requires a > 0"),
+    (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 1.0, -3), "r_star must be >= 1"),
+    (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 1.0, 2.5), "r_star must be an integer"),
+], ids=["harmonic-2", "harmonic-3", "harmonic-negative", "harmonic-nan",
+        "polynomial-0", "polynomial-negative", "polynomial-nan",
+        "exp-nan-cbar", "exp-negative-cbar", "exp-nan-theta", "exp-theta-above-1",
+        "exp-negative-gamma", "exp-inf-gamma", "exp-nan-a", "exp-zero-a",
+        "exp-negative-r_star", "exp-float-r_star"])
+def test_spectral_helpers_reject_out_of_range_input(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+def test_spectral_helpers_accept_range_edges():
+    assert harmonic_theta_threshold(1.0) == pytest.approx(0.5)
+    assert polynomial_theta_threshold(0.75) == pytest.approx(0.6)
+    assert exp_monotone_condition(0.0, 0.0, 0.0, 1.0, 1)
+    assert not exp_monotone_condition(0.0, 1.0, 1.0, 1.0, 1)
