@@ -134,7 +134,7 @@ class KernelSpec:
             return G
         sq_x = np.einsum("ij,ij->i", X, X) / d
         sq_q = sq_x if Q is None else np.einsum("ij,ij->i", Q, Q) / d
-        for rows in _row_blocks(G.shape[0]):
+        for rows in _row_blocks(*G.shape):
             block = G[rows]
             block *= 2.0
             np.subtract(sq_q[rows, None] + sq_x, block, out=block)
@@ -142,12 +142,15 @@ class KernelSpec:
         return G
 
 
-# Rows per block of the in-place entrywise passes over a kernel matrix.
-_ROW_BLOCK = 256
+# Entries per block of the in-place passes over an m x n matrix: a block is
+# as many whole rows (columns, in `_restore_lower`) as fit, at least one, so
+# each of its temporaries stays near 512 KB whatever n is.
+_BLOCK_ENTRIES = 2 ** 16
 
 
-def _row_blocks(rows: int):
-    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, rows, _ROW_BLOCK))
+def _row_blocks(rows: int, cols: int):
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
@@ -159,7 +162,7 @@ def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
     if Q is not None and Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
     K = spec.argument_matrix(X, Q)
-    for rows in _row_blocks(K.shape[0]):
+    for rows in _row_blocks(*K.shape):
         block = K[rows]
         block[...] = spec.h(block)
         if not np.all(np.isfinite(block)):
@@ -192,35 +195,63 @@ _JITTER_RELATIVE = 1e-12
 _JITTER_ESCALATIONS = (1.0, 10.0, 100.0)
 
 
-def _shifted(K: np.ndarray, shift: float) -> np.ndarray:
-    """K + shift*I as one Fortran-ordered copy of K with the shift added to
-    its diagonal, the layout LAPACK factors in place."""
-    A = np.array(K, dtype=float, order="F")
-    A.flat[::A.shape[0] + 1] += shift
-    return A
+def _restore_lower(A: np.ndarray) -> None:
+    """Copy the strict upper triangle of square A onto its strict lower one,
+    a block of columns at a time: a failed Cholesky factorization of A
+    (lower=True) has overwritten the lower triangle only."""
+    n = A.shape[0]
+    for cols in _row_blocks(n, n):
+        lo, hi = cols.start, min(cols.stop, n)
+        A[hi:, lo:hi] = A[lo:hi, hi:].T
+        square = A[lo:hi, lo:hi]
+        np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
 
 
-def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray,
+                      overwrite: bool = False) -> np.ndarray:
     """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy.
 
-    Each attempt factors one shifted copy of K in place (`_shifted`), so K
-    is left untouched and no further n x n copy is made.  `scipy.linalg` is
-    imported here, on the first factorization, rather than when krrlab is
-    imported: only exact-kernel and curvature cells need it.
+    K must be symmetric to the bit, as `kernel_matrix` and
+    `linearize.build_lin_kernel` return it.  One n x n matrix A is factored
+    in place: by default a Fortran-ordered copy of K, which leaves K and rhs
+    untouched; with `overwrite=True`, K itself (a C-contiguous float64 array)
+    as its F-contiguous view K.T, and the solution is written over rhs where
+    its layout allows (a float64 vector or an F-contiguous n x m matrix).
+    K then holds the factor on return; SingularKernelError leaves it as it was.
+
+    Each attempt sets A's diagonal to K's plus ridge + jitter.  LAPACK
+    overwrites only A's lower triangle, so a retry and the eigenvalue report
+    first restore it from the untouched strict upper triangle
+    (`_restore_lower`).  `scipy.linalg` is imported here, on the first
+    factorization, rather than when krrlab is imported: only exact-kernel
+    and curvature cells need it.
     """
     import scipy.linalg
 
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be >= 0 and finite, got {ridge}")
-    unit = _JITTER_RELATIVE * max(abs(float(np.trace(K)) / K.shape[0]), 1.0)
-    for jitter in (0.0, *(unit * step for step in _JITTER_ESCALATIONS)):
+    if overwrite:
+        if not (isinstance(K, np.ndarray) and K.dtype == np.float64
+                and K.flags.c_contiguous):
+            raise ValueError("overwrite=True needs K as a C-contiguous float64 array")
+        A = K.T
+    else:
+        A = np.array(K, dtype=float, order="F")
+    unit = _JITTER_RELATIVE * max(abs(float(np.trace(A)) / A.shape[0]), 1.0)
+    diagonal = A.diagonal().copy()
+    for attempt, jitter in enumerate((0.0, *(unit * step for step in _JITTER_ESCALATIONS))):
+        if attempt:
+            _restore_lower(A)
+        np.fill_diagonal(A, diagonal + (ridge + jitter))
         try:
-            cf = scipy.linalg.cho_factor(_shifted(K, ridge + jitter), lower=True,
-                                         overwrite_a=True, check_finite=False)
-            return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+            cf = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+            return scipy.linalg.cho_solve(cf, rhs, overwrite_b=overwrite, check_finite=False)
         except np.linalg.LinAlgError:
             pass
-    smallest = float(np.linalg.eigvalsh(_shifted(K, ridge))[0])
+    _restore_lower(A)
+    np.fill_diagonal(A, diagonal + ridge)
+    smallest = float(np.linalg.eigvalsh(A)[0])
+    np.fill_diagonal(A, diagonal)
     raise SingularKernelError(
         f"system remained non-positive-definite after {len(_JITTER_ESCALATIONS)} jitter "
         f"escalations (smallest eigenvalue {smallest:.3e})", smallest)
@@ -241,7 +272,7 @@ def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
     K = kernel_matrix(spec, data)
-    c = solve_regularized(K, data.n * lam, data.responses)
+    c = solve_regularized(K, data.n * lam, data.responses.copy(), overwrite=True)
     return KrrModel(spec=spec, features=data.features, dual_coef=c, lam=float(lam))
 
 

@@ -16,7 +16,9 @@ a linearized one (`LinModel`, whose Gram matrix and cross kernel come from
 `linearize.build_lin_kernel` and `lin_cross_kernel_matrix`) by one Cholesky
 solve against the m cross-kernel columns: M is symmetric, so the test-point
 fits of the clean responses and of the noise draws are read off M^{-1} C^T
-(C the m x n cross kernel) without solving for them.  For the linearized
+(C the m x n cross kernel) without solving for them.  The factor overwrites
+K and the solution overwrites C^T, so K and C are the cell's only large
+matrices.  For the linearized
 core without curvature, K = F F^T + gamma I with F = [sqrt(alpha) 1,
 sqrt(beta/d) X] has rank <= d+1, and
 `spectral_risk_mc` gets the same quantities from one eigendecomposition of
@@ -108,6 +110,8 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
     (C the m x n cross kernel); since M is symmetric the test-point fits of
     the clean responses and the noise draws are (M^{-1} C^T)^T [clean, eps].
+    The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
+    of either is made.
     """
     if noise_draws < 2:
         raise ValueError("noise_draws must be >= 2")
@@ -119,7 +123,7 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     clean = _check_length("clean", clean, data.n)
     clean_test = _check_length("clean_test", clean_test, Q.shape[0])
     K, cross = gram_and_cross(model, data, Q)
-    minv_cross = solve_regularized(K, data.n * lam, cross.T)        # n x m
+    minv_cross = solve_regularized(K, data.n * lam, cross.T, overwrite=True)   # n x m
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)

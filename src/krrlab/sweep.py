@@ -23,9 +23,10 @@ n <= d+1, else the (d+1) x (d+1) F^T F padded with zeros.
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
 
-`eig_compare` reports the top-k spectra and the Weyl interlacing count.  It
-runs one n x n `eigvalsh`, for the exact K, which has full rank.  The
-linearized kernel minus gamma_eff I and the Gram matrix XX^T/d have rank
+`eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
+exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
+its F-contiguous view K.T, no copy) and returns only its top k eigenvalues.
+The linearized kernel minus gamma_eff I and the Gram matrix XX^T/d have rank
 <= d+3 and d; their spectra come from a thin QR of their n x (d+3) and
 n x d factors (`linearize.factored_spectrum`), padded to length n.
 """
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularKernelError
 from .kernels import Dataset, KernelSpec, kernel_matrix
 from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
@@ -372,7 +373,8 @@ class DataSource:
 
 def run_sweep(config: ExperimentConfig):
     """Run the sweep; returns (points, csv_text).  Writes the CSV if
-    `config.output_path` is set."""
+    `config.output_path` is set.  A cell whose system stays indefinite
+    raises SingularKernelError naming n, the trial and the ridge."""
     spec = kernel_by_name(config.kernel, config.degree)
     source = DataSource(config, spec, config.grid[-1])
     spectral = config.use_linearized and not config.lin_curvature
@@ -396,9 +398,14 @@ def run_sweep(config: ExperimentConfig):
                                                  config.sigma, test, config.noise_draws,
                                                  rng)
             else:
-                est = excess_risk_mc(data, clean, lin if config.use_linearized else spec,
-                                     lam_solve, config.sigma, test.points, test.clean,
-                                     config.noise_draws, rng)
+                try:
+                    est = excess_risk_mc(data, clean, lin if config.use_linearized else spec,
+                                         lam_solve, config.sigma, test.points, test.clean,
+                                         config.noise_draws, rng)
+                except SingularKernelError as exc:
+                    raise SingularKernelError(
+                        f"cell n={n}, trial {t}, ridge n*lambda={n * lam_solve:.6g}: {exc}",
+                        exc.smallest_eigenvalue) from exc
                 spectrum = _v1_spectrum(lin.params, data.features)
             v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam_solve, lin.gamma,
                           config.sigma)
@@ -443,9 +450,10 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     Gram matrix beta * XX^T/d (+ gamma), with the Weyl interlacing report for
     the inertia of the rank <= 3 perturbation alpha 11^T + T.
 
-    K has full rank and takes one n x n `eigvalsh`; the linearization and the
-    Gram matrix have rank <= d+3 and come from their (d+3)- and d-column
-    factors (`factored_spectrum`), at full length n.  The first eigenvalue is
+    K has full rank: one `scipy.linalg.eigh` overwrites it and returns only
+    its top k eigenvalues, so K is the only n x n matrix held.  The
+    linearization and the Gram matrix have rank <= d+3 and come from their
+    (d+3)- and d-column factors (`factored_spectrum`), at full length n.  The first eigenvalue is
     flagged in the CSV (column is_top1) since its scale is dominated by the
     rank-one mean component.
     """
@@ -464,14 +472,18 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     lin = source.lin_model(data.features)
     params, gamma_eff = lin.params, lin.gamma
 
-    eig_true = np.linalg.eigvalsh(kernel_matrix(spec, data))[::-1]
+    k = min(k, n)
+    import scipy.linalg        # loaded on use, as in kernels.solve_regularized
+    # K is symmetric, so K.T is K in the F-contiguous layout LAPACK works in
+    eig_true = scipy.linalg.eigh(kernel_matrix(spec, data).T, eigvals_only=True,
+                                 overwrite_a=True, check_finite=False,
+                                 subset_by_index=(n - k, n - 1))[::-1]
     eig_lin = factored_spectrum(*lin_factors(params, data.features), gamma_eff)
     eig_g = factored_spectrum(data.features, np.eye(data.d) / data.d)
 
     report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,
                                perturbation_inertia(params))
 
-    k = min(k, n)
     scaled = params.beta * eig_g[:k] + gamma_eff
     lines = ["i,eig_true,eig_lin,eig_scaled_gram,is_top1"]
     for i in range(k):
@@ -481,7 +493,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     if output_path:
         _write_text(csv_text, output_path)
     return EigComparison(
-        eig_true=eig_true[:k],
+        eig_true=eig_true,
         eig_lin=eig_lin[:k],
         eig_scaled_gram=scaled,
         interlacing_violations=len(report.violations),

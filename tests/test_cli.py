@@ -114,6 +114,15 @@ def test_numerical_error_exit_code(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_singular_cell_is_named(capsys):
+    # the canonical config with curvature: K_lin + T is indefinite at n=400
+    rc = cli.main(["sweep", "--lin-curvature", "--trials", "1"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cell n=400, trial 0, ridge" in err
+    assert "smallest eigenvalue -5.158e-02" in err
+
+
 @pytest.mark.parametrize("argv,want", [
     (["sweep"], ExperimentConfig()),
     (["sweep", "--true-kernel", "--d", "40"], ExperimentConfig(use_linearized=False, d=40)),

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+import krrlab.kernels as kernels
+
 from krrlab import (Dataset, KernelSpec, KernelEvaluationError, SingularKernelError,
                     cross_kernel_matrix, excess_risk_mc, kernel_matrix, krr_fit,
                     krr_predict, make_covariance, sample_dataset, solve_regularized,
@@ -226,6 +228,104 @@ class TestSolver:
         assert exc.value.smallest_eigenvalue < 0
 
 
+def _record_factored(monkeypatch):
+    """Copies of every matrix handed to scipy's cho_factor, in call order."""
+    seen = []
+    factor = scipy.linalg.cho_factor
+
+    def record(A, **kwargs):
+        seen.append(np.array(A))
+        return factor(A, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", record)
+    return seen
+
+
+def _shifted_reference(K, shift):
+    A = K.copy()
+    A[np.diag_indices(K.shape[0])] += shift
+    return A
+
+
+class TestOverwriteSolve:
+    """`overwrite=True` factors K in place and solves over rhs; its bytes
+    must equal the default's, which works in a copy.  n=300 spans two
+    column blocks of the lower-triangle restore."""
+
+    N = 300
+
+    def _gram(self, seed=12):
+        data, _ = _synth(self.N, 40, seed=seed)
+        return kernel_matrix(KernelSpec.gaussian(), data), data.responses
+
+    def test_plain_solve_equals_default(self):
+        K, y = self._gram()
+        rhs = np.asfortranarray(np.column_stack([y, np.arange(self.N, dtype=float)]))
+        want = solve_regularized(K, 0.37, rhs)
+        got = solve_regularized(K.copy(), 0.37, rhs.copy(order="F"), overwrite=True)
+        assert got.tobytes() == want.tobytes()
+        vector = y.copy()
+        got = solve_regularized(K.copy(), 0.37, vector, overwrite=True)
+        assert got.tobytes() == solve_regularized(K, 0.37, y).tobytes()
+
+    def test_solution_overwrites_rhs_and_factor_overwrites_k(self):
+        K, y = self._gram()
+        work, rhs = K.copy(), np.asfortranarray(np.column_stack([y, y ** 2]))
+        sol = solve_regularized(work, 1.0, rhs, overwrite=True)
+        assert np.shares_memory(sol, rhs)
+        assert not np.array_equal(work, K)
+
+    def test_overwrite_needs_c_contiguous_float64(self):
+        K, y = self._gram()
+        for bad in (np.asfortranarray(K), K.astype(np.float32), K.tolist()):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                solve_regularized(bad, 1.0, y.copy(), overwrite=True)
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["default", "overwrite"])
+    def test_every_jitter_attempt_sees_the_restored_matrix(self, overwrite, monkeypatch):
+        # K - 5 I is indefinite far beyond the jitter, so all four attempts
+        # fail; each must factor exactly K + shift*I, not a half-factored one
+        K, y = self._gram()
+        K[np.diag_indices(self.N)] -= 5.0
+        K_before = K.copy()
+        unit = 1e-12 * max(abs(float(np.trace(K)) / self.N), 1.0)
+        seen = _record_factored(monkeypatch)
+        with pytest.raises(SingularKernelError) as exc:
+            solve_regularized(K if overwrite else K.copy(), 0.0, y.copy(), overwrite=overwrite)
+        shifts = [0.0, unit, 10 * unit, 100 * unit]
+        assert len(seen) == 4
+        for A, shift in zip(seen, shifts):
+            assert A.tobytes() == _shifted_reference(K_before, shift).tobytes()
+        assert np.array_equal(K, K_before)              # a failure leaves K as it was
+        monkeypatch.undo()
+        want = np.linalg.eigvalsh(K_before)[0]
+        assert exc.value.smallest_eigenvalue == want
+
+    def test_singular_report_equals_default(self):
+        K, y = self._gram()
+        K[np.diag_indices(self.N)] -= 5.0
+        reports = []
+        for overwrite in (False, True):
+            with pytest.raises(SingularKernelError) as exc:
+                solve_regularized(K.copy(), 0.25, y.copy(), overwrite=overwrite)
+            reports.append(exc.value.smallest_eigenvalue)
+        assert reports[0] == reports[1]
+        assert reports[0] == float(np.linalg.eigvalsh(_shifted_reference(K, 0.25))[0])
+
+    def test_first_jitter_rescues_both_paths_alike(self, monkeypatch):
+        # the all-ones matrix has rank 1: its second pivot is exactly 0, and
+        # the first jitter makes it positive
+        K = np.ones((self.N, self.N))
+        rhs = np.arange(self.N, dtype=float)
+        seen = _record_factored(monkeypatch)
+        want = solve_regularized(K, 0.0, rhs)
+        got = solve_regularized(K.copy(), 0.0, rhs.copy(), overwrite=True)
+        assert got.tobytes() == want.tobytes()
+        assert len(seen) == 4                           # fail at 0, pass at unit, twice
+        assert seen[0].tobytes() == seen[2].tobytes() == K.tobytes()
+        assert seen[1].tobytes() == seen[3].tobytes() == _shifted_reference(K, 1e-12).tobytes()
+
+
 @pytest.mark.parametrize("call", [
     lambda: krr_fit(KernelSpec.gaussian(), _synth(10, 5)[0], np.nan),
     lambda: solve_regularized(np.eye(3), np.nan, np.ones(3)),
@@ -291,6 +391,39 @@ class TestInPlaceRowBlocks:
         assert (exc.value.i, exc.value.j) == (270, 270)
 
 
+class TestBlockEdges:
+    """Blocks hold `_BLOCK_ENTRIES // n` whole rows: m and n on both sides
+    of a block edge, and a Gram matrix of one row per block."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_SPEC_IDS)
+    def test_cross_kernel_rows_around_one_block(self, spec, extra):
+        n = 400
+        m = kernels._BLOCK_ENTRIES // n + extra
+        data, _ = _synth(n, 30, seed=21)
+        Q = _synth(m, 30, seed=22)[0].features
+        want = np.asarray(spec.h(_full_argument(spec, data.features, Q)), dtype=float)
+        assert cross_kernel_matrix(spec, data, Q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_SPEC_IDS)
+    def test_gram_with_one_row_per_block(self, spec, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 70)
+        data, _ = _synth(70, 30, seed=23)
+        want = np.asarray(spec.h(_full_argument(spec, data.features)), dtype=float)
+        K = kernel_matrix(spec, data)
+        assert K.tobytes() == want.tobytes()
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("block", [1, 70 * 3, 70 * 70])
+    def test_restore_lower_copies_the_upper_triangle(self, block, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block)
+        A = np.asfortranarray(np.random.default_rng(block).standard_normal((70, 70)))
+        upper = np.triu(A, 1)
+        kernels._restore_lower(A)
+        assert np.array_equal(np.triu(A, 1), upper)
+        assert np.array_equal(np.tril(A, -1), upper.T)
+
+
 class TestExactCellMemory:
     """Peak traced allocation, in units of n^2 doubles, of the exact cell's
     steps (gaussian, n=1200, d=100, m=300), after scipy.linalg is loaded.
@@ -336,3 +469,29 @@ class TestExactCellMemory:
                                                       clean_test, 50, 0))
         assert peak < 2.7
         assert est.variance > 0
+
+    def test_kernel_matrix_one_block_of_scratch(self):
+        spec, data, _ = self._problem()
+        peak, _ = self._peak(lambda: kernel_matrix(spec, data))
+        assert peak < 1.2
+
+    def test_overwrite_solve_makes_no_copy(self):
+        spec, data, Q = self._problem()
+        K = kernel_matrix(spec, data)
+        rhs = cross_kernel_matrix(spec, data, Q).T
+        peak, sol = self._peak(lambda: solve_regularized(K, 1.0, rhs, overwrite=True))
+        assert peak < 0.05
+        assert np.shares_memory(sol, rhs)
+
+    def test_excess_risk_mc_holds_k_and_cross_only(self):
+        spec, data, Q = self._problem()
+        clean, clean_test = np.sin(data.features[:, 0]), np.sin(Q[:, 0])
+        peak, _ = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, Q,
+                                                    clean_test, 50, 0))
+        assert peak < 1.5
+
+    def test_krr_fit_factors_its_own_k(self):
+        spec, data, _ = self._problem()
+        peak, model = self._peak(lambda: krr_fit(spec, data, 1e-3))
+        assert peak < 1.15
+        assert model.dual_coef.shape == (self.N,)

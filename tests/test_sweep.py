@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 
 from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
-                    TargetSpec, bound_v1, build_lin_kernel, classify_curve,
-                    eig_compare, estimate_trace_ratio, evaluate_target,
+                    SingularKernelError, TargetSpec, bound_v1, build_lin_kernel,
+                    classify_curve, eig_compare, estimate_trace_ratio, evaluate_target,
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
-                    sample_features)
-from krrlab.risk import _xtilde_spectrum
-from krrlab.sweep import CSV_HEADER, parse_grid
+                    sample_features, solve_regularized)
+from krrlab.risk import _xtilde_spectrum, gram_and_cross
+from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
 
@@ -353,3 +353,31 @@ class TestEigCompareSmallSide:
             got = np.array([float(r[col]) for r in rows])
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
         assert res.interlacing_violations == 0
+
+
+class TestEigCompareTopK:
+    @pytest.mark.parametrize("k", [1, 60, 90])
+    def test_top_k_equals_full_spectrum_head(self, k):
+        # eig_compare asks LAPACK for the top k only; they must be the head
+        # of the full n x n eigvalsh of the same K
+        cfg = _small_config(kernel="gaussian", use_linearized=False, gamma_override=None)
+        res = eig_compare(cfg, n=90, k=k)
+        want = _dense_eig_columns(cfg, 90, k)[0]
+        assert res.eig_true.shape == (k,)
+        assert np.max(np.abs(res.eig_true - want) / np.abs(want)) <= 1e-12
+
+
+def test_singular_cell_reports_the_default_solve_eigenvalue():
+    # run_sweep's overwriting solve must report what a solve on an untouched
+    # copy of the same cell's K reports, with the cell named
+    cfg = ExperimentConfig(lin_curvature=True, trials=1, n_grid=[400])
+    with pytest.raises(SingularKernelError, match=r"cell n=400, trial 0, ridge") as exc:
+        run_sweep(cfg)
+    spec = kernel_by_name(cfg.kernel, cfg.degree)
+    source = DataSource(cfg, spec, 400)
+    data, _ = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
+    K, cross = gram_and_cross(source.lin_model(data.features), data, source.test(0).points)
+    lam = cfg.cbar * 400.0 ** (-cfg.theta)
+    with pytest.raises(SingularKernelError) as direct:
+        solve_regularized(K, 400 * lam, cross.T)
+    assert exc.value.smallest_eigenvalue == direct.value.smallest_eigenvalue < 0
