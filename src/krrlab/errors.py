@@ -22,10 +22,11 @@ class NumericalError(KrrLabError, RuntimeError):
 
 
 class SingularKernelError(NumericalError):
-    """Regularized kernel system could not be factorized.
+    """Regularized kernel system is not positive definite.
 
-    Carries the smallest eigenvalue of the system matrix observed when the
-    jitter escalation gave up.
+    Carries the smallest eigenvalue of the system matrix: the exact one of a
+    linearized cell's spectrum, or the one observed when the Cholesky jitter
+    escalation gave up.
     """
 
     def __init__(self, message: str, smallest_eigenvalue: float):

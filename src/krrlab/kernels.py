@@ -223,8 +223,8 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray,
     overwrites only A's lower triangle, so a retry and the eigenvalue report
     first restore it from the untouched strict upper triangle
     (`_restore_lower`).  `scipy.linalg` is imported here, on the first
-    factorization, rather than when krrlab is imported: only exact-kernel
-    and curvature cells need it.
+    factorization, rather than when krrlab is imported: of a sweep's cells
+    only exact-kernel ones need it.
     """
     import scipy.linalg
 

@@ -137,11 +137,15 @@ class LinModel:
 
     When `curvature` is False (the default for risk-curve experiments) the
     Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
-    gamma_eff I and the cross kernel is its bilinear form h_pivot + beta
-    <x, x_i>/d; this matrix is positive semi-definite for every sample.
-    With `curvature` True the full construction including the radial
-    correction T is used (T is indefinite, so a gamma override of 0 can
-    make the system singular at isolated sample sizes).
+    gamma_eff I, which is positive semi-definite for every sample, and the
+    cross kernel is h_pivot + beta <x, x_i>/d.  That is not the core's
+    bilinear form: its constant is h_pivot where the Gram matrix has alpha.
+    With `curvature` True a radial kernel also fits the correction T
+    (`fits_curvature`).  T is indefinite and its second-order term in psi
+    overshoots once psi is O(1), so K_lin + T can be indefinite under the
+    implicit gamma too, not only under a gamma override of 0: in 3 trials of
+    the default sweep (d = 500, implicit gamma) 7 of the 21 cells with
+    n >= 400 were.
     """
 
     params: LinParams
@@ -158,25 +162,34 @@ class LinModel:
         gamma, or `gamma_override` when given."""
         return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
 
+    @property
+    def fits_curvature(self) -> bool:
+        """Whether T is fitted: `curvature` is set and the kernel is radial."""
+        return self.curvature and self.params.family == "radial"
+
 
 def _psi(X: np.ndarray, tau: float) -> np.ndarray:
     """Norm fluctuations psi_i = ||x_i||^2/d - tau of the rows of X."""
     return np.einsum("ij,ij->i", X, X) / X.shape[1] - tau
 
 
+def _add_curvature(K: np.ndarray, params: LinParams, psi: np.ndarray) -> None:
+    """K += T = h' A + h''/2 (A∘A), A = 1 psi^T + psi 1^T, in place."""
+    A = psi[:, None] + psi[None, :]
+    K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
+
+
 def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
     """The n x n Gram matrix `model` fits on a dataset:
-    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when `model.curvature` is
-    set and the kernel is radial."""
+    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when
+    `model.fits_curvature`."""
     params = model.params
     X = data.features
     n, d = X.shape
     K = params.alpha + params.beta * (X @ X.T) / d
     K[np.diag_indices(n)] += model.gamma
-    if model.curvature and params.family == "radial":
-        psi = _psi(X, params.tau)
-        A = psi[:, None] + psi[None, :]
-        K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
+    if model.fits_curvature:
+        _add_curvature(K, params, _psi(X, params.tau))
     return K
 
 
@@ -184,14 +197,14 @@ def lin_cross_kernel_matrix(model: LinModel, data: Dataset,
                             queries: np.ndarray) -> np.ndarray:
     """m x n cross kernel `model` fits with: h_pivot 1 + beta Q X^T / d, plus
     the first-order norm correction -beta/2 (psi_q + psi_i) when
-    `model.curvature` is set and the kernel is radial."""
+    `model.fits_curvature`."""
     params = model.params
     X = data.features
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
     out = params.h_pivot + params.beta * (Q @ X.T) / X.shape[1]
-    if model.curvature and params.family == "radial":
+    if model.fits_curvature:
         out -= 0.5 * params.beta * (_psi(Q, params.tau)[:, None]
                                     + _psi(X, params.tau)[None, :])
     return out

@@ -11,29 +11,28 @@ Expectations over x are Monte-Carlo averages over a shared test sample.
 The risk can also be estimated directly by averaging over fresh noise
 draws; the gap to bias + variance is pure Monte-Carlo error.
 
-`excess_risk_mc` computes all three for an exact kernel (`KernelSpec`) or
-a linearized one (`LinModel`, whose Gram matrix and cross kernel come from
-`linearize.build_lin_kernel` and `lin_cross_kernel_matrix`) by one Cholesky
-solve against the m cross-kernel columns: M is symmetric, so the test-point
-fits of the clean responses and of the noise draws are read off M^{-1} C^T
-(C the m x n cross kernel) without solving for them.  The factor overwrites
-K and the solution overwrites C^T, so K and C are the cell's only large
-matrices.  For the linearized
-core without curvature, K = F F^T + gamma I with F = [sqrt(alpha) 1,
-sqrt(beta/d) X] has rank <= d+1, and
-`spectral_risk_mc` gets the same quantities from one eigendecomposition of
-the smaller of F F^T (n x n) and F^T F ((d+1) x (d+1)): with
-r = n*lambda + gamma and the cross kernel A F^T, A = [1, Q] diag(h/sqrt(alpha),
-sqrt(beta/d) ...), the fit is the filter A V diag(1/(s+r)) V^T F^T y and the
-variance is the filter sum sigma^2/m * sum_i s_i/(s_i+r)^2 ||A v_i||^2, the
-weighted form of the paper's N(b).
+`excess_risk_mc` computes all three for an exact kernel (`KernelSpec`) by
+one Cholesky solve against the m cross-kernel columns: M is symmetric, so
+the test-point fits of the clean responses and of the noise draws are read
+off M^{-1} C^T (C the m x n cross kernel) without solving for them.  The
+factor overwrites K and the solution overwrites C^T, so K and C are the
+cell's only large matrices.  It also accepts a `LinModel`, whose Gram matrix
+and cross kernel `linearize.build_lin_kernel` and `lin_cross_kernel_matrix`
+form densely; that is the reference the linearized route is checked
+against, not a route of `run_sweep`.
 
-`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d = F F^T.  When
-n <= d+1 both routes take it from the n x n core: the Cholesky route's
-`_v1_spectrum` by `_xtilde_spectrum`, and `spectral_risk_mc` off its own
-F F^T.  When n > d+1 `_v1_spectrum` pads the spectrum of F^T F with zeros,
-while `spectral_risk_mc` still runs the n x n `eigvalsh` of
-`_xtilde_spectrum`.
+Every linearized cell, with or without the radial curvature T, takes
+`spectral_risk_mc` instead: K - gamma I = F D' F^T has rank <= p (d+1, or
+d+3 under curvature), so one eigendecomposition of its smaller side gives
+the fit and variance as filter sums over 1/(w + r), r = n*lambda + gamma,
+and min(w) + r, the exact smallest eigenvalue of M.
+
+`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d.  `_v1_spectrum`
+takes it from the smaller Gram side of F = [sqrt(alpha) 1, sqrt(beta/d) X]:
+the n x n core by `_xtilde_spectrum` when n <= d+1, else F^T F
+((d+1) x (d+1)) padded with zeros.  Exact and curvature cells use it; a
+spectral cell without curvature reads its own F F^T when n <= d+1 and still
+runs the n x n `eigvalsh` of `_xtilde_spectrum` when n > d+1.
 """
 
 from __future__ import annotations
@@ -44,8 +43,10 @@ from typing import Union
 
 import numpy as np
 
+from .errors import SingularKernelError
 from .kernels import Dataset, KernelSpec, kernel_matrix, cross_kernel_matrix, solve_regularized
-from .linearize import LinModel, LinParams, build_lin_kernel, lin_cross_kernel_matrix
+from .linearize import (LinModel, LinParams, _add_curvature, _perturbation_form, _psi,
+                        build_lin_kernel, lin_cross_kernel_matrix)
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
@@ -136,9 +137,11 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
 class QuerySample:
     """Test points Q (m x d) with their clean responses.
 
-    `gram` is the (d+1) x (d+1) moment matrix [1, Q]^T [1, Q] that
-    `spectral_risk_mc` weighs eigenvectors by; it is computed on first use,
-    so build one QuerySample per test sample and share it across cells.
+    `moments` is the (d+2) x (d+2) moment matrix Phi^T Phi of
+    Phi = [1, Q, ||q||^2/d] that `spectral_risk_mc` weighs eigenvectors by:
+    every linearized cross kernel, the curvature one included, is linear in
+    a row of Phi.  It is computed on first use, so build one QuerySample per
+    test sample and share it across cells.
     """
 
     points: np.ndarray
@@ -152,13 +155,21 @@ class QuerySample:
         object.__setattr__(self, "clean", _check_length("clean", self.clean, points.shape[0]))
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        Q = self.points
+    def sq_norms(self) -> np.ndarray:
+        """||q||^2/d for every test point q."""
+        return np.einsum("ij,ij->i", self.points, self.points) / self.points.shape[1]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        Q, norms = self.points, self.sq_norms
         m, d = Q.shape
-        G = np.empty((d + 1, d + 1))
+        G = np.empty((d + 2, d + 2))
         G[0, 0] = m
-        G[0, 1:] = G[1:, 0] = Q.sum(axis=0)
-        G[1:, 1:] = Q.T @ Q
+        G[0, 1:d + 1] = G[1:d + 1, 0] = Q.sum(axis=0)
+        G[1:d + 1, 1:d + 1] = Q.T @ Q
+        G[-1, 0] = G[0, -1] = norms.sum()
+        G[-1, 1:d + 1] = G[1:d + 1, -1] = Q.T @ norms
+        G[-1, -1] = norms @ norms
         return G
 
 
@@ -188,36 +199,62 @@ def _v1_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
     return spectrum
 
 
+def _curvature_rotation(params: LinParams, c: float, d: int, s: np.ndarray,
+                        V: np.ndarray, proj: np.ndarray):
+    """Eigenpairs of F D' F^T from F^T F = V S V^T: F V = U S^1/2 with U
+    orthonormal, so F D' F^T = U B U^T with B = S + G^T (D' - I) G,
+    G = V S^1/2, where only G's rows of the columns (c 1, psi, psi∘psi)
+    enter.  B = P W P^T gives the eigenvectors U P; returns W, F^T U P = G P
+    and (U P)^T Y = P^T S^-1/2 `proj`, `proj` = V^T F^T Y (whose row is 0
+    where s is, and is skipped there).
+    """
+    root_s = np.sqrt(np.maximum(s, 0.0))
+    G = V * root_s
+    scale = np.array([c, 1.0, 1.0])
+    E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
+    rows = G[[0, d + 1, d + 2]]
+    B = rows.T @ E @ rows
+    B[np.diag_indices_from(B)] += root_s ** 2
+    w, P = np.linalg.eigh(B)
+    inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
+    return w, G @ P, P.T @ (inv_root[:, None] * proj)
+
+
 def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: float,
                      sigma: float, test: QuerySample, noise_draws: int, seed):
-    """`excess_risk_mc` for the linearized core without curvature, from one
-    small-side eigendecomposition; returns (RiskEstimate, V1 spectrum).
+    """`excess_risk_mc` for a linearized model, from one small-side
+    eigendecomposition; returns (RiskEstimate, V1 spectrum).
 
-    K = F F^T + gamma I with F = [sqrt(alpha) 1, sqrt(beta/d) X]; the cross
-    kernel h_pivot + beta <q, x_i>/d is A F^T with A = [1, Q] diag(a),
-    a = (h_pivot/sqrt(alpha), sqrt(beta/d), ...).  When alpha = 0 the
-    constant column is dropped (it then needs h_pivot = 0).  With
-    r = n*lam + gamma, n <= p (p columns of F) decomposes F F^T = U W U^T:
+    K - gamma I = F D' F^T with F = [c 1, sqrt(beta/d) X], c = sqrt(alpha),
+    and D' = I; the constant column is dropped when alpha = 0 (it then needs
+    h_pivot = 0).  Under `model.fits_curvature` F gains the columns psi and
+    psi∘psi (p = d+3), c is 1 if alpha = 0, and D' - I is the form of
+    `linearize.perturbation_inertia`, scaled by 1/c in its first row and
+    column, minus I, on the (c 1, psi, psi∘psi) block.  The cross kernel,
+    h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i) under curvature,
+    is Phi L F^T with Phi = [1, Q, ||q||^2/d], psi_q being affine in
+    ||q||^2/d.  With r = n*lam + gamma, n <= p decomposes the n x n
+    F D' F^T = U W U^T, and
 
-        predictions = A F^T U diag(1/(w+r)) U^T y,
-        variance    = sigma^2/m sum_i ||A F^T u_i||^2 / (w_i+r)^2;
+        predictions = Phi L F^T U diag(1/(w+r)) U^T y,
+        variance    = sigma^2/m sum_i ||Phi L F^T u_i||^2 / (w_i+r)^2.
 
-    n > p decomposes F^T F = V S V^T:
+    n > p decomposes F^T F = V S V^T, so that F^T U = V S^1/2 without
+    curvature (w = s) and V S^1/2 P with it, P from one p x p rotation
+    (`_curvature_rotation`); the null space of F^T never reaches a
+    prediction.  ||Phi z||^2 is read off `test.moments`.  y runs over the
+    clean responses and `noise_draws` noise vectors drawn from `seed`
+    exactly as in `excess_risk_mc`, so the two agree draw for draw.
+    min(w) + r, with w padded by the null space's zeros when n > p, is the
+    smallest eigenvalue of K + n*lam I; a value <= 0 raises
+    SingularKernelError with it.
 
-        predictions = A V diag(1/(s+r)) V^T F^T y,
-        variance    = sigma^2/m sum_i s_i/(s_i+r)^2 ||A v_i||^2,
-
-    with ||A z||^2 = (a*z)^T [1, Q]^T [1, Q] (a*z) read off `test.gram`.
-    y runs over the clean responses and `noise_draws` noise vectors drawn
-    from `seed` exactly as in `excess_risk_mc`, so the two agree draw for
-    draw.  The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0
-    and sorted descending: the eigenvalues of F F^T when n <= p, otherwise
-    a separate `eigvalsh` of that n x n matrix.  Counts and test-point
-    numbers are not checked here; `ExperimentConfig` validates them.
+    The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
+    sorted descending: without curvature the eigenvalues of F F^T when
+    n <= p, otherwise a separate `eigvalsh` of that n x n matrix; with
+    curvature `_v1_spectrum`'s.  Counts and test-point numbers are not
+    checked here; `ExperimentConfig` validates them.
     """
-    if model.curvature:
-        raise ValueError("spectral_risk_mc fits the core without curvature; "
-                         "use excess_risk_mc")
     params = model.params
     X = data.features
     n, d = X.shape
@@ -225,34 +262,65 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     if not r > 0:
         raise ValueError("n*lam + gamma must be > 0")
     Y = np.column_stack([_check_length("clean", clean, n), _noise(seed, sigma, n, noise_draws)])
+    curved = model.fits_curvature
 
     root = np.sqrt(params.beta / d)
-    if params.alpha > 0:
-        F = np.column_stack([np.full(n, np.sqrt(params.alpha)), root * X])
-        a = np.concatenate([[params.h_pivot / np.sqrt(params.alpha)], np.full(d, root)])
-        S = test.gram
+    if params.alpha > 0 or curved:
+        c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
+        columns = [np.full(n, c), root * X]
+        a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
+        S = test.moments[:d + 1, :d + 1]
     elif params.h_pivot == 0:
-        F, a, S = root * X, np.full(d, root), test.gram[1:, 1:]
+        columns, a, S = [root * X], np.full(d, root), test.moments[1:d + 1, 1:d + 1]
     else:
         raise ValueError("a constant cross kernel term needs alpha > 0")
+    if curved:
+        psi = _psi(X, params.tau)
+        columns += [psi, psi * psi]
+        a[0] = (params.h_pivot + 0.5 * params.beta * params.tau) / c
+        S = test.moments
+    F = np.column_stack(columns)
+    del columns                 # holds an n x d scaled copy of X
+
+    def weigh(V):
+        """L V: V's rows weighed onto the columns of Phi."""
+        Z = a[:, None] * V[:a.size]
+        if curved:
+            Z[0] -= 0.5 * params.beta * V[d + 1]
+            Z = np.vstack([Z, -0.5 * params.beta / c * V[0]])
+        return Z
 
     if n <= F.shape[1]:
-        core = params.beta * (X @ X.T) / d + params.alpha      # F F^T
+        core = params.beta * (X @ X.T) / d + params.alpha      # F D' F^T
+        if curved:
+            _add_curvature(core, params, psi)
         w, U = np.linalg.eigh(core)
-        Z = a[:, None] * (F.T @ U)
-        coef = Z @ ((U.T @ Y) / (w + r)[:, None])
+        Z = weigh(F.T @ U)
+        proj = U.T @ Y
         mass = 1.0 / (w + r) ** 2
-        spectrum = np.maximum(w[::-1], 0.0)
+        smallest = w[0] + r
+        spectrum = _v1_spectrum(params, X) if curved else np.maximum(w[::-1], 0.0)
     else:
-        s, V = np.linalg.eigh(F.T @ F)
-        Z = a[:, None] * V
-        coef = Z @ ((V.T @ (F.T @ Y)) / (s + r)[:, None])
-        mass = s / (s + r) ** 2
+        w, V = np.linalg.eigh(F.T @ F)
+        proj = V.T @ (F.T @ Y)
+        if curved:
+            w, V, proj = _curvature_rotation(params, c, d, w, V, proj)
+            mass = 1.0 / (w + r) ** 2
+        else:
+            mass = w / (w + r) ** 2
+        Z = weigh(V)
+        smallest = min(w[0], 0.0) + r
         # n x n on purpose: see CHANGES.md's FOUND entry on _xtilde_spectrum, ROADMAP item 1
-        spectrum = _xtilde_spectrum(params, X)
+        spectrum = _v1_spectrum(params, X) if curved else _xtilde_spectrum(params, X)
+    if not smallest > 0:
+        raise SingularKernelError(f"system matrix is not positive definite (smallest "
+                                  f"eigenvalue {smallest:.3e})", float(smallest))
+    coef = Z @ (proj / (w + r)[:, None])
 
-    Q = test.points
-    pred = Q @ coef[1:] + coef[0] if params.alpha > 0 else Q @ coef     # m x (1+draws)
+    Q = test.points                                           # pred: m x (1+draws)
+    pred = Q @ coef[1:d + 1] + coef[0] if params.alpha > 0 or curved else Q @ coef
+    if curved:
+        pred += test.sq_norms[:, None] * coef[-1]
     variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
                      / Q.shape[0])
     est = _mc_estimate(pred[:, 0] - test.clean, pred[:, 1:], variance)

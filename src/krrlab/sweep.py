@@ -9,16 +9,17 @@ Monte-Carlo expectations share one test sample per sweep (common random
 numbers) and every (n, trial) cell carries its own seeded stream, so the
 output is byte-identical across reruns.
 
-A linearized cell without curvature is one small-side eigendecomposition
-of its rank <= d+1 core (`risk.spectral_risk_mc`): fit, bias, variance and
-MC risk are filter sums over it, and V1 reads its spectrum when n <= d+1
-(an n x n `eigvalsh` otherwise).  Exact kernels and `lin_curvature` cells
-keep the Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full
-rank n, and on 2 cores an `eigh` of a 2000 x 2000 gaussian K takes about 1 s
-against 0.2-0.3 s for its factor and a solve with 600 right-hand sides.
-Their V1 spectrum, of the rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes
-from the smaller Gram side (`risk._v1_spectrum`): the n x n core when
-n <= d+1, else the (d+1) x (d+1) F^T F padded with zeros.
+A sweep has two routes.  Every linearized cell, `lin_curvature` or not, is
+one small-side eigendecomposition of its rank <= d+3 factored form
+(`risk.spectral_risk_mc`): fit, bias, variance and MC risk are filter sums
+over it, and a cell that is not positive definite fails with its exact
+smallest eigenvalue.  Exact kernels take the Cholesky route,
+`risk.excess_risk_mc`: their Gram matrix has full rank n, and on 2 cores an
+`eigh` of a 2000 x 2000 gaussian K takes about 1 s against 0.2-0.3 s for
+its factor and a solve with 600 right-hand sides.  V1's spectrum, of the
+rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes from its smaller Gram
+side, except that a linearized cell without curvature still runs an n x n
+`eigvalsh` for it when n > d+1.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
@@ -241,14 +242,14 @@ class ExperimentConfig:
             raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
         if self.mode == "synth":
             make_covariance(self.d, self.decay, self.a)     # rejects a bad decay or a
-        # a ridgeless fit: the spectral cell divides by n*lam + gamma_eff, and
-        # the bounds do when sigma > 0; an affine profile h has gamma = 0
+        # a ridgeless fit: every linearized cell divides by n*lam + gamma_eff,
+        # and the bounds do when sigma > 0; an affine profile h has gamma = 0
         lam_field = "cbar" if self.fixed_lambda is None else "fixed_lambda"
         affine = self.kernel == "linear" or (self.kernel, self.degree) == ("polynomial", 1)
         gamma_zero = (self.gamma_override == 0
                       if self.use_linearized and self.gamma_override is not None else affine)
         if (getattr(self, lam_field) == 0 and gamma_zero
-                and (self.sigma > 0 or (self.use_linearized and not self.lin_curvature))):
+                and (self.sigma > 0 or self.use_linearized)):
             raise ConfigError(
                 f"{lam_field} = 0 and gamma_eff = 0 (gamma_override = 0, or an affine "
                 f"kernel) make n*lambda + gamma = 0; make {lam_field} or gamma_override > 0")
@@ -373,11 +374,10 @@ class DataSource:
 
 def run_sweep(config: ExperimentConfig):
     """Run the sweep; returns (points, csv_text).  Writes the CSV if
-    `config.output_path` is set.  A cell whose system stays indefinite
-    raises SingularKernelError naming n, the trial and the ridge."""
+    `config.output_path` is set.  A cell whose system is not positive
+    definite raises SingularKernelError naming n, the trial and the ridge."""
     spec = kernel_by_name(config.kernel, config.degree)
     source = DataSource(config, spec, config.grid[-1])
-    spectral = config.use_linearized and not config.lin_curvature
 
     points = []
     for n in config.grid:
@@ -393,20 +393,19 @@ def run_sweep(config: ExperimentConfig):
             data, clean = source.train(n, t, rng)
             test = source.test(t)
             lin = source.lin_model(data.features)
-            if spectral:
-                est, spectrum = spectral_risk_mc(data, clean, lin, lam_solve,
-                                                 config.sigma, test, config.noise_draws,
-                                                 rng)
-            else:
-                try:
-                    est = excess_risk_mc(data, clean, lin if config.use_linearized else spec,
-                                         lam_solve, config.sigma, test.points, test.clean,
-                                         config.noise_draws, rng)
-                except SingularKernelError as exc:
-                    raise SingularKernelError(
-                        f"cell n={n}, trial {t}, ridge n*lambda={n * lam_solve:.6g}: {exc}",
-                        exc.smallest_eigenvalue) from exc
-                spectrum = _v1_spectrum(lin.params, data.features)
+            try:
+                if config.use_linearized:
+                    est, spectrum = spectral_risk_mc(data, clean, lin, lam_solve,
+                                                     config.sigma, test,
+                                                     config.noise_draws, rng)
+                else:
+                    est = excess_risk_mc(data, clean, spec, lam_solve, config.sigma,
+                                         test.points, test.clean, config.noise_draws, rng)
+                    spectrum = _v1_spectrum(lin.params, data.features)
+            except SingularKernelError as exc:
+                raise SingularKernelError(
+                    f"cell n={n}, trial {t}, ridge n*lambda={n * lam_solve:.6g}: {exc}",
+                    exc.smallest_eigenvalue) from exc
             v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam_solve, lin.gamma,
                           config.sigma)
             bias_l.append(est.bias)

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, every function the
 benchmark tracer wraps still exists under the module it names, importing
-krrlab and running its numpy-only paths (linearized spectral sweeps, bounds,
-synth, plot) loads no scipy module at all, and an exact-kernel fit loads
+krrlab and running its numpy-only paths (linearized sweeps, with and without
+curvature, in synth and real mode; bounds, synth, plot) loads no scipy module
+at all, and an exact-kernel fit loads
 `scipy.linalg` on its first factorization."""
 
 import ast
@@ -71,12 +72,17 @@ def test_numpy_only_paths_load_no_scipy(tmp_path):
             "                              noise_draws=2, output_path='s.csv')\n"
             "points, _ = krrlab.run_sweep(cfg)\n"
             "assert len(points) == 4\n"
+            "for kw in (dict(), dict(mode='real', input_path=%r, d=24)):\n"
+            "    cfg = krrlab.ExperimentConfig(lin_curvature=True, n_grid=[20, 40], trials=1,\n"
+            "                                  test_points=100, noise_draws=2, **kw)\n"
+            "    assert len(krrlab.run_sweep(cfg)[0]) == 2\n"
             "main = krrlab.cli.main\n"
             "assert main(['bounds', '--decay', 'polynomial', '--a', '1']) == 0\n"
             "assert main(['synth', '--d', '10', '--n', '20', '--out', 'x.libsvm']) == 0\n"
             "assert main(['plot', '--csv', 's.csv', '--columns', 'var_emp',\n"
             "             '--out', 's.svg']) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            % str(ROOT / "tests" / "data" / "sample200.libsvm"))
     assert _fresh_interpreter(code, tmp_path) == "[]"
 
 

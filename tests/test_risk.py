@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from krrlab import (Dataset, KernelSpec, LinModel, QuerySample,
+from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, SingularKernelError,
                     TargetSpec, bias_ref, bound_v1, bound_v2, evaluate_target,
                     excess_risk_mc, linearize_params, make_covariance, quantity_N,
                     sample_dataset, sample_features, spectral_risk_mc)
@@ -131,7 +132,8 @@ class TestExcessRiskMc:
 class TestSpectralRiskMc:
     """The small-side spectral cell against the Cholesky route plus the
     n x n V1 spectrum, on both sides of n = p (p = d+1 columns of F, or d
-    for the linear kernel, whose alpha = 0 drops the constant column)."""
+    for the linear kernel, whose alpha = 0 drops the constant column, or
+    d+3 under curvature)."""
 
     D = 30
 
@@ -165,13 +167,55 @@ class TestSpectralRiskMc:
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
         assert spectrum.shape == (n,) and np.all(np.diff(spectrum) <= 0)
 
-    def test_rejects_curvature_and_zero_ridge(self):
+    def _curvature_cell(self, n, variant, gamma_override=None):
+        d = self.D
+        cov = make_covariance(d, "harmonic")
+        target = TargetSpec(noise_sigma=1.0)
+        # a plug-in tau off the population's leaves psi uncentred, as in real mode
+        tau = cov.tau * (1.1 if variant == "tau-off" else 1.0)
+        params = linearize_params(KernelSpec.gaussian(), tau, cov.trace_ratio)
+        if variant == "alpha-0":
+            # F keeps its constant column (c = 1); a larger ridge keeps every cell definite
+            params = dataclasses.replace(params, alpha=0.0)
+            gamma_override = 4.0
+        test_X = sample_features(cov, 150, 21)
+        test = QuerySample(test_X, evaluate_target(target, test_X))
+        data, clean = sample_dataset(cov, n, target, [4, n])
+        return LinModel(params, gamma_override, curvature=True), data, clean, test
+
+    @pytest.mark.parametrize("n,variant,fixed", itertools.product(
+        (15, 33, 34, 60, 120), ("implicit", "tau-off", "alpha-0"), (False, True)))
+    def test_curvature_matches_dense_reference(self, n, variant, fixed):
+        # p = d+3 = 33 columns of F, so n = 15 and 33 take the n x n core plus
+        # T and n = 34, 60, 120 the p x p rotation
+        model, data, clean, test = self._curvature_cell(n, variant)
+        lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
+        params = model.params
+        est, spectrum = spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
+        want = _explicit_cholesky_cell(data, clean, model, lam, 0.7, test.points,
+                                       test.clean, 6, 5)
+        for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
+            assert got == pytest.approx(ref, rel=1e-9)
+        v1_ref = bound_v1(_xtilde_spectrum(params, data.features), params.beta, self.D,
+                          n, lam, model.gamma, 0.7)
+        v1 = bound_v1(spectrum, params.beta, self.D, n, lam, model.gamma, 0.7)
+        assert v1 == pytest.approx(v1_ref, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_indefinite_curvature_cell_reports_its_smallest_eigenvalue(self, n):
+        model, data, clean, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
+        lam = 0.01 * n ** (-2 / 3)
+        with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
+            spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
+        K, _ = gram_and_cross(model, data, test.points)
+        dense = np.linalg.eigvalsh(K + n * lam * np.eye(n))[0]
+        assert dense < 0
+        assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
+
+    def test_rejects_zero_ridge(self):
         cov, data, clean, test_X, clean_test = _config(n=20, d=30, m=100)
         test = QuerySample(test_X, clean_test)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        with pytest.raises(ValueError, match="curvature"):
-            spectral_risk_mc(data, clean, LinModel(p, curvature=True), 1e-3, 1.0, test,
-                             4, 0)
         with pytest.raises(ValueError, match="must be > 0"):
             spectral_risk_mc(data, clean, LinModel(p, gamma_override=0.0), 0.0, 1.0,
                              test, 4, 0)

@@ -10,7 +10,7 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     classify_curve, eig_compare, estimate_trace_ratio, evaluate_target,
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
-                    sample_features, solve_regularized)
+                    sample_features)
 from krrlab.risk import _xtilde_spectrum, gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
@@ -91,19 +91,21 @@ class TestConfig:
         (dict(decay="exponential", a=-1.0), "a=-1.0"), (dict(decay="cubic"), "unknown decay"),
         (dict(kernel="linear", cbar=0.0), "cbar = 0"),
         (dict(kernel="polynomial", degree=1, cbar=0.0), "cbar = 0"),
-        (dict(cbar=0.0, gamma_override=0.0, sigma=0.0), "cbar = 0")],
-        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noiseless"])
+        (dict(cbar=0.0, gamma_override=0.0, sigma=0.0), "cbar = 0"),
+        # every linearized cell divides by n*lambda + gamma_eff, here 0
+        (dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0, d=60,
+              n_grid=[30, 60, 90]), "cbar = 0")],
+        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noiseless",
+             "curvature-noiseless"])
     def test_inputs_that_failed_downstream_are_rejected_here(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kw)
 
     @pytest.mark.parametrize("kw", [
         dict(kernel="linear", cbar=0.0, gamma_override=0.5),
-        dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0),
         dict(cbar=0.0, gamma_override=None), dict(use_linearized=False, cbar=0.0),
         dict(mode="real", input_path=FIXTURE, decay="cubic", d=24)],
-        ids=["linear-override", "curvature-noiseless", "implicit-gamma", "exact-gaussian",
-             "real-ignores-decay"])
+        ids=["linear-override", "implicit-gamma", "exact-gaussian", "real-ignores-decay"])
     def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
         ExperimentConfig(**kw)
 
@@ -181,8 +183,9 @@ class TestRunSweep:
 
 def _direct_points(cfg):
     """bias, variance, risk, stderr and V1 per grid row, recomputed cell by
-    cell through the Cholesky route excess_risk_mc and the n x n V1 spectrum,
-    on the same per-cell streams as run_sweep (synth mode)."""
+    cell through the Cholesky route excess_risk_mc (a LinModel's dense Gram
+    matrix and cross kernel when linearized) and the n x n V1 spectrum, on
+    the same per-cell streams as run_sweep (synth mode)."""
     cov = make_covariance(cfg.d, cfg.decay, cfg.a)
     target = TargetSpec(noise_sigma=cfg.sigma)
     spec = kernel_by_name(cfg.kernel, cfg.degree)
@@ -219,6 +222,8 @@ class TestSweepRoutes:
                                     dict(lin_curvature=True, gamma_override=None)],
                              ids=["exact", "curvature"])
     def test_cholesky_routes_equal_direct_computation(self, kw):
+        # the curvature sweep takes the spectral route; its worst gap to the
+        # dense Cholesky cells here is 5e-15
         cfg = _small_config(**kw)
         points, _ = run_sweep(cfg)
         for got, want in zip(_sweep_rows(points), _direct_points(cfg)):
@@ -237,12 +242,13 @@ class TestSweepRoutes:
 
 class TestCholeskyV1Spectrum:
     """Exact and curvature cells read V1 off the (d+1) x (d+1) F^T F, not an
-    n x n eigensolve, once n > d+1."""
+    n x n eigensolve, once n > d+1.  No eigensolve is larger than the fit's
+    own: d+1 for the exact kernel's V1, d+3 for the curvature fit's F^T F."""
 
-    @pytest.mark.parametrize("kw", [dict(use_linearized=False, gamma_override=None),
-                                    dict(lin_curvature=True, gamma_override=None)],
+    @pytest.mark.parametrize("kw,extra", [(dict(use_linearized=False, gamma_override=None), 0),
+                                          (dict(lin_curvature=True, gamma_override=None), 2)],
                              ids=["exact", "curvature"])
-    def test_spectrum_comes_from_the_small_side(self, kw, monkeypatch):
+    def test_spectrum_comes_from_the_small_side(self, kw, extra, monkeypatch):
         cfg = _small_config(**kw)           # grid 30, 60, 90 at d=60 crosses n = d+1
         p = cfg.d + 1
         shapes, draws, spectra = [], [], []
@@ -263,7 +269,7 @@ class TestCholeskyV1Spectrum:
                             spy(bound_v1, lambda a, out: spectra.append(np.asarray(a[0]))))
         run_sweep(cfg)
 
-        assert max(max(s) for s in shapes) <= p
+        assert max(max(s) for s in shapes) <= p + extra
         assert shapes.count((p, p)) >= cfg.trials
         cov = make_covariance(cfg.d, cfg.decay, cfg.a)
         params = linearize_params(kernel_by_name(cfg.kernel, cfg.degree), cov.tau,
@@ -367,17 +373,31 @@ class TestEigCompareTopK:
         assert np.max(np.abs(res.eig_true - want) / np.abs(want)) <= 1e-12
 
 
-def test_singular_cell_reports_the_default_solve_eigenvalue():
-    # run_sweep's overwriting solve must report what a solve on an untouched
-    # copy of the same cell's K reports, with the cell named
+def test_singular_cell_reports_the_dense_smallest_eigenvalue():
+    # the spectral route's min(w + r) must be the smallest eigenvalue of the
+    # cell's dense K_lin + T + n*lambda*I, with the cell named
     cfg = ExperimentConfig(lin_curvature=True, trials=1, n_grid=[400])
     with pytest.raises(SingularKernelError, match=r"cell n=400, trial 0, ridge") as exc:
         run_sweep(cfg)
     spec = kernel_by_name(cfg.kernel, cfg.degree)
     source = DataSource(cfg, spec, 400)
     data, _ = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
-    K, cross = gram_and_cross(source.lin_model(data.features), data, source.test(0).points)
+    K, _ = gram_and_cross(source.lin_model(data.features), data, source.test(0).points)
     lam = cfg.cbar * 400.0 ** (-cfg.theta)
-    with pytest.raises(SingularKernelError) as direct:
-        solve_regularized(K, 400 * lam, cross.T)
-    assert exc.value.smallest_eigenvalue == direct.value.smallest_eigenvalue < 0
+    dense = np.linalg.eigvalsh(K + 400 * lam * np.eye(400))[0]
+    assert dense < 0
+    assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["synth", "real"])
+def test_curvature_sweep_takes_the_spectral_route(mode, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linearized cell left the spectral route")
+
+    for target in ("krrlab.sweep.excess_risk_mc", "krrlab.risk.excess_risk_mc",
+                   "krrlab.risk.solve_regularized", "krrlab.kernels.solve_regularized"):
+        monkeypatch.setattr(target, refuse)
+    kw = (dict(mode="real", input_path=FIXTURE, d=24, n_grid=[20, 40], test_points=100)
+          if mode == "real" else dict(n_grid=[30, 90]))
+    points, _ = run_sweep(_small_config(lin_curvature=True, gamma_override=None, **kw))
+    assert all(np.isfinite(p.risk_emp) and p.var_emp > 0 for p in points)

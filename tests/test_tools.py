@@ -1,14 +1,24 @@
-"""The pure parts of tools/bench_pairs.py: seed lists and pair statistics."""
+"""The pure parts of tools/bench_pairs.py (seed lists and pair statistics),
+and tools/output_digest.py on the micro workloads."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+output_digest = _load("output_digest")
 
 
 @pytest.mark.parametrize("text,want", [
@@ -51,3 +61,36 @@ def test_summarize_one_pair():
     m = bench_pairs.summarize(runs, [{"name": "peak_rss_mb", "better": "lower"}])["peak_rss_mb"]
     assert m["parent"] == {"median": 174.0, "q1": 174.0, "q3": 174.0}
     assert m["change_better_pairs"] == 1
+
+
+def _files(directory: Path) -> dict:
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in directory.rglob("*")}
+
+
+def test_output_digest_names_every_output_and_writes_nothing_under_bench():
+    before = _files(ROOT / "bench")
+    digests = output_digest.digest(ROOT, list(output_digest.WORKLOADS), [1], micro=True)
+    assert _files(ROOT / "bench") == before
+    assert list(digests) == ([("lin_protocol", 1, f"sweep{i}") for i in range(7)]
+                             + [("lin_wide", 1, "sweep0")]
+                             + [("real_exact", 1, o) for o in ("sweep0", "eig", "svg")])
+    assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())
+    assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True) == {
+        ("lin_wide", 1, "sweep0"): digests["lin_wide", 1, "sweep0"]}
+
+
+def test_output_digest_compares_two_trees(capsys):
+    assert output_digest.main(["--against", str(ROOT), "--workloads", "lin_wide",
+                               "--seeds", "1-2", "--micro"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lin_wide 1 sweep0 same", "lin_wide 2 sweep0 same",
+        "output_digest: 2 of 2 outputs identical"]
+
+
+def test_output_digest_flags_changed_and_missing_outputs():
+    old = {("w", 1, "sweep0"): "a", ("w", 1, "eig"): "b"}
+    new = {("w", 1, "sweep0"): "a", ("w", 1, "eig"): "c", ("w", 1, "svg"): "d"}
+    assert output_digest.compare(old, new) == [
+        (("w", 1, "sweep0"), "same"), (("w", 1, "eig"), "DIFFERS"),
+        (("w", 1, "svg"), "DIFFERS")]
+    assert output_digest.parse_lines(output_digest.format_lines(new)) == new

@@ -1,0 +1,142 @@
+"""Digest the benchmark's outputs, to show that a change leaves them byte-identical.
+
+    python3 tools/output_digest.py [--tree DIR] [--workloads a,b] [--seeds 1-5] [--micro]
+    python3 tools/output_digest.py --tree OLD --against NEW [--seeds 1-5] ...
+
+For every workload and seed, one pass of the workload is built and run with
+the tree's own `bench/workloads.py` (`build`, then `run_pass`; `real_exact`
+first writes its libsvm input with `write_real_input`), against the tree's
+own `src/`, in a temporary working directory.  One line is printed per
+output: `<workload> <seed> <output> <sha256>`, where the outputs are each
+sweep's CSV text (`sweep0`, `sweep1`, ...), the eig-compare CSV (`eig`) and
+the SVG (`svg`).  A stage that raised prints `error:<exception type>` in
+place of its digest.  Nothing is written under `bench/`: bytecode caching is
+off and every output goes to the temporary directory.
+
+With `--against`, both trees are digested, each in its own interpreter
+(krrlab can be imported once per process), and every output is listed as
+`same` or `DIFFERS`; the exit status is 1 if any output differs or is
+missing on one side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS))
+
+from bench_pairs import parse_seeds  # noqa: E402
+
+ROOT = TOOLS.parent
+WORKLOADS = ("lin_protocol", "lin_wide", "real_exact")
+
+
+def _load_workloads(tree: Path):
+    """The tree's `bench/workloads.py`, registered (its dataclasses need that)
+    under a name of its own, so that no other `workloads` module is shadowed."""
+    spec = importlib.util.spec_from_file_location("output_digest_workloads",
+                                                  tree / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha(data) -> str:
+    if isinstance(data, BaseException):
+        return f"error:{type(data).__name__}"
+    return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
+
+
+def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
+    """{(workload, seed, output): sha256} for one pass of each workload."""
+    caching, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        wmod = _load_workloads(Path(tree).resolve())
+        krrlab = wmod.import_krrlab()
+    finally:
+        sys.dont_write_bytecode = caching
+    out = {}
+    for name in workloads:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory(prefix="output_digest_") as workdir:
+                if name == "real_exact":
+                    wmod.write_real_input(krrlab, seed, workdir, micro)
+                wl = wmod.build(krrlab, name, seed, workdir, micro)
+                res = wmod.run_pass(krrlab, wl)
+                for i, sweep in enumerate(res.sweeps):
+                    out[name, seed, f"sweep{i}"] = _sha(
+                        sweep if isinstance(sweep, BaseException) else sweep[1])
+                if wl.eig_n is not None:
+                    out[name, seed, "eig"] = _sha(
+                        res.eig if isinstance(res.eig, BaseException) else res.eig.csv_text)
+                if wl.plot_path is not None:
+                    out[name, seed, "svg"] = _sha(res.plot)
+    return out
+
+
+def format_lines(digests: dict) -> list:
+    return [f"{w} {s} {o} {h}" for (w, s, o), h in digests.items()]
+
+
+def parse_lines(lines) -> dict:
+    out = {}
+    for line in lines:
+        w, s, o, h = line.split()
+        out[w, int(s), o] = h
+    return out
+
+
+def compare(old: dict, new: dict) -> list:
+    """(key, verdict) for every output of either side, in `old`'s order."""
+    keys = list(old) + [k for k in new if k not in old]
+    return [(k, "same" if k in old and k in new and old[k] == new[k] else "DIFFERS")
+            for k in keys]
+
+
+def _digest_in_child(tree: Path, args) -> dict:
+    cmd = [sys.executable, "-B", __file__, "--tree", str(tree),
+           "--workloads", ",".join(args.workloads), "--seeds", args.seeds]
+    if args.micro:
+        cmd.append("--micro")
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"output_digest: {' '.join(cmd)} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return parse_lines(proc.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", type=Path, default=ROOT)
+    ap.add_argument("--against", type=Path, help="second tree: compare the two")
+    ap.add_argument("--workloads", type=lambda t: t.split(","), default=list(WORKLOADS))
+    ap.add_argument("--seeds", default="1-5")
+    ap.add_argument("--micro", action="store_true", help="the seconds-long micro configs")
+    args = ap.parse_args(argv)
+    unknown = set(args.workloads) - set(WORKLOADS)
+    if unknown:
+        ap.error(f"unknown workloads {sorted(unknown)} (choose from {WORKLOADS})")
+
+    if args.against is None:
+        for line in format_lines(digest(args.tree, args.workloads,
+                                        parse_seeds(args.seeds), args.micro)):
+            print(line, flush=True)
+        return 0
+    verdicts = compare(_digest_in_child(args.tree, args), _digest_in_child(args.against, args))
+    for (w, s, o), verdict in verdicts:
+        print(f"{w} {s} {o} {verdict}")
+    differ = sum(v != "same" for _, v in verdicts)
+    print(f"output_digest: {len(verdicts) - differ} of {len(verdicts)} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
