@@ -22,7 +22,7 @@ from .spectral import (DECAY_KINDS, DecaySpec, bound_N, exp_monotone_condition,
                        generate_decay_spectrum, numeric_peak, peak_point,
                        quantity_N)
 from .svgplot import emit_plot
-from .sweep import _KERNELS, ExperimentConfig, classify_curve, eig_compare, run_sweep
+from .sweep import KERNELS, ExperimentConfig, classify_curve, eig_compare, run_sweep
 from .synth import COV_KINDS, TargetSpec, make_covariance, sample_dataset
 
 __all__ = ["main"]
@@ -33,7 +33,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     field's default (the parser is built with argument_default=SUPPRESS)."""
     p.add_argument("--config", default=None, help="JSON config; overrides all other flags")
     p.add_argument("--mode", choices=["synth", "real"])
-    p.add_argument("--kernel", choices=_KERNELS)
+    p.add_argument("--kernel", choices=KERNELS)
     p.add_argument("--degree", type=int)
     p.add_argument("--true-kernel", dest="use_linearized", action="store_false",
                    help="fit the exact kernel instead of its linearization")

@@ -20,7 +20,9 @@ ridge built into the kernel curvature; `gamma_override` replaces it
 
 A `LinModel` holds both choices, the ridge and whether T is fitted, and
 `build_lin_kernel` and `lin_cross_kernel_matrix` assemble the Gram matrix
-and the cross kernel it fits.
+and the cross kernel it fits.  `lin_factors` writes both in factored form,
+K_lin - gamma_eff I = F (I + E) F^T and the cross kernel Phi L F^T
+(`LinFactor`); this module is the only one that knows that layout.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "interlacing_check",
     "InterlacingReport",
     "perturbation_inertia",
+    "LinFactor",
     "lin_factors",
     "factored_spectrum",
     "moment_diagnostics",
@@ -179,15 +182,19 @@ def _add_curvature(K: np.ndarray, params: LinParams, psi: np.ndarray) -> None:
     K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
 
 
+def _core(params: LinParams, X: np.ndarray) -> np.ndarray:
+    """The n x n core alpha 11^T + beta XX^T/d."""
+    return params.alpha + params.beta * (X @ X.T) / X.shape[1]
+
+
 def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
     """The n x n Gram matrix `model` fits on a dataset:
     alpha 11^T + beta XX^T/d + gamma_eff I, plus T when
     `model.fits_curvature`."""
     params = model.params
     X = data.features
-    n, d = X.shape
-    K = params.alpha + params.beta * (X @ X.T) / d
-    K[np.diag_indices(n)] += model.gamma
+    K = _core(params, X)
+    K[np.diag_indices(X.shape[0])] += model.gamma
     if model.fits_curvature:
         _add_curvature(K, params, _psi(X, params.tau))
     return K
@@ -260,29 +267,141 @@ def perturbation_inertia(params: LinParams) -> tuple:
     return int(np.sum(w > 0)), int(np.sum(w < 0))
 
 
-def lin_factors(params: LinParams, X: np.ndarray) -> tuple:
-    """(W, D) with W D W^T = K_lin - gamma_eff I on the rows of X.
+@dataclass(frozen=True)
+class LinFactor:
+    """A linearized model's kernel on the rows of X, in factored form.
 
-    W = [1, psi, psi∘psi, X] and D = blockdiag(M, beta/d I) for radial
-    kernels, W = [1, X] and D = blockdiag(alpha, beta/d I) for inner-product
-    ones; M is the form of `perturbation_inertia`.  W has p = d+3 (radial)
-    or d+1 columns, so `factored_spectrum(W, D, gamma_eff)` is the spectrum
-    of K_lin without forming the n x n matrix.
+    K_lin - gamma_eff I = F D' F^T, F = [c 1, sqrt(beta/d) X] with
+    c = sqrt(alpha) and D' = I; the constant column is dropped when
+    alpha = 0 (the cross kernel then needs h_pivot = 0).  When the model
+    fits curvature, F gains the columns psi and psi∘psi (p = d+3), c is 1 if
+    alpha = 0, and D' - I is zero but for its 3 x 3 block E on the columns
+    `block` (c 1, psi, psi∘psi): the form of `perturbation_inertia` scaled
+    by 1/c in its first row and column, minus I.  Without curvature E is
+    empty.
+
+    The cross kernel, h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i)
+    under curvature, is Phi L F^T with Phi = [1, Q, ||q||^2/d] (psi_q is
+    affine in ||q||^2/d); `phi` names the columns of Phi that L reads and
+    `weigh` applies L.  `core` forms the n x n alpha 11^T + beta XX^T/d,
+    `core_spectrum` its spectrum from the smaller Gram side, and `rotation`
+    turns the eigenpairs of F^T F into those of F (I + E) F^T.
     """
+
+    params: LinParams
+    X: np.ndarray
+    F: np.ndarray
+    E: np.ndarray
+    c: float                    # F's constant column, 0 when F has none
+    cross_weights: np.ndarray   # L's diagonal on F's columns [c 1, sqrt(beta/d) X]
+
+    @property
+    def block(self) -> list:
+        """The columns (c 1, psi, psi∘psi) of F that E acts on."""
+        d = self.X.shape[1]
+        return [0, d + 1, d + 2] if self.E.size else []
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Norm fluctuations psi of the rows of X (curvature only)."""
+        return self.F[:, self.X.shape[1] + 1]
+
+    @property
+    def phi(self) -> slice:
+        """The columns of Phi = [1, Q, ||q||^2/d] that L reads."""
+        d = self.X.shape[1]
+        return slice(0 if self.c else 1, d + 2 if self.E.size else d + 1)
+
+    @property
+    def D(self) -> np.ndarray:
+        """The p x p middle factor I + E."""
+        D = np.eye(self.F.shape[1])
+        D[np.ix_(self.block, self.block)] += self.E
+        return D
+
+    def weigh(self, V: np.ndarray) -> np.ndarray:
+        """L V: the rows of V, indexed like F's columns, weighed onto the
+        columns `phi` of Phi."""
+        a = self.cross_weights
+        Z = a[:, None] * V[:a.size]
+        if self.E.size:
+            beta, d = self.params.beta, self.X.shape[1]
+            Z[0] -= 0.5 * beta * V[d + 1]
+            Z = np.vstack([Z, -0.5 * beta / self.c * V[0]])
+        return Z
+
+    def core(self) -> np.ndarray:
+        """The n x n alpha 11^T + beta XX^T/d, without T."""
+        return _core(self.params, self.X)
+
+    def add_curvature(self, K: np.ndarray) -> None:
+        """K += T in place, when the factor carries T."""
+        if self.E.size:
+            _add_curvature(K, self.params, self.psi)
+
+    def core_spectrum(self, side: Optional[np.ndarray] = None) -> np.ndarray:
+        """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
+        sorted descending, from its smaller Gram side: the n x n `core` when
+        n <= p, else the block of F^T F on the columns [sqrt(alpha) 1,
+        sqrt(beta/d) X], padded with the zeros of its rank deficit.  `side`
+        passes in the caller's own n x n core or, when n > p, F^T F."""
+        n, p = self.F.shape
+        if side is None:
+            side = self.core() if n <= p else self.F.T @ self.F
+        if side.shape[0] != n:
+            x0 = 1 if self.c else 0             # the first column of sqrt(beta/d) X
+            cols = slice(0 if self.params.alpha > 0 else x0, x0 + self.X.shape[1])
+            side = side[cols, cols]
+        w = np.linalg.eigvalsh(side)
+        spectrum = np.zeros(n)
+        spectrum[:w.size] = np.maximum(w[::-1], 0.0)
+        return spectrum
+
+    def rotation(self, s: np.ndarray, V: np.ndarray, proj: np.ndarray):
+        """Eigenpairs of F (I + E) F^T from F^T F = V S V^T (curvature only).
+
+        F V = U S^1/2 with U orthonormal, so F (I + E) F^T = U B U^T with
+        B = S + G^T E G, G = V S^1/2, where only G's rows `block` enter.
+        B = P W P^T gives the eigenvectors U P; returns W, F^T U P = G P and
+        (U P)^T Y = P^T S^-1/2 `proj`, `proj` = V^T F^T Y (whose row is 0
+        where s is, and is skipped there).
+        """
+        root_s = np.sqrt(np.maximum(s, 0.0))
+        G = V * root_s
+        rows = G[self.block]
+        B = rows.T @ self.E @ rows
+        B[np.diag_indices_from(B)] += root_s ** 2
+        w, P = np.linalg.eigh(B)
+        inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
+        return w, G @ P, P.T @ (inv_root[:, None] * proj)
+
+
+def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
+    """The `LinFactor` of `model` on the rows of X; `factored_spectrum(F, D,
+    gamma_eff)` is then the spectrum of the n x n Gram matrix `model` fits,
+    without forming it.  A constant cross kernel term with alpha = 0 and no
+    curvature has no column to sit on and raises ValueError."""
+    params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    M = _perturbation_form(params)
-    ones = np.ones((n, 1))
-    if params.family == "radial":
-        psi = _psi(X, params.tau)
-        W = np.hstack([ones, psi[:, None], (psi * psi)[:, None], X])
+    curved = model.fits_curvature
+    root = np.sqrt(params.beta / d)
+    if params.alpha > 0 or curved:
+        c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
+        columns = [np.full(n, c), root * X]
+        a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
+    elif params.h_pivot == 0:
+        c, columns, a = 0.0, [root * X], np.full(d, root)
     else:
-        W = np.hstack([ones, X])
-    k = M.shape[0]
-    D = np.zeros((k + d, k + d))
-    D[:k, :k] = M
-    np.fill_diagonal(D[k:, k:], params.beta / d)
-    return W, D
+        raise ValueError("a constant cross kernel term needs alpha > 0")
+    E = np.zeros((0, 0))
+    if curved:
+        psi = _psi(X, params.tau)
+        columns += [psi, psi * psi]
+        a[0] = (params.h_pivot + 0.5 * params.beta * params.tau) / c
+        scale = np.array([c, 1.0, 1.0])
+        E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
+    return LinFactor(params, X, np.column_stack(columns), E, c, a)
 
 
 def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -315,15 +434,18 @@ def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,
     where (p, q) is the inertia of the perturbation P (`perturbation_inertia`):
     its p positive eigenvalues can lift l_i at most to l_{i-p}, its q negative
     ones can lower it at most to l_{i+q}.  Both spectra must be sorted
-    descending with equal length; indices are 1-based and every i with at
-    least one side of the bracket defined is checked.  Inner-product kernels
-    have (p, q) = (1, 0), the one-step sandwich.  Tolerance is 1e-8 times
-    the largest K_lin eigenvalue.
+    descending and of equal length, and they, beta and gamma finite; indices
+    are 1-based and every i with at least one side of the bracket defined is
+    checked.  Inner-product kernels have (p, q) = (1, 0), the one-step
+    sandwich.  Tolerance is 1e-8 times the largest K_lin eigenvalue.
     """
     a = np.asarray(eig_klin, dtype=float).ravel()
     b = np.asarray(eig_xx, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+            and np.isfinite(beta) and np.isfinite(gamma)):
+        raise ValueError("spectra, beta and gamma must be finite")
     if np.any(np.diff(a) > 0) or np.any(np.diff(b) > 0):
         raise ValueError("spectra must be sorted descending")
     p, q = (int(k) for k in inertia)

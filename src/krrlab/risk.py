@@ -22,17 +22,19 @@ form densely; that is the reference the linearized route is checked
 against, not a route of `run_sweep`.
 
 Every linearized cell, with or without the radial curvature T, takes
-`spectral_risk_mc` instead: K - gamma I = F D' F^T has rank <= p (d+1, or
-d+3 under curvature), so one eigendecomposition of its smaller side gives
-the fit and variance as filter sums over 1/(w + r), r = n*lambda + gamma,
-and min(w) + r, the exact smallest eigenvalue of M.
+`spectral_risk_mc`: K - gamma I = F (I + E) F^T (`linearize.LinFactor`)
+has rank <= p (d+1, or d+3 under curvature), so one eigendecomposition of
+its smaller side gives the fit and variance as filter sums over 1/(w + r),
+r = n*lambda + gamma, and min(w) + r, the exact smallest eigenvalue of M.
+Both routes check their scalars and test sample through one helper.
 
-`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d.  `_v1_spectrum`
-takes it from the smaller Gram side of F = [sqrt(alpha) 1, sqrt(beta/d) X]:
-the n x n core by `_xtilde_spectrum` when n <= d+1, else F^T F
-((d+1) x (d+1)) padded with zeros.  Exact and curvature cells use it; a
-spectral cell without curvature reads its own F F^T when n <= d+1 and still
-runs the n x n `eigvalsh` of `_xtilde_spectrum` when n > d+1.
+`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
+`LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
+n <= p, else its block of F^T F padded with zeros.  Exact cells take it
+from a factor without curvature (p = d+1), and curvature cells pass in
+their own core before T or their own F^T F.  A spectral cell without
+curvature reads its own F F^T when n <= d+1 and still runs the n x n
+`eigvalsh` of the core when n > d+1.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ import numpy as np
 
 from .errors import SingularKernelError
 from .kernels import Dataset, KernelSpec, kernel_matrix, cross_kernel_matrix, solve_regularized
-from .linearize import (LinModel, LinParams, _add_curvature, _perturbation_form, _psi,
-                        build_lin_kernel, lin_cross_kernel_matrix)
+from .linearize import LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
@@ -101,6 +102,23 @@ def _check_length(name: str, values: np.ndarray, expected: int) -> np.ndarray:
     return values
 
 
+def _check_cell(data: Dataset, lam: float, sigma: float, test_points: np.ndarray,
+                noise_draws: int) -> np.ndarray:
+    """The test points as an m x d matrix, once a cell's scalars and test
+    sample are checked."""
+    if noise_draws < 2:
+        raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
+    for name, value in (("lam", lam), ("sigma", sigma)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+    Q = np.atleast_2d(np.asarray(test_points, dtype=float))
+    if Q.shape[0] < 100:
+        raise ValueError(f"the test sample must be at least 100 points, got {Q.shape[0]}")
+    if Q.shape[1] != data.d:
+        raise ValueError(f"test points must be {data.d} wide, got width {Q.shape[1]}")
+    return Q
+
+
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
                    lam: float, sigma: float, test_points: np.ndarray,
                    clean_test: np.ndarray, noise_draws: int, seed) -> RiskEstimate:
@@ -114,13 +132,7 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
     of either is made.
     """
-    if noise_draws < 2:
-        raise ValueError("noise_draws must be >= 2")
-    Q = np.atleast_2d(np.asarray(test_points, dtype=float))
-    if Q.shape[0] < 100:
-        raise ValueError(f"need at least 100 test points, got {Q.shape[0]}")
-    if Q.shape[1] != data.d:
-        raise ValueError(f"test points have width {Q.shape[1]}, expected {data.d}")
+    Q = _check_cell(data, lam, sigma, test_points, noise_draws)
     clean = _check_length("clean", clean, data.n)
     clean_test = _check_length("clean_test", clean_test, Q.shape[0])
     K, cross = gram_and_cross(model, data, Q)
@@ -173,75 +185,22 @@ class QuerySample:
         return G
 
 
-def _xtilde_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
-    """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values),
-    the input of `bound_v1`, from an n x n `eigvalsh`.  `_v1_spectrum` uses
-    it when n <= d+1 and `spectral_risk_mc` when n > d+1; the tests use it
-    as the n x n reference."""
-    n, d = X.shape
-    M = params.beta * (X @ X.T) / d + params.alpha
-    w = np.linalg.eigvalsh(M)[::-1]
-    return np.maximum(w, 0.0)
-
-
-def _v1_spectrum(params: LinParams, X: np.ndarray) -> np.ndarray:
-    """Clipped descending spectrum of alpha 11^T + beta XX^T/d (n values)
-    from the smaller Gram side of F = [sqrt(alpha) 1, sqrt(beta/d) X]: the
-    n x n core (`_xtilde_spectrum`) when n <= d+1, else F^T F
-    ((d+1) x (d+1)) padded with the n-d-1 zeros of its rank deficit."""
-    n, d = X.shape
-    if n <= d + 1:
-        return _xtilde_spectrum(params, X)
-    F = np.column_stack([np.full(n, np.sqrt(params.alpha)), np.sqrt(params.beta / d) * X])
-    w = np.linalg.eigvalsh(F.T @ F)
-    spectrum = np.zeros(n)
-    spectrum[:w.size] = np.maximum(w[::-1], 0.0)
-    return spectrum
-
-
-def _curvature_rotation(params: LinParams, c: float, d: int, s: np.ndarray,
-                        V: np.ndarray, proj: np.ndarray):
-    """Eigenpairs of F D' F^T from F^T F = V S V^T: F V = U S^1/2 with U
-    orthonormal, so F D' F^T = U B U^T with B = S + G^T (D' - I) G,
-    G = V S^1/2, where only G's rows of the columns (c 1, psi, psi∘psi)
-    enter.  B = P W P^T gives the eigenvectors U P; returns W, F^T U P = G P
-    and (U P)^T Y = P^T S^-1/2 `proj`, `proj` = V^T F^T Y (whose row is 0
-    where s is, and is skipped there).
-    """
-    root_s = np.sqrt(np.maximum(s, 0.0))
-    G = V * root_s
-    scale = np.array([c, 1.0, 1.0])
-    E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
-    rows = G[[0, d + 1, d + 2]]
-    B = rows.T @ E @ rows
-    B[np.diag_indices_from(B)] += root_s ** 2
-    w, P = np.linalg.eigh(B)
-    inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
-    return w, G @ P, P.T @ (inv_root[:, None] * proj)
-
-
 def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: float,
                      sigma: float, test: QuerySample, noise_draws: int, seed):
     """`excess_risk_mc` for a linearized model, from one small-side
-    eigendecomposition; returns (RiskEstimate, V1 spectrum).
+    eigendecomposition of its `linearize.LinFactor`; returns
+    (RiskEstimate, V1 spectrum).
 
-    K - gamma I = F D' F^T with F = [c 1, sqrt(beta/d) X], c = sqrt(alpha),
-    and D' = I; the constant column is dropped when alpha = 0 (it then needs
-    h_pivot = 0).  Under `model.fits_curvature` F gains the columns psi and
-    psi∘psi (p = d+3), c is 1 if alpha = 0, and D' - I is the form of
-    `linearize.perturbation_inertia`, scaled by 1/c in its first row and
-    column, minus I, on the (c 1, psi, psi∘psi) block.  The cross kernel,
-    h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i) under curvature,
-    is Phi L F^T with Phi = [1, Q, ||q||^2/d], psi_q being affine in
-    ||q||^2/d.  With r = n*lam + gamma, n <= p decomposes the n x n
-    F D' F^T = U W U^T, and
+    With K - gamma I = F (I + E) F^T, the cross kernel Phi L F^T and
+    r = n*lam + gamma, n <= p decomposes the n x n F (I + E) F^T = U W U^T,
+    and
 
         predictions = Phi L F^T U diag(1/(w+r)) U^T y,
         variance    = sigma^2/m sum_i ||Phi L F^T u_i||^2 / (w_i+r)^2.
 
     n > p decomposes F^T F = V S V^T, so that F^T U = V S^1/2 without
     curvature (w = s) and V S^1/2 P with it, P from one p x p rotation
-    (`_curvature_rotation`); the null space of F^T never reaches a
+    (`LinFactor.rotation`); the null space of F^T never reaches a
     prediction.  ||Phi z||^2 is read off `test.moments`.  y runs over the
     clean responses and `noise_draws` noise vectors drawn from `seed`
     exactly as in `excess_risk_mc`, so the two agree draw for draw.
@@ -252,10 +211,10 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
     sorted descending: without curvature the eigenvalues of F F^T when
     n <= p, otherwise a separate `eigvalsh` of that n x n matrix; with
-    curvature `_v1_spectrum`'s.  Counts and test-point numbers are not
-    checked here; `ExperimentConfig` validates them.
+    curvature `LinFactor.core_spectrum` of the fit's own core before T
+    (n <= p) or of its own F^T F.
     """
-    params = model.params
+    Q = _check_cell(data, lam, sigma, test.points, noise_draws)
     X = data.features
     n, d = X.shape
     r = n * lam + model.gamma
@@ -263,63 +222,45 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
         raise ValueError("n*lam + gamma must be > 0")
     Y = np.column_stack([_check_length("clean", clean, n), _noise(seed, sigma, n, noise_draws)])
     curved = model.fits_curvature
-
-    root = np.sqrt(params.beta / d)
-    if params.alpha > 0 or curved:
-        c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
-        columns = [np.full(n, c), root * X]
-        a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
-        S = test.moments[:d + 1, :d + 1]
-    elif params.h_pivot == 0:
-        columns, a, S = [root * X], np.full(d, root), test.moments[1:d + 1, 1:d + 1]
-    else:
-        raise ValueError("a constant cross kernel term needs alpha > 0")
-    if curved:
-        psi = _psi(X, params.tau)
-        columns += [psi, psi * psi]
-        a[0] = (params.h_pivot + 0.5 * params.beta * params.tau) / c
-        S = test.moments
-    F = np.column_stack(columns)
-    del columns                 # holds an n x d scaled copy of X
-
-    def weigh(V):
-        """L V: V's rows weighed onto the columns of Phi."""
-        Z = a[:, None] * V[:a.size]
-        if curved:
-            Z[0] -= 0.5 * params.beta * V[d + 1]
-            Z = np.vstack([Z, -0.5 * params.beta / c * V[0]])
-        return Z
+    factor = lin_factors(model, X)
+    F, phi = factor.F, factor.phi
+    # before the fit: a sample's first cell forms its long-lived moments here, so
+    # they do not sit above the fit's freed temporaries (4 MB more peak RSS)
+    S = test.moments[phi, phi]
 
     if n <= F.shape[1]:
-        core = params.beta * (X @ X.T) / d + params.alpha      # F D' F^T
+        core = factor.core()
         if curved:
-            _add_curvature(core, params, psi)
+            spectrum = factor.core_spectrum(core)
+            factor.add_curvature(core)                  # core = F (I + E) F^T
         w, U = np.linalg.eigh(core)
-        Z = weigh(F.T @ U)
+        Z = factor.weigh(F.T @ U)
         proj = U.T @ Y
         mass = 1.0 / (w + r) ** 2
         smallest = w[0] + r
-        spectrum = _v1_spectrum(params, X) if curved else np.maximum(w[::-1], 0.0)
+        if not curved:
+            spectrum = np.maximum(w[::-1], 0.0)
     else:
-        w, V = np.linalg.eigh(F.T @ F)
+        gram = F.T @ F
+        w, V = np.linalg.eigh(gram)
         proj = V.T @ (F.T @ Y)
         if curved:
-            w, V, proj = _curvature_rotation(params, c, d, w, V, proj)
+            spectrum = factor.core_spectrum(gram)
+            w, V, proj = factor.rotation(w, V, proj)
             mass = 1.0 / (w + r) ** 2
         else:
+            # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 1
+            spectrum = factor.core_spectrum(factor.core())
             mass = w / (w + r) ** 2
-        Z = weigh(V)
+        Z = factor.weigh(V)
         smallest = min(w[0], 0.0) + r
-        # n x n on purpose: see CHANGES.md's FOUND entry on _xtilde_spectrum, ROADMAP item 1
-        spectrum = _v1_spectrum(params, X) if curved else _xtilde_spectrum(params, X)
     if not smallest > 0:
         raise SingularKernelError(f"system matrix is not positive definite (smallest "
                                   f"eigenvalue {smallest:.3e})", float(smallest))
     coef = Z @ (proj / (w + r)[:, None])
 
-    Q = test.points                                           # pred: m x (1+draws)
-    pred = Q @ coef[1:d + 1] + coef[0] if params.alpha > 0 or curved else Q @ coef
-    if curved:
+    pred = Q @ coef[1:d + 1] + coef[0] if phi.start == 0 else Q @ coef   # Phi[:, phi] coef
+    if phi.stop == d + 2:
         pred += test.sq_norms[:, None] * coef[-1]
     variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
                      / Q.shape[0])

@@ -18,8 +18,9 @@ smallest eigenvalue.  Exact kernels take the Cholesky route,
 `eigh` of a 2000 x 2000 gaussian K takes about 1 s against 0.2-0.3 s for
 its factor and a solve with 600 right-hand sides.  V1's spectrum, of the
 rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes from its smaller Gram
-side, except that a linearized cell without curvature still runs an n x n
-`eigvalsh` for it when n > d+1.
+side (`linearize.LinFactor.core_spectrum`; a curvature cell reads its own
+core or F^T F), except that a linearized cell without curvature still runs
+an n x n `eigvalsh` for it when n > d+1.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
@@ -29,7 +30,8 @@ exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
 its F-contiguous view K.T, no copy) and returns only its top k eigenvalues.
 The linearized kernel minus gamma_eff I and the Gram matrix XX^T/d have rank
 <= d+3 and d; their spectra come from a thin QR of their n x (d+3) and
-n x d factors (`linearize.factored_spectrum`), padded to length n.
+n x d factors (`linearize.lin_factors`, `linearize.factored_spectrum`),
+padded to length n.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
                         perturbation_inertia)
-from .risk import (QuerySample, _v1_spectrum, bias_ref, bound_v1, bound_v2,
-                   excess_risk_mc, spectral_risk_mc)
+from .risk import (QuerySample, bias_ref, bound_v1, bound_v2, excess_risk_mc,
+                   spectral_risk_mc)
 from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
                     sample_features)
 
@@ -66,11 +68,12 @@ __all__ = [
     "kernel_by_name",
     "write_csv",
     "CSV_HEADER",
+    "KERNELS",
 ]
 
 CSV_HEADER = "n,lambda,bias_emp,var_emp,risk_emp,v1_bound,v2_bound,bias_ref,stderr"
 
-_KERNELS = ("linear", "polynomial", "exponential_inner", "gaussian")
+KERNELS = ("linear", "polynomial", "exponential_inner", "gaussian")
 
 
 def kernel_by_name(name: str, degree: int = 3) -> KernelSpec:
@@ -82,7 +85,7 @@ def kernel_by_name(name: str, degree: int = 3) -> KernelSpec:
         return KernelSpec.exponential_inner()
     if name == "gaussian":
         return KernelSpec.gaussian()
-    raise ConfigError(f"unknown kernel {name!r} (choose from {_KERNELS})")
+    raise ConfigError(f"unknown kernel {name!r} (choose from {KERNELS})")
 
 
 class CurveShape(str, enum.Enum):
@@ -117,6 +120,8 @@ def classify_curve(values) -> CurveShape:
     v = np.asarray(values, dtype=float).ravel()
     if v.shape[0] < 5:
         raise ValueError(f"need at least 5 points to classify, got {v.shape[0]}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("curve values must be finite")
     s = _smooth3(v)
     spread = float(s.max() - s.min())
     scale = max(abs(float(s.max())), abs(float(s.min())), 1e-300)
@@ -401,7 +406,8 @@ def run_sweep(config: ExperimentConfig):
                 else:
                     est = excess_risk_mc(data, clean, spec, lam_solve, config.sigma,
                                          test.points, test.clean, config.noise_draws, rng)
-                    spectrum = _v1_spectrum(lin.params, data.features)
+                    spectrum = lin_factors(LinModel(lin.params),
+                                           data.features).core_spectrum()
             except SingularKernelError as exc:
                 raise SingularKernelError(
                     f"cell n={n}, trial {t}, ridge n*lambda={n * lam_solve:.6g}: {exc}",
@@ -451,10 +457,15 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
 
     K has full rank: one `scipy.linalg.eigh` overwrites it and returns only
     its top k eigenvalues, so K is the only n x n matrix held.  The
-    linearization and the Gram matrix have rank <= d+3 and come from their
-    (d+3)- and d-column factors (`factored_spectrum`), at full length n.  The first eigenvalue is
-    flagged in the CSV (column is_top1) since its scale is dominated by the
-    rank-one mean component.
+    linearization, T included (a curvature `LinFactor`), and the Gram matrix
+    have rank <= d+3 and d; their spectra come from a thin QR of their
+    factors (`factored_spectrum`, fed F and I + E), at full length n.  QR
+    rather than the fit's rotation from F^T F: on the `real_exact` benchmark
+    draw (seed 2, n = 2000, d = 100) the rotation put the top 60 up to
+    3.9e-12 relative off a dense `eigvalsh` and changed 1-2 printed values per
+    seed, where QR stays within 3.0e-14, the dense reference's own accuracy.
+    The first eigenvalue is flagged in the CSV (column is_top1) since its
+    scale is dominated by the rank-one mean component.
     """
     n = n if n is not None else config.grid[-1]
     if n < 1 or k < 1:
@@ -477,7 +488,8 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     eig_true = scipy.linalg.eigh(kernel_matrix(spec, data).T, eigvals_only=True,
                                  overwrite_a=True, check_finite=False,
                                  subset_by_index=(n - k, n - 1))[::-1]
-    eig_lin = factored_spectrum(*lin_factors(params, data.features), gamma_eff)
+    full = lin_factors(LinModel(params, lin.gamma_override, curvature=True), data.features)
+    eig_lin = factored_spectrum(full.F, full.D, gamma_eff)
     eig_g = factored_spectrum(data.features, np.eye(data.d) / data.d)
 
     report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,

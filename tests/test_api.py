@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, every function the
-benchmark tracer wraps still exists under the module it names, importing
+benchmark tracer wraps still exists under the module it names, no krrlab
+module imports a private name from another, importing
 krrlab and running its numpy-only paths (linearized sweeps, with and without
 curvature, in synth and real mode; bounds, synth, plot) loads no scipy module
 at all, and an exact-kernel fit loads
@@ -45,6 +46,23 @@ def test_traced_functions_resolve():
     for dotted in names:
         module, attr = dotted.split(".")
         assert callable(getattr(importlib.import_module(f"krrlab.{module}"), attr, None)), dotted
+
+
+def _private_imports(path: Path) -> list:
+    """`from <krrlab module> import _name` statements in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").startswith("krrlab"))):
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_modules_import_no_private_names_from_each_other():
+    sources = sorted((ROOT / "src" / "krrlab").glob("*.py"))
+    assert sources
+    assert [hit for path in sources for hit in _private_imports(path)] == []
 
 
 def test_import_leaves_out_heavy_scipy_subpackages():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,8 @@ class TestBuildLinKernel:
         # identity covariance + orthogonal rows: ||x_i||^2 = d exactly
         cov, data = _dataset(12, 30, seed=3, kind="identity")
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        assert np.allclose(lin_factors(p, data.features)[0][:, 1], 0.0, atol=1e-12)
+        psi = lin_factors(LinModel(p, curvature=True), data.features).psi
+        assert np.allclose(psi, 0.0, atol=1e-12)
         T = (build_lin_kernel(LinModel(p, curvature=True), data)
              - build_lin_kernel(LinModel(p), data))
         assert np.allclose(T, 0.0, atol=1e-12)
@@ -137,7 +140,7 @@ class TestBuildLinKernel:
     def test_rank_structure_of_correction(self, seed):
         cov, data = _dataset(25, 60, seed=seed)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        psi = lin_factors(p, data.features)[0][:, 1]
+        psi = lin_factors(LinModel(p, curvature=True), data.features).psi
         A = psi[:, None] + psi[None, :]
         sv = np.linalg.svd(A, compute_uv=False)
         assert sv[2] <= 1e-8 * sv[0]
@@ -273,6 +276,14 @@ class TestInterlacing:
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
             interlacing_check(np.array([1.0, 2.0, 0.5]), np.ones(3), 1.0, 0.0, (1, 0))
+        for bad in (np.array([1.0, np.nan, 0.5]), np.array([np.inf, 1.0, 0.5])):
+            with pytest.raises(ValueError, match="finite"):   # passes the order check
+                interlacing_check(bad, np.ones(3), 1.0, 0.0, (1, 0))
+            with pytest.raises(ValueError, match="finite"):
+                interlacing_check(np.ones(3), bad, 1.0, 0.0, (1, 0))
+        for beta, gamma in ((np.nan, 0.0), (1.0, np.nan)):    # every bracket NaN
+            with pytest.raises(ValueError, match="finite"):
+                interlacing_check(np.ones(3), np.ones(3), beta, gamma, (1, 0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -315,25 +326,26 @@ _SPECS = {"polynomial": KernelSpec.polynomial(3), "gaussian": KernelSpec.gaussia
 
 
 class TestFactoredSpectrum:
-    # d = 20: W has p = 23 columns (radial) or 21 (inner product); the
-    # offsets give n < p, n = p and n > p
+    # d = 20: F has p = 23 columns (radial), 21 (inner product) or 20 (the
+    # linear kernel, whose alpha = 0 drops the constant column); the offsets
+    # give n < p, n = p and n > p
     @pytest.mark.parametrize("kernel", sorted(_SPECS))
     @pytest.mark.parametrize("gamma_override", [None, 0.0])
     @pytest.mark.parametrize("offset", [-6, 0, 17])
     def test_matches_dense_spectra(self, kernel, gamma_override, offset):
         d = 20
         spec = _SPECS[kernel]
-        p_cols = d + (3 if spec.family == "radial" else 1)
+        p_cols = d + {"gaussian": 3, "polynomial": 1, "linear": 0}[kernel]
         n = p_cols + offset
         cov, data = _dataset(n, d, seed=30 + n)
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
-        gamma_eff = LinModel(params, gamma_override).gamma
-        W, D = lin_factors(params, data.features)
-        assert W.shape == (n, p_cols)
+        model = LinModel(params, gamma_override, curvature=True)
+        gamma_eff = model.gamma
+        factor = lin_factors(model, data.features)
+        assert factor.F.shape == (n, p_cols)
 
-        eig_lin = factored_spectrum(W, D, gamma_eff)
-        dense_lin = np.linalg.eigvalsh(
-            build_lin_kernel(LinModel(params, gamma_override, curvature=True), data))[::-1]
+        eig_lin = factored_spectrum(factor.F, factor.D, gamma_eff)
+        dense_lin = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
         assert eig_lin.shape == (n,)
         assert np.max(np.abs(eig_lin - dense_lin)) <= 1e-10 * abs(dense_lin[0])
 
@@ -361,6 +373,45 @@ class TestFactoredSpectrum:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="expected"):
             factored_spectrum(np.ones((4, 3)), np.eye(2))
+
+
+_ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
+
+
+class TestLinFactor:
+    """F (I + E) F^T and Phi L F^T against the dense Gram matrix and cross
+    kernel, for every kernel, with and without curvature, and at alpha = 0."""
+
+    @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
+    @pytest.mark.parametrize("curvature", [False, True])
+    @pytest.mark.parametrize("alpha_zero", [False, True], ids=["alpha", "alpha-0"])
+    def test_factored_forms_match_dense(self, kernel, curvature, alpha_zero):
+        n, d, m = 30, 25, 40
+        cov, data = _dataset(n, d, seed=7)
+        params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
+        if alpha_zero:
+            params = dataclasses.replace(params, alpha=0.0)
+        model = LinModel(params, curvature=curvature)
+        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
+            with pytest.raises(ValueError, match="needs alpha > 0"):
+                lin_factors(model, data.features)
+            return
+        factor = lin_factors(model, data.features)
+
+        K = build_lin_kernel(model, data) - model.gamma * np.eye(n)
+        got = factor.F @ factor.D @ factor.F.T
+        assert np.max(np.abs(got - K)) <= 1e-12 * np.max(np.abs(K))
+
+        Q = sample_features(cov, m, 8)
+        phi = np.column_stack([np.ones(m), Q, np.einsum("ij,ij->i", Q, Q) / d])
+        cross = lin_cross_kernel_matrix(model, data, Q)
+        got = phi[:, factor.phi] @ factor.weigh(factor.F.T)
+        assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
+
+        # n > p here, so the core's spectrum comes from its block of F^T F
+        core = build_lin_kernel(LinModel(params, 0.0), data)
+        dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
+        assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
 
 
 class TestMomentDiagnostics:

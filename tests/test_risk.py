@@ -6,10 +6,17 @@ import pytest
 import scipy.linalg
 
 from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, SingularKernelError,
-                    TargetSpec, bias_ref, bound_v1, bound_v2, evaluate_target,
-                    excess_risk_mc, linearize_params, make_covariance, quantity_N,
-                    sample_dataset, sample_features, spectral_risk_mc)
-from krrlab.risk import _xtilde_spectrum, gram_and_cross
+                    TargetSpec, bias_ref, bound_v1, bound_v2, build_lin_kernel,
+                    evaluate_target, excess_risk_mc, linearize_params, make_covariance,
+                    quantity_N, sample_dataset, sample_features, spectral_risk_mc)
+from krrlab.risk import gram_and_cross
+
+
+def _dense_v1_spectrum(params, data):
+    """The n x n reference V1 spectrum: alpha 11^T + beta XX^T/d (a zero
+    gamma_override adds nothing), clipped at 0 and sorted descending."""
+    K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
+    return np.maximum(np.linalg.eigvalsh(K)[::-1], 0.0)
 
 
 def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
@@ -161,7 +168,7 @@ class TestSpectralRiskMc:
         for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
                           (est.risk, ref.risk), (est.mc_stderr, ref.mc_stderr)):
             assert got == pytest.approx(want, rel=1e-9)
-        v1_ref = bound_v1(_xtilde_spectrum(params, data.features), params.beta, d, n,
+        v1_ref = bound_v1(_dense_v1_spectrum(params, data), params.beta, d, n,
                           lam, gamma, 1.0)
         v1 = bound_v1(spectrum, params.beta, d, n, lam, gamma, 1.0)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
@@ -196,7 +203,7 @@ class TestSpectralRiskMc:
                                        test.clean, 6, 5)
         for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
             assert got == pytest.approx(ref, rel=1e-9)
-        v1_ref = bound_v1(_xtilde_spectrum(params, data.features), params.beta, self.D,
+        v1_ref = bound_v1(_dense_v1_spectrum(params, data), params.beta, self.D,
                           n, lam, model.gamma, 0.7)
         v1 = bound_v1(spectrum, params.beta, self.D, n, lam, model.gamma, 0.7)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
@@ -292,10 +299,25 @@ class TestInSpanRate:
         assert -2.4 <= slope <= -1.0      # schedule-driven decay, rate ~ n^(-2 theta)
 
 
+def _spectral_cell(lam=1e-3, sigma=1.0, m=120, width=40, noise_draws=4):
+    cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=m)
+    p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
+    return spectral_risk_mc(data, clean, LinModel(p), lam, sigma,
+                            QuerySample(test_X[:, :width], clean_test), noise_draws, 0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), np.nan, 1.0,
                            *_config()[3:], noise_draws=2, seed=0),
-], ids=["excess_risk_mc-lam"])
+    lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), 1e-3, -1.0,
+                           *_config()[3:], noise_draws=2, seed=0),
+    lambda: _spectral_cell(width=39),
+    lambda: _spectral_cell(noise_draws=1),
+    lambda: _spectral_cell(lam=-1e-3),
+    lambda: _spectral_cell(sigma=-1.0),
+    lambda: _spectral_cell(m=99),
+], ids=["excess_risk_mc-lam", "excess_risk_mc-sigma", "spectral-width",
+        "spectral-noise_draws", "spectral-lam", "spectral-sigma", "spectral-test_points"])
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()

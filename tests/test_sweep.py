@@ -11,10 +11,17 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
                     sample_features)
-from krrlab.risk import _xtilde_spectrum, gram_and_cross
+from krrlab.risk import gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
+
+
+def _dense_v1_spectrum(params, data):
+    """The n x n reference V1 spectrum: alpha 11^T + beta XX^T/d (a zero
+    gamma_override adds nothing), clipped at 0 and sorted descending."""
+    K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
+    return np.maximum(np.linalg.eigvalsh(K)[::-1], 0.0)
 
 
 class TestClassifyCurve:
@@ -44,6 +51,8 @@ class TestClassifyCurve:
     def test_too_short(self):
         with pytest.raises(ValueError):
             classify_curve([1, 2, 3, 2])
+        with pytest.raises(ValueError, match="finite"):      # long enough, but NaN
+            classify_curve([1, 2, np.nan, 2, 1, 0.5])
 
 
 class TestConfig:
@@ -205,7 +214,7 @@ def _direct_points(cfg):
             data, clean = sample_dataset(cov, n, target, rng)
             est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test_X, clean_test,
                                  cfg.noise_draws, rng)
-            v1 = bound_v1(_xtilde_spectrum(params, data.features), params.beta, cfg.d,
+            v1 = bound_v1(_dense_v1_spectrum(params, data), params.beta, cfg.d,
                           n, lam, gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
         b, v, r, se2, v1 = np.mean(cells, axis=0)
