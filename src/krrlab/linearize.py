@@ -273,12 +273,12 @@ class LinFactor:
 
     K_lin - gamma_eff I = F D' F^T, F = [c 1, sqrt(beta/d) X] with
     c = sqrt(alpha) and D' = I; the constant column is dropped when
-    alpha = 0 (the cross kernel then needs h_pivot = 0).  When the model
-    fits curvature, F gains the columns psi and psi∘psi (p = d+3), c is 1 if
-    alpha = 0, and D' - I is zero but for its 3 x 3 block E on the columns
-    `block` (c 1, psi, psi∘psi): the form of `perturbation_inertia` scaled
-    by 1/c in its first row and column, minus I.  Without curvature E is
-    empty.
+    alpha = 0 (`weigh` then raises ValueError unless h_pivot = 0).  When
+    the model fits curvature, F gains the columns psi and psi∘psi (p = d+3),
+    c is 1 if alpha = 0, and D' - I is zero but for its 3 x 3 block E on
+    the columns `block` (c 1, psi, psi∘psi): the form of
+    `perturbation_inertia` scaled by 1/c in its first row and column, minus
+    I.  Without curvature E is empty.
 
     The cross kernel, h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i)
     under curvature, is Phi L F^T with Phi = [1, Q, ||q||^2/d] (psi_q is
@@ -321,7 +321,9 @@ class LinFactor:
 
     def weigh(self, V: np.ndarray) -> np.ndarray:
         """L V: the rows of V, indexed like F's columns, weighed onto the
-        columns `phi` of Phi."""
+        columns `phi` of Phi; a nonzero h_pivot needs F's constant column."""
+        if not self.c and self.params.h_pivot != 0:
+            raise ValueError("a constant cross kernel term needs alpha > 0")
         a = self.cross_weights
         Z = a[:, None] * V[:a.size]
         if self.E.size:
@@ -379,8 +381,8 @@ class LinFactor:
 def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
     """The `LinFactor` of `model` on the rows of X; `factored_spectrum(F, D,
     gamma_eff)` is then the spectrum of the n x n Gram matrix `model` fits,
-    without forming it.  A constant cross kernel term with alpha = 0 and no
-    curvature has no column to sit on and raises ValueError."""
+    without forming it.  F has no constant column when alpha = 0 and there
+    is no curvature; the spectra need none, the cross kernel's h_pivot does."""
     params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -390,10 +392,8 @@ def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
         c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
         columns = [np.full(n, c), root * X]
         a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
-    elif params.h_pivot == 0:
-        c, columns, a = 0.0, [root * X], np.full(d, root)
     else:
-        raise ValueError("a constant cross kernel term needs alpha > 0")
+        c, columns, a = 0.0, [root * X], np.full(d, root)
     E = np.zeros((0, 0))
     if curved:
         psi = _psi(X, params.tau)

@@ -3,11 +3,14 @@ comparison, and curve-shape classification.
 
 A sweep walks a grid of sample sizes; at each n it draws `trials`
 independent datasets, fits the (true or linearized) kernel ridge estimator
-under the schedule lambda = cbar * n^(-theta), and records the empirical
-bias, variance and risk together with the evaluable bound curves.  All
-Monte-Carlo expectations share one test sample per sweep (common random
-numbers) and every (n, trial) cell carries its own seeded stream, so the
-output is byte-identical across reruns.
+under the schedule lambda = cbar * n^(-theta) (or a fixed ridge), and
+records the empirical bias, variance and risk together with the evaluable
+bound curves.  `_cell` is one (n, trial) cell: its seeded draw, its route,
+both bounds, and six floats (bias, variance, risk, V1, V2, stderr^2); each
+point of the curve is the per-column mean of its `trials` cells, in trial
+order.  All Monte-Carlo expectations share one test sample per sweep
+(common random numbers) and every cell carries its own seeded stream, so
+the output is byte-identical across reruns.
 
 A sweep has two routes.  Every linearized cell, `lin_curvature` or not, is
 one small-side eigendecomposition of its rank <= d+3 factored form
@@ -18,9 +21,10 @@ smallest eigenvalue.  Exact kernels take the Cholesky route,
 `eigh` of a 2000 x 2000 gaussian K takes about 1 s against 0.2-0.3 s for
 its factor and a solve with 600 right-hand sides.  V1's spectrum, of the
 rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes from its smaller Gram
-side (`linearize.LinFactor.core_spectrum`; a curvature cell reads its own
-core or F^T F), except that a linearized cell without curvature still runs
-an n x n `eigvalsh` for it when n > d+1.
+side (`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
+alpha = 0; a curvature cell reads its own core or F^T F), except that a
+linearized cell without curvature still runs an n x n `eigvalsh` for it
+when n > d+1.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input; `DataSource` loads the data of one call, synthetic
 or real, in one place.
@@ -36,6 +40,7 @@ padded to length n.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -288,27 +293,22 @@ class RiskPoint:
     mc_stderr: float
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def write_csv(points, path: str) -> str:
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(",".join([str(p.n), _fmt(p.lam), _fmt(p.bias_emp), _fmt(p.var_emp),
-                               _fmt(p.risk_emp), _fmt(p.v1_bound), _fmt(p.v2_bound),
-                               _fmt(p.bias_ref), _fmt(p.mc_stderr)]))
+    return _write_rows(CSV_HEADER, map(dataclasses.astuple, points), path)
+
+
+def _write_rows(header: str, rows, path: Optional[str]) -> str:
+    """CSV text of `header` and `rows`, each row's first field (an integer
+    index) as is and the others to 12 significant digits; written to `path`
+    as ASCII, its parent directory created, when given."""
+    lines = [header] + [",".join([str(row[0]), *(format(v, ".12g") for v in row[1:])])
+                        for row in rows]
     text = "\n".join(lines) + "\n"
     if path:
-        _write_text(text, path)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
     return text
-
-
-def _write_text(text: str, path: str) -> None:
-    """Write `text` to `path` as ASCII, creating its parent directory."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
 
 
 class DataSource:
@@ -366,15 +366,50 @@ class DataSource:
         return self._tests[trial]
 
     def lin_model(self, X: np.ndarray) -> LinModel:
-        """The LinModel that fits and bounds training set X; its LinParams are
-        the covariance's (synth) or plug-in estimates from X (real)."""
+        """The LinModel that fits and bounds training set X (plain for exact
+        kernels); its LinParams are the covariance's (synth) or plug-in
+        estimates from X (real)."""
         params = self.params
         if self.cov is None:
             tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
             params = linearize_params(self.spec, tau, estimate_trace_ratio(X))
         c = self.config         # exact kernels keep the implicit gamma in their bounds
-        return LinModel(params, c.gamma_override if c.use_linearized else None,
-                        c.lin_curvature)
+        if not c.use_linearized:
+            return LinModel(params)
+        return LinModel(params, c.gamma_override, c.lin_curvature)
+
+
+def _lambdas(config: ExperimentConfig, n: int):
+    """(the lambda reported at n, the lambda the solve scales by n)."""
+    if config.fixed_lambda is not None:
+        return config.fixed_lambda, config.fixed_lambda / n   # ridge n*lam == fixed_lambda
+    lam = config.cbar * float(n) ** (-config.theta)
+    return lam, lam
+
+
+def _cell(config: ExperimentConfig, spec: KernelSpec, source: DataSource, n: int,
+          t: int, lam: float) -> tuple:
+    """(bias, variance, risk, V1, V2, stderr^2) of cell (n, trial t), whose
+    solve scales `lam` by n."""
+    rng = np.random.default_rng([config.seed, n, t])
+    data, clean = source.train(n, t, rng)
+    test = source.test(t)
+    lin = source.lin_model(data.features)
+    try:
+        if config.use_linearized:
+            est, spectrum = spectral_risk_mc(data, clean, lin, lam, config.sigma, test,
+                                             config.noise_draws, rng)
+        else:
+            est = excess_risk_mc(data, clean, spec, lam, config.sigma, test.points,
+                                 test.clean, config.noise_draws, rng)
+            spectrum = lin_factors(lin, data.features).core_spectrum()
+    except SingularKernelError as exc:
+        raise SingularKernelError(
+            f"cell n={n}, trial {t}, ridge n*lambda={n * lam:.6g}: {exc}",
+            exc.smallest_eigenvalue) from exc
+    v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam, lin.gamma, config.sigma)
+    v2 = bound_v2(spec.family, n, lam, lin.gamma, data.d, config.sigma)
+    return est.bias, est.variance, est.risk, v1, v2, est.mc_stderr ** 2
 
 
 def run_sweep(config: ExperimentConfig):
@@ -383,56 +418,17 @@ def run_sweep(config: ExperimentConfig):
     definite raises SingularKernelError naming n, the trial and the ridge."""
     spec = kernel_by_name(config.kernel, config.degree)
     source = DataSource(config, spec, config.grid[-1])
-
     points = []
     for n in config.grid:
-        if config.fixed_lambda is not None:
-            lam_user = config.fixed_lambda
-            lam_solve = lam_user / n          # ridge n*lam_solve == lam_user
-        else:
-            lam_user = config.cbar * float(n) ** (-config.theta)
-            lam_solve = lam_user
-        bias_l, var_l, risk_l, v1_l, v2_l, stderr_sq = [], [], [], [], [], []
-        for t in range(config.trials):
-            rng = np.random.default_rng([config.seed, n, t])
-            data, clean = source.train(n, t, rng)
-            test = source.test(t)
-            lin = source.lin_model(data.features)
-            try:
-                if config.use_linearized:
-                    est, spectrum = spectral_risk_mc(data, clean, lin, lam_solve,
-                                                     config.sigma, test,
-                                                     config.noise_draws, rng)
-                else:
-                    est = excess_risk_mc(data, clean, spec, lam_solve, config.sigma,
-                                         test.points, test.clean, config.noise_draws, rng)
-                    spectrum = lin_factors(LinModel(lin.params),
-                                           data.features).core_spectrum()
-            except SingularKernelError as exc:
-                raise SingularKernelError(
-                    f"cell n={n}, trial {t}, ridge n*lambda={n * lam_solve:.6g}: {exc}",
-                    exc.smallest_eigenvalue) from exc
-            v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam_solve, lin.gamma,
-                          config.sigma)
-            bias_l.append(est.bias)
-            var_l.append(est.variance)
-            risk_l.append(est.risk)
-            v1_l.append(v1)
-            v2_l.append(bound_v2(spec.family, n, lam_solve, lin.gamma, config.d,
-                                 config.sigma))
-            stderr_sq.append(est.mc_stderr ** 2)
+        lam_user, lam = _lambdas(config, n)
+        cells = np.array([_cell(config, spec, source, n, t, lam)
+                          for t in range(config.trials)])
+        # 1-D means in trial order: np.mean(cells, axis=0) sums in another order
+        bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in cells.T)
         ref = bias_ref(n, config.theta if config.fixed_lambda is None else 0.0,
                        config.source_r)
-        points.append(RiskPoint(
-            n=n, lam=lam_user,
-            bias_emp=float(np.mean(bias_l)),
-            var_emp=float(np.mean(var_l)),
-            risk_emp=float(np.mean(risk_l)),
-            v1_bound=float(np.mean(v1_l)),
-            v2_bound=float(np.mean(v2_l)),
-            bias_ref=float(ref),
-            mc_stderr=float(np.sqrt(np.mean(stderr_sq) / config.trials)),
-        ))
+        points.append(RiskPoint(n, lam_user, bias, var, risk, v1, v2, float(ref),
+                                float(np.sqrt(stderr_sq / config.trials))))
     csv_text = write_csv(points, config.output_path)
     return points, csv_text
 
@@ -496,13 +492,9 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
                                perturbation_inertia(params))
 
     scaled = params.beta * eig_g[:k] + gamma_eff
-    lines = ["i,eig_true,eig_lin,eig_scaled_gram,is_top1"]
-    for i in range(k):
-        lines.append(",".join([str(i + 1), _fmt(eig_true[i]), _fmt(eig_lin[i]),
-                               _fmt(scaled[i]), "1" if i == 0 else "0"]))
-    csv_text = "\n".join(lines) + "\n"
-    if output_path:
-        _write_text(csv_text, output_path)
+    csv_text = _write_rows("i,eig_true,eig_lin,eig_scaled_gram,is_top1",
+                           [(i + 1, eig_true[i], eig_lin[i], scaled[i], int(i == 0))
+                            for i in range(k)], output_path)
     return EigComparison(
         eig_true=eig_true,
         eig_lin=eig_lin[:k],

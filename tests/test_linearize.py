@@ -392,26 +392,47 @@ class TestLinFactor:
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
         model = LinModel(params, curvature=curvature)
-        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
-            with pytest.raises(ValueError, match="needs alpha > 0"):
-                lin_factors(model, data.features)
-            return
         factor = lin_factors(model, data.features)
 
         K = build_lin_kernel(model, data) - model.gamma * np.eye(n)
         got = factor.F @ factor.D @ factor.F.T
         assert np.max(np.abs(got - K)) <= 1e-12 * np.max(np.abs(K))
 
+        # n > p here, so the core's spectrum comes from its block of F^T F
+        core = build_lin_kernel(LinModel(params, 0.0), data)
+        dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
+        assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
+
+        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
+            with pytest.raises(ValueError, match="needs alpha > 0"):
+                factor.weigh(factor.F.T)
+            return
         Q = sample_features(cov, m, 8)
         phi = np.column_stack([np.ones(m), Q, np.einsum("ij,ij->i", Q, Q) / d])
         cross = lin_cross_kernel_matrix(model, data, Q)
         got = phi[:, factor.phi] @ factor.weigh(factor.F.T)
         assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
 
-        # n > p here, so the core's spectrum comes from its block of F^T F
+    @pytest.mark.parametrize("kernel", ["exponential_inner", "gaussian", "polynomial"])
+    @pytest.mark.parametrize("n", [15, 30], ids=["n<p", "n>p"])
+    def test_spectra_need_no_constant_column(self, kernel, n):
+        # alpha = 0 with h_pivot != 0: the cross kernel's constant has no
+        # column, but the core and the Gram matrix the model fits do not read it
+        d = 25
+        cov, data = _dataset(n, d, seed=7)
+        params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
+        params = dataclasses.replace(params, alpha=0.0)
+        assert params.h_pivot != 0
+        model = LinModel(params)
+        factor = lin_factors(model, data.features)
+        assert factor.F.shape == (n, d)
+
         core = build_lin_kernel(LinModel(params, 0.0), data)
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
+        dense = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
+        got = factored_spectrum(factor.F, factor.D, model.gamma)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * dense[0]
 
 
 class TestMomentDiagnostics:

@@ -11,6 +11,7 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
                     sample_features)
+from krrlab import sweep
 from krrlab.risk import gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
@@ -410,3 +411,24 @@ def test_curvature_sweep_takes_the_spectral_route(mode, monkeypatch):
           if mode == "real" else dict(n_grid=[30, 90]))
     points, _ = run_sweep(_small_config(lin_curvature=True, gamma_override=None, **kw))
     assert all(np.isfinite(p.risk_emp) and p.var_emp > 0 for p in points)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(use_linearized=False, gamma_override=None)],
+                         ids=["linearized", "exact"])
+def test_each_row_is_the_per_column_mean_of_its_cells(kw):
+    # every field is a 1-D mean over trials 0..9 in order; a mean over axis 0
+    # of the cells' array sums in another order, which these rows would show
+    cfg = _small_config(trials=10, **kw)
+    points, _ = run_sweep(cfg)
+    spec = kernel_by_name(cfg.kernel, cfg.degree)
+    source = DataSource(cfg, spec, cfg.grid[-1])
+    other_order = False
+    for p in points:
+        lam = cfg.cbar * float(p.n) ** (-cfg.theta)
+        cells = [sweep._cell(cfg, spec, source, p.n, t, lam) for t in range(cfg.trials)]
+        bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in zip(*cells))
+        assert (p.lam, p.bias_emp, p.var_emp, p.risk_emp, p.v1_bound, p.v2_bound,
+                p.mc_stderr) == (lam, bias, var, risk, v1, v2,
+                                 float(np.sqrt(stderr_sq / cfg.trials)))
+        other_order |= tuple(np.mean(cells, axis=0)[:5]) != (bias, var, risk, v1, v2)
+    assert other_order

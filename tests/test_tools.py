@@ -1,5 +1,5 @@
 """The pure parts of tools/bench_pairs.py (seed lists and pair statistics),
-and tools/output_digest.py on the micro workloads."""
+and tools/output_digest.py on the micro workloads and multi-trial group."""
 
 import importlib.util
 import re
@@ -73,7 +73,10 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
     assert _files(ROOT / "bench") == before
     assert list(digests) == ([("lin_protocol", 1, f"sweep{i}") for i in range(7)]
                              + [("lin_wide", 1, "sweep0")]
-                             + [("real_exact", 1, o) for o in ("sweep0", "eig", "svg")])
+                             + [("real_exact", 1, o) for o in ("sweep0", "eig", "svg")]
+                             + [("multi_trial", 1, o) for o in (
+                                 "lin_schedule", "fixed_lambda_gamma0", "curvature",
+                                 "exact_synth", "exact_real")])
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())
     assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True) == {
         ("lin_wide", 1, "sweep0"): digests["lin_wide", 1, "sweep0"]}

@@ -1,4 +1,5 @@
-"""Digest the benchmark's outputs, to show that a change leaves them byte-identical.
+"""Digest the benchmark's outputs and a group of multi-trial sweeps, to show
+that a change leaves them byte-identical.
 
     python3 tools/output_digest.py [--tree DIR] [--workloads a,b] [--seeds 1-5] [--micro]
     python3 tools/output_digest.py --tree OLD --against NEW [--seeds 1-5] ...
@@ -9,9 +10,14 @@ first writes its libsvm input with `write_real_input`), against the tree's
 own `src/`, in a temporary working directory.  One line is printed per
 output: `<workload> <seed> <output> <sha256>`, where the outputs are each
 sweep's CSV text (`sweep0`, `sweep1`, ...), the eig-compare CSV (`eig`) and
-the SVG (`svg`).  A stage that raised prints `error:<exception type>` in
-place of its digest.  Nothing is written under `bench/`: bytecode caching is
-off and every output goes to the temporary directory.
+the SVG (`svg`).  The benchmark workloads all run one trial per cell, so the
+group `multi_trial` adds small sweeps at 9 or more trials, built with the
+tree's own `krrlab.ExperimentConfig` and run on the same inputs in every
+tree; each is digested as its CSV and its points' fields at full precision,
+so a change in the order a sweep reduces its cells shows.  A stage that
+raised prints `error:<exception type>` in place of its digest.  Nothing is
+written under `bench/`: bytecode caching is off and every output goes to
+the temporary directory.
 
 With `--against`, both trees are digested, each in its own interpreter
 (krrlab can be imported once per process), and every output is listed as
@@ -22,6 +28,7 @@ missing on one side.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import subprocess
@@ -35,7 +42,17 @@ sys.path.insert(0, str(TOOLS))
 from bench_pairs import parse_seeds  # noqa: E402
 
 ROOT = TOOLS.parent
-WORKLOADS = ("lin_protocol", "lin_wide", "real_exact")
+WORKLOADS = ("lin_protocol", "lin_wide", "real_exact", "multi_trial")
+
+# The multi-trial group: one sweep per route and schedule, named by its output.
+MULTI_TRIAL = {
+    "lin_schedule": dict(kernel="gaussian"),
+    "fixed_lambda_gamma0": dict(kernel="polynomial", fixed_lambda=1e-5, gamma_override=0.0),
+    "curvature": dict(kernel="gaussian", lin_curvature=True),
+    "exact_synth": dict(kernel="gaussian", use_linearized=False),
+    "exact_real": dict(kernel="gaussian", use_linearized=False, mode="real", d=24,
+                       input_path=str(ROOT / "tests" / "data" / "sample200.libsvm")),
+}
 
 
 def _load_workloads(tree: Path):
@@ -55,6 +72,25 @@ def _sha(data) -> str:
     return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
 
 
+def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
+    """{output: text, or the exception raised} of the multi-trial group; the
+    text is a sweep's CSV and the repr of its points' fields, since the CSV's
+    12 significant digits hide a change in the last bits of a mean."""
+    size = (dict(d=20, n_grid=[10, 30, 50], trials=9, test_points=100, noise_draws=4)
+            if micro else
+            dict(d=100, n_grid=[20, 40, 60, 80, 100], trials=10, test_points=400,
+                 noise_draws=20))
+    out = {}
+    for output, kw in MULTI_TRIAL.items():
+        try:
+            points, csv_text = krrlab.run_sweep(krrlab.ExperimentConfig(
+                seed=seed, **dict(size, **kw)))
+            out[output] = csv_text + repr([dataclasses.astuple(p) for p in points])
+        except Exception as exc:     # digested as error:<type>
+            out[output] = exc
+    return out
+
+
 def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
     """{(workload, seed, output): sha256} for one pass of each workload."""
     caching, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -66,6 +102,10 @@ def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dic
     out = {}
     for name in workloads:
         for seed in seeds:
+            if name == "multi_trial":
+                for output, text in _multi_trial(krrlab, seed, micro).items():
+                    out[name, seed, output] = _sha(text)
+                continue
             with tempfile.TemporaryDirectory(prefix="output_digest_") as workdir:
                 if name == "real_exact":
                     wmod.write_real_input(krrlab, seed, workdir, micro)
