@@ -207,21 +207,20 @@ def _restore_lower(A: np.ndarray) -> None:
         np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
 
 
-def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray,
-                      overwrite: bool = False) -> np.ndarray:
-    """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy.
+def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy, in place.
 
-    K must be symmetric to the bit, as `kernel_matrix` and
-    `linearize.build_lin_kernel` return it.  One n x n matrix A is factored
-    in place: by default a Fortran-ordered copy of K, which leaves K and rhs
-    untouched; with `overwrite=True`, K itself (a C-contiguous float64 array)
-    as its F-contiguous view K.T, and the solution is written over rhs where
-    its layout allows (a float64 vector or an F-contiguous n x m matrix).
-    K then holds the factor on return; SingularKernelError leaves it as it was.
+    K must be a C-contiguous float64 array, symmetric to the bit, as
+    `kernel_matrix` and `linearize.build_lin_kernel` return it.  It is
+    factored in place as its F-contiguous view K.T, and the solution is
+    written over rhs where its layout allows (a float64 vector or an
+    F-contiguous n x m matrix), so no n x n copy is made.  K holds the factor
+    on return; SingularKernelError leaves it as it was.  Callers that need K
+    or rhs afterwards pass copies.
 
-    Each attempt sets A's diagonal to K's plus ridge + jitter.  LAPACK
-    overwrites only A's lower triangle, so a retry and the eigenvalue report
-    first restore it from the untouched strict upper triangle
+    Each attempt sets the diagonal to K's plus ridge + jitter.  LAPACK
+    overwrites only the lower triangle of K.T, so a retry and the eigenvalue
+    report first restore it from the untouched strict upper triangle
     (`_restore_lower`).  `scipy.linalg` is imported here, on the first
     factorization, rather than when krrlab is imported: of a sweep's cells
     only exact-kernel ones need it.
@@ -230,13 +229,9 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray,
 
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be >= 0 and finite, got {ridge}")
-    if overwrite:
-        if not (isinstance(K, np.ndarray) and K.dtype == np.float64
-                and K.flags.c_contiguous):
-            raise ValueError("overwrite=True needs K as a C-contiguous float64 array")
-        A = K.T
-    else:
-        A = np.array(K, dtype=float, order="F")
+    if not (isinstance(K, np.ndarray) and K.dtype == np.float64 and K.flags.c_contiguous):
+        raise ValueError("K must be a C-contiguous float64 array")
+    A = K.T
     unit = _JITTER_RELATIVE * max(abs(float(np.trace(A)) / A.shape[0]), 1.0)
     diagonal = A.diagonal().copy()
     for attempt, jitter in enumerate((0.0, *(unit * step for step in _JITTER_ESCALATIONS))):
@@ -245,7 +240,7 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray,
         np.fill_diagonal(A, diagonal + (ridge + jitter))
         try:
             cf = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-            return scipy.linalg.cho_solve(cf, rhs, overwrite_b=overwrite, check_finite=False)
+            return scipy.linalg.cho_solve(cf, rhs, overwrite_b=True, check_finite=False)
         except np.linalg.LinAlgError:
             pass
     _restore_lower(A)
@@ -272,7 +267,7 @@ def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
     K = kernel_matrix(spec, data)
-    c = solve_regularized(K, data.n * lam, data.responses.copy(), overwrite=True)
+    c = solve_regularized(K, data.n * lam, data.responses.copy())
     return KrrModel(spec=spec, features=data.features, dual_coef=c, lam=float(lam))
 
 

@@ -26,7 +26,8 @@ Every linearized cell, with or without the radial curvature T, takes
 has rank <= p (d+1, or d+3 under curvature), so one eigendecomposition of
 its smaller side gives the fit and variance as filter sums over 1/(w + r),
 r = n*lambda + gamma, and min(w) + r, the exact smallest eigenvalue of M.
-Both routes check their scalars and test sample through one helper.
+Both routes take a `QuerySample` and check it and their scalars through one
+helper.
 
 `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
@@ -102,47 +103,45 @@ def _check_length(name: str, values: np.ndarray, expected: int) -> np.ndarray:
     return values
 
 
-def _check_cell(data: Dataset, lam: float, sigma: float, test_points: np.ndarray,
-                noise_draws: int) -> np.ndarray:
-    """The test points as an m x d matrix, once a cell's scalars and test
-    sample are checked."""
+def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
+                noise_draws: int) -> None:
+    """Check a cell's scalars and that its test sample is at least 100
+    points of the training width."""
     if noise_draws < 2:
         raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
     for name, value in (("lam", lam), ("sigma", sigma)):
         if not 0 <= value < np.inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-    Q = np.atleast_2d(np.asarray(test_points, dtype=float))
-    if Q.shape[0] < 100:
-        raise ValueError(f"the test sample must be at least 100 points, got {Q.shape[0]}")
-    if Q.shape[1] != data.d:
-        raise ValueError(f"test points must be {data.d} wide, got width {Q.shape[1]}")
-    return Q
+    m, width = test.points.shape
+    if m < 100:
+        raise ValueError(f"the test sample must be at least 100 points, got {m}")
+    if width != data.d:
+        raise ValueError(f"test points must be {data.d} wide, got width {width}")
 
 
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
-                   lam: float, sigma: float, test_points: np.ndarray,
-                   clean_test: np.ndarray, noise_draws: int, seed) -> RiskEstimate:
+                   lam: float, sigma: float, test: QuerySample, noise_draws: int,
+                   seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
     with its standard error reported in `mc_stderr`.
 
     One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
-    (C the m x n cross kernel); since M is symmetric the test-point fits of
-    the clean responses and the noise draws are (M^{-1} C^T)^T [clean, eps].
-    The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
-    of either is made.
+    (C the m x n cross kernel, against `test.points`); since M is symmetric
+    the test-point fits of the clean responses and the noise draws are
+    (M^{-1} C^T)^T [clean, eps].  The solve factors K in place and writes
+    M^{-1} C^T over C^T, so no copy of either is made.
     """
-    Q = _check_cell(data, lam, sigma, test_points, noise_draws)
+    _check_cell(data, lam, sigma, test, noise_draws)
     clean = _check_length("clean", clean, data.n)
-    clean_test = _check_length("clean_test", clean_test, Q.shape[0])
-    K, cross = gram_and_cross(model, data, Q)
-    minv_cross = solve_regularized(K, data.n * lam, cross.T, overwrite=True)   # n x m
+    K, cross = gram_and_cross(model, data, test.points)
+    minv_cross = solve_regularized(K, data.n * lam, cross.T)   # n x m
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
     pred = minv_cross.T @ np.column_stack([clean, eps])           # m x (1+draws)
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
-    return _mc_estimate(pred[:, 0] - clean_test, pred[:, 1:], variance)
+    return _mc_estimate(pred[:, 0] - test.clean, pred[:, 1:], variance)
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,8 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     curvature `LinFactor.core_spectrum` of the fit's own core before T
     (n <= p) or of its own F^T F.
     """
-    Q = _check_cell(data, lam, sigma, test.points, noise_draws)
-    X = data.features
+    _check_cell(data, lam, sigma, test, noise_draws)
+    Q, X = test.points, data.features
     n, d = X.shape
     r = n * lam + model.gamma
     if not r > 0:

@@ -240,6 +240,9 @@ class ExperimentConfig:
             raise ConfigError(f"noise_draws must be >= 2, got {self.noise_draws}")
         if self.mode == "real" and not self.input_path:
             raise ConfigError("real mode requires input_path")
+        if self.mode == "synth" and (self.standardize or self.input_path is not None):
+            field = "standardize" if self.standardize else "input_path"
+            raise ConfigError(f"{field} applies to real mode only, not to mode synth")
         if self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
         if not (0 <= self.theta <= 1 and 0 <= self.cbar <= 1):
@@ -400,8 +403,8 @@ def _cell(config: ExperimentConfig, spec: KernelSpec, source: DataSource, n: int
             est, spectrum = spectral_risk_mc(data, clean, lin, lam, config.sigma, test,
                                              config.noise_draws, rng)
         else:
-            est = excess_risk_mc(data, clean, spec, lam, config.sigma, test.points,
-                                 test.clean, config.noise_draws, rng)
+            est = excess_risk_mc(data, clean, spec, lam, config.sigma, test,
+                                 config.noise_draws, rng)
             spectrum = lin_factors(lin, data.features).core_spectrum()
     except SingularKernelError as exc:
         raise SingularKernelError(

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg
 
 from krrlab import (Dataset, DecaySpec, ExperimentConfig, KernelSpec, LinModel,
-                    TargetSpec, bound_N, classify_curve, CurveShape,
+                    QuerySample, TargetSpec, bound_N, classify_curve, CurveShape,
                     excess_risk_mc, emit_plot, evaluate_target, exp_monotone_condition,
                     generate_decay_spectrum, interlacing_check, kernel_matrix,
                     krr_fit, krr_predict, linearize_params, make_covariance,
@@ -162,7 +162,7 @@ def test_c04_decomposition_identity():
     cov = make_covariance(D, "harmonic")
     target = TargetSpec(noise_sigma=SIGMA)
     test_X = sample_features(cov, 2000, 909)
-    clean_test = evaluate_target(target, test_X)
+    test = QuerySample(test_X, evaluate_target(target, test_X))
     configs = [("gaussian", 100), ("gaussian", 300), ("gaussian", 600),
                ("polynomial", 100), ("polynomial", 300)]
     gaps = []
@@ -172,8 +172,8 @@ def test_c04_decomposition_identity():
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
         model = LinModel(params, gamma_override=0.0)
         lam = CBAR * n ** (-2 / 3)
-        est = excess_risk_mc(data, clean, model, lam, SIGMA, test_X, clean_test,
-                             noise_draws=50, seed=[5, n])
+        est = excess_risk_mc(data, clean, model, lam, SIGMA, test, noise_draws=50,
+                             seed=[5, n])
         gaps.append(abs(est.risk - est.bias - est.variance) / (4 * est.mc_stderr))
     dt = time.time() - t0
     ok = max(gaps) <= 1.0 and dt < 180.0

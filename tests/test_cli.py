@@ -166,8 +166,13 @@ def no_sampling(monkeypatch):
     (["sweep", *SMALL, "--kernel", "polynomial", "--degree", "0"], "degree"),
     (["eig-compare", *SMALL, "--n", "0"], "n >= 1"),
     (["eig-compare", *SMALL, "--k", "0"], "k >= 1"),
+    (["sweep", *SMALL, "--standardize"], "standardize applies to real mode only"),
+    (["sweep", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
+    (["eig-compare", *SMALL, "--standardize"], "standardize applies to real mode only"),
+    (["eig-compare", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
 ], ids=["source-r", "d", "cbar-gamma", "fixed-lambda-gamma", "linear-cbar", "decay-a",
-        "degree", "eig-n", "eig-k"])
+        "degree", "eig-n", "eig-k", "synth-standardize", "synth-input",
+        "eig-synth-standardize", "eig-synth-input"])
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

@@ -7,9 +7,9 @@ import scipy.sparse.linalg
 
 import krrlab.kernels as kernels
 
-from krrlab import (Dataset, KernelSpec, KernelEvaluationError, SingularKernelError,
-                    cross_kernel_matrix, excess_risk_mc, kernel_matrix, krr_fit,
-                    krr_predict, make_covariance, sample_dataset, solve_regularized,
+from krrlab import (Dataset, KernelSpec, KernelEvaluationError, QuerySample,
+                    SingularKernelError, cross_kernel_matrix, excess_risk_mc, kernel_matrix,
+                    krr_fit, krr_predict, make_covariance, sample_dataset, solve_regularized,
                     TargetSpec)
 
 
@@ -168,6 +168,15 @@ class TestKrr:
         with pytest.raises(ValueError, match="width"):
             krr_predict(model, np.zeros((2, 19)))
 
+    def test_fit_leaves_the_responses_untouched(self):
+        # the in-place solve writes its solution over its right-hand side,
+        # which must be a copy of the dataset's responses
+        data, _ = _synth(30, 20, seed=11)
+        before = data.responses.copy()
+        model = krr_fit(KernelSpec.gaussian(), data, 1e-3)
+        assert np.array_equal(data.responses, before)
+        assert not np.shares_memory(model.dual_coef, data.responses)
+
     def test_diagonal_two_point_toy(self):
         # K = I, n*lambda = 1, y = (2, 0), k(x, X) = (1, 0) -> prediction 1
         c = solve_regularized(np.eye(2), 1.0, np.array([2.0, 0.0]))
@@ -185,23 +194,20 @@ class TestSolver:
         spec = KernelSpec.gaussian()
         K = kernel_matrix(spec, data)
         lam = 1e-3
-        c = solve_regularized(K, data.n * lam, data.responses)
         A = K + data.n * lam * np.eye(data.n)
+        c = solve_regularized(K, data.n * lam, data.responses.copy())
         c_it, info = scipy.sparse.linalg.cg(A, data.responses, rtol=1e-12, maxiter=10_000)
         assert info == 0
         assert np.linalg.norm(c - c_it) <= 1e-6 * np.linalg.norm(c_it)
 
     def test_equals_factor_of_explicit_system(self):
-        # the shift goes onto the diagonal of one copy; the result is that of
+        # the shift goes onto K's own diagonal; the result is that of
         # factoring K + ridge*I built with an identity matrix, bit for bit
         data, _ = _synth(40, 30, seed=9)
         K = kernel_matrix(KernelSpec.gaussian(), data)
         rhs = np.column_stack([data.responses, np.arange(40.0)])
-        cf = scipy.linalg.cho_factor(K + 0.37 * np.eye(40), lower=True, check_finite=False)
-        want = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-        K_before = K.copy()
+        want = _explicit_solve(K, 0.37, rhs)
         assert solve_regularized(K, 0.37, rhs).tobytes() == want.tobytes()
-        assert np.array_equal(K, K_before)
 
     @pytest.mark.parametrize("low,unit", [(-8.0, 4e-12), (-1.0, 1e-12)])
     def test_jitter_shifts_tried(self, low, unit, monkeypatch):
@@ -247,10 +253,16 @@ def _shifted_reference(K, shift):
     return A
 
 
+def _explicit_solve(K, shift, rhs):
+    """scipy's cho_factor and cho_solve of K + shift*I, on copies."""
+    cf = scipy.linalg.cho_factor(_shifted_reference(K, shift), lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+
+
 class TestOverwriteSolve:
-    """`overwrite=True` factors K in place and solves over rhs; its bytes
-    must equal the default's, which works in a copy.  n=300 spans two
-    column blocks of the lower-triangle restore."""
+    """`solve_regularized` factors K in place and solves over rhs; its bytes
+    must equal an explicit cho_factor/cho_solve of K + ridge*I.  n=300 spans
+    two column blocks of the lower-triangle restore."""
 
     N = 300
 
@@ -258,31 +270,29 @@ class TestOverwriteSolve:
         data, _ = _synth(self.N, 40, seed=seed)
         return kernel_matrix(KernelSpec.gaussian(), data), data.responses
 
-    def test_plain_solve_equals_default(self):
+    def test_plain_solve_equals_explicit_cholesky(self):
         K, y = self._gram()
         rhs = np.asfortranarray(np.column_stack([y, np.arange(self.N, dtype=float)]))
-        want = solve_regularized(K, 0.37, rhs)
-        got = solve_regularized(K.copy(), 0.37, rhs.copy(order="F"), overwrite=True)
+        want = _explicit_solve(K, 0.37, rhs)
+        got = solve_regularized(K.copy(), 0.37, rhs.copy(order="F"))
         assert got.tobytes() == want.tobytes()
-        vector = y.copy()
-        got = solve_regularized(K.copy(), 0.37, vector, overwrite=True)
-        assert got.tobytes() == solve_regularized(K, 0.37, y).tobytes()
+        got = solve_regularized(K.copy(), 0.37, y.copy())
+        assert got.tobytes() == _explicit_solve(K, 0.37, y).tobytes()
 
     def test_solution_overwrites_rhs_and_factor_overwrites_k(self):
         K, y = self._gram()
         work, rhs = K.copy(), np.asfortranarray(np.column_stack([y, y ** 2]))
-        sol = solve_regularized(work, 1.0, rhs, overwrite=True)
+        sol = solve_regularized(work, 1.0, rhs)
         assert np.shares_memory(sol, rhs)
         assert not np.array_equal(work, K)
 
-    def test_overwrite_needs_c_contiguous_float64(self):
+    def test_needs_c_contiguous_float64(self):
         K, y = self._gram()
         for bad in (np.asfortranarray(K), K.astype(np.float32), K.tolist()):
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                solve_regularized(bad, 1.0, y.copy(), overwrite=True)
+                solve_regularized(bad, 1.0, y.copy())
 
-    @pytest.mark.parametrize("overwrite", [False, True], ids=["default", "overwrite"])
-    def test_every_jitter_attempt_sees_the_restored_matrix(self, overwrite, monkeypatch):
+    def test_every_jitter_attempt_sees_the_restored_matrix(self, monkeypatch):
         # K - 5 I is indefinite far beyond the jitter, so all four attempts
         # fail; each must factor exactly K + shift*I, not a half-factored one
         K, y = self._gram()
@@ -291,7 +301,7 @@ class TestOverwriteSolve:
         unit = 1e-12 * max(abs(float(np.trace(K)) / self.N), 1.0)
         seen = _record_factored(monkeypatch)
         with pytest.raises(SingularKernelError) as exc:
-            solve_regularized(K if overwrite else K.copy(), 0.0, y.copy(), overwrite=overwrite)
+            solve_regularized(K, 0.0, y.copy())
         shifts = [0.0, unit, 10 * unit, 100 * unit]
         assert len(seen) == 4
         for A, shift in zip(seen, shifts):
@@ -301,29 +311,26 @@ class TestOverwriteSolve:
         want = np.linalg.eigvalsh(K_before)[0]
         assert exc.value.smallest_eigenvalue == want
 
-    def test_singular_report_equals_default(self):
+    def test_singular_report_is_the_shifted_smallest_eigenvalue(self):
         K, y = self._gram()
         K[np.diag_indices(self.N)] -= 5.0
-        reports = []
-        for overwrite in (False, True):
-            with pytest.raises(SingularKernelError) as exc:
-                solve_regularized(K.copy(), 0.25, y.copy(), overwrite=overwrite)
-            reports.append(exc.value.smallest_eigenvalue)
-        assert reports[0] == reports[1]
-        assert reports[0] == float(np.linalg.eigvalsh(_shifted_reference(K, 0.25))[0])
+        with pytest.raises(SingularKernelError) as exc:
+            solve_regularized(K.copy(), 0.25, y.copy())
+        assert exc.value.smallest_eigenvalue == float(
+            np.linalg.eigvalsh(_shifted_reference(K, 0.25))[0])
 
-    def test_first_jitter_rescues_both_paths_alike(self, monkeypatch):
+    def test_first_jitter_rescue_equals_explicit_cholesky(self, monkeypatch):
         # the all-ones matrix has rank 1: its second pivot is exactly 0, and
         # the first jitter makes it positive
         K = np.ones((self.N, self.N))
         rhs = np.arange(self.N, dtype=float)
         seen = _record_factored(monkeypatch)
-        want = solve_regularized(K, 0.0, rhs)
-        got = solve_regularized(K.copy(), 0.0, rhs.copy(), overwrite=True)
-        assert got.tobytes() == want.tobytes()
-        assert len(seen) == 4                           # fail at 0, pass at unit, twice
-        assert seen[0].tobytes() == seen[2].tobytes() == K.tobytes()
-        assert seen[1].tobytes() == seen[3].tobytes() == _shifted_reference(K, 1e-12).tobytes()
+        got = solve_regularized(K.copy(), 0.0, rhs.copy())
+        assert len(seen) == 2                           # fail at 0, pass at unit
+        assert seen[0].tobytes() == K.tobytes()
+        assert seen[1].tobytes() == _shifted_reference(K, 1e-12).tobytes()
+        monkeypatch.undo()
+        assert got.tobytes() == _explicit_solve(K, 1e-12, rhs).tobytes()
 
 
 @pytest.mark.parametrize("call", [
@@ -454,19 +461,23 @@ class TestExactCellMemory:
         assert peak < 1.6
 
     def test_solve_regularized(self):
+        # in place: no n x n copy of K, the factor left in K's upper triangle
+        # (the lower one of K.T) and the solution written over rhs
         spec, data, Q = self._problem()
         K = kernel_matrix(spec, data)
         rhs = cross_kernel_matrix(spec, data, Q).T
-        K_before = K.copy()
-        peak, _ = self._peak(lambda: solve_regularized(K, 1.0, rhs))
-        assert peak < 1.4
-        assert np.array_equal(K, K_before)
+        cf = scipy.linalg.cho_factor(_shifted_reference(K, 1.0), lower=True)
+        peak, sol = self._peak(lambda: solve_regularized(K, 1.0, rhs))
+        assert peak < 0.01          # measured 0.0022: two copies of the diagonal
+        assert np.shares_memory(sol, rhs)
+        assert np.array_equal(np.tril(K.T), np.tril(cf[0]))
 
     def test_excess_risk_mc(self):
         spec, data, Q = self._problem()
-        clean, clean_test = np.sin(data.features[:, 0]), np.sin(Q[:, 0])
-        peak, est = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, Q,
-                                                      clean_test, 50, 0))
+        test = QuerySample(Q, np.sin(Q[:, 0]))
+        clean = np.sin(data.features[:, 0])
+        peak, est = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, test,
+                                                      50, 0))
         assert peak < 2.7
         assert est.variance > 0
 
@@ -475,19 +486,12 @@ class TestExactCellMemory:
         peak, _ = self._peak(lambda: kernel_matrix(spec, data))
         assert peak < 1.2
 
-    def test_overwrite_solve_makes_no_copy(self):
-        spec, data, Q = self._problem()
-        K = kernel_matrix(spec, data)
-        rhs = cross_kernel_matrix(spec, data, Q).T
-        peak, sol = self._peak(lambda: solve_regularized(K, 1.0, rhs, overwrite=True))
-        assert peak < 0.05
-        assert np.shares_memory(sol, rhs)
-
     def test_excess_risk_mc_holds_k_and_cross_only(self):
         spec, data, Q = self._problem()
-        clean, clean_test = np.sin(data.features[:, 0]), np.sin(Q[:, 0])
-        peak, _ = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, Q,
-                                                    clean_test, 50, 0))
+        test = QuerySample(Q, np.sin(Q[:, 0]))
+        clean = np.sin(data.features[:, 0])
+        peak, _ = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, test,
+                                                    50, 0))
         assert peak < 1.5
 
     def test_krr_fit_factors_its_own_k(self):

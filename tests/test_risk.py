@@ -29,13 +29,13 @@ def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
 
 
 def _bias(data, clean, model, lam, test_X, clean_test):
-    return excess_risk_mc(data, clean, model, lam, 0.0, test_X, clean_test,
+    return excess_risk_mc(data, clean, model, lam, 0.0, QuerySample(test_X, clean_test),
                           noise_draws=2, seed=0).bias
 
 
 def _variance(data, model, lam, sigma, test_X):
-    m = np.atleast_2d(test_X).shape[0]
-    return excess_risk_mc(data, np.zeros(data.n), model, lam, sigma, test_X, np.zeros(m),
+    test = QuerySample(test_X, np.zeros(test_X.shape[0]))
+    return excess_risk_mc(data, np.zeros(data.n), model, lam, sigma, test,
                           noise_draws=2, seed=0).variance
 
 
@@ -104,36 +104,37 @@ class TestExcessRiskMc:
     def test_noiseless_risk_equals_bias(self):
         cov, data, clean, test_X, clean_test = _config(sigma=0.0)
         est = excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 0.0,
-                             test_X, clean_test, noise_draws=5, seed=0)
+                             QuerySample(test_X, clean_test), noise_draws=5, seed=0)
         assert est.risk == pytest.approx(est.bias, rel=1e-12)
         assert est.variance == 0.0
 
     def test_zero_everything(self):
         cov, data, clean, test_X, _ = _config(sigma=0.0)
         z = np.zeros_like(clean)
-        est = excess_risk_mc(data, z, KernelSpec.gaussian(), 1e-3, 0.0, test_X,
-                             np.zeros(test_X.shape[0]), noise_draws=5, seed=0)
+        est = excess_risk_mc(data, z, KernelSpec.gaussian(), 1e-3, 0.0,
+                             QuerySample(test_X, np.zeros(test_X.shape[0])),
+                             noise_draws=5, seed=0)
         assert est.risk == est.bias == est.variance == 0.0
 
     def test_decomposition_identity(self):
         cov, data, clean, test_X, clean_test = _config(n=80, d=160, m=400)
         est = excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0,
-                             test_X, clean_test, noise_draws=50, seed=3)
+                             QuerySample(test_X, clean_test), noise_draws=50, seed=3)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
     def test_linearized_model_identity(self):
         cov, data, clean, test_X, clean_test = _config(n=70, d=140, m=400)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         model = LinModel(p, gamma_override=0.0)
-        est = excess_risk_mc(data, clean, model, 1e-3, 1.0, test_X, clean_test,
+        est = excess_risk_mc(data, clean, model, 1e-3, 1.0, QuerySample(test_X, clean_test),
                              noise_draws=50, seed=4)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
     def test_needs_two_draws(self):
         cov, data, clean, test_X, clean_test = _config()
         with pytest.raises(ValueError):
-            excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0, test_X,
-                           clean_test, noise_draws=1, seed=0)
+            excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0,
+                           QuerySample(test_X, clean_test), noise_draws=1, seed=0)
 
 
 class TestSpectralRiskMc:
@@ -161,8 +162,7 @@ class TestSpectralRiskMc:
         lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
         gamma = params.gamma if gamma_override is None else gamma_override
 
-        ref = excess_risk_mc(data, clean, model, lam, 1.0, test.points, test.clean,
-                             6, np.random.default_rng(8))
+        ref = excess_risk_mc(data, clean, model, lam, 1.0, test, 6, np.random.default_rng(8))
         est, spectrum = spectral_risk_mc(data, clean, model, lam, 1.0, test, 6,
                                          np.random.default_rng(8))
         for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
@@ -306,11 +306,15 @@ def _spectral_cell(lam=1e-3, sigma=1.0, m=120, width=40, noise_draws=4):
                             QuerySample(test_X[:, :width], clean_test), noise_draws, 0)
 
 
+def _exact_cell(lam=1e-3, sigma=1.0):
+    cov, data, clean, test_X, clean_test = _config()
+    return excess_risk_mc(data, clean, KernelSpec.gaussian(), lam, sigma,
+                          QuerySample(test_X, clean_test), noise_draws=2, seed=0)
+
+
 @pytest.mark.parametrize("call", [
-    lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), np.nan, 1.0,
-                           *_config()[3:], noise_draws=2, seed=0),
-    lambda: excess_risk_mc(*_config()[1:3], KernelSpec.gaussian(), 1e-3, -1.0,
-                           *_config()[3:], noise_draws=2, seed=0),
+    lambda: _exact_cell(lam=np.nan),
+    lambda: _exact_cell(sigma=-1.0),
     lambda: _spectral_cell(width=39),
     lambda: _spectral_cell(noise_draws=1),
     lambda: _spectral_cell(lam=-1e-3),
@@ -346,7 +350,8 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
     spec = KernelSpec.gaussian()
     model = (spec if kind == "exact" else
              LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
-    est = excess_risk_mc(data, clean, model, 1e-3, 0.7, test_X, clean_test, 20, 5)
+    est = excess_risk_mc(data, clean, model, 1e-3, 0.7, QuerySample(test_X, clean_test),
+                         20, 5)
     bias, variance, risk, stderr = _explicit_cholesky_cell(data, clean, model, 1e-3, 0.7,
                                                            test_X, clean_test, 20, 5)
     assert est.bias == pytest.approx(bias, rel=1e-12)
@@ -357,16 +362,17 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
 
 class TestResponseLengths:
     """Clean responses whose length does not match their points are refused,
-    not broadcast."""
+    not broadcast: the training responses by each route, the test sample's
+    by `QuerySample`."""
 
     def _cell(self, clean=None, clean_test=None):
         cov, data, good_clean, test_X, good_test = _config(n=30, d=40, m=120)
+        test = QuerySample(test_X, good_test if clean_test is None else clean_test)
         return excess_risk_mc(data, good_clean if clean is None else clean,
-                              KernelSpec.gaussian(), 1e-3, 1.0, test_X,
-                              good_test if clean_test is None else clean_test, 4, 0)
+                              KernelSpec.gaussian(), 1e-3, 1.0, test, 4, 0)
 
     def test_scalar_clean_test(self):
-        with pytest.raises(ValueError, match=r"clean_test must be a vector of length 120, "
+        with pytest.raises(ValueError, match=r"clean must be a vector of length 120, "
                                              r"got shape \(\)"):
             self._cell(clean_test=0.5)
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
-                    SingularKernelError, TargetSpec, bound_v1, build_lin_kernel,
+                    QuerySample, SingularKernelError, TargetSpec, bound_v1, build_lin_kernel,
                     classify_curve, eig_compare, estimate_trace_ratio, evaluate_target,
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
@@ -92,6 +92,14 @@ class TestConfig:
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("kw,field", [
+        (dict(standardize=True), "standardize"), (dict(input_path=FIXTURE), "input_path"),
+        (dict(input_path=""), "input_path")], ids=["standardize", "input", "empty-input"])
+    def test_real_mode_fields_rejected_in_synth_mode(self, kw, field):
+        # both were accepted and silently ignored by a synthetic sweep
+        with pytest.raises(ConfigError, match=f"{field} applies to real mode only"):
+            ExperimentConfig(**kw)
 
     def test_real_mode_test_points_checked(self):
         with pytest.raises(ConfigError, match="test_points"):
@@ -205,7 +213,7 @@ def _direct_points(cfg):
     gamma = (cfg.gamma_override if cfg.use_linearized and cfg.gamma_override is not None
              else params.gamma)
     test_X = sample_features(cov, cfg.test_points, np.random.default_rng([cfg.seed, 7, 1]))
-    clean_test = evaluate_target(target, test_X)
+    test = QuerySample(test_X, evaluate_target(target, test_X))
     rows = []
     for n in cfg.grid:
         lam = cfg.fixed_lambda / n if cfg.fixed_lambda is not None else cfg.cbar * n ** -cfg.theta
@@ -213,8 +221,8 @@ def _direct_points(cfg):
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, t])
             data, clean = sample_dataset(cov, n, target, rng)
-            est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test_X, clean_test,
-                                 cfg.noise_draws, rng)
+            est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test, cfg.noise_draws,
+                                 rng)
             v1 = bound_v1(_dense_v1_spectrum(params, data), params.beta, cfg.d,
                           n, lam, gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))

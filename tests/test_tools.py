@@ -1,11 +1,15 @@
 """The pure parts of tools/bench_pairs.py (seed lists and pair statistics),
 and tools/output_digest.py on the micro workloads and multi-trial group."""
 
+import dataclasses
 import importlib.util
+import math
 import re
 from pathlib import Path
 
 import pytest
+
+from krrlab import sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +84,24 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())
     assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True) == {
         ("lin_wide", 1, "sweep0"): digests["lin_wide", 1, "sweep0"]}
+
+
+def test_output_digest_sees_a_one_ulp_change_in_a_benchmark_sweep(monkeypatch):
+    # the CSV's 12 significant digits cannot show a last-bit change; the
+    # repr of the points' fields, digested with it, does
+    run_sweep = sweep.run_sweep
+
+    def nudged(config):
+        points, csv_text = run_sweep(config)
+        first = points[0]
+        points[0] = dataclasses.replace(first, var_emp=math.nextafter(first.var_emp, math.inf))
+        assert sweep.write_csv(points, None) == csv_text
+        return points, csv_text
+
+    key = ("lin_wide", 1, "sweep0")
+    want = output_digest.digest(ROOT, ["lin_wide"], [1], micro=True)[key]
+    monkeypatch.setattr(sweep, "run_sweep", nudged)
+    assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True)[key] != want
 
 
 def test_output_digest_compares_two_trees(capsys):

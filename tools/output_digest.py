@@ -9,15 +9,16 @@ the tree's own `bench/workloads.py` (`build`, then `run_pass`; `real_exact`
 first writes its libsvm input with `write_real_input`), against the tree's
 own `src/`, in a temporary working directory.  One line is printed per
 output: `<workload> <seed> <output> <sha256>`, where the outputs are each
-sweep's CSV text (`sweep0`, `sweep1`, ...), the eig-compare CSV (`eig`) and
-the SVG (`svg`).  The benchmark workloads all run one trial per cell, so the
-group `multi_trial` adds small sweeps at 9 or more trials, built with the
-tree's own `krrlab.ExperimentConfig` and run on the same inputs in every
-tree; each is digested as its CSV and its points' fields at full precision,
-so a change in the order a sweep reduces its cells shows.  A stage that
-raised prints `error:<exception type>` in place of its digest.  Nothing is
-written under `bench/`: bytecode caching is off and every output goes to
-the temporary directory.
+sweep (`sweep0`, `sweep1`, ...), the eig-compare CSV (`eig`) and the SVG
+(`svg`).  Every sweep is digested in one form: its CSV text followed by the
+`repr` of its points' fields, since the CSV's 12 significant digits hide a
+change in the last bits of a point.  The benchmark workloads all run one
+trial per cell, so the group `multi_trial` adds small sweeps at 9 or more
+trials, built with the tree's own `krrlab.ExperimentConfig` and run on the
+same inputs in every tree, so a change in the order a sweep reduces its
+cells shows too.  A stage that raised prints `error:<exception type>` in
+place of its digest.  Nothing is written under `bench/`: bytecode caching
+is off and every output goes to the temporary directory.
 
 With `--against`, both trees are digested, each in its own interpreter
 (krrlab can be imported once per process), and every output is listed as
@@ -72,10 +73,17 @@ def _sha(data) -> str:
     return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
 
 
+def _sweep_text(sweep):
+    """A sweep's `(points, csv_text)` as its CSV and the repr of its points'
+    fields at full precision; an exception raised in its place is kept."""
+    if isinstance(sweep, BaseException):
+        return sweep
+    points, csv_text = sweep
+    return csv_text + repr([dataclasses.astuple(p) for p in points])
+
+
 def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
-    """{output: text, or the exception raised} of the multi-trial group; the
-    text is a sweep's CSV and the repr of its points' fields, since the CSV's
-    12 significant digits hide a change in the last bits of a mean."""
+    """{output: sweep text, or the exception raised} of the multi-trial group."""
     size = (dict(d=20, n_grid=[10, 30, 50], trials=9, test_points=100, noise_draws=4)
             if micro else
             dict(d=100, n_grid=[20, 40, 60, 80, 100], trials=10, test_points=400,
@@ -83,9 +91,8 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
     out = {}
     for output, kw in MULTI_TRIAL.items():
         try:
-            points, csv_text = krrlab.run_sweep(krrlab.ExperimentConfig(
-                seed=seed, **dict(size, **kw)))
-            out[output] = csv_text + repr([dataclasses.astuple(p) for p in points])
+            out[output] = _sweep_text(krrlab.run_sweep(krrlab.ExperimentConfig(
+                seed=seed, **dict(size, **kw))))
         except Exception as exc:     # digested as error:<type>
             out[output] = exc
     return out
@@ -112,8 +119,7 @@ def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dic
                 wl = wmod.build(krrlab, name, seed, workdir, micro)
                 res = wmod.run_pass(krrlab, wl)
                 for i, sweep in enumerate(res.sweeps):
-                    out[name, seed, f"sweep{i}"] = _sha(
-                        sweep if isinstance(sweep, BaseException) else sweep[1])
+                    out[name, seed, f"sweep{i}"] = _sha(_sweep_text(sweep))
                 if wl.eig_n is not None:
                     out[name, seed, "eig"] = _sha(
                         res.eig if isinstance(res.eig, BaseException) else res.eig.csv_text)
