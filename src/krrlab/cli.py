@@ -3,7 +3,8 @@
 Subcommands: synth (generate a dataset, export libsvm), sweep (risk-curve
 experiment, CSV output), eig-compare (spectra of K vs its linearization),
 bounds (print the closed-form bound values for given parameters), plot
-(CSV columns -> SVG).  `--config path.json` overrides flags.
+(CSV columns -> SVG).  `--config path.json` takes the place of the sweep
+flags: giving both is a configuration error.
 
 Exit codes: 0 success, 2 configuration error (ConfigError, raised where the
 input enters), 3 data error (DataFormatError or any OSError), 4 numerical
@@ -31,7 +32,7 @@ __all__ = ["main"]
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     """Flags named after `ExperimentConfig` fields; an unset flag keeps the
     field's default (the parser is built with argument_default=SUPPRESS)."""
-    p.add_argument("--config", default=None, help="JSON config; overrides all other flags")
+    p.add_argument("--config", default=None, help="JSON config, in place of the other sweep flags")
     p.add_argument("--mode", choices=["synth", "real"])
     p.add_argument("--kernel", choices=KERNELS)
     p.add_argument("--degree", type=int)
@@ -60,10 +61,13 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        return ExperimentConfig.from_json(args.config)
     fields = {k: v for k, v in vars(args).items() if k in ExperimentConfig.__dataclass_fields__}
-    return ExperimentConfig(**fields)
+    if not args.config:
+        return ExperimentConfig(**fields)
+    if fields:
+        raise ConfigError(f"--config takes no other sweep flag; set {', '.join(sorted(fields))} "
+                          f"in {args.config} instead")
+    return ExperimentConfig.from_json(args.config)
 
 
 def _require(ok: bool, message: str) -> None:

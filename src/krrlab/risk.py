@@ -26,8 +26,9 @@ Every linearized cell, with or without the radial curvature T, takes
 has rank <= p (d+1, or d+3 under curvature), so one eigendecomposition of
 its smaller side gives the fit and variance as filter sums over 1/(w + r),
 r = n*lambda + gamma, and min(w) + r, the exact smallest eigenvalue of M.
-Both routes take a `QuerySample` and check it and their scalars through one
-helper.
+Both routes take a `QuerySample`, a `kernels.Dataset` of the test points and
+their clean responses, so it is checked as training data is; one helper
+checks its size against the cell and the routes' scalars.
 
 `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
@@ -112,11 +113,10 @@ def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
     for name, value in (("lam", lam), ("sigma", sigma)):
         if not 0 <= value < np.inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-    m, width = test.points.shape
-    if m < 100:
-        raise ValueError(f"the test sample must be at least 100 points, got {m}")
-    if width != data.d:
-        raise ValueError(f"test points must be {data.d} wide, got width {width}")
+    if test.n < 100:
+        raise ValueError(f"the test sample must be at least 100 points, got {test.n}")
+    if test.d != data.d:
+        raise ValueError(f"test points must be {data.d} wide, got width {test.d}")
 
 
 def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
@@ -127,26 +127,26 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     with its standard error reported in `mc_stderr`.
 
     One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
-    (C the m x n cross kernel, against `test.points`); since M is symmetric
+    (C the m x n cross kernel, against `test.features`); since M is symmetric
     the test-point fits of the clean responses and the noise draws are
     (M^{-1} C^T)^T [clean, eps].  The solve factors K in place and writes
     M^{-1} C^T over C^T, so no copy of either is made.
     """
     _check_cell(data, lam, sigma, test, noise_draws)
     clean = _check_length("clean", clean, data.n)
-    K, cross = gram_and_cross(model, data, test.points)
+    K, cross = gram_and_cross(model, data, test.features)
     minv_cross = solve_regularized(K, data.n * lam, cross.T)   # n x m
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
     pred = minv_cross.T @ np.column_stack([clean, eps])           # m x (1+draws)
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
-    return _mc_estimate(pred[:, 0] - test.clean, pred[:, 1:], variance)
+    return _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
 
 
-@dataclass(frozen=True)
-class QuerySample:
-    """Test points Q (m x d) with their clean responses.
+class QuerySample(Dataset):
+    """Test points Q (m x d), its `features`, and their clean responses, its
+    `responses`, checked as training data is.
 
     `moments` is the (d+2) x (d+2) moment matrix Phi^T Phi of
     Phi = [1, Q, ||q||^2/d] that `spectral_risk_mc` weighs eigenvectors by:
@@ -155,24 +155,14 @@ class QuerySample:
     test sample and share it across cells.
     """
 
-    points: np.ndarray
-    clean: np.ndarray
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError(f"points must be an m x d matrix, got shape {points.shape}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "clean", _check_length("clean", self.clean, points.shape[0]))
-
     @cached_property
     def sq_norms(self) -> np.ndarray:
         """||q||^2/d for every test point q."""
-        return np.einsum("ij,ij->i", self.points, self.points) / self.points.shape[1]
+        return np.einsum("ij,ij->i", self.features, self.features) / self.d
 
     @cached_property
     def moments(self) -> np.ndarray:
-        Q, norms = self.points, self.sq_norms
+        Q, norms = self.features, self.sq_norms
         m, d = Q.shape
         G = np.empty((d + 2, d + 2))
         G[0, 0] = m
@@ -214,7 +204,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     (n <= p) or of its own F^T F.
     """
     _check_cell(data, lam, sigma, test, noise_draws)
-    Q, X = test.points, data.features
+    Q, X = test.features, data.features
     n, d = X.shape
     r = n * lam + model.gamma
     if not r > 0:
@@ -263,7 +253,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
         pred += test.sq_norms[:, None] * coef[-1]
     variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
                      / Q.shape[0])
-    est = _mc_estimate(pred[:, 0] - test.clean, pred[:, 1:], variance)
+    est = _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
     return est, spectrum
 
 

@@ -26,8 +26,10 @@ alpha = 0; a curvature cell reads its own core or F^T F), except that a
 linearized cell without curvature still runs an n x n `eigvalsh` for it
 when n > d+1.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
-cell fails on its input; `DataSource` loads the data of one call, synthetic
-or real, in one place.
+cell fails on its input, and rejects the linearized-only fields
+`lin_curvature` and `gamma_override` on an exact-kernel config, which would
+read neither; `DataSource` loads the data of one call, synthetic or real,
+in one place and builds its kernel, and `_cell` reads both from it.
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
@@ -251,6 +253,10 @@ class ExperimentConfig:
             raise ConfigError("fixed_lambda must be >= 0")
         if self.gamma_override is not None and self.gamma_override < 0:
             raise ConfigError("gamma_override must be >= 0")
+        if not self.use_linearized and (self.lin_curvature or self.gamma_override is not None):
+            field = "lin_curvature" if self.lin_curvature else "gamma_override"
+            raise ConfigError(f"{field} applies to linearized fits only, not to the exact "
+                              f"kernel (use_linearized false)")
         if not 0 < self.source_r <= 1:
             raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
         if self.mode == "synth":
@@ -259,8 +265,7 @@ class ExperimentConfig:
         # and the bounds do when sigma > 0; an affine profile h has gamma = 0
         lam_field = "cbar" if self.fixed_lambda is None else "fixed_lambda"
         affine = self.kernel == "linear" or (self.kernel, self.degree) == ("polynomial", 1)
-        gamma_zero = (self.gamma_override == 0
-                      if self.use_linearized and self.gamma_override is not None else affine)
+        gamma_zero = affine if self.gamma_override is None else self.gamma_override == 0
         if (getattr(self, lam_field) == 0 and gamma_zero
                 and (self.sigma > 0 or self.use_linearized)):
             raise ConfigError(
@@ -323,16 +328,16 @@ class DataSource:
     permutation per trial from [seed, 900, t]; training sets are its nested
     prefixes and its tail of up to `test_points` (at least 100) rows is held
     out.  `with_test` False builds no test sample (eig_compare needs none).
+    `spec` is the call's kernel.
     """
 
-    def __init__(self, config: ExperimentConfig, spec: KernelSpec, n_max: int,
-                 with_test: bool = True):
-        self.config, self.spec = config, spec
+    def __init__(self, config: ExperimentConfig, n_max: int, with_test: bool = True):
+        self.config, self.spec = config, kernel_by_name(config.kernel, config.degree)
         self.cov = self.params = None
         if config.mode == "synth":
             self.cov = make_covariance(config.d, config.decay, config.a)
             self.target = TargetSpec(noise_sigma=config.sigma)
-            self.params = linearize_params(spec, self.cov.tau, self.cov.trace_ratio)
+            self.params = linearize_params(self.spec, self.cov.tau, self.cov.trace_ratio)
             if with_test:
                 test_X = sample_features(self.cov, config.test_points,
                                          np.random.default_rng([config.seed, 7, 1]))
@@ -376,9 +381,7 @@ class DataSource:
         if self.cov is None:
             tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
             params = linearize_params(self.spec, tau, estimate_trace_ratio(X))
-        c = self.config         # exact kernels keep the implicit gamma in their bounds
-        if not c.use_linearized:
-            return LinModel(params)
+        c = self.config         # exact configs set neither field, so keep the implicit gamma
         return LinModel(params, c.gamma_override, c.lin_curvature)
 
 
@@ -390,10 +393,10 @@ def _lambdas(config: ExperimentConfig, n: int):
     return lam, lam
 
 
-def _cell(config: ExperimentConfig, spec: KernelSpec, source: DataSource, n: int,
-          t: int, lam: float) -> tuple:
-    """(bias, variance, risk, V1, V2, stderr^2) of cell (n, trial t), whose
-    solve scales `lam` by n."""
+def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
+    """(bias, variance, risk, V1, V2, stderr^2) of cell (n, trial t) of the
+    source's call, whose solve scales `lam` by n."""
+    config, spec = source.config, source.spec
     rng = np.random.default_rng([config.seed, n, t])
     data, clean = source.train(n, t, rng)
     test = source.test(t)
@@ -419,13 +422,11 @@ def run_sweep(config: ExperimentConfig):
     """Run the sweep; returns (points, csv_text).  Writes the CSV if
     `config.output_path` is set.  A cell whose system is not positive
     definite raises SingularKernelError naming n, the trial and the ridge."""
-    spec = kernel_by_name(config.kernel, config.degree)
-    source = DataSource(config, spec, config.grid[-1])
+    source = DataSource(config, config.grid[-1])
     points = []
     for n in config.grid:
         lam_user, lam = _lambdas(config, n)
-        cells = np.array([_cell(config, spec, source, n, t, lam)
-                          for t in range(config.trials)])
+        cells = np.array([_cell(source, n, t, lam) for t in range(config.trials)])
         # 1-D means in trial order: np.mean(cells, axis=0) sums in another order
         bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in cells.T)
         ref = bias_ref(n, config.theta if config.fixed_lambda is None else 0.0,
@@ -469,8 +470,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     n = n if n is not None else config.grid[-1]
     if n < 1 or k < 1:
         raise ConfigError(f"eig-compare needs n >= 1 and k >= 1, got n={n}, k={k}")
-    spec = kernel_by_name(config.kernel, config.degree)
-    source = DataSource(config, spec, n, with_test=False)
+    source = DataSource(config, n, with_test=False)
     rng = np.random.default_rng([config.seed, n, 0])
     if source.cov is not None:
         data, _ = source.train(n, 0, rng)
@@ -484,7 +484,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     k = min(k, n)
     import scipy.linalg        # loaded on use, as in kernels.solve_regularized
     # K is symmetric, so K.T is K in the F-contiguous layout LAPACK works in
-    eig_true = scipy.linalg.eigh(kernel_matrix(spec, data).T, eigvals_only=True,
+    eig_true = scipy.linalg.eigh(kernel_matrix(source.spec, data).T, eigvals_only=True,
                                  overwrite_a=True, check_finite=False,
                                  subset_by_index=(n - k, n - 1))[::-1]
     full = lin_factors(LinModel(params, lin.gamma_override, curvature=True), data.features)

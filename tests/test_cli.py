@@ -170,13 +170,42 @@ def no_sampling(monkeypatch):
     (["sweep", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
     (["eig-compare", *SMALL, "--standardize"], "standardize applies to real mode only"),
     (["eig-compare", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
+    (["sweep", *SMALL, "--true-kernel", "--lin-curvature"],
+     "lin_curvature applies to linearized fits only"),
+    (["eig-compare", *SMALL, "--true-kernel", "--gamma-override", "0"],
+     "gamma_override applies to linearized fits only"),
 ], ids=["source-r", "d", "cbar-gamma", "fixed-lambda-gamma", "linear-cbar", "decay-a",
         "degree", "eig-n", "eig-k", "synth-standardize", "synth-input",
-        "eig-synth-standardize", "eig-synth-input"])
+        "eig-synth-standardize", "eig-synth-input", "exact-curvature", "eig-exact-gamma"])
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["sweep", "--kernel", "linear"], "kernel"),
+    (["sweep", "--true-kernel", "--out", "ignored.csv"], "output_path, use_linearized"),
+    (["eig-compare", "--d", "30", "--n", "20"], "d"),
+], ids=["sweep", "sweep-two", "eig-compare"])
+def test_config_with_sweep_flags_exits_two(argv, named, tmp_path, no_sampling, capsys):
+    # the flags used to be ignored without a word
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(d=40)))
+    assert cli.main([*argv[:1], "--config", str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config takes no other sweep flag; "
+                          f"set {named} in {path} instead")
+
+
+def test_eig_compare_config_keeps_its_own_flags(tmp_path):
+    out = str(tmp_path / "eig.csv")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(kernel="polynomial", use_linearized=False, d=40,
+                                    n_grid=[60])))
+    assert cli.main(["eig-compare", "--config", str(path), "--n", "50", "--k", "10",
+                     "--eig-out", out]) == 0
+    assert len(open(out).read().splitlines()) == 11
 
 
 def test_ridgeless_exact_fit_without_noise_still_runs(capsys):

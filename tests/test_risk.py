@@ -199,8 +199,8 @@ class TestSpectralRiskMc:
         lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
         params = model.params
         est, spectrum = spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
-        want = _explicit_cholesky_cell(data, clean, model, lam, 0.7, test.points,
-                                       test.clean, 6, 5)
+        want = _explicit_cholesky_cell(data, clean, model, lam, 0.7, test.features,
+                                       test.responses, 6, 5)
         for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
             assert got == pytest.approx(ref, rel=1e-9)
         v1_ref = bound_v1(_dense_v1_spectrum(params, data), params.beta, self.D,
@@ -214,7 +214,7 @@ class TestSpectralRiskMc:
         lam = 0.01 * n ** (-2 / 3)
         with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
             spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
-        K, _ = gram_and_cross(model, data, test.points)
+        K, _ = gram_and_cross(model, data, test.features)
         dense = np.linalg.eigvalsh(K + n * lam * np.eye(n))[0]
         assert dense < 0
         assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
@@ -363,7 +363,7 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
 class TestResponseLengths:
     """Clean responses whose length does not match their points are refused,
     not broadcast: the training responses by each route, the test sample's
-    by `QuerySample`."""
+    by `QuerySample`, as `Dataset` refuses them."""
 
     def _cell(self, clean=None, clean_test=None):
         cov, data, good_clean, test_X, good_test = _config(n=30, d=40, m=120)
@@ -372,17 +372,20 @@ class TestResponseLengths:
                               KernelSpec.gaussian(), 1e-3, 1.0, test, 4, 0)
 
     def test_scalar_clean_test(self):
-        with pytest.raises(ValueError, match=r"clean must be a vector of length 120, "
-                                             r"got shape \(\)"):
+        with pytest.raises(ValueError, match="responses length 1 does not match 120 feature rows"):
             self._cell(clean_test=0.5)
 
     def test_length_one_clean_test(self):
-        with pytest.raises(ValueError, match=r"length 120, got shape \(1,\)"):
+        with pytest.raises(ValueError, match="responses length 1 does not match 120 feature rows"):
             self._cell(clean_test=np.array([0.5]))
 
     def test_short_clean_test(self):
-        with pytest.raises(ValueError, match=r"length 120, got shape \(119,\)"):
+        with pytest.raises(ValueError, match="responses length 119 does not match 120"):
             self._cell(clean_test=np.zeros(119))
+
+    def test_column_clean_test_is_raveled(self):
+        cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+        assert np.array_equal(QuerySample(test_X, clean_test[:, None]).responses, clean_test)
 
     def test_wrong_length_clean(self):
         with pytest.raises(ValueError, match=r"clean must be a vector of length 30, "
@@ -390,8 +393,7 @@ class TestResponseLengths:
             self._cell(clean=np.zeros(29))
 
     def test_query_sample_mismatch(self):
-        with pytest.raises(ValueError, match=r"clean must be a vector of length 120, "
-                                             r"got shape \(1,\)"):
+        with pytest.raises(ValueError, match="responses length 1 does not match 120 feature rows"):
             QuerySample(np.zeros((120, 5)), np.zeros(1))
 
     def test_spectral_cell_wrong_length_clean(self):
@@ -401,3 +403,20 @@ class TestResponseLengths:
                                              r"got shape \(\)"):
             spectral_risk_mc(data, 1.0, LinModel(p), 1e-3, 1.0,
                              QuerySample(test_X, clean_test), 4, 0)
+
+
+@pytest.mark.parametrize("route", ["exact", "spectral"])
+@pytest.mark.parametrize("bad", ["nan-response", "inf-point"])
+def test_non_finite_test_sample_rejected(route, bad):
+    # the test sample is checked as training data is; it used to pass
+    # through and the cell returned a NaN bias
+    cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+    if bad == "nan-response":
+        clean_test[3] = np.nan
+    else:
+        test_X[5, 2] = np.inf
+    model = (KernelSpec.gaussian() if route == "exact" else
+             LinModel(linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)))
+    cell = excess_risk_mc if route == "exact" else spectral_risk_mc
+    with pytest.raises(ValueError, match="contain non-finite entries"):
+        cell(data, clean, model, 1e-3, 1.0, QuerySample(test_X, clean_test), 4, 0)

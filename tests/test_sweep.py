@@ -127,6 +127,15 @@ class TestConfig:
     def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
         ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("kw,field", [
+        (dict(lin_curvature=True), "lin_curvature"), (dict(gamma_override=0.0), "gamma_override"),
+        (dict(gamma_override=0.5, lin_curvature=True), "lin_curvature")],
+        ids=["curvature", "gamma-zero", "both"])
+    def test_linearized_fields_rejected_for_the_exact_kernel(self, kw, field):
+        # exact cells and exact eig_compare read neither field
+        with pytest.raises(ConfigError, match=f"{field} applies to linearized fits only"):
+            ExperimentConfig(use_linearized=False, **kw)
+
     def test_json_string_count_rejected(self, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"trials": "2"}))
@@ -397,10 +406,9 @@ def test_singular_cell_reports_the_dense_smallest_eigenvalue():
     cfg = ExperimentConfig(lin_curvature=True, trials=1, n_grid=[400])
     with pytest.raises(SingularKernelError, match=r"cell n=400, trial 0, ridge") as exc:
         run_sweep(cfg)
-    spec = kernel_by_name(cfg.kernel, cfg.degree)
-    source = DataSource(cfg, spec, 400)
+    source = DataSource(cfg, 400)
     data, _ = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
-    K, _ = gram_and_cross(source.lin_model(data.features), data, source.test(0).points)
+    K, _ = gram_and_cross(source.lin_model(data.features), data, source.test(0).features)
     lam = cfg.cbar * 400.0 ** (-cfg.theta)
     dense = np.linalg.eigvalsh(K + 400 * lam * np.eye(400))[0]
     assert dense < 0
@@ -428,12 +436,11 @@ def test_each_row_is_the_per_column_mean_of_its_cells(kw):
     # of the cells' array sums in another order, which these rows would show
     cfg = _small_config(trials=10, **kw)
     points, _ = run_sweep(cfg)
-    spec = kernel_by_name(cfg.kernel, cfg.degree)
-    source = DataSource(cfg, spec, cfg.grid[-1])
+    source = DataSource(cfg, cfg.grid[-1])
     other_order = False
     for p in points:
         lam = cfg.cbar * float(p.n) ** (-cfg.theta)
-        cells = [sweep._cell(cfg, spec, source, p.n, t, lam) for t in range(cfg.trials)]
+        cells = [sweep._cell(source, p.n, t, lam) for t in range(cfg.trials)]
         bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in zip(*cells))
         assert (p.lam, p.bias_emp, p.var_emp, p.risk_emp, p.v1_bound, p.v2_bound,
                 p.mc_stderr) == (lam, bias, var, risk, v1, v2,

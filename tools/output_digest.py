@@ -16,7 +16,10 @@ change in the last bits of a point.  The benchmark workloads all run one
 trial per cell, so the group `multi_trial` adds small sweeps at 9 or more
 trials, built with the tree's own `krrlab.ExperimentConfig` and run on the
 same inputs in every tree, so a change in the order a sweep reduces its
-cells shows too.  A stage that raised prints `error:<exception type>` in
+cells shows too.  It covers both routes in both modes (`lin_real`, a
+linearized real-mode sweep, is the one whose test samples are pool tails
+fitted by the spectral route) and, as `eig_synth`, one synthetic
+eig-compare CSV, which no workload draws.  A stage that raised prints `error:<exception type>` in
 place of its digest.  Nothing is written under `bench/`: bytecode caching
 is off and every output goes to the temporary directory.
 
@@ -45,15 +48,19 @@ from bench_pairs import parse_seeds  # noqa: E402
 ROOT = TOOLS.parent
 WORKLOADS = ("lin_protocol", "lin_wide", "real_exact", "multi_trial")
 
-# The multi-trial group: one sweep per route and schedule, named by its output.
+SAMPLE200 = str(ROOT / "tests" / "data" / "sample200.libsvm")
+# The multi-trial group: one sweep per route and schedule, named by its output ...
 MULTI_TRIAL = {
     "lin_schedule": dict(kernel="gaussian"),
     "fixed_lambda_gamma0": dict(kernel="polynomial", fixed_lambda=1e-5, gamma_override=0.0),
     "curvature": dict(kernel="gaussian", lin_curvature=True),
     "exact_synth": dict(kernel="gaussian", use_linearized=False),
     "exact_real": dict(kernel="gaussian", use_linearized=False, mode="real", d=24,
-                       input_path=str(ROOT / "tests" / "data" / "sample200.libsvm")),
+                       input_path=SAMPLE200),
+    "lin_real": dict(kernel="gaussian", mode="real", d=24, input_path=SAMPLE200),
 }
+# ... and one synthetic eig-compare, at the group's largest n.
+EIG_SYNTH = dict(kernel="gaussian")
 
 
 def _load_workloads(tree: Path):
@@ -83,7 +90,8 @@ def _sweep_text(sweep):
 
 
 def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
-    """{output: sweep text, or the exception raised} of the multi-trial group."""
+    """{output: sweep or eig-compare text, or the exception raised} of the
+    multi-trial group."""
     size = (dict(d=20, n_grid=[10, 30, 50], trials=9, test_points=100, noise_draws=4)
             if micro else
             dict(d=100, n_grid=[20, 40, 60, 80, 100], trials=10, test_points=400,
@@ -95,6 +103,11 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
                 seed=seed, **dict(size, **kw))))
         except Exception as exc:     # digested as error:<type>
             out[output] = exc
+    try:
+        out["eig_synth"] = krrlab.eig_compare(krrlab.ExperimentConfig(
+            seed=seed, **dict(size, **EIG_SYNTH))).csv_text
+    except Exception as exc:
+        out["eig_synth"] = exc
     return out
 
 
