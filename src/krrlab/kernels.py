@@ -6,9 +6,16 @@ Two kernel families are supported, both driven by a scalar profile h:
 * radial kernels          k(x, x') = h(||x - x'||^2 / d)
 
 The ridge estimator solves (K + n*lambda*I) c = y and predicts with
-k(x, X)^T c.  All arrays are dense float64.  `scipy.linalg`, whose Cholesky
-routines solve that system, is imported on the first factorization, so
-importing this module (and krrlab) loads numpy only.
+k(x, X)^T c.  All arrays are dense float64.
+
+numpy and scipy each bundle their own OpenBLAS, each with its own pool of
+threads, and a pool's threads keep spinning for a while after a call: on
+2 cores a scipy Cholesky that starts right after a numpy product shares the
+cores with them.  So the exact route runs on scipy's OpenBLAS alone: its
+products go through `scipy_gram` and `scipy_product`, its spectra through
+`scipy_eigvalsh`, and its factorizations through `scipy.linalg`.
+`scipy.linalg` is imported on the first kernel build, so importing this
+module (and krrlab) loads numpy only.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ __all__ = [
     "krr_fit",
     "krr_predict",
     "solve_regularized",
+    "scipy_gram",
+    "scipy_product",
+    "scipy_eigvalsh",
 ]
 
 
@@ -122,13 +132,14 @@ class KernelSpec:
     def argument_matrix(self, X: np.ndarray, Q: Optional[np.ndarray] = None) -> np.ndarray:
         """Kernel argument <x,x'>/d or ||x-x'||^2/d for rows of Q against rows of X.
 
-        The product Q X^T (X X^T, a symmetric rank-k update, when Q is None)
-        is formed once and scaled by 1/d in place; the radial argument
-        sq_q + sq_x - 2 G and its clip at 0 then overwrite it row block by
-        row block, so the only scratch is one block of rows.
+        The product Q X^T (`scipy_gram`'s X X^T, symmetric to the bit, when Q
+        is None) is formed once on scipy's BLAS and scaled by 1/d in place;
+        the radial argument sq_q + sq_x - 2 G and its clip at 0 then
+        overwrite it row block by row block, so the only scratch is one
+        block of rows.
         """
         d = X.shape[1]
-        G = X @ X.T if Q is None else Q @ X.T
+        G = scipy_gram(X) if Q is None else scipy_product(X, Q.T).T
         G /= d
         if self.family == "inner_product":
             return G
@@ -177,8 +188,8 @@ def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric.
 
-    numpy forms X X^T by a symmetric rank-k update, which is symmetric to the
-    bit, and the radial argument and h act entrywise, so K needs no mirroring.
+    `scipy_gram` forms X X^T symmetric to the bit, and the radial argument
+    and h act entrywise, so K needs no mirroring.
     """
     return _kernel_values(spec, data.features)
 
@@ -198,7 +209,8 @@ _JITTER_ESCALATIONS = (1.0, 10.0, 100.0)
 def _restore_lower(A: np.ndarray) -> None:
     """Copy the strict upper triangle of square A onto its strict lower one,
     a block of columns at a time: a failed Cholesky factorization of A
-    (lower=True) has overwritten the lower triangle only."""
+    (lower=True) has overwritten the lower triangle only, and `scipy_gram`'s
+    rank-k update has formed the upper one only."""
     n = A.shape[0]
     for cols in _row_blocks(n, n):
         lo, hi = cols.start, min(cols.stop, n)
@@ -221,9 +233,7 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     Each attempt sets the diagonal to K's plus ridge + jitter.  LAPACK
     overwrites only the lower triangle of K.T, so a retry and the eigenvalue
     report first restore it from the untouched strict upper triangle
-    (`_restore_lower`).  `scipy.linalg` is imported here, on the first
-    factorization, rather than when krrlab is imported: of a sweep's cells
-    only exact-kernel ones need it.
+    (`_restore_lower`).
     """
     import scipy.linalg
 
@@ -245,11 +255,47 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
             pass
     _restore_lower(A)
     np.fill_diagonal(A, diagonal + ridge)
-    smallest = float(np.linalg.eigvalsh(A)[0])
+    smallest = float(scipy_eigvalsh(A)[0])
     np.fill_diagonal(A, diagonal)
     raise SingularKernelError(
         f"system remained non-positive-definite after {len(_JITTER_ESCALATIONS)} jitter "
         f"escalations (smallest eigenvalue {smallest:.3e})", smallest)
+
+
+def scipy_gram(A: np.ndarray) -> np.ndarray:
+    """A A^T on scipy's BLAS, C-contiguous and symmetric to the bit.
+
+    A rank-k update forms one triangle and `_restore_lower` mirrors it (a
+    general product is not symmetric to the bit).  A C-contiguous A goes in
+    as its F-contiguous view A.T, so A is not copied.
+    """
+    import scipy.linalg
+
+    if A.flags.f_contiguous:
+        S = scipy.linalg.blas.dsyrk(1.0, A, lower=1)
+    else:
+        S = scipy.linalg.blas.dsyrk(1.0, A.T, trans=1, lower=1)
+    S = S.T                     # C-contiguous, its upper triangle formed
+    _restore_lower(S)
+    return S
+
+
+def scipy_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B on scipy's BLAS, F-contiguous.  A C-contiguous operand goes in as
+    its F-contiguous transpose, so neither is copied."""
+    import scipy.linalg
+
+    trans_a, trans_b = not A.flags.f_contiguous, not B.flags.f_contiguous
+    return scipy.linalg.blas.dgemm(1.0, A.T if trans_a else A, B.T if trans_b else B,
+                                   trans_a=trans_a, trans_b=trans_b)
+
+
+def scipy_eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric A, ascending, from its lower triangle by
+    scipy's LAPACK; syevd, the driver of `numpy.linalg.eigvalsh`."""
+    import scipy.linalg
+
+    return scipy.linalg.eigvalsh(A, driver="evd", check_finite=False)
 
 
 @dataclass(frozen=True)

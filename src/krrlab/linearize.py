@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Dataset, KernelSpec
+from .kernels import Dataset, KernelSpec, scipy_eigvalsh, scipy_gram, scipy_product
 
 __all__ = [
     "LinParams",
@@ -343,18 +343,23 @@ class LinFactor:
 
     def core_spectrum(self, side: Optional[np.ndarray] = None) -> np.ndarray:
         """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
-        sorted descending, from its smaller Gram side: the n x n `core` when
-        n <= p, else the block of F^T F on the columns [sqrt(alpha) 1,
-        sqrt(beta/d) X], padded with the zeros of its rank deficit.  `side`
-        passes in the caller's own n x n core or, when n > p, F^T F."""
-        n, p = self.F.shape
+        sorted descending, from its smaller Gram side, padded with the zeros
+        of its rank deficit.  That matrix is G G^T, G the columns
+        [sqrt(alpha) 1, sqrt(beta/d) X] of F.
+
+        `side` passes in a spectral fit's own n x n core (n <= p) or F^T F
+        (n > p, whose block on G's columns is G^T G), decomposed on numpy's
+        LAPACK as the rest of that fit.  Without it, as for an exact cell's
+        V1, G G^T or G^T G, whichever is smaller, is formed and decomposed on
+        scipy's BLAS and LAPACK, as the rest of that cell."""
+        n = self.F.shape[0]
+        x0 = 1 if self.c else 0                 # the first column of sqrt(beta/d) X
+        cols = slice(0 if self.params.alpha > 0 else x0, x0 + self.X.shape[1])
         if side is None:
-            side = self.core() if n <= p else self.F.T @ self.F
-        if side.shape[0] != n:
-            x0 = 1 if self.c else 0             # the first column of sqrt(beta/d) X
-            cols = slice(0 if self.params.alpha > 0 else x0, x0 + self.X.shape[1])
-            side = side[cols, cols]
-        w = np.linalg.eigvalsh(side)
+            G = self.F[:, cols]
+            w = scipy_eigvalsh(scipy_gram(G if n <= G.shape[1] else G.T))
+        else:
+            w = np.linalg.eigvalsh(side if side.shape[0] == n else side[cols, cols])
         spectrum = np.zeros(n)
         spectrum[:w.size] = np.maximum(w[::-1], 0.0)
         return spectrum
@@ -411,17 +416,20 @@ def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.nd
     thin QR W = Q R, W D W^T = Q (R D R^T) Q^T, so the spectrum is that of
     the min(n, p) x min(n, p) matrix R D R^T plus `shift`, padded with
     `shift` (the null space of W^T) up to length n; one path covers n < p,
-    n = p and n > p.
+    n = p and n > p.  The QR, the products and the eigensolve run on scipy's
+    BLAS and LAPACK, as the rest of `sweep.eig_compare`, its caller.
     """
+    import scipy.linalg
+
     W = np.asarray(W, dtype=float)
     D = np.asarray(D, dtype=float)
     n, p = W.shape
     if D.shape != (p, p):
         raise ValueError(f"D has shape {D.shape}, expected ({p}, {p})")
-    R = np.linalg.qr(W, mode="r")
-    core = R @ D @ R.T
+    R = scipy.linalg.qr(W, mode="r", check_finite=False)[0][:min(n, p)]
+    core = scipy_product(scipy_product(R, D), R.T)
     out = np.full(n, float(shift))
-    out[:core.shape[0]] += np.linalg.eigvalsh((core + core.T) / 2.0)
+    out[:core.shape[0]] += scipy_eigvalsh((core + core.T) / 2.0)
     return np.sort(out)[::-1]
 
 

@@ -16,10 +16,12 @@ one Cholesky solve against the m cross-kernel columns: M is symmetric, so
 the test-point fits of the clean responses and of the noise draws are read
 off M^{-1} C^T (C the m x n cross kernel) without solving for them.  The
 factor overwrites K and the solution overwrites C^T, so K and C are the
-cell's only large matrices.  It also accepts a `LinModel`, whose Gram matrix
-and cross kernel `linearize.build_lin_kernel` and `lin_cross_kernel_matrix`
-form densely; that is the reference the linearized route is checked
-against, not a route of `run_sweep`.
+cell's only large matrices.  Like the kernels and the factor, the
+predictions are formed on scipy's BLAS (`kernels.scipy_product`), so the
+route does not wake numpy's thread pool.  It also accepts a `LinModel`,
+whose Gram matrix and cross kernel `linearize.build_lin_kernel` and
+`lin_cross_kernel_matrix` form densely; that is the reference the
+linearized route is checked against, not a route of `run_sweep`.
 
 Every linearized cell, with or without the radial curvature T, takes
 `spectral_risk_mc`: K - gamma I = F (I + E) F^T (`linearize.LinFactor`)
@@ -33,7 +35,8 @@ checks its size against the cell and the routes' scalars.
 `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
 n <= p, else its block of F^T F padded with zeros.  Exact cells take it
-from a factor without curvature (p = d+1), and curvature cells pass in
+from a factor without curvature (p = d+1), on scipy's BLAS and LAPACK as
+the rest of their cell, and curvature cells pass in
 their own core before T or their own F^T F.  A spectral cell without
 curvature reads its own F F^T when n <= d+1 and still runs the n x n
 `eigvalsh` of the core when n > d+1.
@@ -48,7 +51,8 @@ from typing import Union
 import numpy as np
 
 from .errors import SingularKernelError
-from .kernels import Dataset, KernelSpec, kernel_matrix, cross_kernel_matrix, solve_regularized
+from .kernels import (Dataset, KernelSpec, cross_kernel_matrix, kernel_matrix, scipy_product,
+                      solve_regularized)
 from .linearize import LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors
 from .spectral import Spectrum, quantity_N
 
@@ -130,7 +134,8 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     (C the m x n cross kernel, against `test.features`); since M is symmetric
     the test-point fits of the clean responses and the noise draws are
     (M^{-1} C^T)^T [clean, eps].  The solve factors K in place and writes
-    M^{-1} C^T over C^T, so no copy of either is made.
+    M^{-1} C^T over C^T, so no copy of either is made.  That product, as
+    every one of the exact kernel's, runs on scipy's BLAS.
     """
     _check_cell(data, lam, sigma, test, noise_draws)
     clean = _check_length("clean", clean, data.n)
@@ -139,7 +144,8 @@ def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, Li
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
-    pred = minv_cross.T @ np.column_stack([clean, eps])           # m x (1+draws)
+    Y = np.column_stack([clean, eps])                             # n x (1+draws)
+    pred = scipy_product(Y.T, minv_cross).T                       # m x (1+draws)
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
     return _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
 

@@ -17,14 +17,24 @@ one small-side eigendecomposition of its rank <= d+3 factored form
 (`risk.spectral_risk_mc`): fit, bias, variance and MC risk are filter sums
 over it, and a cell that is not positive definite fails with its exact
 smallest eigenvalue.  Exact kernels take the Cholesky route,
-`risk.excess_risk_mc`: their Gram matrix has full rank n, and on 2 cores an
-`eigh` of a 2000 x 2000 gaussian K takes about 1 s against 0.2-0.3 s for
-its factor and a solve with 600 right-hand sides.  V1's spectrum, of the
-rank <= d+1 matrix alpha 11^T + beta XX^T/d, comes from its smaller Gram
-side (`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
+`risk.excess_risk_mc`: their Gram matrix has full rank n, so one Cholesky
+factor and a solve against the test points' cross kernel replace a full
+eigendecomposition.  V1's spectrum, of the rank <= d+1 matrix
+alpha 11^T + beta XX^T/d, comes from its smaller Gram side
+(`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
 alpha = 0; a curvature cell reads its own core or F^T F), except that a
 linearized cell without curvature still runs an n x n `eigvalsh` for it
 when n > d+1.
+
+Each route stays on one OpenBLAS.  Every product and decomposition of an
+exact cell, V1's included, and of `eig_compare` runs on scipy's
+(`kernels.scipy_gram`, `scipy_product`, `scipy_eigvalsh`), so numpy's thread
+pool, whose threads spin for a while after each call, is not woken between
+a cell's products and its Cholesky; the linearized route stays on numpy and
+loads no scipy.  Two numpy calls remain in exact cells, both before the
+kernel is built: the product in the real-mode plug-in
+`estimate_trace_ratio` and the synthetic sampler's QR at n <= d.
+
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input, and rejects the linearized-only fields
 `lin_curvature` and `gamma_override` on an exact-kernel config, which would
@@ -482,7 +492,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     params, gamma_eff = lin.params, lin.gamma
 
     k = min(k, n)
-    import scipy.linalg        # loaded on use, as in kernels.solve_regularized
+    import scipy.linalg        # loaded on use, as throughout the exact route
     # K is symmetric, so K.T is K in the F-contiguous layout LAPACK works in
     eig_true = scipy.linalg.eigh(kernel_matrix(source.spec, data).T, eigvals_only=True,
                                  overwrite_a=True, check_finite=False,

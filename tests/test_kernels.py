@@ -346,11 +346,14 @@ def test_nan_ridge_rejected(call):
 
 def _full_argument(spec, X, Q=None):
     """The kernel argument as one full-matrix expression, the reference for
-    the in-place, row-blocked `KernelSpec.argument_matrix`."""
+    the in-place, row-blocked `KernelSpec.argument_matrix`, from the same
+    scipy products the route forms."""
     d = X.shape[1]
     if Q is None:
+        G = kernels.scipy_gram(X) / d
         Q = X
-    G = Q @ X.T / d
+    else:
+        G = kernels.scipy_product(X, Q.T).T / d
     if spec.family == "inner_product":
         return G
     sq_x = np.einsum("ij,ij->i", X, X) / d

@@ -287,9 +287,10 @@ class TestCholeskyV1Spectrum:
                 return out
             return wrapper
 
-        for name in ("eigvalsh", "eigh"):
-            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name),
-                                                     lambda a, out: shapes.append(a[0].shape)))
+        for module in (np.linalg, scipy.linalg):     # exact cells decompose on scipy's
+            for name in ("eigvalsh", "eigh"):
+                monkeypatch.setattr(module, name, spy(getattr(module, name),
+                                                      lambda a, out: shapes.append(a[0].shape)))
         monkeypatch.setattr("krrlab.sweep.sample_dataset",
                             spy(sample_dataset, lambda a, out: draws.append(out[0])))
         monkeypatch.setattr("krrlab.sweep.bound_v1",
@@ -312,6 +313,22 @@ class TestCholeskyV1Spectrum:
             want = scipy.linalg.svdvals(F) ** 2
             assert spectrum[:p] == pytest.approx(want, rel=1e-12)
             assert not spectrum[p:].any()
+
+
+def test_exact_real_sweep_runs_without_numpy_linalg(monkeypatch):
+    # every decomposition of an exact cell, V1's at n <= d+1 and n > d+1
+    # included, runs on scipy's LAPACK, so none may reach numpy.linalg
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called in an exact cell")
+
+    for name in ("eigh", "eigvalsh", "qr", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = _small_config(mode="real", input_path=FIXTURE, d=24, standardize=True,
+                        use_linearized=False, gamma_override=None, n_grid=[20, 60],
+                        test_points=100)
+    points, _ = run_sweep(cfg)
+    assert [p.n for p in points] == [20, 60]
+    assert all(np.isfinite(p.risk_emp) and p.v1_bound > 0 for p in points)
 
 
 class TestEigCompare:
