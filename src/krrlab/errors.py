@@ -25,8 +25,8 @@ class SingularKernelError(NumericalError):
     """Regularized kernel system is not positive definite.
 
     Carries the smallest eigenvalue of the system matrix: the exact one of a
-    linearized cell's spectrum, or the one observed when the Cholesky jitter
-    escalation gave up.
+    spectral cell, or that of K + ridge*I when its one Cholesky
+    factorization failed.
     """
 
     def __init__(self, message: str, smallest_eigenvalue: float):

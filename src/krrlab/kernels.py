@@ -5,8 +5,9 @@ Two kernel families are supported, both driven by a scalar profile h:
 * inner-product kernels   k(x, x') = h(<x, x'> / d)
 * radial kernels          k(x, x') = h(||x - x'||^2 / d)
 
-The ridge estimator solves (K + n*lambda*I) c = y and predicts with
-k(x, X)^T c.  All arrays are dense float64.
+The ridge estimator solves (K + n*lambda*I) c = y by one Cholesky
+factorization, with no fallback, and predicts with k(x, X)^T c.  All arrays
+are dense float64.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own pool of
 threads, and a pool's threads keep spinning for a while after a call: on
@@ -92,6 +93,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("inner_product", "radial"):
             raise ValueError(f"unknown kernel family {self.family!r}")
+
+    @property
+    def affine(self) -> bool:
+        """Whether h is affine (linear, or polynomial of degree 1), so that K
+        is exactly its linearization alpha 11^T + beta XX^T/d."""
+        return self.variant == "linear" or (self.variant, self.degree) == ("polynomial", 1)
 
     @staticmethod
     def linear() -> "KernelSpec":
@@ -199,13 +206,6 @@ def cross_kernel_matrix(spec: KernelSpec, data: Dataset, queries: np.ndarray) ->
     return _kernel_values(spec, data.features, queries)
 
 
-# Jitter policy: when the SPD factorization of K + n*lambda*I fails (the
-# ridgeless limit with a near-singular Gram matrix), retry with a diagonal
-# jitter of 1, 10 and then 100 times 1e-12 * max(|tr(K)/n|, 1).
-_JITTER_RELATIVE = 1e-12
-_JITTER_ESCALATIONS = (1.0, 10.0, 100.0)
-
-
 def _restore_lower(A: np.ndarray) -> None:
     """Copy the strict upper triangle of square A onto its strict lower one,
     a block of columns at a time: a failed Cholesky factorization of A
@@ -220,7 +220,7 @@ def _restore_lower(A: np.ndarray) -> None:
 
 
 def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + ridge*I) sol = rhs by Cholesky with the jitter policy, in place.
+    """Solve (K + ridge*I) sol = rhs by one Cholesky factorization, in place.
 
     K must be a C-contiguous float64 array, symmetric to the bit, as
     `kernel_matrix` and `linearize.build_lin_kernel` return it.  It is
@@ -230,10 +230,9 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     on return; SingularKernelError leaves it as it was.  Callers that need K
     or rhs afterwards pass copies.
 
-    Each attempt sets the diagonal to K's plus ridge + jitter.  LAPACK
-    overwrites only the lower triangle of K.T, so a retry and the eigenvalue
-    report first restore it from the untouched strict upper triangle
-    (`_restore_lower`).
+    A system that does not factor, such as a rank-deficient K at ridge 0,
+    raises SingularKernelError with the smallest eigenvalue of K + ridge*I,
+    read after `_restore_lower` undoes LAPACK's half-factored lower triangle.
     """
     import scipy.linalg
 
@@ -242,24 +241,18 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
     if not (isinstance(K, np.ndarray) and K.dtype == np.float64 and K.flags.c_contiguous):
         raise ValueError("K must be a C-contiguous float64 array")
     A = K.T
-    unit = _JITTER_RELATIVE * max(abs(float(np.trace(A)) / A.shape[0]), 1.0)
     diagonal = A.diagonal().copy()
-    for attempt, jitter in enumerate((0.0, *(unit * step for step in _JITTER_ESCALATIONS))):
-        if attempt:
-            _restore_lower(A)
-        np.fill_diagonal(A, diagonal + (ridge + jitter))
-        try:
-            cf = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-            return scipy.linalg.cho_solve(cf, rhs, overwrite_b=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-    _restore_lower(A)
     np.fill_diagonal(A, diagonal + ridge)
-    smallest = float(scipy_eigvalsh(A)[0])
-    np.fill_diagonal(A, diagonal)
-    raise SingularKernelError(
-        f"system remained non-positive-definite after {len(_JITTER_ESCALATIONS)} jitter "
-        f"escalations (smallest eigenvalue {smallest:.3e})", smallest)
+    try:
+        cf = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        _restore_lower(A)
+        np.fill_diagonal(A, diagonal + ridge)
+        smallest = float(scipy_eigvalsh(A)[0])
+        np.fill_diagonal(A, diagonal)
+        raise SingularKernelError(f"system is not positive definite (smallest eigenvalue "
+                                  f"{smallest:.3e})", smallest) from None
+    return scipy.linalg.cho_solve(cf, rhs, overwrite_b=True, check_finite=False)
 
 
 def scipy_gram(A: np.ndarray) -> np.ndarray:
@@ -309,7 +302,8 @@ class KrrModel:
 
 
 def krr_fit(spec: KernelSpec, data: Dataset, lam: float) -> KrrModel:
-    """Fit kernel ridge regression with penalty lam >= 0 (0 = interpolation)."""
+    """Fit kernel ridge regression with penalty lam >= 0 (0 = interpolation,
+    which raises SingularKernelError on a rank-deficient K)."""
     if not 0 <= lam < np.inf:
         raise ValueError(f"lambda must be >= 0 and finite, got {lam}")
     K = kernel_matrix(spec, data)

@@ -24,22 +24,24 @@ whose Gram matrix and cross kernel `linearize.build_lin_kernel` and
 linearized route is checked against, not a route of `run_sweep`.
 
 Every linearized cell, with or without the radial curvature T, takes
-`spectral_risk_mc`: K - gamma I = F (I + E) F^T (`linearize.LinFactor`)
-has rank <= p (d+1, or d+3 under curvature), so one eigendecomposition of
-its smaller side gives the fit and variance as filter sums over 1/(w + r),
-r = n*lambda + gamma, and min(w) + r, the exact smallest eigenvalue of M.
+`spectral_risk_mc`, as does an exact affine kernel, its own linearization:
+K - gamma I = F (I + E) F^T (`linearize.LinFactor`) has rank <= p (d+1, or
+d+3 under curvature), so one eigendecomposition of its smaller side gives
+the fit and variance as filter sums over 1/(w + r), r = n*lambda + gamma
+(1/w above a roundoff floor at r = 0: the min-norm interpolant), and
+min(w) + r, the exact smallest eigenvalue of M.
 Both routes take a `QuerySample`, a `kernels.Dataset` of the test points and
 their clean responses, so it is checked as training data is; one helper
 checks its size against the cell and the routes' scalars.
 
 `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
-n <= p, else its block of F^T F padded with zeros.  Exact cells take it
+n <= p, else its block of F^T F padded with zeros.  Cholesky cells take it
 from a factor without curvature (p = d+1), on scipy's BLAS and LAPACK as
-the rest of their cell, and curvature cells pass in
-their own core before T or their own F^T F.  A spectral cell without
-curvature reads its own F F^T when n <= d+1 and still runs the n x n
-`eigvalsh` of the core when n > d+1.
+the rest of their cell, and curvature cells pass in their own core before
+T or their own F^T F.  A spectral cell without curvature reads its own
+F F^T when n <= d+1 and still runs the n x n `eigvalsh` of the core when
+n > d+1.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     exactly as in `excess_risk_mc`, so the two agree draw for draw.
     min(w) + r, with w padded by the null space's zeros when n > p, is the
     smallest eigenvalue of K + n*lam I; a value <= 0 raises
-    SingularKernelError with it.
+    SingularKernelError with it, except at r = 0, where the fit is the
+    min-norm interpolant (1/w on w > max(n, p) eps max|w|, 0 elsewhere) and
+    only a value below minus that floor raises.
 
     The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
     sorted descending: without curvature the eigenvalues of F F^T when
@@ -213,8 +217,6 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     Q, X = test.features, data.features
     n, d = X.shape
     r = n * lam + model.gamma
-    if not r > 0:
-        raise ValueError("n*lam + gamma must be > 0")
     Y = np.column_stack([_check_length("clean", clean, n), _noise(seed, sigma, n, noise_draws)])
     curved = model.fits_curvature
     factor = lin_factors(model, X)
@@ -231,7 +233,6 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
         w, U = np.linalg.eigh(core)
         Z = factor.weigh(F.T @ U)
         proj = U.T @ Y
-        mass = 1.0 / (w + r) ** 2
         smallest = w[0] + r
         if not curved:
             spectrum = np.maximum(w[::-1], 0.0)
@@ -242,17 +243,19 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
         if curved:
             spectrum = factor.core_spectrum(gram)
             w, V, proj = factor.rotation(w, V, proj)
-            mass = 1.0 / (w + r) ** 2
         else:
             # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 1
             spectrum = factor.core_spectrum(factor.core())
-            mass = w / (w + r) ** 2
         Z = factor.weigh(V)
         smallest = min(w[0], 0.0) + r
-    if not smallest > 0:
+    floor = max(n, F.shape[1]) * np.finfo(float).eps * np.abs(w).max() if r == 0 else 0.0
+    if not smallest > -floor:
         raise SingularKernelError(f"system matrix is not positive definite (smallest "
                                   f"eigenvalue {smallest:.3e})", float(smallest))
-    coef = Z @ (proj / (w + r)[:, None])
+    keep = w + r > floor
+    gain = w if n > F.shape[1] and not curved else 1.0
+    mass = np.divide(gain, (w + r) ** 2, out=np.zeros_like(w), where=keep)
+    coef = Z @ np.divide(proj, (w + r)[:, None], out=np.zeros_like(proj), where=keep[:, None])
 
     pred = Q @ coef[1:d + 1] + coef[0] if phi.start == 0 else Q @ coef   # Phi[:, phi] coef
     if phi.stop == d + 2:

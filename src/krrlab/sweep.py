@@ -15,31 +15,35 @@ the output is byte-identical across reruns.
 A sweep has two routes.  Every linearized cell, `lin_curvature` or not, is
 one small-side eigendecomposition of its rank <= d+3 factored form
 (`risk.spectral_risk_mc`): fit, bias, variance and MC risk are filter sums
-over it, and a cell that is not positive definite fails with its exact
-smallest eigenvalue.  Exact kernels take the Cholesky route,
+over it, a ridgeless cell is the min-norm interpolant, and a cell that is
+not positive semi-definite fails with its exact smallest eigenvalue.  An
+exact affine kernel (`KernelSpec.affine`), its own linearization, takes
+this route too.  Other exact kernels take the Cholesky route,
 `risk.excess_risk_mc`: their Gram matrix has full rank n, so one Cholesky
 factor and a solve against the test points' cross kernel replace a full
-eigendecomposition.  V1's spectrum, of the rank <= d+1 matrix
+eigendecomposition (a cell that fails to factor raises
+SingularKernelError).  V1's spectrum, of the rank <= d+1 matrix
 alpha 11^T + beta XX^T/d, comes from its smaller Gram side
 (`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
 alpha = 0; a curvature cell reads its own core or F^T F), except that a
-linearized cell without curvature still runs an n x n `eigvalsh` for it
-when n > d+1.
+spectral cell without curvature still runs an n x n `eigvalsh` for it when
+n > d+1.
 
-Each route stays on one OpenBLAS.  Every product and decomposition of an
-exact cell, V1's included, and of `eig_compare` runs on scipy's
+Each route stays on one OpenBLAS.  Every product and decomposition of a
+Cholesky cell, V1's included, and of `eig_compare` runs on scipy's
 (`kernels.scipy_gram`, `scipy_product`, `scipy_eigvalsh`), so numpy's thread
 pool, whose threads spin for a while after each call, is not woken between
-a cell's products and its Cholesky; the linearized route stays on numpy and
-loads no scipy.  Two numpy calls remain in exact cells, both before the
+a cell's products and its Cholesky; the spectral route stays on numpy and
+loads no scipy.  Two numpy calls remain in Cholesky cells, both before the
 kernel is built: the product in the real-mode plug-in
 `estimate_trace_ratio` and the synthetic sampler's QR at n <= d.
 
 `ExperimentConfig` checks types and ranges once, when it is built, so no
-cell fails on its input, and rejects the linearized-only fields
-`lin_curvature` and `gamma_override` on an exact-kernel config, which would
-read neither; `DataSource` loads the data of one call, synthetic or real,
-in one place and builds its kernel, and `_cell` reads both from it.
+cell fails on its input: a ridgeless n*lambda + gamma_eff = 0 with
+sigma > 0, whose bounds divide by 0, and the linearized-only fields
+`lin_curvature` and `gamma_override` on an exact-kernel config are
+rejected; `DataSource` loads the data of one call, synthetic or real, in
+one place and builds its kernel, and `_cell` reads both from it.
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
@@ -238,7 +242,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not isinstance(v, str):
                 raise ConfigError(f"{name} must be a path string, got {v!r}")
-        kernel_by_name(self.kernel, self.degree)
+        spec = kernel_by_name(self.kernel, self.degree)
         self.grid = parse_grid(self.n_grid)
         if self.d < 2:
             raise ConfigError(f"d must be >= 2, got {self.d}")
@@ -271,16 +275,14 @@ class ExperimentConfig:
             raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
         if self.mode == "synth":
             make_covariance(self.d, self.decay, self.a)     # rejects a bad decay or a
-        # a ridgeless fit: every linearized cell divides by n*lam + gamma_eff,
-        # and the bounds do when sigma > 0; an affine profile h has gamma = 0
+        # V1 and V2 divide by n*lam + gamma_eff when sigma > 0; an affine h has gamma = 0
         lam_field = "cbar" if self.fixed_lambda is None else "fixed_lambda"
-        affine = self.kernel == "linear" or (self.kernel, self.degree) == ("polynomial", 1)
-        gamma_zero = affine if self.gamma_override is None else self.gamma_override == 0
-        if (getattr(self, lam_field) == 0 and gamma_zero
-                and (self.sigma > 0 or self.use_linearized)):
+        gamma_zero = spec.affine if self.gamma_override is None else self.gamma_override == 0
+        if getattr(self, lam_field) == 0 and gamma_zero and self.sigma > 0:
             raise ConfigError(
                 f"{lam_field} = 0 and gamma_eff = 0 (gamma_override = 0, or an affine "
-                f"kernel) make n*lambda + gamma = 0; make {lam_field} or gamma_override > 0")
+                f"kernel) make n*lambda + gamma = 0, which the bounds divide by when "
+                f"sigma > 0; make {lam_field} or gamma_override > 0, or sigma 0")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -412,7 +414,7 @@ def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
     test = source.test(t)
     lin = source.lin_model(data.features)
     try:
-        if config.use_linearized:
+        if config.use_linearized or spec.affine:        # an affine K is its linearization
             est, spectrum = spectral_risk_mc(data, clean, lin, lam, config.sigma, test,
                                              config.noise_draws, rng)
         else:

@@ -94,6 +94,10 @@ def test_numpy_only_paths_load_no_scipy(tmp_path):
             "    cfg = krrlab.ExperimentConfig(lin_curvature=True, n_grid=[20, 40], trials=1,\n"
             "                                  test_points=100, noise_draws=2, **kw)\n"
             "    assert len(krrlab.run_sweep(cfg)[0]) == 2\n"
+            "    cfg = krrlab.ExperimentConfig(kernel='polynomial', degree=1, use_linearized=False,\n"
+            "                                  n_grid=[20, 40], trials=1, test_points=100,\n"
+            "                                  noise_draws=2, **kw)\n"
+            "    assert len(krrlab.run_sweep(cfg)[0]) == 2\n"
             "main = krrlab.cli.main\n"
             "assert main(['bounds', '--decay', 'polynomial', '--a', '1']) == 0\n"
             "assert main(['synth', '--d', '10', '--n', '20', '--out', 'x.libsvm']) == 0\n"

@@ -209,24 +209,6 @@ class TestSolver:
         want = _explicit_solve(K, 0.37, rhs)
         assert solve_regularized(K, 0.37, rhs).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("low,unit", [(-8.0, 4e-12), (-1.0, 1e-12)])
-    def test_jitter_shifts_tried(self, low, unit, monkeypatch):
-        # K[0, 0] = 0, so the (0, 0) entry of each factored matrix is its shift;
-        # the unit is 1e-12 * max(|tr(K)/n|, 1)
-        K = np.array([[0.0, 0.0], [0.0, low]])
-        shifts = []
-        factor = scipy.linalg.cho_factor
-
-        def record(A, **kwargs):
-            shifts.append(float(A[0, 0]))
-            return factor(A, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", record)
-        with pytest.raises(SingularKernelError,
-                           match="non-positive-definite after 3 jitter escalations"):
-            solve_regularized(K, 0.0, np.ones(2))
-        assert shifts == pytest.approx([0.0, unit, 10 * unit, 100 * unit], rel=1e-12)
-
     def test_singular_system_reports_eigenvalue(self):
         K = -np.ones((4, 4))        # not a kernel; forces factorization failure
         with pytest.raises(SingularKernelError) as exc:
@@ -292,45 +274,31 @@ class TestOverwriteSolve:
             with pytest.raises(ValueError, match="C-contiguous float64"):
                 solve_regularized(bad, 1.0, y.copy())
 
-    def test_every_jitter_attempt_sees_the_restored_matrix(self, monkeypatch):
-        # K - 5 I is indefinite far beyond the jitter, so all four attempts
-        # fail; each must factor exactly K + shift*I, not a half-factored one
+    def test_one_attempt_sees_the_shifted_matrix(self, monkeypatch):
+        # K - 5 I + 0.25 I is indefinite: the one factorization must see
+        # exactly K + ridge*I, the failure must leave K as it was, and the
+        # report is the smallest eigenvalue of K + ridge*I
         K, y = self._gram()
         K[np.diag_indices(self.N)] -= 5.0
         K_before = K.copy()
-        unit = 1e-12 * max(abs(float(np.trace(K)) / self.N), 1.0)
         seen = _record_factored(monkeypatch)
         with pytest.raises(SingularKernelError) as exc:
-            solve_regularized(K, 0.0, y.copy())
-        shifts = [0.0, unit, 10 * unit, 100 * unit]
-        assert len(seen) == 4
-        for A, shift in zip(seen, shifts):
-            assert A.tobytes() == _shifted_reference(K_before, shift).tobytes()
-        assert np.array_equal(K, K_before)              # a failure leaves K as it was
+            solve_regularized(K, 0.25, y.copy())
+        assert len(seen) == 1
+        assert seen[0].tobytes() == _shifted_reference(K_before, 0.25).tobytes()
+        assert np.array_equal(K, K_before)
         monkeypatch.undo()
-        want = np.linalg.eigvalsh(K_before)[0]
+        want = np.linalg.eigvalsh(_shifted_reference(K_before, 0.25))[0]
         assert exc.value.smallest_eigenvalue == want
 
-    def test_singular_report_is_the_shifted_smallest_eigenvalue(self):
-        K, y = self._gram()
-        K[np.diag_indices(self.N)] -= 5.0
-        with pytest.raises(SingularKernelError) as exc:
-            solve_regularized(K.copy(), 0.25, y.copy())
-        assert exc.value.smallest_eigenvalue == float(
-            np.linalg.eigvalsh(_shifted_reference(K, 0.25))[0])
-
-    def test_first_jitter_rescue_equals_explicit_cholesky(self, monkeypatch):
+    def test_rank_one_matrix_at_zero_ridge_raises(self):
         # the all-ones matrix has rank 1: its second pivot is exactly 0, and
-        # the first jitter makes it positive
+        # no shift is tried in its place
         K = np.ones((self.N, self.N))
-        rhs = np.arange(self.N, dtype=float)
-        seen = _record_factored(monkeypatch)
-        got = solve_regularized(K.copy(), 0.0, rhs.copy())
-        assert len(seen) == 2                           # fail at 0, pass at unit
-        assert seen[0].tobytes() == K.tobytes()
-        assert seen[1].tobytes() == _shifted_reference(K, 1e-12).tobytes()
-        monkeypatch.undo()
-        assert got.tobytes() == _explicit_solve(K, 1e-12, rhs).tobytes()
+        with pytest.raises(SingularKernelError, match="not positive definite") as exc:
+            solve_regularized(K, 0.0, np.arange(self.N, dtype=float))
+        assert np.array_equal(K, np.ones((self.N, self.N)))
+        assert abs(exc.value.smallest_eigenvalue) < 1e-10
 
 
 @pytest.mark.parametrize("call", [

@@ -219,13 +219,76 @@ class TestSpectralRiskMc:
         assert dense < 0
         assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
 
-    def test_rejects_zero_ridge(self):
-        cov, data, clean, test_X, clean_test = _config(n=20, d=30, m=100)
-        test = QuerySample(test_X, clean_test)
-        p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        with pytest.raises(ValueError, match="must be > 0"):
-            spectral_risk_mc(data, clean, LinModel(p, gamma_override=0.0), 0.0, 1.0,
-                             test, 4, 0)
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_ridgeless_indefinite_curvature_cell_raises(self, n):
+        # at n*lam + gamma_eff = 0 the min-norm filter drops only the
+        # roundoff null space; a negative eigenvalue still raises
+        model, data, clean, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
+        with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
+            spectral_risk_mc(data, clean, model, 0.0, 0.0, test, 6, 5)
+        K, _ = gram_and_cross(model, data, test.features)
+        dense = np.linalg.eigvalsh(K)[0]
+        assert dense < 0
+        assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
+
+
+class TestRidgelessFilter:
+    """At n*lam + gamma_eff = 0 `spectral_risk_mc` fits the min-norm
+    interpolant: an affine kernel's model is F F^T exactly, so its
+    predictions are A F^+ y, A the cross kernel's factor of the test
+    points, which `np.linalg.lstsq` computes on F itself."""
+
+    D = 30
+
+    def _cell(self, kernel, n, duplicate=False):
+        cov = make_covariance(self.D, "harmonic")
+        target = TargetSpec(noise_sigma=1.0)
+        spec = KernelSpec.linear() if kernel == "linear" else KernelSpec.polynomial(1)
+        model = LinModel(linearize_params(spec, cov.tau, cov.trace_ratio))
+        test_X = sample_features(cov, 150, 21)
+        test = QuerySample(test_X, evaluate_target(target, test_X))
+        data, clean = sample_dataset(cov, n, target, [4, n])
+        if duplicate:               # a repeated point makes the n x n core singular
+            X = data.features.copy()
+            X[1] = X[0]
+            clean = evaluate_target(target, X)
+            data = Dataset(X, clean)
+        return model, data, clean, test
+
+    @staticmethod
+    def _factor(model, X):
+        cols = [np.sqrt(model.params.beta / X.shape[1]) * X]
+        if model.params.alpha > 0:      # the polynomial's h_pivot = alpha = 1
+            cols.insert(0, np.ones(X.shape[0]))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("kernel,n,duplicate", [
+        ("linear", 15, False), ("linear", 15, True), ("linear", 60, False),
+        ("polynomial", 15, False), ("polynomial", 15, True), ("polynomial", 60, False)])
+    def test_matches_least_squares_min_norm_fit(self, kernel, n, duplicate):
+        model, data, clean, test = self._cell(kernel, n, duplicate)
+        assert model.gamma == 0
+        sigma, draws = 0.7, 6
+        est, _ = spectral_risk_mc(data, clean, model, 0.0, sigma, test, draws, 5)
+        F, A = self._factor(model, data.features), self._factor(model, test.features)
+        eps = sigma * np.random.default_rng(5).standard_normal((n, draws))
+        pred = A @ np.linalg.lstsq(F, np.column_stack([clean, eps]), rcond=None)[0]
+        resid = pred[:, 0] - test.responses
+        risk = np.mean(np.mean((resid[:, None] + pred[:, 1:]) ** 2, axis=0))
+        hat = A @ np.linalg.pinv(F)                     # m x n prediction map
+        variance = sigma ** 2 * np.sum(hat ** 2) / test.n
+        assert est.bias == pytest.approx(np.mean(resid ** 2), rel=1e-9)
+        assert est.risk == pytest.approx(risk, rel=1e-9)
+        assert est.variance == pytest.approx(variance, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
+    def test_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
+        # a fixed ridge n*lam = 1e-10, as `fixed_lambda` sets it
+        model, data, clean, test = self._cell(kernel, n)
+        ridgeless, _ = spectral_risk_mc(data, clean, model, 0.0, 0.7, test, 6, 5)
+        tiny, _ = spectral_risk_mc(data, clean, model, 1e-10 / n, 0.7, test, 6, 5)
+        for field in ("bias", "variance", "risk", "mc_stderr"):
+            assert getattr(ridgeless, field) == pytest.approx(getattr(tiny, field), rel=1e-8)
 
 
 class TestBounds:

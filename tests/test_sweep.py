@@ -109,12 +109,9 @@ class TestConfig:
         (dict(decay="exponential", a=-1.0), "a=-1.0"), (dict(decay="cubic"), "unknown decay"),
         (dict(kernel="linear", cbar=0.0), "cbar = 0"),
         (dict(kernel="polynomial", degree=1, cbar=0.0), "cbar = 0"),
-        (dict(cbar=0.0, gamma_override=0.0, sigma=0.0), "cbar = 0"),
-        # every linearized cell divides by n*lambda + gamma_eff, here 0
-        (dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0, d=60,
-              n_grid=[30, 60, 90]), "cbar = 0")],
-        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noiseless",
-             "curvature-noiseless"])
+        (dict(cbar=0.0, gamma_override=0.0, sigma=1.0), "cbar = 0")],
+        # with sigma > 0 the bounds V1 and V2 divide by n*lambda + gamma_eff, here 0
+        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noisy"])
     def test_inputs_that_failed_downstream_are_rejected_here(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kw)
@@ -122,8 +119,13 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(kernel="linear", cbar=0.0, gamma_override=0.5),
         dict(cbar=0.0, gamma_override=None), dict(use_linearized=False, cbar=0.0),
-        dict(mode="real", input_path=FIXTURE, decay="cubic", d=24)],
-        ids=["linear-override", "implicit-gamma", "exact-gaussian", "real-ignores-decay"])
+        dict(mode="real", input_path=FIXTURE, decay="cubic", d=24),
+        # a noiseless ridgeless cell is the min-norm interpolant and needs no bound
+        dict(cbar=0.0, gamma_override=0.0, sigma=0.0),
+        dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0, d=60,
+             n_grid=[30, 60, 90])],
+        ids=["linear-override", "implicit-gamma", "exact-gaussian", "real-ignores-decay",
+             "spectral-noiseless", "curvature-noiseless"])
     def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
         ExperimentConfig(**kw)
 
@@ -245,12 +247,15 @@ def _sweep_rows(points):
 
 
 class TestSweepRoutes:
-    @pytest.mark.parametrize("kw", [dict(use_linearized=False, gamma_override=None),
-                                    dict(lin_curvature=True, gamma_override=None)],
-                             ids=["exact", "curvature"])
+    @pytest.mark.parametrize("kw", [
+        dict(use_linearized=False, gamma_override=None),
+        dict(lin_curvature=True, gamma_override=None),
+        dict(kernel="linear", use_linearized=False, gamma_override=None),
+        dict(kernel="polynomial", degree=1, use_linearized=False, gamma_override=None)],
+        ids=["exact", "curvature", "exact-linear", "exact-polynomial-1"])
     def test_cholesky_routes_equal_direct_computation(self, kw):
-        # the curvature sweep takes the spectral route; its worst gap to the
-        # dense Cholesky cells here is 5e-15
+        # the curvature sweep and the exact affine ones take the spectral
+        # route; their worst gap to the dense Cholesky cells here is 1.5e-14
         cfg = _small_config(**kw)
         points, _ = run_sweep(cfg)
         for got, want in zip(_sweep_rows(points), _direct_points(cfg)):

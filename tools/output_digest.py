@@ -18,8 +18,10 @@ trials, built with the tree's own `krrlab.ExperimentConfig` and run on the
 same inputs in every tree, so a change in the order a sweep reduces its
 cells shows too.  It covers both routes in both modes (`lin_real`, a
 linearized real-mode sweep, is the one whose test samples are pool tails
-fitted by the spectral route) and, as `eig_synth`, one synthetic
-eig-compare CSV, which no workload draws.  A stage that raised prints `error:<exception type>` in
+fitted by the spectral route), the exact linear kernel with a ridge
+(`exact_affine`) and without one or noise (`ridgeless`), on grids on both
+sides of n = d, and, as `eig_synth`, one synthetic eig-compare CSV, which no
+workload draws.  A stage that raised prints `error:<exception type>` in
 place of its digest.  Nothing is written under `bench/`: bytecode caching
 is off and every output goes to the temporary directory.
 
@@ -58,9 +60,14 @@ MULTI_TRIAL = {
     "exact_real": dict(kernel="gaussian", use_linearized=False, mode="real", d=24,
                        input_path=SAMPLE200),
     "lin_real": dict(kernel="gaussian", mode="real", d=24, input_path=SAMPLE200),
+    "exact_affine": dict(kernel="linear", use_linearized=False),
+    "ridgeless": dict(kernel="linear", use_linearized=False, cbar=0.0, sigma=0.0),
 }
 # ... and one synthetic eig-compare, at the group's largest n.
 EIG_SYNTH = dict(kernel="gaussian")
+# Full-size grids for the sweeps whose spectral cell switches sides at n = d
+# (the micro grid, 10 to 50 at d = 20, already straddles it).
+FULL_GRID = dict.fromkeys(("exact_affine", "ridgeless"), [60, 90, 100, 110, 140])
 
 
 def _load_workloads(tree: Path):
@@ -99,8 +106,9 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
     out = {}
     for output, kw in MULTI_TRIAL.items():
         try:
+            grid = {} if micro or output not in FULL_GRID else dict(n_grid=FULL_GRID[output])
             out[output] = _sweep_text(krrlab.run_sweep(krrlab.ExperimentConfig(
-                seed=seed, **dict(size, **kw))))
+                seed=seed, **dict(size, **kw, **grid))))
         except Exception as exc:     # digested as error:<type>
             out[output] = exc
     try:
