@@ -202,10 +202,9 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     clean responses and `noise_draws` noise vectors drawn from `seed`
     exactly as in `excess_risk_mc`, so the two agree draw for draw.
     min(w) + r, with w padded by the null space's zeros when n > p, is the
-    smallest eigenvalue of K + n*lam I; a value <= 0 raises
-    SingularKernelError with it, except at r = 0, where the fit is the
-    min-norm interpolant (1/w on w > max(n, p) eps max|w|, 0 elsewhere) and
-    only a value below minus that floor raises.
+    smallest eigenvalue of K + n*lam I; a value <= 0 raises SingularKernelError
+    with it.  At r = 0 the fit is the min-norm interpolant, 1/w above
+    `_roundoff_floor` of size max(n, p), and only min(w) below minus it raises.
 
     The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
     sorted descending: without curvature the eigenvalues of F F^T when
@@ -248,7 +247,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
             spectrum = factor.core_spectrum(factor.core())
         Z = factor.weigh(V)
         smallest = min(w[0], 0.0) + r
-    floor = max(n, F.shape[1]) * np.finfo(float).eps * np.abs(w).max() if r == 0 else 0.0
+    floor = _roundoff_floor(w, max(n, F.shape[1])) if r == 0 else 0.0
     if not smallest > -floor:
         raise SingularKernelError(f"system matrix is not positive definite (smallest "
                                   f"eigenvalue {smallest:.3e})", float(smallest))
@@ -266,15 +265,22 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     return est, spectrum
 
 
+def _roundoff_floor(values: np.ndarray, size: int) -> float:
+    """Eigenvalues of a size x size matrix at or below this are roundoff of 0."""
+    return size * np.finfo(float).eps * np.abs(values).max()
+
+
 def bound_v1(spec: Union[Spectrum, np.ndarray], beta: float, d: int, n: int,
              lam: float, gamma: float, sigma: float) -> float:
-    """Variance bound V1 = sigma^2 * beta / d * N(spectrum, n*lam + gamma)."""
+    """Variance bound V1 = sigma^2 beta/d N(spectrum, b), b = n*lam + gamma; at b = 0 the
+    ridgeless fit's min-norm filter: sum 1/l over l above `_roundoff_floor`, size max(n, d+1)."""
     if sigma == 0:
         return 0.0
     b = n * lam + gamma
-    if not b > 0:
-        raise ValueError("n*lam + gamma must be > 0")
-    return float(sigma ** 2 * beta / d * quantity_N(spec, b))
+    if b != 0:
+        return float(sigma ** 2 * beta / d * quantity_N(spec, b))
+    v = spec.values if isinstance(spec, Spectrum) else Spectrum(spec).values
+    return float(sigma ** 2 * beta / d * np.sum(1.0 / v[v > _roundoff_floor(v, max(n, d + 1))]))
 
 
 # V2's moment settings: moment-order surplus m of the entry distribution,
@@ -291,23 +297,25 @@ def bound_v2(family: str, n: int, lam: float, gamma: float, d: int,
     inner-product: sigma^2 log^{2+4eps} d / ((n lam + gamma)^2 d^{4 theta - 1})
     radial:        sigma^2 d^{-2 theta} log^{1+eps} d / (n lam + gamma)^2
 
-    with theta = THETA_MOMENT and eps = MOMENT_EPSILON.
+    with theta = THETA_MOMENT and eps = MOMENT_EPSILON, and inf at n lam + gamma = 0.
     """
+    if family not in ("inner_product", "radial"):
+        raise ValueError(f"unknown kernel family {family!r}")
     if d < 2:
         raise ValueError("d must be >= 2")
     if sigma == 0:
         return 0.0
     b = n * lam + gamma
-    if not b > 0:
-        raise ValueError("n*lam + gamma must be > 0")
+    if not b >= 0:
+        raise ValueError("n*lam + gamma must be >= 0")
+    if b == 0:
+        return np.inf
     th = THETA_MOMENT
     logd = np.log(d)
     if family == "inner_product":
         return float(sigma ** 2 * logd ** (2 + 4 * MOMENT_EPSILON)
                      / (b ** 2 * d ** (4 * th - 1)))
-    if family == "radial":
-        return float(sigma ** 2 * d ** (-2 * th) * logd ** (1 + MOMENT_EPSILON) / b ** 2)
-    raise ValueError(f"unknown kernel family {family!r}")
+    return float(sigma ** 2 * d ** (-2 * th) * logd ** (1 + MOMENT_EPSILON) / b ** 2)
 
 
 def bias_ref(n: int, theta: float, r: float) -> float:

@@ -39,11 +39,11 @@ kernel is built: the product in the real-mode plug-in
 `estimate_trace_ratio` and the synthetic sampler's QR at n <= d.
 
 `ExperimentConfig` checks types and ranges once, when it is built, so no
-cell fails on its input: a ridgeless n*lambda + gamma_eff = 0 with
-sigma > 0, whose bounds divide by 0, and the linearized-only fields
-`lin_curvature` and `gamma_override` on an exact-kernel config are
-rejected; `DataSource` loads the data of one call, synthetic or real, in
-one place and builds its kernel, and `_cell` reads both from it.
+cell fails on its input: `lin_curvature` and `gamma_override` on an exact
+kernel and `lin_curvature` on an inner-product one are rejected, and a
+ridgeless n*lambda + gamma_eff = 0 runs with or without noise (V1 takes the
+fit's min-norm filter, V2 is inf).  `DataSource` loads the data of one call,
+synthetic or real, in one place and builds its kernel; `_cell` reads both.
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
@@ -259,30 +259,21 @@ class ExperimentConfig:
         if self.mode == "synth" and (self.standardize or self.input_path is not None):
             field = "standardize" if self.standardize else "input_path"
             raise ConfigError(f"{field} applies to real mode only, not to mode synth")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
+        for name in ("sigma", "fixed_lambda", "gamma_override"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not (0 <= self.theta <= 1 and 0 <= self.cbar <= 1):
             raise ConfigError("need 0 <= theta <= 1 and 0 <= cbar <= 1")
-        if self.fixed_lambda is not None and self.fixed_lambda < 0:
-            raise ConfigError("fixed_lambda must be >= 0")
-        if self.gamma_override is not None and self.gamma_override < 0:
-            raise ConfigError("gamma_override must be >= 0")
         if not self.use_linearized and (self.lin_curvature or self.gamma_override is not None):
             field = "lin_curvature" if self.lin_curvature else "gamma_override"
             raise ConfigError(f"{field} applies to linearized fits only, not to the exact "
                               f"kernel (use_linearized false)")
+        if self.lin_curvature and spec.family != "radial":
+            raise ConfigError(f"lin_curvature applies to radial kernels only, not {self.kernel}")
         if not 0 < self.source_r <= 1:
             raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
         if self.mode == "synth":
             make_covariance(self.d, self.decay, self.a)     # rejects a bad decay or a
-        # V1 and V2 divide by n*lam + gamma_eff when sigma > 0; an affine h has gamma = 0
-        lam_field = "cbar" if self.fixed_lambda is None else "fixed_lambda"
-        gamma_zero = spec.affine if self.gamma_override is None else self.gamma_override == 0
-        if getattr(self, lam_field) == 0 and gamma_zero and self.sigma > 0:
-            raise ConfigError(
-                f"{lam_field} = 0 and gamma_eff = 0 (gamma_override = 0, or an affine "
-                f"kernel) make n*lambda + gamma = 0, which the bounds divide by when "
-                f"sigma > 0; make {lam_field} or gamma_override > 0, or sigma 0")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

@@ -2,9 +2,9 @@
 benchmark tracer wraps still exists under the module it names, no krrlab
 module imports a private name from another, importing
 krrlab and running its numpy-only paths (linearized sweeps, with and without
-curvature, in synth and real mode; bounds, synth, plot) loads no scipy module
-at all, and an exact-kernel fit loads
-`scipy.linalg` on its first factorization."""
+curvature, in synth and real mode, and exact affine sweeps; bounds, synth,
+plot) loads no scipy module at all, and an exact-kernel fit loads
+`scipy.linalg` when it builds its first kernel matrix (`kernels.scipy_gram`)."""
 
 import ast
 import importlib

@@ -159,9 +159,6 @@ def no_sampling(monkeypatch):
 @pytest.mark.parametrize("argv,field", [
     (["sweep", *SMALL, "--source-r", "2"], "source_r"),
     (["sweep", *SMALL, "--d", "1"], "d must be >= 2"),
-    (["sweep", *SMALL, "--cbar", "0", "--gamma-override", "0"], "cbar = 0"),
-    (["sweep", *SMALL, "--fixed-lambda", "0", "--gamma-override", "0"], "fixed_lambda = 0"),
-    (["sweep", *SMALL, "--kernel", "linear", "--true-kernel", "--cbar", "0"], "cbar = 0"),
     (["sweep", *SMALL, "--decay", "polynomial"], "requires a > 1/2, got a=None"),
     (["sweep", *SMALL, "--kernel", "polynomial", "--degree", "0"], "degree"),
     (["eig-compare", *SMALL, "--n", "0"], "n >= 1"),
@@ -174,9 +171,11 @@ def no_sampling(monkeypatch):
      "lin_curvature applies to linearized fits only"),
     (["eig-compare", *SMALL, "--true-kernel", "--gamma-override", "0"],
      "gamma_override applies to linearized fits only"),
-], ids=["source-r", "d", "cbar-gamma", "fixed-lambda-gamma", "linear-cbar", "decay-a",
-        "degree", "eig-n", "eig-k", "synth-standardize", "synth-input",
-        "eig-synth-standardize", "eig-synth-input", "exact-curvature", "eig-exact-gamma"])
+    (["sweep", *SMALL, "--kernel", "polynomial", "--lin-curvature"],
+     "lin_curvature applies to radial kernels only"),
+], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
+        "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
+        "eig-exact-gamma", "inner-product-curvature"])
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -208,11 +207,25 @@ def test_eig_compare_config_keeps_its_own_flags(tmp_path):
     assert len(open(out).read().splitlines()) == 11
 
 
-def test_ridgeless_exact_fit_without_noise_still_runs(capsys):
-    # n*lam + gamma = 0 only matters to the bounds when sigma > 0
-    rc = cli.main(["sweep", *SMALL, "--kernel", "linear", "--true-kernel", "--cbar", "0",
-                   "--sigma", "0"])
-    assert rc == 0 and "sweep done" in capsys.readouterr().out
+@pytest.mark.parametrize("sigma", ["0", "1"])
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "linear", "--true-kernel", "--cbar", "0"],
+    ["--cbar", "0", "--gamma-override", "0"],
+    ["--fixed-lambda", "0", "--gamma-override", "0"]],
+    ids=["linear-cbar", "cbar-gamma", "fixed-lambda-gamma"])
+def test_ridgeless_sweeps_run_with_and_without_noise(flags, sigma, tmp_path, capsys):
+    # n*lam + gamma = 0: the fit is the min-norm interpolant, V1 takes its
+    # filter, and V2 is inf with noise (so `plot` cannot draw it) and 0 without
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *SMALL, *flags, "--sigma", sigma, "--out", str(out)]) == 0
+    assert "sweep done" in capsys.readouterr().out
+    noisy = sigma == "1"
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.all(rows["v2_bound"] == (np.inf if noisy else 0.0))
+    assert np.all(np.isfinite(rows["v1_bound"]))
+    plot = cli.main(["plot", "--csv", str(out), "--columns", "v2_bound",
+                     "--out", str(tmp_path / "v2.svg")])
+    assert plot == (3 if noisy else 0)
 
 
 @pytest.mark.parametrize("text,field", [

@@ -7,16 +7,11 @@ import scipy.linalg
 
 from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, SingularKernelError,
                     TargetSpec, bias_ref, bound_v1, bound_v2, build_lin_kernel,
-                    evaluate_target, excess_risk_mc, linearize_params, make_covariance,
-                    quantity_N, sample_dataset, sample_features, spectral_risk_mc)
+                    evaluate_target, excess_risk_mc, lin_factors, linearize_params,
+                    make_covariance, quantity_N, sample_dataset, sample_features, spectral_risk_mc)
 from krrlab.risk import gram_and_cross
 
-
-def _dense_v1_spectrum(params, data):
-    """The n x n reference V1 spectrum: alpha 11^T + beta XX^T/d (a zero
-    gamma_override adds nothing), clipped at 0 and sorted descending."""
-    K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
-    return np.maximum(np.linalg.eigvalsh(K)[::-1], 0.0)
+from conftest import dense_v1_spectrum
 
 
 def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
@@ -168,7 +163,7 @@ class TestSpectralRiskMc:
         for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
                           (est.risk, ref.risk), (est.mc_stderr, ref.mc_stderr)):
             assert got == pytest.approx(want, rel=1e-9)
-        v1_ref = bound_v1(_dense_v1_spectrum(params, data), params.beta, d, n,
+        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, d, n,
                           lam, gamma, 1.0)
         v1 = bound_v1(spectrum, params.beta, d, n, lam, gamma, 1.0)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
@@ -203,7 +198,7 @@ class TestSpectralRiskMc:
                                        test.responses, 6, 5)
         for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
             assert got == pytest.approx(ref, rel=1e-9)
-        v1_ref = bound_v1(_dense_v1_spectrum(params, data), params.beta, self.D,
+        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D,
                           n, lam, model.gamma, 0.7)
         v1 = bound_v1(spectrum, params.beta, self.D, n, lam, model.gamma, 0.7)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
@@ -336,6 +331,65 @@ class TestBounds:
             r = rng.uniform(0.05, 1.0)
             assert bias_ref(n, theta, r) == pytest.approx(
                 np.exp(-2 * theta * r * np.log(n)), rel=1e-12)
+
+
+class TestRidgelessBounds:
+    """V1 and V2 at b = n*lam + gamma = 0, where the fit is the min-norm
+    interpolant (`TestRidgelessFilter`): V1 is the affine kernel's
+    sigma^2 beta/d tr(K^+), and V2 is inf, its sigma^2/b^2 limit."""
+
+    D = 30
+
+    def _cell(self, kernel, n):
+        cov = make_covariance(self.D, "harmonic")
+        spec = KernelSpec.linear() if kernel == "linear" else KernelSpec.polynomial(1)
+        params = linearize_params(spec, cov.tau, cov.trace_ratio)
+        data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=1.0), [4, n])
+        return params, data
+
+    @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
+    def test_v1_is_the_pseudo_inverse_trace(self, kernel, n):
+        # the dense n x n spectrum, whose n - rank roundoff eigenvalues the floor drops
+        params, data = self._cell(kernel, n)
+        K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
+        pinv = np.linalg.pinv(K, rcond=1e-10, hermitian=True)
+        want = 0.7 ** 2 * params.beta / self.D * np.trace(pinv)
+        got = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, n, 0.0, 0.0, 0.7)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
+    def test_v1_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
+        params, data = self._cell(kernel, n)
+        spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
+        at_zero = bound_v1(spectrum, params.beta, self.D, n, 0.0, 0.0, 0.7)
+        gaps = [abs(bound_v1(spectrum, params.beta, self.D, n, b / n, 0.0, 0.7) / at_zero - 1)
+                for b in (1e-4, 1e-6, 1e-8)]
+        assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-6
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_v1_ignores_roundoff_eigenvalues(self, n):
+        # the small side's exact zeros, raised to the roundoff an n x n eigensolve leaves
+        params, data = self._cell("polynomial", n)
+        spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
+        assert np.count_nonzero(spectrum) == self.D + 1
+        noisy = np.where(spectrum > 0, spectrum, 1e-13)
+        assert (bound_v1(noisy, params.beta, self.D, n, 0.0, 0.0, 0.7)
+                == bound_v1(spectrum, params.beta, self.D, n, 0.0, 0.0, 0.7))
+
+    def test_v2_is_infinite_and_noiseless_bounds_vanish(self):
+        for family in ("radial", "inner_product"):
+            assert bound_v2(family, 100, 0.0, 0.0, 50, 1.0) == np.inf
+            assert bound_v2(family, 100, 0.0, 0.0, 50, 0.0) == 0.0
+        assert bound_v1(np.array([2.0, 1.0, 0.0]), 1.0, 10, 3, 0.0, 0.0, 0.0) == 0.0
+
+    def test_negative_ridge_and_unknown_family_still_raise(self):
+        with pytest.raises(ValueError, match="b must be finite and > 0"):
+            bound_v1(np.array([2.0, 1.0]), 1.0, 10, 2, -0.1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            bound_v2("radial", 100, -1e-3, 0.0, 50, 1.0)
+        for sigma in (0.0, 1.0):        # before the early returns at sigma = 0 and b = 0
+            with pytest.raises(ValueError, match="unknown kernel family"):
+                bound_v2("spherical", 100, 0.0, 0.0, 50, sigma)
 
 
 class TestInSpanRate:

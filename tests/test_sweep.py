@@ -15,14 +15,9 @@ from krrlab import sweep
 from krrlab.risk import gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
+from conftest import dense_v1_spectrum
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
-
-
-def _dense_v1_spectrum(params, data):
-    """The n x n reference V1 spectrum: alpha 11^T + beta XX^T/d (a zero
-    gamma_override adds nothing), clipped at 0 and sorted descending."""
-    K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
-    return np.maximum(np.linalg.eigvalsh(K)[::-1], 0.0)
 
 
 class TestClassifyCurve:
@@ -106,12 +101,8 @@ class TestConfig:
             ExperimentConfig(mode="real", input_path=FIXTURE, test_points=50)
 
     @pytest.mark.parametrize("kw,match", [
-        (dict(decay="exponential", a=-1.0), "a=-1.0"), (dict(decay="cubic"), "unknown decay"),
-        (dict(kernel="linear", cbar=0.0), "cbar = 0"),
-        (dict(kernel="polynomial", degree=1, cbar=0.0), "cbar = 0"),
-        (dict(cbar=0.0, gamma_override=0.0, sigma=1.0), "cbar = 0")],
-        # with sigma > 0 the bounds V1 and V2 divide by n*lambda + gamma_eff, here 0
-        ids=["decay-bad-a", "decay-kind", "linear-linearized", "affine", "spectral-noisy"])
+        (dict(decay="exponential", a=-1.0), "a=-1.0"), (dict(decay="cubic"), "unknown decay")],
+        ids=["decay-bad-a", "decay-kind"])
     def test_inputs_that_failed_downstream_are_rejected_here(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kw)
@@ -120,14 +111,24 @@ class TestConfig:
         dict(kernel="linear", cbar=0.0, gamma_override=0.5),
         dict(cbar=0.0, gamma_override=None), dict(use_linearized=False, cbar=0.0),
         dict(mode="real", input_path=FIXTURE, decay="cubic", d=24),
-        # a noiseless ridgeless cell is the min-norm interpolant and needs no bound
+        # a ridgeless cell is the min-norm interpolant, with or without noise:
+        # V1 takes the same filter and V2 is inf
+        dict(kernel="linear", cbar=0.0), dict(kernel="polynomial", degree=1, cbar=0.0),
+        dict(cbar=0.0, gamma_override=0.0, sigma=1.0),
         dict(cbar=0.0, gamma_override=0.0, sigma=0.0),
         dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0, d=60,
              n_grid=[30, 60, 90])],
         ids=["linear-override", "implicit-gamma", "exact-gaussian", "real-ignores-decay",
-             "spectral-noiseless", "curvature-noiseless"])
+             "linear-linearized", "affine", "spectral-noisy", "spectral-noiseless",
+             "curvature-noiseless"])
     def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
         ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize("kernel", ["polynomial", "linear", "exponential_inner"])
+    def test_curvature_rejected_for_inner_product_kernels(self, kernel):
+        # T is the radial kernel's correction: an inner-product sweep fitted none
+        with pytest.raises(ConfigError, match="lin_curvature applies to radial kernels only"):
+            ExperimentConfig(kernel=kernel, lin_curvature=True)
 
     @pytest.mark.parametrize("kw,field", [
         (dict(lin_curvature=True), "lin_curvature"), (dict(gamma_override=0.0), "gamma_override"),
@@ -234,7 +235,7 @@ def _direct_points(cfg):
             data, clean = sample_dataset(cov, n, target, rng)
             est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test, cfg.noise_draws,
                                  rng)
-            v1 = bound_v1(_dense_v1_spectrum(params, data), params.beta, cfg.d,
+            v1 = bound_v1(dense_v1_spectrum(params, data), params.beta, cfg.d,
                           n, lam, gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
         b, v, r, se2, v1 = np.mean(cells, axis=0)

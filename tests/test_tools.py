@@ -81,7 +81,7 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
                              + [("multi_trial", 1, o) for o in (
                                  "lin_schedule", "fixed_lambda_gamma0", "curvature",
                                  "exact_synth", "exact_real", "lin_real", "exact_affine",
-                                 "ridgeless", "eig_synth")])
+                                 "ridgeless", "ridgeless_noisy", "eig_synth")])
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())
     assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True) == {
         ("lin_wide", 1, "sweep0"): digests["lin_wide", 1, "sweep0"]}

@@ -19,11 +19,13 @@ same inputs in every tree, so a change in the order a sweep reduces its
 cells shows too.  It covers both routes in both modes (`lin_real`, a
 linearized real-mode sweep, is the one whose test samples are pool tails
 fitted by the spectral route), the exact linear kernel with a ridge
-(`exact_affine`) and without one or noise (`ridgeless`), on grids on both
-sides of n = d, and, as `eig_synth`, one synthetic eig-compare CSV, which no
-workload draws.  A stage that raised prints `error:<exception type>` in
-place of its digest.  Nothing is written under `bench/`: bytecode caching
-is off and every output goes to the temporary directory.
+(`exact_affine`) and without one, without noise (`ridgeless`) and with it
+(`ridgeless_noisy`, whose V1 takes the min-norm filter and whose V2 is inf),
+on grids on both sides of n = d, and, as `eig_synth`, one synthetic
+eig-compare CSV, which no workload draws.  A stage that raised prints
+`error:<exception type>` in place of its digest.  Nothing is written under
+`bench/`: bytecode caching is off and every output goes to the temporary
+directory.
 
 With `--against`, both trees are digested, each in its own interpreter
 (krrlab can be imported once per process), and every output is listed as
@@ -62,12 +64,14 @@ MULTI_TRIAL = {
     "lin_real": dict(kernel="gaussian", mode="real", d=24, input_path=SAMPLE200),
     "exact_affine": dict(kernel="linear", use_linearized=False),
     "ridgeless": dict(kernel="linear", use_linearized=False, cbar=0.0, sigma=0.0),
+    "ridgeless_noisy": dict(kernel="linear", use_linearized=False, cbar=0.0, sigma=1.0),
 }
 # ... and one synthetic eig-compare, at the group's largest n.
 EIG_SYNTH = dict(kernel="gaussian")
 # Full-size grids for the sweeps whose spectral cell switches sides at n = d
 # (the micro grid, 10 to 50 at d = 20, already straddles it).
-FULL_GRID = dict.fromkeys(("exact_affine", "ridgeless"), [60, 90, 100, 110, 140])
+FULL_GRID = dict.fromkeys(("exact_affine", "ridgeless", "ridgeless_noisy"),
+                          [60, 90, 100, 110, 140])
 
 
 def _load_workloads(tree: Path):
