@@ -30,9 +30,9 @@ d+3 under curvature), so one eigendecomposition of its smaller side gives
 the fit and variance as filter sums over 1/(w + r), r = n*lambda + gamma
 (1/w above a roundoff floor at r = 0: the min-norm interpolant), and
 min(w) + r, the exact smallest eigenvalue of M.
-Both routes take a `QuerySample`, a `kernels.Dataset` of the test points and
-their clean responses, so it is checked as training data is; one helper
-checks its size against the cell and the routes' scalars.
+Both routes read the clean responses of the training set and of the test
+sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
+helper checks the test sample's size against the cell and the scalars.
 
 `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
@@ -102,14 +102,6 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
-def _check_length(name: str, values: np.ndarray, expected: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (expected,):
-        raise ValueError(f"{name} must be a vector of length {expected}, got shape "
-                         f"{values.shape}")
-    return values
-
-
 def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
                 noise_draws: int) -> None:
     """Check a cell's scalars and that its test sample is at least 100
@@ -125,28 +117,27 @@ def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
         raise ValueError(f"test points must be {data.d} wide, got width {test.d}")
 
 
-def excess_risk_mc(data: Dataset, clean: np.ndarray, model: Union[KernelSpec, LinModel],
-                   lam: float, sigma: float, test: QuerySample, noise_draws: int,
-                   seed) -> RiskEstimate:
+def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], lam: float,
+                   sigma: float, test: QuerySample, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
     with its standard error reported in `mc_stderr`.
 
     One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
     (C the m x n cross kernel, against `test.features`); since M is symmetric
-    the test-point fits of the clean responses and the noise draws are
-    (M^{-1} C^T)^T [clean, eps].  The solve factors K in place and writes
-    M^{-1} C^T over C^T, so no copy of either is made.  That product, as
-    every one of the exact kernel's, runs on scipy's BLAS.
+    the test-point fits of the clean responses `data.responses` and of the
+    noise draws eps (from `seed`) are (M^{-1} C^T)^T [data.responses, eps].
+    The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
+    of either is made.  That product, as every one of the exact kernel's,
+    runs on scipy's BLAS.
     """
     _check_cell(data, lam, sigma, test, noise_draws)
-    clean = _check_length("clean", clean, data.n)
     K, cross = gram_and_cross(model, data, test.features)
     minv_cross = solve_regularized(K, data.n * lam, cross.T)   # n x m
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
-    Y = np.column_stack([clean, eps])                             # n x (1+draws)
+    Y = np.column_stack([data.responses, eps])                    # n x (1+draws)
     pred = scipy_product(Y.T, minv_cross).T                       # m x (1+draws)
     variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
     return _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
@@ -182,8 +173,8 @@ class QuerySample(Dataset):
         return G
 
 
-def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: float,
-                     sigma: float, test: QuerySample, noise_draws: int, seed):
+def spectral_risk_mc(data: Dataset, model: LinModel, lam: float, sigma: float,
+                     test: QuerySample, noise_draws: int, seed):
     """`excess_risk_mc` for a linearized model, from one small-side
     eigendecomposition of its `linearize.LinFactor`; returns
     (RiskEstimate, V1 spectrum).
@@ -216,7 +207,7 @@ def spectral_risk_mc(data: Dataset, clean: np.ndarray, model: LinModel, lam: flo
     Q, X = test.features, data.features
     n, d = X.shape
     r = n * lam + model.gamma
-    Y = np.column_stack([_check_length("clean", clean, n), _noise(seed, sigma, n, noise_draws)])
+    Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])
     curved = model.fits_curvature
     factor = lin_factors(model, X)
     F, phi = factor.F, factor.phi

@@ -365,13 +365,16 @@ class DataSource:
             self._tests = [QuerySample(self.pool.features[h], self.pool.responses[h])
                            for h in tails]
 
-    def train(self, n: int, trial: int, rng: np.random.Generator):
-        """Training set of cell (n, trial) and its clean responses."""
+    def train(self, n: int, trial: int, rng: np.random.Generator) -> Dataset:
+        """Training set of cell (n, trial): its points and their clean
+        responses (synth: the target's values; real: the pool's responses)."""
         if self.cov is not None:
-            return sample_dataset(self.cov, n, self.target, rng)
+            # the noisy responses are drawn and dropped: their draw sets where
+            # `rng`, the routes' noise stream, starts
+            data, clean = sample_dataset(self.cov, n, self.target, rng)
+            return Dataset(data.features, clean)
         rows = self.perms[trial][:n]
-        data = Dataset(self.pool.features[rows], self.pool.responses[rows])
-        return data, data.responses
+        return Dataset(self.pool.features[rows], self.pool.responses[rows])
 
     def test(self, trial: int) -> QuerySample:
         return self._tests[trial]
@@ -401,16 +404,15 @@ def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
     source's call, whose solve scales `lam` by n."""
     config, spec = source.config, source.spec
     rng = np.random.default_rng([config.seed, n, t])
-    data, clean = source.train(n, t, rng)
+    data = source.train(n, t, rng)
     test = source.test(t)
     lin = source.lin_model(data.features)
     try:
         if config.use_linearized or spec.affine:        # an affine K is its linearization
-            est, spectrum = spectral_risk_mc(data, clean, lin, lam, config.sigma, test,
+            est, spectrum = spectral_risk_mc(data, lin, lam, config.sigma, test,
                                              config.noise_draws, rng)
         else:
-            est = excess_risk_mc(data, clean, spec, lam, config.sigma, test,
-                                 config.noise_draws, rng)
+            est = excess_risk_mc(data, spec, lam, config.sigma, test, config.noise_draws, rng)
             spectrum = lin_factors(lin, data.features).core_spectrum()
     except SingularKernelError as exc:
         raise SingularKernelError(
@@ -473,10 +475,13 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     n = n if n is not None else config.grid[-1]
     if n < 1 or k < 1:
         raise ConfigError(f"eig-compare needs n >= 1 and k >= 1, got n={n}, k={k}")
+    if config.lin_curvature:
+        raise ConfigError("lin_curvature does not apply to eig-compare: its linearized "
+                          "spectrum always includes T")
     source = DataSource(config, n, with_test=False)
     rng = np.random.default_rng([config.seed, n, 0])
     if source.cov is not None:
-        data, _ = source.train(n, 0, rng)
+        data = source.train(n, 0, rng)
     else:
         # unlike the sweep: the raw pool (never standardized), rows drawn by [seed, n, 0]
         rows = rng.permutation(source.raw.n)[:n]

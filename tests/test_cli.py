@@ -173,9 +173,10 @@ def no_sampling(monkeypatch):
      "gamma_override applies to linearized fits only"),
     (["sweep", *SMALL, "--kernel", "polynomial", "--lin-curvature"],
      "lin_curvature applies to radial kernels only"),
+    (["eig-compare", *SMALL, "--lin-curvature"], "lin_curvature"),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
         "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
-        "eig-exact-gamma", "inner-product-curvature"])
+        "eig-exact-gamma", "inner-product-curvature", "eig-curvature"])
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

@@ -446,9 +446,8 @@ class TestExactCellMemory:
     def test_excess_risk_mc(self):
         spec, data, Q = self._problem()
         test = QuerySample(Q, np.sin(Q[:, 0]))
-        clean = np.sin(data.features[:, 0])
-        peak, est = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, test,
-                                                      50, 0))
+        data = Dataset(data.features, np.sin(data.features[:, 0]))
+        peak, est = self._peak(lambda: excess_risk_mc(data, spec, 1e-3, 0.5, test, 50, 0))
         assert peak < 2.7
         assert est.variance > 0
 
@@ -460,9 +459,8 @@ class TestExactCellMemory:
     def test_excess_risk_mc_holds_k_and_cross_only(self):
         spec, data, Q = self._problem()
         test = QuerySample(Q, np.sin(Q[:, 0]))
-        clean = np.sin(data.features[:, 0])
-        peak, _ = self._peak(lambda: excess_risk_mc(data, clean, spec, 1e-3, 0.5, test,
-                                                    50, 0))
+        data = Dataset(data.features, np.sin(data.features[:, 0]))
+        peak, _ = self._peak(lambda: excess_risk_mc(data, spec, 1e-3, 0.5, test, 50, 0))
         assert peak < 1.5
 
     def test_krr_fit_factors_its_own_k(self):

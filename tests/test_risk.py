@@ -14,36 +14,41 @@ from krrlab.risk import gram_and_cross
 from conftest import dense_v1_spectrum
 
 
+def _clean_set(cov, n, target, seed):
+    """A training set drawn by `seed` with its clean responses, as a sweep's cell fits."""
+    data, clean = sample_dataset(cov, n, target, seed)
+    return Dataset(data.features, clean)
+
+
 def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
     cov = make_covariance(d, "harmonic")
     target = TargetSpec(noise_sigma=sigma)
-    data, clean = sample_dataset(cov, n, target, seed)
+    data = _clean_set(cov, n, target, seed)
     test_X = sample_features(cov, m, seed + 1000)
     clean_test = evaluate_target(target, test_X)
-    return cov, data, clean, test_X, clean_test
+    return cov, data, test_X, clean_test
 
 
-def _bias(data, clean, model, lam, test_X, clean_test):
-    return excess_risk_mc(data, clean, model, lam, 0.0, QuerySample(test_X, clean_test),
+def _bias(data, model, lam, test_X, clean_test):
+    return excess_risk_mc(data, model, lam, 0.0, QuerySample(test_X, clean_test),
                           noise_draws=2, seed=0).bias
 
 
 def _variance(data, model, lam, sigma, test_X):
     test = QuerySample(test_X, np.zeros(test_X.shape[0]))
-    return excess_risk_mc(data, np.zeros(data.n), model, lam, sigma, test,
-                          noise_draws=2, seed=0).variance
+    return excess_risk_mc(data, model, lam, sigma, test, noise_draws=2, seed=0).variance
 
 
 class TestEmpiricalBias:
     def test_zero_target(self):
-        cov, data, clean, test_X, _ = _config()
-        z = np.zeros_like(clean)
-        b = _bias(data, z, KernelSpec.gaussian(), 1e-3, test_X, np.zeros(test_X.shape[0]))
+        cov, data, test_X, _ = _config()
+        zero = Dataset(data.features, np.zeros(data.n))
+        b = _bias(zero, KernelSpec.gaussian(), 1e-3, test_X, np.zeros(test_X.shape[0]))
         assert b == 0.0
 
     def test_huge_lambda_leaves_target_energy(self):
-        cov, data, clean, test_X, clean_test = _config()
-        b = _bias(data, clean, KernelSpec.gaussian(), 1e12, test_X, clean_test)
+        cov, data, test_X, clean_test = _config()
+        b = _bias(data, KernelSpec.gaussian(), 1e12, test_X, clean_test)
         assert b == pytest.approx(np.mean(clean_test ** 2), rel=1e-6)
 
     def test_single_point_closed_form(self):
@@ -56,23 +61,22 @@ class TestEmpiricalBias:
         q = x @ x1 / d
         f_star = 0.25
         test_X = np.tile(x, (100, 1))
-        got = _bias(data, np.array([c]), KernelSpec.linear(), lam, test_X,
-                    np.full(100, f_star))
+        got = _bias(data, KernelSpec.linear(), lam, test_X, np.full(100, f_star))
         assert got == pytest.approx((q * c / (s + lam) - f_star) ** 2, rel=1e-12)
 
     def test_requires_enough_test_points(self):
-        cov, data, clean, test_X, clean_test = _config()
+        cov, data, test_X, clean_test = _config()
         with pytest.raises(ValueError):
-            _bias(data, clean, KernelSpec.gaussian(), 1e-3, test_X[:50], clean_test[:50])
+            _bias(data, KernelSpec.gaussian(), 1e-3, test_X[:50], clean_test[:50])
 
 
 class TestEmpiricalVariance:
     def test_zero_noise(self):
-        cov, data, _, test_X, _ = _config()
+        cov, data, test_X, _ = _config()
         assert _variance(data, KernelSpec.gaussian(), 1e-3, 0.0, test_X) == 0.0
 
     def test_sigma_scaling(self):
-        cov, data, _, test_X, _ = _config()
+        cov, data, test_X, _ = _config()
         v1 = _variance(data, KernelSpec.gaussian(), 1e-3, 1.0, test_X)
         v2 = _variance(data, KernelSpec.gaussian(), 1e-3, 2.0, test_X)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
@@ -89,7 +93,7 @@ class TestEmpiricalVariance:
         assert v == pytest.approx(1.3 ** 2 / 4.0, rel=1e-12)
 
     def test_nonincreasing_in_lambda(self):
-        cov, data, _, test_X, _ = _config()
+        cov, data, test_X, _ = _config()
         vals = [_variance(data, KernelSpec.gaussian(), lam, 1.0, test_X)
                 for lam in (0.0, 1e-4, 1e-2, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -97,38 +101,38 @@ class TestEmpiricalVariance:
 
 class TestExcessRiskMc:
     def test_noiseless_risk_equals_bias(self):
-        cov, data, clean, test_X, clean_test = _config(sigma=0.0)
-        est = excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 0.0,
+        cov, data, test_X, clean_test = _config(sigma=0.0)
+        est = excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 0.0,
                              QuerySample(test_X, clean_test), noise_draws=5, seed=0)
         assert est.risk == pytest.approx(est.bias, rel=1e-12)
         assert est.variance == 0.0
 
     def test_zero_everything(self):
-        cov, data, clean, test_X, _ = _config(sigma=0.0)
-        z = np.zeros_like(clean)
-        est = excess_risk_mc(data, z, KernelSpec.gaussian(), 1e-3, 0.0,
+        cov, data, test_X, _ = _config(sigma=0.0)
+        zero = Dataset(data.features, np.zeros(data.n))
+        est = excess_risk_mc(zero, KernelSpec.gaussian(), 1e-3, 0.0,
                              QuerySample(test_X, np.zeros(test_X.shape[0])),
                              noise_draws=5, seed=0)
         assert est.risk == est.bias == est.variance == 0.0
 
     def test_decomposition_identity(self):
-        cov, data, clean, test_X, clean_test = _config(n=80, d=160, m=400)
-        est = excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0,
+        cov, data, test_X, clean_test = _config(n=80, d=160, m=400)
+        est = excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0,
                              QuerySample(test_X, clean_test), noise_draws=50, seed=3)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
     def test_linearized_model_identity(self):
-        cov, data, clean, test_X, clean_test = _config(n=70, d=140, m=400)
+        cov, data, test_X, clean_test = _config(n=70, d=140, m=400)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         model = LinModel(p, gamma_override=0.0)
-        est = excess_risk_mc(data, clean, model, 1e-3, 1.0, QuerySample(test_X, clean_test),
+        est = excess_risk_mc(data, model, 1e-3, 1.0, QuerySample(test_X, clean_test),
                              noise_draws=50, seed=4)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
     def test_needs_two_draws(self):
-        cov, data, clean, test_X, clean_test = _config()
+        cov, data, test_X, clean_test = _config()
         with pytest.raises(ValueError):
-            excess_risk_mc(data, clean, KernelSpec.gaussian(), 1e-3, 1.0,
+            excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0,
                            QuerySample(test_X, clean_test), noise_draws=1, seed=0)
 
 
@@ -153,12 +157,12 @@ class TestSpectralRiskMc:
         model = LinModel(params, gamma_override=gamma_override)
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
-        data, clean = sample_dataset(cov, n, target, [4, n])
+        data = _clean_set(cov, n, target, [4, n])
         lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
         gamma = params.gamma if gamma_override is None else gamma_override
 
-        ref = excess_risk_mc(data, clean, model, lam, 1.0, test, 6, np.random.default_rng(8))
-        est, spectrum = spectral_risk_mc(data, clean, model, lam, 1.0, test, 6,
+        ref = excess_risk_mc(data, model, lam, 1.0, test, 6, np.random.default_rng(8))
+        est, spectrum = spectral_risk_mc(data, model, lam, 1.0, test, 6,
                                          np.random.default_rng(8))
         for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
                           (est.risk, ref.risk), (est.mc_stderr, ref.mc_stderr)):
@@ -182,19 +186,19 @@ class TestSpectralRiskMc:
             gamma_override = 4.0
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
-        data, clean = sample_dataset(cov, n, target, [4, n])
-        return LinModel(params, gamma_override, curvature=True), data, clean, test
+        data = _clean_set(cov, n, target, [4, n])
+        return LinModel(params, gamma_override, curvature=True), data, test
 
     @pytest.mark.parametrize("n,variant,fixed", itertools.product(
         (15, 33, 34, 60, 120), ("implicit", "tau-off", "alpha-0"), (False, True)))
     def test_curvature_matches_dense_reference(self, n, variant, fixed):
         # p = d+3 = 33 columns of F, so n = 15 and 33 take the n x n core plus
         # T and n = 34, 60, 120 the p x p rotation
-        model, data, clean, test = self._curvature_cell(n, variant)
+        model, data, test = self._curvature_cell(n, variant)
         lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
         params = model.params
-        est, spectrum = spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
-        want = _explicit_cholesky_cell(data, clean, model, lam, 0.7, test.features,
+        est, spectrum = spectral_risk_mc(data, model, lam, 0.7, test, 6, 5)
+        want = _explicit_cholesky_cell(data, model, lam, 0.7, test.features,
                                        test.responses, 6, 5)
         for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
             assert got == pytest.approx(ref, rel=1e-9)
@@ -205,10 +209,10 @@ class TestSpectralRiskMc:
 
     @pytest.mark.parametrize("n", [60, 120])
     def test_indefinite_curvature_cell_reports_its_smallest_eigenvalue(self, n):
-        model, data, clean, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
+        model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
         lam = 0.01 * n ** (-2 / 3)
         with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
-            spectral_risk_mc(data, clean, model, lam, 0.7, test, 6, 5)
+            spectral_risk_mc(data, model, lam, 0.7, test, 6, 5)
         K, _ = gram_and_cross(model, data, test.features)
         dense = np.linalg.eigvalsh(K + n * lam * np.eye(n))[0]
         assert dense < 0
@@ -218,9 +222,9 @@ class TestSpectralRiskMc:
     def test_ridgeless_indefinite_curvature_cell_raises(self, n):
         # at n*lam + gamma_eff = 0 the min-norm filter drops only the
         # roundoff null space; a negative eigenvalue still raises
-        model, data, clean, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
+        model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
         with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
-            spectral_risk_mc(data, clean, model, 0.0, 0.0, test, 6, 5)
+            spectral_risk_mc(data, model, 0.0, 0.0, test, 6, 5)
         K, _ = gram_and_cross(model, data, test.features)
         dense = np.linalg.eigvalsh(K)[0]
         assert dense < 0
@@ -242,13 +246,12 @@ class TestRidgelessFilter:
         model = LinModel(linearize_params(spec, cov.tau, cov.trace_ratio))
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
-        data, clean = sample_dataset(cov, n, target, [4, n])
+        data = _clean_set(cov, n, target, [4, n])
         if duplicate:               # a repeated point makes the n x n core singular
             X = data.features.copy()
             X[1] = X[0]
-            clean = evaluate_target(target, X)
-            data = Dataset(X, clean)
-        return model, data, clean, test
+            data = Dataset(X, evaluate_target(target, X))
+        return model, data, test
 
     @staticmethod
     def _factor(model, X):
@@ -261,13 +264,13 @@ class TestRidgelessFilter:
         ("linear", 15, False), ("linear", 15, True), ("linear", 60, False),
         ("polynomial", 15, False), ("polynomial", 15, True), ("polynomial", 60, False)])
     def test_matches_least_squares_min_norm_fit(self, kernel, n, duplicate):
-        model, data, clean, test = self._cell(kernel, n, duplicate)
+        model, data, test = self._cell(kernel, n, duplicate)
         assert model.gamma == 0
         sigma, draws = 0.7, 6
-        est, _ = spectral_risk_mc(data, clean, model, 0.0, sigma, test, draws, 5)
+        est, _ = spectral_risk_mc(data, model, 0.0, sigma, test, draws, 5)
         F, A = self._factor(model, data.features), self._factor(model, test.features)
         eps = sigma * np.random.default_rng(5).standard_normal((n, draws))
-        pred = A @ np.linalg.lstsq(F, np.column_stack([clean, eps]), rcond=None)[0]
+        pred = A @ np.linalg.lstsq(F, np.column_stack([data.responses, eps]), rcond=None)[0]
         resid = pred[:, 0] - test.responses
         risk = np.mean(np.mean((resid[:, None] + pred[:, 1:]) ** 2, axis=0))
         hat = A @ np.linalg.pinv(F)                     # m x n prediction map
@@ -279,9 +282,9 @@ class TestRidgelessFilter:
     @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
     def test_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
         # a fixed ridge n*lam = 1e-10, as `fixed_lambda` sets it
-        model, data, clean, test = self._cell(kernel, n)
-        ridgeless, _ = spectral_risk_mc(data, clean, model, 0.0, 0.7, test, 6, 5)
-        tiny, _ = spectral_risk_mc(data, clean, model, 1e-10 / n, 0.7, test, 6, 5)
+        model, data, test = self._cell(kernel, n)
+        ridgeless, _ = spectral_risk_mc(data, model, 0.0, 0.7, test, 6, 5)
+        tiny, _ = spectral_risk_mc(data, model, 1e-10 / n, 0.7, test, 6, 5)
         for field in ("bias", "variance", "risk", "mc_stderr"):
             assert getattr(ridgeless, field) == pytest.approx(getattr(tiny, field), rel=1e-8)
 
@@ -409,7 +412,7 @@ class TestInSpanRate:
         for n in ns:
             data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=0.0), n)
             lam = 0.01 * n ** (-theta)
-            b = _bias(data, np.ones(n), model, lam, test_X, ones_test)
+            b = _bias(Dataset(data.features, np.ones(n)), model, lam, test_X, ones_test)
             biases.append(b)
         assert biases[0] > biases[1] > biases[2]
         slope = np.polyfit(np.log(ns), np.log(biases), 1)[0]
@@ -417,15 +420,15 @@ class TestInSpanRate:
 
 
 def _spectral_cell(lam=1e-3, sigma=1.0, m=120, width=40, noise_draws=4):
-    cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=m)
+    cov, data, test_X, clean_test = _config(n=30, d=40, m=m)
     p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-    return spectral_risk_mc(data, clean, LinModel(p), lam, sigma,
+    return spectral_risk_mc(data, LinModel(p), lam, sigma,
                             QuerySample(test_X[:, :width], clean_test), noise_draws, 0)
 
 
 def _exact_cell(lam=1e-3, sigma=1.0):
-    cov, data, clean, test_X, clean_test = _config()
-    return excess_risk_mc(data, clean, KernelSpec.gaussian(), lam, sigma,
+    cov, data, test_X, clean_test = _config()
+    return excess_risk_mc(data, KernelSpec.gaussian(), lam, sigma,
                           QuerySample(test_X, clean_test), noise_draws=2, seed=0)
 
 
@@ -444,12 +447,12 @@ def test_nan_rejected(call):
         call()
 
 
-def _explicit_cholesky_cell(data, clean, model, lam, sigma, test_X, clean_test, draws, seed):
-    """The cell as one Cholesky solve of [clean, eps, cross^T], fits read as
-    cross @ coefficients: the reference for `excess_risk_mc`."""
+def _explicit_cholesky_cell(data, model, lam, sigma, test_X, clean_test, draws, seed):
+    """The cell as one Cholesky solve of [data.responses, eps, cross^T], fits
+    read as cross @ coefficients: the reference for `excess_risk_mc`."""
     K, cross = gram_and_cross(model, data, test_X)
     eps = sigma * np.random.default_rng(seed).standard_normal((data.n, draws))
-    rhs = np.concatenate([clean[:, None], eps, cross.T], axis=1)
+    rhs = np.concatenate([data.responses[:, None], eps, cross.T], axis=1)
     cf = scipy.linalg.cho_factor(K + data.n * lam * np.eye(data.n), lower=True)
     sol = scipy.linalg.cho_solve(cf, rhs)
     bias_resid = cross @ sol[:, 0] - clean_test
@@ -463,13 +466,12 @@ def _explicit_cholesky_cell(data, clean, model, lam, sigma, test_X, clean_test, 
 
 @pytest.mark.parametrize("kind", ["exact", "lin_curvature"])
 def test_cross_kernel_solve_matches_explicit_cholesky(kind):
-    cov, data, clean, test_X, clean_test = _config(n=90, d=60, m=150)
+    cov, data, test_X, clean_test = _config(n=90, d=60, m=150)
     spec = KernelSpec.gaussian()
     model = (spec if kind == "exact" else
              LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
-    est = excess_risk_mc(data, clean, model, 1e-3, 0.7, QuerySample(test_X, clean_test),
-                         20, 5)
-    bias, variance, risk, stderr = _explicit_cholesky_cell(data, clean, model, 1e-3, 0.7,
+    est = excess_risk_mc(data, model, 1e-3, 0.7, QuerySample(test_X, clean_test), 20, 5)
+    bias, variance, risk, stderr = _explicit_cholesky_cell(data, model, 1e-3, 0.7,
                                                            test_X, clean_test, 20, 5)
     assert est.bias == pytest.approx(bias, rel=1e-12)
     assert est.variance == pytest.approx(variance, rel=1e-12)
@@ -479,14 +481,15 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
 
 class TestResponseLengths:
     """Clean responses whose length does not match their points are refused,
-    not broadcast: the training responses by each route, the test sample's
-    by `QuerySample`, as `Dataset` refuses them."""
+    not broadcast, by `Dataset`: the training set's and the test sample's
+    (`QuerySample`) alike."""
 
     def _cell(self, clean=None, clean_test=None):
-        cov, data, good_clean, test_X, good_test = _config(n=30, d=40, m=120)
+        cov, data, test_X, good_test = _config(n=30, d=40, m=120)
+        if clean is not None:
+            data = Dataset(data.features, clean)
         test = QuerySample(test_X, good_test if clean_test is None else clean_test)
-        return excess_risk_mc(data, good_clean if clean is None else clean,
-                              KernelSpec.gaussian(), 1e-3, 1.0, test, 4, 0)
+        return excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0, test, 4, 0)
 
     def test_scalar_clean_test(self):
         with pytest.raises(ValueError, match="responses length 1 does not match 120 feature rows"):
@@ -501,12 +504,11 @@ class TestResponseLengths:
             self._cell(clean_test=np.zeros(119))
 
     def test_column_clean_test_is_raveled(self):
-        cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+        cov, data, test_X, clean_test = _config(n=30, d=40, m=120)
         assert np.array_equal(QuerySample(test_X, clean_test[:, None]).responses, clean_test)
 
     def test_wrong_length_clean(self):
-        with pytest.raises(ValueError, match=r"clean must be a vector of length 30, "
-                                             r"got shape \(29,\)"):
+        with pytest.raises(ValueError, match="responses length 29 does not match 30 feature rows"):
             self._cell(clean=np.zeros(29))
 
     def test_query_sample_mismatch(self):
@@ -514,26 +516,28 @@ class TestResponseLengths:
             QuerySample(np.zeros((120, 5)), np.zeros(1))
 
     def test_spectral_cell_wrong_length_clean(self):
-        cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+        cov, data, test_X, clean_test = _config(n=30, d=40, m=120)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        with pytest.raises(ValueError, match=r"clean must be a vector of length 30, "
-                                             r"got shape \(\)"):
-            spectral_risk_mc(data, 1.0, LinModel(p), 1e-3, 1.0,
+        with pytest.raises(ValueError, match="responses length 29 does not match 30 feature rows"):
+            spectral_risk_mc(Dataset(data.features, np.zeros(29)), LinModel(p), 1e-3, 1.0,
                              QuerySample(test_X, clean_test), 4, 0)
 
 
 @pytest.mark.parametrize("route", ["exact", "spectral"])
+@pytest.mark.parametrize("sample", ["train", "test"])
 @pytest.mark.parametrize("bad", ["nan-response", "inf-point"])
-def test_non_finite_test_sample_rejected(route, bad):
-    # the test sample is checked as training data is; it used to pass
-    # through and the cell returned a NaN bias
-    cov, data, clean, test_X, clean_test = _config(n=30, d=40, m=120)
+def test_non_finite_training_or_test_sample_rejected(route, sample, bad):
+    # both samples are checked once, as `Dataset`s; a non-finite response
+    # used to reach the fit and the cell returned a NaN bias
+    cov, data, test_X, clean_test = _config(n=30, d=40, m=120)
+    arrays = {"train": (data.features.copy(), data.responses.copy()), "test": (test_X, clean_test)}
+    X, y = arrays[sample]
     if bad == "nan-response":
-        clean_test[3] = np.nan
+        y[3] = np.nan
     else:
-        test_X[5, 2] = np.inf
+        X[5, 2] = np.inf
     model = (KernelSpec.gaussian() if route == "exact" else
              LinModel(linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)))
     cell = excess_risk_mc if route == "exact" else spectral_risk_mc
     with pytest.raises(ValueError, match="contain non-finite entries"):
-        cell(data, clean, model, 1e-3, 1.0, QuerySample(test_X, clean_test), 4, 0)
+        cell(Dataset(*arrays["train"]), model, 1e-3, 1.0, QuerySample(*arrays["test"]), 4, 0)

@@ -233,8 +233,8 @@ def _direct_points(cfg):
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, t])
             data, clean = sample_dataset(cov, n, target, rng)
-            est = excess_risk_mc(data, clean, model, lam, cfg.sigma, test, cfg.noise_draws,
-                                 rng)
+            data = Dataset(data.features, clean)
+            est = excess_risk_mc(data, model, lam, cfg.sigma, test, cfg.noise_draws, rng)
             v1 = bound_v1(dense_v1_spectrum(params, data), params.beta, cfg.d,
                           n, lam, gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
@@ -430,7 +430,7 @@ def test_singular_cell_reports_the_dense_smallest_eigenvalue():
     with pytest.raises(SingularKernelError, match=r"cell n=400, trial 0, ridge") as exc:
         run_sweep(cfg)
     source = DataSource(cfg, 400)
-    data, _ = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
+    data = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
     K, _ = gram_and_cross(source.lin_model(data.features), data, source.test(0).features)
     lam = cfg.cbar * 400.0 ** (-cfg.theta)
     dense = np.linalg.eigvalsh(K + 400 * lam * np.eye(400))[0]
