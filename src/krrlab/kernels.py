@@ -45,7 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x d feature matrix with an n-vector of responses."""
+    """An n x d feature matrix with an n-vector of responses, checked once,
+    when built, and stored as read-only views, so that no write through the
+    dataset gets past the check.  The caller's own arrays stay writable; the
+    views share their memory where no conversion was needed."""
 
     features: np.ndarray
     responses: np.ndarray
@@ -63,8 +66,10 @@ class Dataset:
             raise ValueError("features contain non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("responses contain non-finite entries")
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "responses", y)
+        for name, array in (("features", X), ("responses", y)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:

@@ -28,7 +28,7 @@ K_lin - gamma_eff I = F (I + E) F^T and the cross kernel Phi L F^T
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -474,16 +474,23 @@ def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,
     return InterlacingReport(violations=violations, max_violation=worst)
 
 
-def estimate_trace_ratio(X: np.ndarray) -> float:
+def estimate_trace_ratio(X: np.ndarray, gram: Optional[Callable] = None) -> float:
     """Plug-in estimate of tr(Sigma^2)/d^2 from data with unknown covariance.
 
     Uses the bias-corrected tr(S^2) - (tr S)^2/n over the d x d sample
-    covariance S, clipped at zero.
+    covariance S, clipped at zero.  The scatter Xc^T Xc of the centred data
+    is `gram(Xc^T)`, for a `gram` that maps A to A A^T, or numpy's product
+    by default.  A sweep passes the product of its cell's BLAS:
+    `kernels.scipy_gram` on the Cholesky route, where a numpy product would
+    wake numpy's thread pool just before the cell's Cholesky, and numpy's
+    own on the spectral route, which loads no scipy.  Both form the product
+    as a rank-k update, and `tests/test_linearize.py` checks that their
+    estimates agree to the bit.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     Xc = X - X.mean(axis=0, keepdims=True)
-    S = Xc.T @ Xc / max(n - 1, 1)
+    S = (Xc.T @ Xc if gram is None else gram(Xc.T)) / max(n - 1, 1)
     tr_s2 = float(np.sum(S * S))
     tr_s = float(np.trace(S))
     return max(tr_s2 - tr_s ** 2 / n, 0.0) / d ** 2

@@ -29,14 +29,15 @@ alpha = 0; a curvature cell reads its own core or F^T F), except that a
 spectral cell without curvature still runs an n x n `eigvalsh` for it when
 n > d+1.
 
-Each route stays on one OpenBLAS.  Every product and decomposition of a
-Cholesky cell, V1's included, and of `eig_compare` runs on scipy's
-(`kernels.scipy_gram`, `scipy_product`, `scipy_eigvalsh`), so numpy's thread
-pool, whose threads spin for a while after each call, is not woken between
-a cell's products and its Cholesky; the spectral route stays on numpy and
-loads no scipy.  Two numpy calls remain in Cholesky cells, both before the
-kernel is built: the product in the real-mode plug-in
-`estimate_trace_ratio` and the synthetic sampler's QR at n <= d.
+Each route stays on one OpenBLAS, and `DataSource.spectral` names a call's
+route.  Every product and decomposition of a Cholesky cell, V1's and the
+real-mode plug-in `estimate_trace_ratio`'s included, and the spectra of
+`eig_compare` run on scipy's (`kernels.scipy_gram`, `scipy_product`,
+`scipy_eigvalsh`), so numpy's thread pool, whose threads spin for a while
+after each call, is not woken between a cell's products and its Cholesky;
+the spectral route, the plug-in's product included, stays on numpy and
+loads no scipy.  One numpy call remains in Cholesky cells, before the
+kernel is built: the synthetic sampler's QR at n <= d.
 
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input: `lin_curvature` and `gamma_override` on an exact
@@ -68,7 +69,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SingularKernelError
-from .kernels import Dataset, KernelSpec, kernel_matrix
+from .kernels import Dataset, KernelSpec, kernel_matrix, scipy_gram
 from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
@@ -331,11 +332,15 @@ class DataSource:
     permutation per trial from [seed, 900, t]; training sets are its nested
     prefixes and its tail of up to `test_points` (at least 100) rows is held
     out.  `with_test` False builds no test sample (eig_compare needs none).
-    `spec` is the call's kernel.
+    `spec` is the call's kernel, and `spectral` the route of its cells:
+    linearized fits, and an exact affine kernel (its own linearization),
+    take the spectral route, on numpy; other exact kernels the Cholesky
+    route, on scipy.
     """
 
     def __init__(self, config: ExperimentConfig, n_max: int, with_test: bool = True):
         self.config, self.spec = config, kernel_by_name(config.kernel, config.degree)
+        self.spectral = config.use_linearized or self.spec.affine
         self.cov = self.params = None
         if config.mode == "synth":
             self.cov = make_covariance(config.d, config.decay, config.a)
@@ -382,11 +387,14 @@ class DataSource:
     def lin_model(self, X: np.ndarray) -> LinModel:
         """The LinModel that fits and bounds training set X (plain for exact
         kernels); its LinParams are the covariance's (synth) or plug-in
-        estimates from X (real)."""
+        estimates from X (real).  The plug-in's d x d product runs on the
+        BLAS of the call's route: numpy's on the spectral route, scipy's on
+        the Cholesky route."""
         params = self.params
         if self.cov is None:
             tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
-            params = linearize_params(self.spec, tau, estimate_trace_ratio(X))
+            gram = None if self.spectral else scipy_gram
+            params = linearize_params(self.spec, tau, estimate_trace_ratio(X, gram))
         c = self.config         # exact configs set neither field, so keep the implicit gamma
         return LinModel(params, c.gamma_override, c.lin_curvature)
 
@@ -408,7 +416,7 @@ def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
     test = source.test(t)
     lin = source.lin_model(data.features)
     try:
-        if config.use_linearized or spec.affine:        # an affine K is its linearization
+        if source.spectral:
             est, spectrum = spectral_risk_mc(data, lin, lam, config.sigma, test,
                                              config.noise_draws, rng)
         else:

@@ -31,6 +31,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("cls", [Dataset, QuerySample])
+    def test_stored_arrays_are_read_only_views(self, cls):
+        # checked once, when built: no write through the dataset gets past
+        # the check, and the caller's arrays, shared where no copy is needed,
+        # stay writable
+        X, y = np.arange(6.0).reshape(3, 2), np.ones(3)
+        data = cls(X, y)
+        assert np.shares_memory(data.features, X) and np.shares_memory(data.responses, y)
+        for array in (data.features, data.responses):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
+        X[0, 0], y[0] = -1.0, 2.0
+        assert X.flags.writeable and y.flags.writeable
+
 
 class TestKernelMatrix:
     def test_linear_orthogonal_unit_rows(self):

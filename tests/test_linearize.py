@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import krrlab.kernels as kernels
 from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kernel,
                     cross_kernel_matrix, estimate_trace_ratio, factored_spectrum,
                     interlacing_check, kernel_matrix, lin_cross_kernel_matrix,
@@ -492,6 +493,15 @@ def test_estimate_trace_ratio_equals_n_by_n_form(n, d):
     G = Xc @ Xc.T / (n - 1)
     dense = (np.sum(G * G) - np.trace(G) ** 2 / n) / d ** 2
     assert estimate_trace_ratio(X) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(20, 24), (60, 24), (200, 100), (2000, 100), (37, 300)])
+def test_estimate_trace_ratio_same_bits_on_either_blas(n, d):
+    # the sweep forms the scatter on the cell's BLAS: numpy's by default,
+    # scipy's through kernels.scipy_gram; the estimate must not depend on it
+    rng = np.random.default_rng(n * d)
+    X = rng.standard_normal((n, d)) * np.linspace(0.1, 10.0, d) - 2.0
+    assert estimate_trace_ratio(X, kernels.scipy_gram) == estimate_trace_ratio(X)
 
 
 @pytest.mark.parametrize("call", [

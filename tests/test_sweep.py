@@ -11,7 +11,7 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
                     sample_features)
-from krrlab import sweep
+from krrlab import kernels, sweep
 from krrlab.risk import gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
@@ -335,6 +335,67 @@ def test_exact_real_sweep_runs_without_numpy_linalg(monkeypatch):
     points, _ = run_sweep(cfg)
     assert [p.n for p in points] == [20, 60]
     assert all(np.isfinite(p.risk_emp) and p.v1_bound > 0 for p in points)
+
+
+def _d_by_d_gram_calls(monkeypatch, d):
+    """Patch kernels.scipy_gram where the package reads it; the returned list
+    grows by one per d x d product (A A^T of a d-row A) it forms."""
+    calls, gram = [], kernels.scipy_gram
+
+    def spy(A):
+        if A.shape[0] == d:
+            calls.append(A.shape)
+        return gram(A)
+
+    for module in (kernels, sweep):
+        monkeypatch.setattr(module, "scipy_gram", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kw,on_scipy", [
+    (dict(use_linearized=False, gamma_override=None), True),
+    (dict(), False),
+    (dict(kernel="linear", use_linearized=False, gamma_override=None), False),
+    (dict(kernel="polynomial", degree=1, use_linearized=False, gamma_override=None), False),
+], ids=["exact-cholesky", "linearized", "exact-linear", "exact-polynomial-1"])
+def test_real_mode_plug_in_product_runs_on_the_cells_blas(kw, on_scipy, monkeypatch):
+    # grid 20, 60 at d = 24: no training set is d rows, so only the plug-in's
+    # scatter X^T X is a d x d product, once per sweep cell and once in
+    # eig_compare
+    cfg = _small_config(mode="real", input_path=FIXTURE, d=24, n_grid=[20, 60],
+                        test_points=100, **kw)
+    calls = _d_by_d_gram_calls(monkeypatch, cfg.d)
+    run_sweep(cfg)
+    eig_compare(cfg, n=60, k=5)
+    assert len(calls) == (len(cfg.grid) * cfg.trials + 1 if on_scipy else 0)
+    assert DataSource(cfg, 60).spectral is not on_scipy
+
+
+def test_real_mode_plug_in_same_bits_on_either_blas():
+    cfg = _small_config(mode="real", input_path=FIXTURE, d=24, test_points=100)
+    source = DataSource(cfg, 60)
+    for n in (20, 60, 90):
+        X = source.train(n, 1, None).features
+        assert estimate_trace_ratio(X, kernels.scipy_gram) == estimate_trace_ratio(X)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(use_linearized=False, gamma_override=None)],
+                         ids=["spectral", "cholesky"])
+def test_read_only_datasets_leave_sweeps_unchanged(kw, monkeypatch):
+    # the same sweeps with the datasets' arrays stored as writable copies
+    cfg = _small_config(mode="real", input_path=FIXTURE, d=24, n_grid=[20, 60],
+                        test_points=100, **kw)
+    want = run_sweep(cfg)
+    checked = Dataset.__post_init__
+
+    def writable(self):
+        checked(self)
+        for name in ("features", "responses"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+
+    monkeypatch.setattr(Dataset, "__post_init__", writable)
+    assert QuerySample(np.eye(2), np.ones(2)).features.flags.writeable
+    assert run_sweep(cfg) == want
 
 
 class TestEigCompare:

@@ -120,3 +120,54 @@ def test_output_digest_flags_changed_and_missing_outputs():
         (("w", 1, "sweep0"), "same"), (("w", 1, "eig"), "DIFFERS"),
         (("w", 1, "svg"), "DIFFERS")]
     assert output_digest.parse_lines(output_digest.format_lines(new)) == new
+
+
+def _nudged_table(table, row, column):
+    # a copy of `table` with one value moved by one ulp
+    rows = [list(r) for r in table["rows"]]
+    j = table["header"].index(column)
+    rows[row][j] = math.nextafter(rows[row][j], math.inf)
+    return {"header": table["header"], "rows": rows}
+
+
+def test_output_digest_values_name_a_one_ulp_move_by_column_and_row():
+    result = output_digest.outputs(ROOT, ["lin_wide"], [1], micro=True)["lin_wide", 1, "sweep0"]
+    table = output_digest.values_table("sweep0", result)
+    assert table["header"] == sweep.CSV_HEADER.split(",")
+    n = table["rows"][1][0]
+    moved = _nudged_table(table, 1, "var_emp")
+    # the JSON that carries a table between interpreters keeps every bit
+    digests = {("lin_wide", 1, "sweep0"): "a"}
+    lines = output_digest.format_lines(digests, {("lin_wide", 1, "sweep0"): moved})
+    assert output_digest.parse_lines(lines) == digests
+    assert output_digest.parse_tables(lines) == {("lin_wide", 1, "sweep0"): moved}
+
+    report = output_digest.value_moves(table, moved)
+    assert len(report) == len(table["header"])
+    var_line = report[table["header"].index("var_emp")]
+    assert var_line.startswith("  var_emp: largest relative gap ")
+    assert var_line.endswith(f", moved at n={n}")
+    gap = float(var_line.split("gap ")[1].split(",")[0])
+    assert 0 < gap <= 2.3e-16
+    assert all(line.endswith("largest relative gap 0, no row moved")
+               for line in report if line is not var_line)
+
+
+def test_output_digest_values_follow_each_differing_output(monkeypatch, capsys):
+    table = {"header": ["i", "eig_true"], "rows": [[1.0, 2.0], [2.0, 0.5]]}
+    old = {("w", 1, "eig"): "a", ("w", 1, "svg"): "b", ("w", 1, "sweep0"): "c"}
+    new = {**old, ("w", 1, "eig"): "d", ("w", 1, "svg"): "e"}
+    tables = {("w", 1, "eig"): table, ("w", 1, "sweep0"): table}
+    moved = {**tables, ("w", 1, "eig"): _nudged_table(table, 1, "eig_true")}
+    children = iter([output_digest.format_lines(old, tables),
+                     output_digest.format_lines(new, moved)])
+    monkeypatch.setattr(output_digest, "_digest_in_child", lambda tree, args: next(children))
+    assert output_digest.main(["--against", str(ROOT), "--values"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w 1 eig DIFFERS",
+        "  i: largest relative gap 0, no row moved",
+        "  eig_true: largest relative gap 2.22e-16, moved at i=2",
+        "w 1 svg DIFFERS",
+        "  no values to compare (an SVG, an output that raised, or a missing one)",
+        "w 1 sweep0 same",
+        "output_digest: 1 of 3 outputs identical"]

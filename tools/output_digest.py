@@ -2,7 +2,7 @@
 that a change leaves them byte-identical.
 
     python3 tools/output_digest.py [--tree DIR] [--workloads a,b] [--seeds 1-5] [--micro]
-    python3 tools/output_digest.py --tree OLD --against NEW [--seeds 1-5] ...
+    python3 tools/output_digest.py --tree OLD --against NEW [--seeds 1-5] [--values] ...
 
 For every workload and seed, one pass of the workload is built and run with
 the tree's own `bench/workloads.py` (`build`, then `run_pass`; `real_exact`
@@ -31,6 +31,14 @@ With `--against`, both trees are digested, each in its own interpreter
 (krrlab can be imported once per process), and every output is listed as
 `same` or `DIFFERS`; the exit status is 1 if any output differs or is
 missing on one side.
+
+`--values` also reads each output's values as a table: a sweep's points at
+full precision, a CSV's printed values otherwise (the SVG has none).  On
+its own it appends the table, as JSON, to the output's digest line; with
+`--against`, every output that differs is followed by one line per CSV
+column, with the column's largest relative gap |a - b| / max(|a|, |b|)
+between the trees and the rows that moved, named by their first column
+(`n=600`), so a change that moves values can list each move.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import argparse
 import dataclasses
 import hashlib
 import importlib.util
+import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -91,17 +101,33 @@ def _sha(data) -> str:
     return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
 
 
-def _sweep_text(sweep):
-    """A sweep's `(points, csv_text)` as its CSV and the repr of its points'
-    fields at full precision; an exception raised in its place is kept."""
-    if isinstance(sweep, BaseException):
-        return sweep
-    points, csv_text = sweep
-    return csv_text + repr([dataclasses.astuple(p) for p in points])
+def _text(result):
+    """The digested form of one output: a sweep's `(points, csv_text)` as its
+    CSV and the repr of its points' fields at full precision; a CSV, the SVG
+    or the exception raised in an output's place as it is."""
+    if isinstance(result, tuple):
+        points, csv_text = result
+        return csv_text + repr([dataclasses.astuple(p) for p in points])
+    return result
+
+
+def values_table(output: str, result):
+    """{"header": [...], "rows": [[...], ...]} of one output's values: a
+    sweep's points at full precision, a CSV's printed values; None for the
+    SVG and for an output that raised."""
+    if isinstance(result, BaseException) or output == "svg":
+        return None
+    if isinstance(result, tuple):
+        points, csv_text = result
+        header, rows = csv_text.split("\n", 1)[0], [list(dataclasses.astuple(p)) for p in points]
+    else:
+        header, *lines = result.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+    return {"header": header.split(","), "rows": rows}
 
 
 def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
-    """{output: sweep or eig-compare text, or the exception raised} of the
+    """{output: sweep or eig-compare CSV, or the exception raised} of the
     multi-trial group."""
     size = (dict(d=20, n_grid=[10, 30, 50], trials=9, test_points=100, noise_draws=4)
             if micro else
@@ -111,8 +137,8 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
     for output, kw in MULTI_TRIAL.items():
         try:
             grid = {} if micro or output not in FULL_GRID else dict(n_grid=FULL_GRID[output])
-            out[output] = _sweep_text(krrlab.run_sweep(krrlab.ExperimentConfig(
-                seed=seed, **dict(size, **kw, **grid))))
+            out[output] = krrlab.run_sweep(krrlab.ExperimentConfig(
+                seed=seed, **dict(size, **kw, **grid)))
         except Exception as exc:     # digested as error:<type>
             out[output] = exc
     try:
@@ -125,6 +151,14 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
 
 def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
     """{(workload, seed, output): sha256} for one pass of each workload."""
+    return {key: _sha(_text(result))
+            for key, result in outputs(tree, workloads, seeds, micro).items()}
+
+
+def outputs(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
+    """{(workload, seed, output): result} for one pass of each workload: a
+    sweep's `(points, csv_text)`, the eig-compare CSV, the SVG, or the
+    exception raised in an output's place."""
     caching, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         wmod = _load_workloads(Path(tree).resolve())
@@ -135,8 +169,8 @@ def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dic
     for name in workloads:
         for seed in seeds:
             if name == "multi_trial":
-                for output, text in _multi_trial(krrlab, seed, micro).items():
-                    out[name, seed, output] = _sha(text)
+                for output, result in _multi_trial(krrlab, seed, micro).items():
+                    out[name, seed, output] = result
                 continue
             with tempfile.TemporaryDirectory(prefix="output_digest_") as workdir:
                 if name == "real_exact":
@@ -144,25 +178,61 @@ def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dic
                 wl = wmod.build(krrlab, name, seed, workdir, micro)
                 res = wmod.run_pass(krrlab, wl)
                 for i, sweep in enumerate(res.sweeps):
-                    out[name, seed, f"sweep{i}"] = _sha(_sweep_text(sweep))
+                    out[name, seed, f"sweep{i}"] = sweep
                 if wl.eig_n is not None:
-                    out[name, seed, "eig"] = _sha(
+                    out[name, seed, "eig"] = (
                         res.eig if isinstance(res.eig, BaseException) else res.eig.csv_text)
                 if wl.plot_path is not None:
-                    out[name, seed, "svg"] = _sha(res.plot)
+                    out[name, seed, "svg"] = res.plot
     return out
 
 
-def format_lines(digests: dict) -> list:
-    return [f"{w} {s} {o} {h}" for (w, s, o), h in digests.items()]
+def format_lines(digests: dict, tables: dict = None) -> list:
+    """One line per output, `<workload> <seed> <output> <sha256>`, followed
+    by the output's table as JSON (no spaces) where `tables` holds one."""
+    tables = tables or {}
+    return [f"{w} {s} {o} {h}" + (f" {json.dumps(tables[w, s, o], separators=(',', ':'))}"
+                                  if tables.get((w, s, o)) is not None else "")
+            for (w, s, o), h in digests.items()]
 
 
 def parse_lines(lines) -> dict:
-    out = {}
-    for line in lines:
-        w, s, o, h = line.split()
-        out[w, int(s), o] = h
-    return out
+    """{(workload, seed, output): sha256} of `format_lines`' lines."""
+    return {(w, int(s), o): h for w, s, o, h, *_ in (line.split(" ", 4) for line in lines)}
+
+
+def parse_tables(lines) -> dict:
+    """{(workload, seed, output): table} of the lines that carry one."""
+    return {(w, int(s), o): json.loads(rest[0])
+            for w, s, o, _, *rest in (line.split(" ", 4) for line in lines) if rest}
+
+
+def _relative_gap(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def value_moves(old, new) -> list:
+    """Lines naming, for every column of two tables of one output, its
+    largest relative gap and the rows (by their first column) whose value
+    moved."""
+    if old is None or new is None:
+        return ["  no values to compare (an SVG, an output that raised, or a missing one)"]
+    if old["header"] != new["header"] or len(old["rows"]) != len(new["rows"]):
+        return [f"  shape differs: {old['header']} x {len(old['rows'])} rows -> "
+                f"{new['header']} x {len(new['rows'])} rows"]
+    key = old["header"][0]
+    lines = []
+    for j, column in enumerate(old["header"]):
+        gaps = [(_relative_gap(a[j], b[j]), a[0]) for a, b in zip(old["rows"], new["rows"])]
+        moved = [f"{key}={row:g}" for gap, row in gaps if gap > 0]
+        largest = max((g for g, _ in gaps), default=0.0)
+        lines.append(f"  {column}: largest relative gap {largest:.3g}"
+                     + (f", moved at {' '.join(moved)}" if moved else ", no row moved"))
+    return lines
 
 
 def compare(old: dict, new: dict) -> list:
@@ -172,16 +242,19 @@ def compare(old: dict, new: dict) -> list:
             for k in keys]
 
 
-def _digest_in_child(tree: Path, args) -> dict:
+def _digest_in_child(tree: Path, args) -> list:
+    """The digest lines of `tree`, computed in a fresh interpreter."""
     cmd = [sys.executable, "-B", __file__, "--tree", str(tree),
            "--workloads", ",".join(args.workloads), "--seeds", args.seeds]
     if args.micro:
         cmd.append("--micro")
+    if args.values:
+        cmd.append("--values")
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"output_digest: {' '.join(cmd)} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
-    return parse_lines(proc.stdout.splitlines())
+    return proc.stdout.splitlines()
 
 
 def main(argv=None) -> int:
@@ -191,19 +264,30 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", type=lambda t: t.split(","), default=list(WORKLOADS))
     ap.add_argument("--seeds", default="1-5")
     ap.add_argument("--micro", action="store_true", help="the seconds-long micro configs")
+    ap.add_argument("--values", action="store_true",
+                    help="also read the values: per differing output, each column's "
+                         "largest relative gap and the rows that moved")
     args = ap.parse_args(argv)
     unknown = set(args.workloads) - set(WORKLOADS)
     if unknown:
         ap.error(f"unknown workloads {sorted(unknown)} (choose from {WORKLOADS})")
 
     if args.against is None:
-        for line in format_lines(digest(args.tree, args.workloads,
-                                        parse_seeds(args.seeds), args.micro)):
+        results = outputs(args.tree, args.workloads, parse_seeds(args.seeds), args.micro)
+        digests = {key: _sha(_text(result)) for key, result in results.items()}
+        tables = ({key: values_table(key[2], result) for key, result in results.items()}
+                  if args.values else None)
+        for line in format_lines(digests, tables):
             print(line, flush=True)
         return 0
-    verdicts = compare(_digest_in_child(args.tree, args), _digest_in_child(args.against, args))
+    old, new = _digest_in_child(args.tree, args), _digest_in_child(args.against, args)
+    verdicts = compare(parse_lines(old), parse_lines(new))
+    old_tables, new_tables = parse_tables(old), parse_tables(new)
     for (w, s, o), verdict in verdicts:
         print(f"{w} {s} {o} {verdict}")
+        if args.values and verdict != "same":
+            for line in value_moves(old_tables.get((w, s, o)), new_tables.get((w, s, o))):
+                print(line)
     differ = sum(v != "same" for _, v in verdicts)
     print(f"output_digest: {len(verdicts) - differ} of {len(verdicts)} outputs identical")
     return 1 if differ else 0
