@@ -5,6 +5,9 @@ Two kernel families are supported, both driven by a scalar profile h:
 * inner-product kernels   k(x, x') = h(<x, x'> / d)
 * radial kernels          k(x, x') = h(||x - x'||^2 / d)
 
+Each exact kernel matrix is Q X^T overwritten in place by one pass over its
+row blocks (`_kernel_values`): the 1/d scaling, the radial argument and h.
+
 The ridge estimator solves (K + n*lambda*I) c = y by one Cholesky
 factorization, with no fallback, and predicts with k(x, X)^T c.  All arrays
 are dense float64.
@@ -22,7 +25,7 @@ module (and krrlab) loads numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -141,29 +144,6 @@ class KernelSpec:
     def custom(family: str, h, h1, h2) -> "KernelSpec":
         return KernelSpec(family, "custom", h=h, h1=h1, h2=h2)
 
-    def argument_matrix(self, X: np.ndarray, Q: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel argument <x,x'>/d or ||x-x'||^2/d for rows of Q against rows of X.
-
-        The product Q X^T (`scipy_gram`'s X X^T, symmetric to the bit, when Q
-        is None) is formed once on scipy's BLAS and scaled by 1/d in place;
-        the radial argument sq_q + sq_x - 2 G and its clip at 0 then
-        overwrite it row block by row block, so the only scratch is one
-        block of rows.
-        """
-        d = X.shape[1]
-        G = scipy_gram(X) if Q is None else scipy_product(X, Q.T).T
-        G /= d
-        if self.family == "inner_product":
-            return G
-        sq_x = np.einsum("ij,ij->i", X, X) / d
-        sq_q = sq_x if Q is None else np.einsum("ij,ij->i", Q, Q) / d
-        for rows in _row_blocks(*G.shape):
-            block = G[rows]
-            block *= 2.0
-            np.subtract(sq_q[rows, None] + sq_x, block, out=block)
-            np.maximum(block, 0.0, out=block)
-        return G
-
 
 # Entries per block of the in-place passes over an m x n matrix: a block is
 # as many whole rows (columns, in `_restore_lower`) as fit, at least one, so
@@ -179,14 +159,28 @@ def _row_blocks(rows: int, cols: int):
 def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
     """k(q_i, x_j) for query rows q_i (rows of X itself when `queries` is None).
 
-    h overwrites the argument matrix in place, one row block at a time.
+    The product Q X^T (`scipy_gram`'s X X^T, symmetric to the bit, when Q is
+    None) is formed once on scipy's BLAS.  One pass over its row blocks then
+    overwrites each block in place: scaled by 1/d, turned into the clipped
+    radial argument sq_q + sq_x - 2 G for radial kernels, evaluated by h and
+    checked for non-finite entries.  The only scratch is one block of rows.
     """
     Q = None if queries is None else np.atleast_2d(np.asarray(queries, dtype=float))
     if Q is not None and Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
-    K = spec.argument_matrix(X, Q)
+    d = X.shape[1]
+    K = scipy_gram(X) if Q is None else scipy_product(X, Q.T).T
+    radial = spec.family == "radial"
+    if radial:
+        sq_x = np.einsum("ij,ij->i", X, X) / d
+        sq_q = sq_x if Q is None else np.einsum("ij,ij->i", Q, Q) / d
     for rows in _row_blocks(*K.shape):
         block = K[rows]
+        block /= d
+        if radial:
+            block *= 2.0
+            np.subtract(sq_q[rows, None] + sq_x, block, out=block)
+            np.maximum(block, 0.0, out=block)
         block[...] = spec.h(block)
         if not np.all(np.isfinite(block)):
             i, j = np.argwhere(~np.isfinite(block))[0]
@@ -200,8 +194,9 @@ def _kernel_values(spec: KernelSpec, X: np.ndarray, queries=None) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Gram matrix K[i, j] = k(x_i, x_j), exactly symmetric.
 
-    `scipy_gram` forms X X^T symmetric to the bit, and the radial argument
-    and h act entrywise, so K needs no mirroring.
+    `scipy_gram` forms X X^T symmetric to the bit, and `_kernel_values`'s
+    one row-block pass (the 1/d scaling, the radial argument and h) acts
+    entrywise, so K needs no mirroring.
     """
     return _kernel_values(spec, data.features)
 

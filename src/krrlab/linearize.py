@@ -22,7 +22,10 @@ A `LinModel` holds both choices, the ridge and whether T is fitted, and
 `build_lin_kernel` and `lin_cross_kernel_matrix` assemble the Gram matrix
 and the cross kernel it fits.  `lin_factors` writes both in factored form,
 K_lin - gamma_eff I = F (I + E) F^T and the cross kernel Phi L F^T
-(`LinFactor`); this module is the only one that knows that layout.
+(`LinFactor`).  F's layout is known to this module alone.  The layout of
+Phi = [1, Q, ||q||^2/d] is also written out in `risk`: `QuerySample.sq_norms`
+and `moments` build its columns, and `spectral_risk_mc`'s prediction reads
+`LinFactor.phi`'s start and stop to pick them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .kernels import Dataset, KernelSpec, scipy_eigvalsh, scipy_gram, scipy_product
 
 __all__ = [
@@ -99,7 +103,8 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
         gamma = h(0) + 2 tau h'(2 tau) - h(2 tau)
 
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
-    0 of an affine profile, rounded) is taken as 0; below that it is rejected.
+    0 of an affine profile, rounded) is taken as 0.  A degenerate coefficient
+    (beta <= 0, or alpha or gamma below that) is a ConfigError naming tau.
     """
     if not (0 <= tau < np.inf and 0 <= trace_ratio < np.inf):
         raise ValueError(f"tau and trace_ratio must be >= 0 and finite, "
@@ -125,11 +130,13 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
         gamma = _clip_roundoff(h0 + 2.0 * tau * h1 - hp, h0, 2.0 * tau * h1, hp)
         h_pivot = hp
     if beta <= 0:
-        raise ValueError(f"linearization requires beta > 0, got {beta:.3e}")
+        raise ConfigError(f"linearization requires beta > 0, got {beta:.3e} at tau={tau:.6g}; "
+                          f"a radial h'(2 tau) underflows to 0 at a large tau, and "
+                          f"standardizing the features removes the underflow")
     if gamma < 0 or alpha < 0:
-        raise ValueError(
+        raise ConfigError(
             f"linearization requires alpha, gamma >= 0, got alpha={alpha:.3e} "
-            f"gamma={gamma:.3e}")
+            f"gamma={gamma:.3e} at tau={tau:.6g}")
     return LinParams(spec.family, alpha, beta, gamma, float(tau), float(trace_ratio),
                      h_pivot, h1, h2)
 
@@ -532,16 +539,13 @@ def moment_diagnostics(data: Dataset, queries: np.ndarray,
 
     psi = _psi(X, tau)
     psi_q = _psi(Q, tau)
-    # (1/m) sum_q (psi_q 1 + psi)(psi_q 1 + psi)^T in closed form
+    # (1/m) sum_q (psi_q 1 + psi)(psi_q 1 + psi)^T = [1, psi] C [1, psi]^T, of rank <= 2,
+    # with C = [[c2, c1], [c1, 1]]
     c1 = float(np.mean(psi_q))
     c2 = float(np.mean(psi_q ** 2))
-    ones = np.ones(data.n)
-    est = (c2 * np.outer(ones, ones)
-           + c1 * (np.outer(ones, psi) + np.outer(psi, ones))
-           + np.outer(psi, psi))
-    w = np.linalg.eigvalsh(est)
-    lam1 = float(w[-1])
-    lam2 = float(w[-2]) if data.n >= 2 else 0.0
+    w = factored_spectrum(np.column_stack([np.ones(data.n), psi]), [[c2, c1], [c1, 1.0]])
+    lam1 = float(w[0])
+    lam2 = float(w[1]) if data.n >= 2 else 0.0
     ratio = abs(lam2) / lam1 if lam1 > 0 else 0.0
     return MomentDiagnostics(mu3_hat=mu3, mu4_hat=mu4, rank1_ratio=ratio,
                              top_eigenvalue=lam1)

@@ -150,10 +150,30 @@ SMALL = ["--d", "10", "--n-grid", "20:40:10", "--trials", "1", "--test-points", 
 
 @pytest.fixture
 def no_sampling(monkeypatch):
-    """Bad input must be rejected before the first training set is drawn."""
-    def reached(*args, **kwargs):
-        raise AssertionError("sample_dataset reached")
-    monkeypatch.setattr("krrlab.sweep.sample_dataset", reached)
+    """Bad input must be rejected before the first training set is drawn
+    (synth mode) and before any kernel is fitted (both modes)."""
+    for name in ("sample_dataset", "excess_risk_mc", "spectral_risk_mc", "kernel_matrix"):
+        def reached(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} reached")
+        monkeypatch.setattr(f"krrlab.sweep.{name}", reached)
+
+
+# Placeholder for the path of a 300 x 20 libsvm file of N(0, 40^2) entries,
+# whose plug-in tau (about 1600) underflows the gaussian's beta = -2 h'(2 tau)
+UNSCALED = "<unscaled.libsvm>"
+REAL_UNSCALED = ["--mode", "real", "--input", UNSCALED, "--d", "20", "--n-grid", "50:150:50",
+                 "--trials", "1", "--test-points", "100", "--noise-draws", "2"]
+
+
+@pytest.fixture(scope="module")
+def unscaled_input(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    X, y = 40.0 * rng.standard_normal((300, 20)), rng.standard_normal(300)
+    path = tmp_path_factory.mktemp("unscaled") / "unscaled.libsvm"
+    path.write_text("".join(f"{yi:.6g} " + " ".join(f"{j}:{v:.6g}" for j, v in
+                                                    enumerate(xi, 1)) + "\n"
+                            for xi, yi in zip(X, y)))
+    return str(path)
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -174,13 +194,25 @@ def no_sampling(monkeypatch):
     (["sweep", *SMALL, "--kernel", "polynomial", "--lin-curvature"],
      "lin_curvature applies to radial kernels only"),
     (["eig-compare", *SMALL, "--lin-curvature"], "lin_curvature"),
+    (["sweep", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
+    (["sweep", *REAL_UNSCALED, "--true-kernel"], "standardizing the features"),
+    (["eig-compare", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
         "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
-        "eig-exact-gamma", "inner-product-curvature", "eig-curvature"])
-def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, capsys):
+        "eig-exact-gamma", "inner-product-curvature", "eig-curvature", "real-beta-underflow",
+        "exact-real-beta-underflow", "eig-real-beta-underflow"])
+def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_input, capsys):
+    argv = [unscaled_input if a == UNSCALED else a for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+    assert len(err.splitlines()) == 1
+
+
+def test_standardize_removes_the_beta_underflow(unscaled_input, capsys):
+    argv = [unscaled_input if a == UNSCALED else a for a in REAL_UNSCALED]
+    assert cli.main(["sweep", *argv, "--standardize"]) == 0
+    assert "sweep done: 3 grid points" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,named", [

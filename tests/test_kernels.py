@@ -90,7 +90,7 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(), KernelSpec.polynomial(3)])
     def test_upper_triangle_mirrored_to_the_bit(self, spec):
         data, _ = _synth(37, 20, seed=6)
-        want = np.asarray(spec.h(spec.argument_matrix(data.features)), dtype=float)
+        want = np.asarray(spec.h(_full_argument(spec, data.features)), dtype=float)
         iu = np.triu_indices_from(want, k=1)
         want[(iu[1], iu[0])] = want[iu]
         K = kernel_matrix(spec, data)
@@ -328,7 +328,7 @@ def test_nan_ridge_rejected(call):
 
 def _full_argument(spec, X, Q=None):
     """The kernel argument as one full-matrix expression, the reference for
-    the in-place, row-blocked `KernelSpec.argument_matrix`, from the same
+    the in-place, row-blocked pass of `kernels._kernel_values`, from the same
     scipy products the route forms."""
     d = X.shape[1]
     if Q is None:

@@ -469,6 +469,20 @@ class TestMomentDiagnostics:
         assert 0.0 <= res.rank1_ratio <= 1.0
         assert res.top_eigenvalue > 0
 
+    @pytest.mark.parametrize("d,n", [(500, 100), (100, 30), (50, 20)])
+    def test_rank_two_spectrum_matches_dense_estimate(self, d, n):
+        cov = make_covariance(d, "harmonic")
+        data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=0.0), d + n)
+        Q = sample_features(cov, 400, d + n + 1)
+        res = moment_diagnostics(data, Q, sigma_d=cov.diag)
+        # the n x n estimate (1/m) sum_q (psi_q 1 + psi)(psi_q 1 + psi)^T, built densely
+        psi = np.einsum("ij,ij->i", data.features, data.features) / d - cov.tau
+        psi_q = np.einsum("ij,ij->i", Q, Q) / d - cov.tau
+        A = psi_q[:, None] + psi[None, :]
+        w = np.linalg.eigvalsh(A.T @ A / Q.shape[0])
+        assert res.top_eigenvalue == pytest.approx(w[-1], rel=1e-12)
+        assert res.rank1_ratio == pytest.approx(abs(w[-2]) / w[-1], rel=1e-12)
+
     def test_insufficient_queries(self):
         data = Dataset(np.eye(4), np.zeros(4))
         with pytest.raises(ValueError):

@@ -256,6 +256,27 @@ class TestPeaks:
         assert harmonic_theta_threshold(0.0) == pytest.approx(0.25)
         assert polynomial_theta_threshold(1.0) == pytest.approx(2.0 / 3.0)
 
+    def test_polynomial_pair_matches_the_curve_it_names(self):
+        # N(b(n)) on the exact length-n spectrum, b(n) = cbar n^(1-theta) + gamma:
+        # an interior peak near peak_point below theta* = 2/3, none above it
+        decay, cbar, gamma = DecaySpec("polynomial", 1.0, 10 ** 5), 0.01, 5.0
+
+        def curve(lo, hi, points, theta):
+            grid = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
+            return grid, np.array([quantity_N(generate_decay_spectrum(decay, int(n)),
+                                              cbar * n ** (1.0 - theta) + gamma)
+                                   for n in grid])
+
+        for theta in (0.1, 0.2, 0.3):
+            n_star = peak_point(decay, cbar, theta, gamma)
+            grid, values = curve(n_star / 4.0, 4.0 * n_star, 400, theta)
+            argmax = grid[np.argmax(values)]
+            assert abs(n_star - argmax) <= 0.05 * argmax
+        assert polynomial_theta_threshold(1.0) < 0.7
+        for theta in (0.7, 0.8):
+            _, values = curve(10, 10 ** 5, 200, theta)
+            assert np.all(np.diff(values) > 0)
+
 
 class TestNumericPeak:
     def test_monotone_curve_peaks_at_first_point(self):

@@ -34,6 +34,9 @@ def test_parse_seeds(text, want):
     assert bench_pairs.parse_seeds(text) == want
 
 
+RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]
+
+
 def _run(value, correct=True, failed=0):
     return {"result": {"correct": correct, "failed": failed,
                        "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}}}
@@ -42,7 +45,7 @@ def _run(value, correct=True, failed=0):
 def test_summarize_counts_pairs_and_quartiles():
     runs = {"parent": [_run(v) for v in (174.0, 173.0, 175.0, 176.0)],
             "change": [_run(v) for v in (139.0, 174.0, 140.0, 139.5)]}
-    out = bench_pairs.summarize(runs, [{"name": "peak_rss_mb", "better": "lower"}])
+    out = bench_pairs.summarize(runs, RSS)
     m = out["peak_rss_mb"]
     assert out["correct_and_no_failed_ops_in_every_run"]
     assert m["parent"] == {"median": 174.5, "q1": 173.75, "q3": 175.25}
@@ -55,16 +58,34 @@ def test_summarize_counts_pairs_and_quartiles():
 
 def test_summarize_flags_a_failed_run():
     runs = {"parent": [_run(1.0), _run(1.0)], "change": [_run(1.0), _run(1.0, failed=1)]}
-    out = bench_pairs.summarize(runs, [{"name": "peak_rss_mb", "better": "lower"}])
+    out = bench_pairs.summarize(runs, RSS)
     assert not out["correct_and_no_failed_ops_in_every_run"]
     assert not out["peak_rss_mb"]["median_gap_exceeds_parent_iqr"]
 
 
 def test_summarize_one_pair():
     runs = {"parent": [_run(174.0)], "change": [_run(139.0)]}
-    m = bench_pairs.summarize(runs, [{"name": "peak_rss_mb", "better": "lower"}])["peak_rss_mb"]
+    m = bench_pairs.summarize(runs, RSS)["peak_rss_mb"]
     assert m["parent"] == {"median": 174.0, "q1": 174.0, "q3": 174.0}
     assert m["change_better_pairs"] == 1
+
+
+@pytest.mark.parametrize("better,parent,change,want", [
+    # parent IQR 1.075 > 0.25 x 1.75, and no change run beats every parent run
+    ("lower", (1.0, 1.2, 1.4, 2.1, 2.4, 2.6), (1.5, 1.5, 1.6, 1.6, 1.7, 1.7), "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ("lower", (1.0, 1.2, 1.4, 2.1, 2.4, 2.6), (0.5, 0.6, 0.7, 0.7, 0.8, 0.9), "within_bound"),
+    # a tight parent, and the change's median 30% worse against a 25% bound
+    ("lower", (2.0, 2.0, 2.1, 2.0, 1.9, 2.0), (2.6, 2.6, 2.7, 2.6, 2.5, 2.6), "worse"),
+    # a tight parent, and the change's median 20% worse: within the bound
+    ("lower", (2.0, 2.0, 2.1, 2.0, 1.9, 2.0), (2.4, 2.4, 2.5, 2.4, 2.3, 2.4), "within_bound"),
+    # higher is better: a median 30% below the parent's is worse
+    ("higher", (2.0, 2.0, 2.1, 2.0, 1.9, 2.0), (1.4, 1.4, 1.5, 1.4, 1.3, 1.4), "worse"),
+], ids=["unresolved", "beats-every-run", "worse", "within-bound", "higher-worse"])
+def test_summarize_verdict(better, parent, change, want):
+    runs = {"parent": [_run(v) for v in parent], "change": [_run(v) for v in change]}
+    metric = {"name": "peak_rss_mb", "better": better, "bound": 0.25}
+    assert bench_pairs.summarize(runs, [metric])["peak_rss_mb"]["verdict"] == want
 
 
 def _files(directory: Path) -> dict:

@@ -18,7 +18,16 @@ of the method (run order, directory), not of the code.
 The output has the schema of `BENCH_exact_memory.json`: per workload and
 end-to-end metric of `BENCHMARK.json`, the median and inclusive quartiles
 of each side, the change's median relative to the parent's, the number of
-pairs in which the change is better, and every run's value.
+pairs in which the change is better, and every run's value.  Each metric
+also gets a no-regression `verdict` against its `bound` in BENCHMARK.json,
+decided in this order:
+
+* `unresolved`: the parent's IQR exceeds bound x the parent's median, and
+  not every change run beats every parent run, so the runs spread too
+  widely to tell;
+* `worse`: the change's median is worse than the parent's by more than
+  bound (relative to the parent's median);
+* `within_bound`: otherwise.
 """
 
 from __future__ import annotations
@@ -79,13 +88,19 @@ def summarize(runs: dict, metrics: list) -> dict:
         p, c = (statistics.median(vals[side]) for side in SIDES)
         better = sum((b < a) if lower else (b > a) for a, b in zip(*vals.values()))
         stats = {side: _summary(vals[side]) for side in SIDES}
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        beats_every_run = (max(vals["change"]) < min(vals["parent"]) if lower
+                           else min(vals["change"]) > max(vals["parent"]))
+        bound = m["bound"] * p
         out[name] = {
             **stats,
             "median_change_pct": round(100.0 * (c - p) / p, 1),
             "change_better_pairs": better,
             # a gain counts only beyond the spread of the parent's own runs
-            "median_gap_exceeds_parent_iqr":
-                abs(c - p) > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "median_gap_exceeds_parent_iqr": abs(c - p) > iqr,
+            "verdict": ("unresolved" if iqr > bound and not beats_every_run
+                        else "worse" if (c - p if lower else p - c) > bound
+                        else "within_bound"),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
             "change_runs": [round(v, 4) for v in vals["change"]],
         }
