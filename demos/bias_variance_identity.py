@@ -28,7 +28,7 @@ print("n     risk        bias + var   gap/stderr")
 for n in (50, 100, 200, 400):
     data, clean = sample_dataset(cov, n, target, n)
     lam = 0.01 * n ** (-2 / 3)
-    est = excess_risk_mc(Dataset(data.features, clean), model, lam, 1.0, test,
+    est = excess_risk_mc(Dataset(data.features, clean), model, n * lam, 1.0, test,
                          noise_draws=40, seed=n + 1)
     gap = est.risk - est.bias - est.variance
     print(f"{n:<5d} {est.risk:<11.5f} {est.bias + est.variance:<12.5f} "

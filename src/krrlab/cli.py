@@ -137,10 +137,12 @@ def _cmd_bounds(args) -> int:
             print(f"peak n_* = {ns:.6g}")
         except ConfigError as exc:                # no closed-form peak here
             print(f"peak n_*: {exc}")
-    grid = list(range(max(args.n // 10, 1), args.n + 1, max(args.n // 10, 1)))
+    step = max(args.n // 10, 1)
+    grid = range(step, args.n + 1, step)
     n_at, vmax = numeric_peak(decay, grid, args.d, args.cbar, args.theta,
                               args.gamma, args.beta, args.sigma)
-    print(f"numeric peak over 10-point grid: n={n_at}, V1={vmax:.6g}")
+    print(f"numeric peak over {len(grid)}-point grid n = {step}..{grid[-1]} "
+          f"(step {step}): n={n_at}, V1={vmax:.6g}")
     if decay.kind == "exponential":
         cond = exp_monotone_condition(args.cbar, args.theta, args.gamma, args.a,
                                       args.rstar)

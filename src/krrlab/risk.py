@@ -1,7 +1,7 @@
 """Exact bias-variance decomposition and the evaluable bound curves.
 
-For the ridge estimator with system matrix M = K + n*lambda*I and test
-points x drawn from the data distribution:
+For the ridge estimator with system matrix M = K + ridge*I (n*lambda, or a
+fixed lambda itself) and test points x drawn from the data distribution:
 
     bias     = E_x [ k(x,X)^T M^{-1} f(X) - f(x) ]^2
     variance = sigma^2 E_x || M^{-1} k(x,X) ||^2      (homoskedastic noise)
@@ -27,21 +27,20 @@ Every linearized cell, with or without the radial curvature T, takes
 `spectral_risk_mc`, as does an exact affine kernel, its own linearization:
 K - gamma I = F (I + E) F^T (`linearize.LinFactor`) has rank <= p (d+1, or
 d+3 under curvature), so one eigendecomposition of its smaller side gives
-the fit and variance as filter sums over 1/(w + r), r = n*lambda + gamma
+the fit and variance as filter sums over 1/(w + r), r = ridge + gamma
 (1/w above a roundoff floor at r = 0: the min-norm interpolant), and
 min(w) + r, the exact smallest eigenvalue of M.
 Both routes read the clean responses of the training set and of the test
 sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
 helper checks the test sample's size against the cell and the scalars.
 
-`bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
+Both bounds take the effective ridge b = ridge + gamma, the paper's
+variable.  `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
 n <= p, else its block of F^T F padded with zeros.  Cholesky cells take it
 from a factor without curvature (p = d+1), on scipy's BLAS and LAPACK as
-the rest of their cell, and curvature cells pass in their own core before
-T or their own F^T F.  A spectral cell without curvature reads its own
-F F^T when n <= d+1 and still runs the n x n `eigvalsh` of the core when
-n > d+1.
+the rest of their cell, and spectral cells from their own fit
+(`spectral_risk_mc` names the one exception, an n x n `eigvalsh`).
 """
 
 from __future__ import annotations
@@ -102,13 +101,13 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
-def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
+def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
                 noise_draws: int) -> None:
     """Check a cell's scalars and that its test sample is at least 100
     points of the training width."""
     if noise_draws < 2:
         raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
-    for name, value in (("lam", lam), ("sigma", sigma)):
+    for name, value in (("ridge", ridge), ("sigma", sigma)):
         if not 0 <= value < np.inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     if test.n < 100:
@@ -117,23 +116,23 @@ def _check_cell(data: Dataset, lam: float, sigma: float, test: QuerySample,
         raise ValueError(f"test points must be {data.d} wide, got width {test.d}")
 
 
-def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], lam: float,
+def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], ridge: float,
                    sigma: float, test: QuerySample, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
     with its standard error reported in `mc_stderr`.
 
-    One Cholesky solve against the m cross-kernel columns gives M^{-1} C^T
-    (C the m x n cross kernel, against `test.features`); since M is symmetric
-    the test-point fits of the clean responses `data.responses` and of the
-    noise draws eps (from `seed`) are (M^{-1} C^T)^T [data.responses, eps].
+    One Cholesky solve of M = K + ridge*I against the m cross-kernel columns
+    gives M^{-1} C^T (C the m x n cross kernel, against `test.features`); since
+    M is symmetric the test-point fits of the clean responses `data.responses`
+    and of the noise draws eps (from `seed`) are (M^{-1} C^T)^T [data.responses, eps].
     The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
     of either is made.  That product, as every one of the exact kernel's,
     runs on scipy's BLAS.
     """
-    _check_cell(data, lam, sigma, test, noise_draws)
+    _check_cell(data, ridge, sigma, test, noise_draws)
     K, cross = gram_and_cross(model, data, test.features)
-    minv_cross = solve_regularized(K, data.n * lam, cross.T)   # n x m
+    minv_cross = solve_regularized(K, ridge, cross.T)   # n x m
     del K, cross
 
     eps = _noise(seed, sigma, data.n, noise_draws)
@@ -173,14 +172,14 @@ class QuerySample(Dataset):
         return G
 
 
-def spectral_risk_mc(data: Dataset, model: LinModel, lam: float, sigma: float,
+def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
                      test: QuerySample, noise_draws: int, seed):
     """`excess_risk_mc` for a linearized model, from one small-side
     eigendecomposition of its `linearize.LinFactor`; returns
     (RiskEstimate, V1 spectrum).
 
     With K - gamma I = F (I + E) F^T, the cross kernel Phi L F^T and
-    r = n*lam + gamma, n <= p decomposes the n x n F (I + E) F^T = U W U^T,
+    r = ridge + gamma, n <= p decomposes the n x n F (I + E) F^T = U W U^T,
     and
 
         predictions = Phi L F^T U diag(1/(w+r)) U^T y,
@@ -193,20 +192,21 @@ def spectral_risk_mc(data: Dataset, model: LinModel, lam: float, sigma: float,
     clean responses and `noise_draws` noise vectors drawn from `seed`
     exactly as in `excess_risk_mc`, so the two agree draw for draw.
     min(w) + r, with w padded by the null space's zeros when n > p, is the
-    smallest eigenvalue of K + n*lam I; a value <= 0 raises SingularKernelError
+    smallest eigenvalue of K + ridge I; a value <= 0 raises SingularKernelError
     with it.  At r = 0 the fit is the min-norm interpolant, 1/w above
     `_roundoff_floor` of size max(n, p), and only min(w) below minus it raises.
 
     The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
     sorted descending: without curvature the eigenvalues of F F^T when
-    n <= p, otherwise a separate `eigvalsh` of that n x n matrix; with
-    curvature `LinFactor.core_spectrum` of the fit's own core before T
-    (n <= p) or of its own F^T F.
+    n <= p, otherwise a separate n x n `eigvalsh` of it, the one V1 spectrum
+    not read from the smaller side (README "Known limitations"); with
+    curvature `LinFactor.core_spectrum` of the fit's own core before T (n <= p)
+    or of its own F^T F.
     """
-    _check_cell(data, lam, sigma, test, noise_draws)
+    _check_cell(data, ridge, sigma, test, noise_draws)
     Q, X = test.features, data.features
     n, d = X.shape
-    r = n * lam + model.gamma
+    r = ridge + model.gamma
     Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])
     curved = model.fits_curvature
     factor = lin_factors(model, X)
@@ -234,7 +234,7 @@ def spectral_risk_mc(data: Dataset, model: LinModel, lam: float, sigma: float,
             spectrum = factor.core_spectrum(gram)
             w, V, proj = factor.rotation(w, V, proj)
         else:
-            # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 1
+            # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 15
             spectrum = factor.core_spectrum(factor.core())
         Z = factor.weigh(V)
         smallest = min(w[0], 0.0) + r
@@ -261,17 +261,17 @@ def _roundoff_floor(values: np.ndarray, size: int) -> float:
     return size * np.finfo(float).eps * np.abs(values).max()
 
 
-def bound_v1(spec: Union[Spectrum, np.ndarray], beta: float, d: int, n: int,
-             lam: float, gamma: float, sigma: float) -> float:
-    """Variance bound V1 = sigma^2 beta/d N(spectrum, b), b = n*lam + gamma; at b = 0 the
-    ridgeless fit's min-norm filter: sum 1/l over l above `_roundoff_floor`, size max(n, d+1)."""
+def bound_v1(spec: Union[Spectrum, np.ndarray], beta: float, d: int, b: float,
+             sigma: float) -> float:
+    """Variance bound V1 = sigma^2 beta/d N(spectrum, b); at b = 0 the ridgeless fit's
+    min-norm filter: sum 1/l over l above `_roundoff_floor`, size max(len(l), d+1)."""
     if sigma == 0:
         return 0.0
-    b = n * lam + gamma
     if b != 0:
         return float(sigma ** 2 * beta / d * quantity_N(spec, b))
     v = spec.values if isinstance(spec, Spectrum) else Spectrum(spec).values
-    return float(sigma ** 2 * beta / d * np.sum(1.0 / v[v > _roundoff_floor(v, max(n, d + 1))]))
+    floor = _roundoff_floor(v, max(len(v), d + 1))
+    return float(sigma ** 2 * beta / d * np.sum(1.0 / v[v > floor]))
 
 
 # V2's moment settings: moment-order surplus m of the entry distribution,
@@ -281,14 +281,13 @@ MOMENT_EPSILON = 0.01
 THETA_MOMENT = 0.5 - 2.0 / (8.0 + MOMENT_M)
 
 
-def bound_v2(family: str, n: int, lam: float, gamma: float, d: int,
-             sigma: float) -> float:
-    """Residual variance term V2 (shape curve; constants set to 1).
+def bound_v2(family: str, d: int, b: float, sigma: float) -> float:
+    """Residual variance term V2 at the effective ridge b (shape curve; constants set to 1).
 
-    inner-product: sigma^2 log^{2+4eps} d / ((n lam + gamma)^2 d^{4 theta - 1})
-    radial:        sigma^2 d^{-2 theta} log^{1+eps} d / (n lam + gamma)^2
+    inner-product: sigma^2 log^{2+4eps} d / (b^2 d^{4 theta - 1})
+    radial:        sigma^2 d^{-2 theta} log^{1+eps} d / b^2
 
-    with theta = THETA_MOMENT and eps = MOMENT_EPSILON, and inf at n lam + gamma = 0.
+    with theta = THETA_MOMENT and eps = MOMENT_EPSILON, and inf at b = 0.
     """
     if family not in ("inner_product", "radial"):
         raise ValueError(f"unknown kernel family {family!r}")
@@ -296,9 +295,8 @@ def bound_v2(family: str, n: int, lam: float, gamma: float, d: int,
         raise ValueError("d must be >= 2")
     if sigma == 0:
         return 0.0
-    b = n * lam + gamma
     if not b >= 0:
-        raise ValueError("n*lam + gamma must be >= 0")
+        raise ValueError("b must be >= 0")
     if b == 0:
         return np.inf
     th = THETA_MOMENT

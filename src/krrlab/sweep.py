@@ -5,12 +5,13 @@ A sweep walks a grid of sample sizes; at each n it draws `trials`
 independent datasets, fits the (true or linearized) kernel ridge estimator
 under the schedule lambda = cbar * n^(-theta) (or a fixed ridge), and
 records the empirical bias, variance and risk together with the evaluable
-bound curves.  `_cell` is one (n, trial) cell: its seeded draw, its route,
-both bounds, and six floats (bias, variance, risk, V1, V2, stderr^2); each
-point of the curve is the per-column mean of its `trials` cells, in trial
-order.  All Monte-Carlo expectations share one test sample per sweep
-(common random numbers) and every cell carries its own seeded stream, so
-the output is byte-identical across reruns.
+bound curves.  `_cell` is one (n, trial) cell: its seeded draw, its route
+with the ridge `_lambdas` sets (n*lambda, or a fixed lambda itself), both
+bounds at b = ridge + gamma_eff, and six floats (bias, variance, risk, V1,
+V2, stderr^2); each point of the curve is the per-column mean of its
+`trials` cells, in trial order.  All Monte-Carlo expectations share one
+test sample per sweep (common random numbers) and every cell carries its
+own seeded stream, so the output is byte-identical across reruns.
 
 A sweep has two routes.  Every linearized cell, `lin_curvature` or not, is
 one small-side eigendecomposition of its rank <= d+3 factored form
@@ -25,9 +26,8 @@ eigendecomposition (a cell that fails to factor raises
 SingularKernelError).  V1's spectrum, of the rank <= d+1 matrix
 alpha 11^T + beta XX^T/d, comes from its smaller Gram side
 (`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
-alpha = 0; a curvature cell reads its own core or F^T F), except that a
-spectral cell without curvature still runs an n x n `eigvalsh` for it when
-n > d+1.
+alpha = 0; a curvature cell reads its own core or F^T F), with the one
+exception that `risk.spectral_risk_mc` names.
 
 Each route stays on one OpenBLAS, and `DataSource.spectral` names a call's
 route.  Every product and decomposition of a Cholesky cell, V1's and the
@@ -42,7 +42,7 @@ kernel is built: the synthetic sampler's QR at n <= d.
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input: `lin_curvature` and `gamma_override` on an exact
 kernel and `lin_curvature` on an inner-product one are rejected, and a
-ridgeless n*lambda + gamma_eff = 0 runs with or without noise (V1 takes the
+ridgeless b = ridge + gamma_eff = 0 runs with or without noise (V1 takes the
 fit's min-norm filter, V2 is inf).  `DataSource` loads the data of one call,
 synthetic or real, in one place and builds its kernel; `_cell` reads both.
 
@@ -189,10 +189,20 @@ def parse_grid(text) -> list:
     return grid
 
 
-_COUNT_FIELDS = ("degree", "d", "trials", "seed", "test_points", "noise_draws")
-_REAL_FIELDS = ("sigma", "cbar", "theta", "source_r", "a", "fixed_lambda", "gamma_override")
-_OPTIONAL_FIELDS = ("a", "fixed_lambda", "gamma_override")
-_FLAG_FIELDS = ("use_linearized", "lin_curvature", "standardize")
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# `ExperimentConfig`'s type checks, keyed by a field's annotation: (accepts
+# the value, what the value must be)
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (_finite_real, "a finite number"),
+    "Optional[float]": (lambda v: v is None or _finite_real(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a path string"),
+}
 
 
 @dataclass
@@ -223,26 +233,13 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        for name in _COUNT_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        for name in _REAL_FIELDS:
-            v = getattr(self, name)
-            if v is None and name in _OPTIONAL_FIELDS:
-                continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        for name in _FLAG_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, bool):
-                raise ConfigError(f"{name} must be true or false, got {v!r}")
+        for field in dataclasses.fields(self):
+            accepts, must_be = _TYPE_CHECKS.get(field.type, (lambda v: True, None))
+            v = getattr(self, field.name)
+            if not accepts(v):
+                raise ConfigError(f"{field.name} must be {must_be}, got {v!r}")
         if self.mode not in ("synth", "real"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for name in ("input_path", "output_path"):
-            v = getattr(self, name)
-            if v is not None and not isinstance(v, str):
-                raise ConfigError(f"{name} must be a path string, got {v!r}")
         spec = kernel_by_name(self.kernel, self.degree)
         self.grid = parse_grid(self.n_grid)
         if self.d < 2:
@@ -400,16 +397,17 @@ class DataSource:
 
 
 def _lambdas(config: ExperimentConfig, n: int):
-    """(the lambda reported at n, the lambda the solve scales by n)."""
+    """(the lambda reported at n, the ridge the solve adds to K's diagonal):
+    (lambda, n*lambda) on the schedule, (lambda, lambda) for a fixed lambda."""
     if config.fixed_lambda is not None:
-        return config.fixed_lambda, config.fixed_lambda / n   # ridge n*lam == fixed_lambda
+        return config.fixed_lambda, config.fixed_lambda
     lam = config.cbar * float(n) ** (-config.theta)
-    return lam, lam
+    return lam, n * lam
 
 
-def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
+def _cell(source: DataSource, n: int, t: int, ridge: float) -> tuple:
     """(bias, variance, risk, V1, V2, stderr^2) of cell (n, trial t) of the
-    source's call, whose solve scales `lam` by n."""
+    source's call, whose solve adds `ridge` to K's diagonal."""
     config, spec = source.config, source.spec
     rng = np.random.default_rng([config.seed, n, t])
     data = source.train(n, t, rng)
@@ -417,17 +415,17 @@ def _cell(source: DataSource, n: int, t: int, lam: float) -> tuple:
     lin = source.lin_model(data.features)
     try:
         if source.spectral:
-            est, spectrum = spectral_risk_mc(data, lin, lam, config.sigma, test,
+            est, spectrum = spectral_risk_mc(data, lin, ridge, config.sigma, test,
                                              config.noise_draws, rng)
         else:
-            est = excess_risk_mc(data, spec, lam, config.sigma, test, config.noise_draws, rng)
+            est = excess_risk_mc(data, spec, ridge, config.sigma, test, config.noise_draws, rng)
             spectrum = lin_factors(lin, data.features).core_spectrum()
     except SingularKernelError as exc:
-        raise SingularKernelError(
-            f"cell n={n}, trial {t}, ridge n*lambda={n * lam:.6g}: {exc}",
-            exc.smallest_eigenvalue) from exc
-    v1 = bound_v1(spectrum, lin.params.beta, data.d, n, lam, lin.gamma, config.sigma)
-    v2 = bound_v2(spec.family, n, lam, lin.gamma, data.d, config.sigma)
+        raise SingularKernelError(f"cell n={n}, trial {t}, ridge {ridge:.6g}: {exc}",
+                                  exc.smallest_eigenvalue) from exc
+    b = ridge + lin.gamma
+    v1 = bound_v1(spectrum, lin.params.beta, data.d, b, config.sigma)
+    v2 = bound_v2(spec.family, data.d, b, config.sigma)
     return est.bias, est.variance, est.risk, v1, v2, est.mc_stderr ** 2
 
 
@@ -438,13 +436,13 @@ def run_sweep(config: ExperimentConfig):
     source = DataSource(config, config.grid[-1])
     points = []
     for n in config.grid:
-        lam_user, lam = _lambdas(config, n)
-        cells = np.array([_cell(source, n, t, lam) for t in range(config.trials)])
+        lam, ridge = _lambdas(config, n)
+        cells = np.array([_cell(source, n, t, ridge) for t in range(config.trials)])
         # 1-D means in trial order: np.mean(cells, axis=0) sums in another order
         bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in cells.T)
         ref = bias_ref(n, config.theta if config.fixed_lambda is None else 0.0,
                        config.source_r)
-        points.append(RiskPoint(n, lam_user, bias, var, risk, v1, v2, float(ref),
+        points.append(RiskPoint(n, lam, bias, var, risk, v1, v2, float(ref),
                                 float(np.sqrt(stderr_sq / config.trials))))
     csv_text = write_csv(points, config.output_path)
     return points, csv_text

@@ -172,7 +172,7 @@ def test_c04_decomposition_identity():
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
         model = LinModel(params, gamma_override=0.0)
         lam = CBAR * n ** (-2 / 3)
-        est = excess_risk_mc(Dataset(data.features, clean), model, lam, SIGMA, test,
+        est = excess_risk_mc(Dataset(data.features, clean), model, n * lam, SIGMA, test,
                              noise_draws=50, seed=[5, n])
         gaps.append(abs(est.risk - est.bias - est.variance) / (4 * est.mc_stderr))
     dt = time.time() - t0

@@ -264,8 +264,8 @@ def test_ridgeless_sweeps_run_with_and_without_noise(flags, sigma, tmp_path, cap
 @pytest.mark.parametrize("text,field", [
     ('{"n_grid": 5}', "n_grid"), ('{"output_path": 5}', "output_path"),
     ('{"n_grid": [10, 20.5]}', "n_grid"), ("{", "not valid JSON"),
-    (b'{"kernel": "\xe9"}', "not valid JSON")], ids=["grid", "output", "grid-float", "json",
-                                                      "utf8"])
+    (b'{"kernel": "\xe9"}', "not valid JSON"), ("[40]", "must be a JSON object")],
+    ids=["grid", "output", "grid-float", "json", "utf8", "not-an-object"])
 def test_bad_config_file_exits_two(text, field, tmp_path, no_sampling, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -396,3 +396,14 @@ def test_degree_one_polynomial_real_sweep_runs(capsys):
                    "--kernel", "polynomial", "--degree", "1"])
     assert rc == 0
     assert "sweep done: 2 grid points" in capsys.readouterr().out
+
+
+def test_bounds_prints_the_grid_it_searched(capsys):
+    # n = 15 gives step 1, so the numeric peak searches 15 points, not 10
+    rc = cli.main(["bounds", "--decay", "polynomial", "--a", "1", "--rstar", "100000",
+                   "--n", "15", "--cbar", "0.01", "--theta", "0.2", "--gamma", "5"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "peak n_* = 1552.57" in out
+    assert any(line.startswith("numeric peak over 15-point grid n = 1..15 (step 1): n=15, V1=")
+               for line in out)

@@ -19,6 +19,12 @@ def _synth(n, d, seed=0, kind="harmonic", sigma=1.0):
 
 
 class TestDataset:
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((0, 2)), np.zeros((3, 0)),
+                                   np.zeros((3, 2, 1))], ids=["1-d", "no-rows", "no-columns", "3-d"])
+    def test_features_must_be_a_nonempty_matrix(self, X):
+        with pytest.raises(ValueError, match="features must be a nonempty 2-d matrix"):
+            Dataset(X, np.zeros(X.shape[0]))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.eye(3), np.zeros(2))
@@ -461,7 +467,7 @@ class TestExactCellMemory:
         spec, data, Q = self._problem()
         test = QuerySample(Q, np.sin(Q[:, 0]))
         data = Dataset(data.features, np.sin(data.features[:, 0]))
-        peak, est = self._peak(lambda: excess_risk_mc(data, spec, 1e-3, 0.5, test, 50, 0))
+        peak, est = self._peak(lambda: excess_risk_mc(data, spec, 1.0, 0.5, test, 50, 0))
         assert peak < 2.7
         assert est.variance > 0
 
@@ -474,7 +480,7 @@ class TestExactCellMemory:
         spec, data, Q = self._problem()
         test = QuerySample(Q, np.sin(Q[:, 0]))
         data = Dataset(data.features, np.sin(data.features[:, 0]))
-        peak, _ = self._peak(lambda: excess_risk_mc(data, spec, 1e-3, 0.5, test, 50, 0))
+        peak, _ = self._peak(lambda: excess_risk_mc(data, spec, 1.0, 0.5, test, 50, 0))
         assert peak < 1.5
 
     def test_krr_fit_factors_its_own_k(self):
@@ -482,3 +488,8 @@ class TestExactCellMemory:
         peak, model = self._peak(lambda: krr_fit(spec, data, 1e-3))
         assert peak < 1.15
         assert model.dual_coef.shape == (self.N,)
+
+
+def test_unknown_kernel_family_rejected():
+    with pytest.raises(ValueError, match="unknown kernel family 'spherical'"):
+        KernelSpec("spherical", "custom")

@@ -146,3 +146,15 @@ def test_random_round_trip_with_zeros_is_bit_exact(tmp_path):
     back = parse_libsvm(path, 25)
     assert back.features.tobytes() == X.tobytes()
     assert back.responses.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("content,d,message", [
+    (b"1 1:1\n", 0, "d must be >= 1"),
+    (b"", 4, "no records in"),
+    (b"\n\n", 4, "no records in"),
+], ids=["d-0", "empty", "blank-lines"])
+def test_no_records_or_width_rejected(tmp_path, content, d, message):
+    p = tmp_path / "toy.libsvm"
+    p.write_bytes(content)
+    with pytest.raises(DataFormatError, match=message):
+        parse_libsvm(str(p), d)

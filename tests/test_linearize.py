@@ -529,3 +529,14 @@ def test_estimate_trace_ratio_same_bits_on_either_blas(n, d):
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lin_cross_kernel_matrix(LinModel(linearize_params(KernelSpec.gaussian(), 1.0, 0.1)),
+                                    Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((5, 2))),
+    lambda: moment_diagnostics(Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((100, 2)),
+                               sigma_d=np.ones(3)),
+], ids=["lin_cross_kernel_matrix", "moment_diagnostics"])
+def test_query_width_checked(call):
+    with pytest.raises(ValueError, match="queries have width 2, expected 3"):
+        call()

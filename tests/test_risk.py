@@ -29,14 +29,14 @@ def _config(n=60, d=120, sigma=1.0, seed=0, m=200):
     return cov, data, test_X, clean_test
 
 
-def _bias(data, model, lam, test_X, clean_test):
-    return excess_risk_mc(data, model, lam, 0.0, QuerySample(test_X, clean_test),
+def _bias(data, model, ridge, test_X, clean_test):
+    return excess_risk_mc(data, model, ridge, 0.0, QuerySample(test_X, clean_test),
                           noise_draws=2, seed=0).bias
 
 
-def _variance(data, model, lam, sigma, test_X):
+def _variance(data, model, ridge, sigma, test_X):
     test = QuerySample(test_X, np.zeros(test_X.shape[0]))
-    return excess_risk_mc(data, model, lam, sigma, test, noise_draws=2, seed=0).variance
+    return excess_risk_mc(data, model, ridge, sigma, test, noise_draws=2, seed=0).variance
 
 
 class TestEmpiricalBias:
@@ -52,7 +52,7 @@ class TestEmpiricalBias:
         assert b == pytest.approx(np.mean(clean_test ** 2), rel=1e-6)
 
     def test_single_point_closed_form(self):
-        d, lam = 2, 0.3
+        d, ridge = 2, 0.3                    # n = 1
         x1 = np.array([2.0, 0.0])
         s = x1 @ x1 / d                      # = 2
         c = 1.5
@@ -61,8 +61,8 @@ class TestEmpiricalBias:
         q = x @ x1 / d
         f_star = 0.25
         test_X = np.tile(x, (100, 1))
-        got = _bias(data, KernelSpec.linear(), lam, test_X, np.full(100, f_star))
-        assert got == pytest.approx((q * c / (s + lam) - f_star) ** 2, rel=1e-12)
+        got = _bias(data, KernelSpec.linear(), ridge, test_X, np.full(100, f_star))
+        assert got == pytest.approx((q * c / (s + ridge) - f_star) ** 2, rel=1e-12)
 
     def test_requires_enough_test_points(self):
         cov, data, test_X, clean_test = _config()
@@ -82,27 +82,27 @@ class TestEmpiricalVariance:
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_identity_gram_toy(self):
-        # orthogonal scaled rows + linear kernel give K = I; with n*lam = 1 and
+        # orthogonal scaled rows + linear kernel give K = I; with ridge 1 and
         # k(x, X) = (1, 0) the variance is sigma^2 / 4
         d = 6
         X = np.zeros((2, d))
         X[0, 0] = X[1, 1] = np.sqrt(d)
         data = Dataset(X, np.zeros(2))
         q = np.tile(X[0], (100, 1))
-        v = _variance(data, KernelSpec.linear(), 0.5, 1.3, q)
+        v = _variance(data, KernelSpec.linear(), 1.0, 1.3, q)
         assert v == pytest.approx(1.3 ** 2 / 4.0, rel=1e-12)
 
     def test_nonincreasing_in_lambda(self):
         cov, data, test_X, _ = _config()
-        vals = [_variance(data, KernelSpec.gaussian(), lam, 1.0, test_X)
-                for lam in (0.0, 1e-4, 1e-2, 1.0)]
+        vals = [_variance(data, KernelSpec.gaussian(), ridge, 1.0, test_X)
+                for ridge in (0.0, 6e-3, 0.6, 60.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestExcessRiskMc:
     def test_noiseless_risk_equals_bias(self):
         cov, data, test_X, clean_test = _config(sigma=0.0)
-        est = excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 0.0,
+        est = excess_risk_mc(data, KernelSpec.gaussian(), 0.06, 0.0,
                              QuerySample(test_X, clean_test), noise_draws=5, seed=0)
         assert est.risk == pytest.approx(est.bias, rel=1e-12)
         assert est.variance == 0.0
@@ -110,14 +110,14 @@ class TestExcessRiskMc:
     def test_zero_everything(self):
         cov, data, test_X, _ = _config(sigma=0.0)
         zero = Dataset(data.features, np.zeros(data.n))
-        est = excess_risk_mc(zero, KernelSpec.gaussian(), 1e-3, 0.0,
+        est = excess_risk_mc(zero, KernelSpec.gaussian(), 0.06, 0.0,
                              QuerySample(test_X, np.zeros(test_X.shape[0])),
                              noise_draws=5, seed=0)
         assert est.risk == est.bias == est.variance == 0.0
 
     def test_decomposition_identity(self):
         cov, data, test_X, clean_test = _config(n=80, d=160, m=400)
-        est = excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0,
+        est = excess_risk_mc(data, KernelSpec.gaussian(), 0.08, 1.0,
                              QuerySample(test_X, clean_test), noise_draws=50, seed=3)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
@@ -125,14 +125,14 @@ class TestExcessRiskMc:
         cov, data, test_X, clean_test = _config(n=70, d=140, m=400)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         model = LinModel(p, gamma_override=0.0)
-        est = excess_risk_mc(data, model, 1e-3, 1.0, QuerySample(test_X, clean_test),
+        est = excess_risk_mc(data, model, 0.07, 1.0, QuerySample(test_X, clean_test),
                              noise_draws=50, seed=4)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
 
     def test_needs_two_draws(self):
         cov, data, test_X, clean_test = _config()
         with pytest.raises(ValueError):
-            excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0,
+            excess_risk_mc(data, KernelSpec.gaussian(), 0.06, 1.0,
                            QuerySample(test_X, clean_test), noise_draws=1, seed=0)
 
 
@@ -158,18 +158,17 @@ class TestSpectralRiskMc:
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
         data = _clean_set(cov, n, target, [4, n])
-        lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
-        gamma = params.gamma if gamma_override is None else gamma_override
+        ridge = 1e-2 if fixed else 0.01 * n ** (1 / 3)      # n * 0.01 n^(-2/3)
+        b = ridge + (params.gamma if gamma_override is None else gamma_override)
 
-        ref = excess_risk_mc(data, model, lam, 1.0, test, 6, np.random.default_rng(8))
-        est, spectrum = spectral_risk_mc(data, model, lam, 1.0, test, 6,
+        ref = excess_risk_mc(data, model, ridge, 1.0, test, 6, np.random.default_rng(8))
+        est, spectrum = spectral_risk_mc(data, model, ridge, 1.0, test, 6,
                                          np.random.default_rng(8))
         for got, want in ((est.bias, ref.bias), (est.variance, ref.variance),
                           (est.risk, ref.risk), (est.mc_stderr, ref.mc_stderr)):
             assert got == pytest.approx(want, rel=1e-9)
-        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, d, n,
-                          lam, gamma, 1.0)
-        v1 = bound_v1(spectrum, params.beta, d, n, lam, gamma, 1.0)
+        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, d, b, 1.0)
+        v1 = bound_v1(spectrum, params.beta, d, b, 1.0)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
         assert spectrum.shape == (n,) and np.all(np.diff(spectrum) <= 0)
 
@@ -195,32 +194,32 @@ class TestSpectralRiskMc:
         # p = d+3 = 33 columns of F, so n = 15 and 33 take the n x n core plus
         # T and n = 34, 60, 120 the p x p rotation
         model, data, test = self._curvature_cell(n, variant)
-        lam = 1e-2 / n if fixed else 0.01 * n ** (-2 / 3)
+        ridge = 1e-2 if fixed else 0.01 * n ** (1 / 3)      # n * 0.01 n^(-2/3)
         params = model.params
-        est, spectrum = spectral_risk_mc(data, model, lam, 0.7, test, 6, 5)
-        want = _explicit_cholesky_cell(data, model, lam, 0.7, test.features,
+        est, spectrum = spectral_risk_mc(data, model, ridge, 0.7, test, 6, 5)
+        want = _explicit_cholesky_cell(data, model, ridge, 0.7, test.features,
                                        test.responses, 6, 5)
         for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
             assert got == pytest.approx(ref, rel=1e-9)
-        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D,
-                          n, lam, model.gamma, 0.7)
-        v1 = bound_v1(spectrum, params.beta, self.D, n, lam, model.gamma, 0.7)
+        b = ridge + model.gamma
+        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, b, 0.7)
+        v1 = bound_v1(spectrum, params.beta, self.D, b, 0.7)
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
 
     @pytest.mark.parametrize("n", [60, 120])
     def test_indefinite_curvature_cell_reports_its_smallest_eigenvalue(self, n):
         model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
-        lam = 0.01 * n ** (-2 / 3)
+        ridge = 0.01 * n ** (1 / 3)
         with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
-            spectral_risk_mc(data, model, lam, 0.7, test, 6, 5)
+            spectral_risk_mc(data, model, ridge, 0.7, test, 6, 5)
         K, _ = gram_and_cross(model, data, test.features)
-        dense = np.linalg.eigvalsh(K + n * lam * np.eye(n))[0]
+        dense = np.linalg.eigvalsh(K + ridge * np.eye(n))[0]
         assert dense < 0
         assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
 
     @pytest.mark.parametrize("n", [60, 120])
     def test_ridgeless_indefinite_curvature_cell_raises(self, n):
-        # at n*lam + gamma_eff = 0 the min-norm filter drops only the
+        # at ridge + gamma_eff = 0 the min-norm filter drops only the
         # roundoff null space; a negative eigenvalue still raises
         model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
         with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
@@ -232,7 +231,7 @@ class TestSpectralRiskMc:
 
 
 class TestRidgelessFilter:
-    """At n*lam + gamma_eff = 0 `spectral_risk_mc` fits the min-norm
+    """At ridge + gamma_eff = 0 `spectral_risk_mc` fits the min-norm
     interpolant: an affine kernel's model is F F^T exactly, so its
     predictions are A F^+ y, A the cross kernel's factor of the test
     points, which `np.linalg.lstsq` computes on F itself."""
@@ -281,39 +280,39 @@ class TestRidgelessFilter:
 
     @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
     def test_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
-        # a fixed ridge n*lam = 1e-10, as `fixed_lambda` sets it
+        # a fixed ridge 1e-10, as `fixed_lambda` sets it
         model, data, test = self._cell(kernel, n)
         ridgeless, _ = spectral_risk_mc(data, model, 0.0, 0.7, test, 6, 5)
-        tiny, _ = spectral_risk_mc(data, model, 1e-10 / n, 0.7, test, 6, 5)
+        tiny, _ = spectral_risk_mc(data, model, 1e-10, 0.7, test, 6, 5)
         for field in ("bias", "variance", "risk", "mc_stderr"):
             assert getattr(ridgeless, field) == pytest.approx(getattr(tiny, field), rel=1e-8)
 
 
 class TestBounds:
     def test_v1_zero_sigma(self):
-        assert bound_v1(np.array([2.0, 1.0]), 1.0, 10, 5, 0.1, 0.0, 0.0) == 0.0
+        assert bound_v1(np.array([2.0, 1.0]), 1.0, 10, 0.5, 0.0) == 0.0
 
     def test_v1_per_term_cap(self):
         spec = np.array([5.0, 2.0, 1.0, 0.0])
-        v = bound_v1(spec, 2.0, 100, 50, 1e-3, 0.1, 1.5)
-        cap = 1.5 ** 2 * 2.0 * 3 / (4 * (50 * 1e-3 + 0.1) * 100)
+        v = bound_v1(spec, 2.0, 100, 0.15, 1.5)
+        cap = 1.5 ** 2 * 2.0 * 3 / (4 * 0.15 * 100)
         assert v <= cap + 1e-12
 
     def test_v1_matches_quantity(self):
         spec = np.array([3.0, 1.0, 0.25])
-        v = bound_v1(spec, 1.7, 20, 8, 0.05, 0.3, 2.0)
-        assert v == pytest.approx(4.0 * 1.7 / 20 * quantity_N(spec, 8 * 0.05 + 0.3))
+        v = bound_v1(spec, 1.7, 20, 0.7, 2.0)
+        assert v == pytest.approx(4.0 * 1.7 / 20 * quantity_N(spec, 0.7))
 
     def test_v2_cases(self):
         # moment-order surplus m = 8 gives theta = 1/2 - 2/(8 + m) = 0.375; eps = 0.01
-        assert bound_v2("radial", 100, 1e-3, 0.1, 50, 0.0) == 0.0
-        vals = [bound_v2("radial", 100, 1e-3, 0.1, d, 1.0) for d in (50, 100, 200)]
+        b = 0.2
+        assert bound_v2("radial", 50, b, 0.0) == 0.0
+        vals = [bound_v2("radial", d, b, 1.0) for d in (50, 100, 200)]
         assert vals[0] > vals[1] > vals[2]
-        inner = bound_v2("inner_product", 100, 1e-3, 0.1, 50, 1.0)
-        b = 100 * 1e-3 + 0.1
+        inner = bound_v2("inner_product", 50, b, 1.0)
         expect = np.log(50) ** (2 + 4 * 0.01) / (b ** 2 * 50 ** (4 * 0.375 - 1))
         assert inner == pytest.approx(expect, rel=1e-12)
-        radial = bound_v2("radial", 100, 1e-3, 0.1, 50, 1.0)
+        radial = bound_v2("radial", 50, b, 1.0)
         assert radial == pytest.approx(50 ** (-2 * 0.375) * np.log(50) ** (1 + 0.01) / b ** 2,
                                        rel=1e-12)
 
@@ -337,7 +336,7 @@ class TestBounds:
 
 
 class TestRidgelessBounds:
-    """V1 and V2 at b = n*lam + gamma = 0, where the fit is the min-norm
+    """V1 and V2 at b = ridge + gamma = 0, where the fit is the min-norm
     interpolant (`TestRidgelessFilter`): V1 is the affine kernel's
     sigma^2 beta/d tr(K^+), and V2 is inf, its sigma^2/b^2 limit."""
 
@@ -357,15 +356,15 @@ class TestRidgelessBounds:
         K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
         pinv = np.linalg.pinv(K, rcond=1e-10, hermitian=True)
         want = 0.7 ** 2 * params.beta / self.D * np.trace(pinv)
-        got = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, n, 0.0, 0.0, 0.7)
+        got = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, 0.0, 0.7)
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
     def test_v1_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
         params, data = self._cell(kernel, n)
         spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
-        at_zero = bound_v1(spectrum, params.beta, self.D, n, 0.0, 0.0, 0.7)
-        gaps = [abs(bound_v1(spectrum, params.beta, self.D, n, b / n, 0.0, 0.7) / at_zero - 1)
+        at_zero = bound_v1(spectrum, params.beta, self.D, 0.0, 0.7)
+        gaps = [abs(bound_v1(spectrum, params.beta, self.D, b, 0.7) / at_zero - 1)
                 for b in (1e-4, 1e-6, 1e-8)]
         assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-6
 
@@ -376,23 +375,23 @@ class TestRidgelessBounds:
         spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
         assert np.count_nonzero(spectrum) == self.D + 1
         noisy = np.where(spectrum > 0, spectrum, 1e-13)
-        assert (bound_v1(noisy, params.beta, self.D, n, 0.0, 0.0, 0.7)
-                == bound_v1(spectrum, params.beta, self.D, n, 0.0, 0.0, 0.7))
+        assert (bound_v1(noisy, params.beta, self.D, 0.0, 0.7)
+                == bound_v1(spectrum, params.beta, self.D, 0.0, 0.7))
 
     def test_v2_is_infinite_and_noiseless_bounds_vanish(self):
         for family in ("radial", "inner_product"):
-            assert bound_v2(family, 100, 0.0, 0.0, 50, 1.0) == np.inf
-            assert bound_v2(family, 100, 0.0, 0.0, 50, 0.0) == 0.0
-        assert bound_v1(np.array([2.0, 1.0, 0.0]), 1.0, 10, 3, 0.0, 0.0, 0.0) == 0.0
+            assert bound_v2(family, 50, 0.0, 1.0) == np.inf
+            assert bound_v2(family, 50, 0.0, 0.0) == 0.0
+        assert bound_v1(np.array([2.0, 1.0, 0.0]), 1.0, 10, 0.0, 0.0) == 0.0
 
     def test_negative_ridge_and_unknown_family_still_raise(self):
         with pytest.raises(ValueError, match="b must be finite and > 0"):
-            bound_v1(np.array([2.0, 1.0]), 1.0, 10, 2, -0.1, 0.0, 1.0)
-        with pytest.raises(ValueError, match="must be >= 0"):
-            bound_v2("radial", 100, -1e-3, 0.0, 50, 1.0)
+            bound_v1(np.array([2.0, 1.0]), 1.0, 10, -0.2, 1.0)
+        with pytest.raises(ValueError, match="b must be >= 0"):
+            bound_v2("radial", 50, -0.1, 1.0)
         for sigma in (0.0, 1.0):        # before the early returns at sigma = 0 and b = 0
             with pytest.raises(ValueError, match="unknown kernel family"):
-                bound_v2("spherical", 100, 0.0, 0.0, 50, sigma)
+                bound_v2("spherical", 50, 0.0, sigma)
 
 
 class TestInSpanRate:
@@ -411,49 +410,49 @@ class TestInSpanRate:
         biases, ns = [], [200, 400, 800]
         for n in ns:
             data, _ = sample_dataset(cov, n, TargetSpec(noise_sigma=0.0), n)
-            lam = 0.01 * n ** (-theta)
-            b = _bias(Dataset(data.features, np.ones(n)), model, lam, test_X, ones_test)
+            ridge = 0.01 * n ** (1 - theta)       # n * 0.01 n^(-theta)
+            b = _bias(Dataset(data.features, np.ones(n)), model, ridge, test_X, ones_test)
             biases.append(b)
         assert biases[0] > biases[1] > biases[2]
         slope = np.polyfit(np.log(ns), np.log(biases), 1)[0]
         assert -2.4 <= slope <= -1.0      # schedule-driven decay, rate ~ n^(-2 theta)
 
 
-def _spectral_cell(lam=1e-3, sigma=1.0, m=120, width=40, noise_draws=4):
+def _spectral_cell(ridge=0.03, sigma=1.0, m=120, width=40, noise_draws=4):
     cov, data, test_X, clean_test = _config(n=30, d=40, m=m)
     p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-    return spectral_risk_mc(data, LinModel(p), lam, sigma,
+    return spectral_risk_mc(data, LinModel(p), ridge, sigma,
                             QuerySample(test_X[:, :width], clean_test), noise_draws, 0)
 
 
-def _exact_cell(lam=1e-3, sigma=1.0):
+def _exact_cell(ridge=0.06, sigma=1.0):
     cov, data, test_X, clean_test = _config()
-    return excess_risk_mc(data, KernelSpec.gaussian(), lam, sigma,
+    return excess_risk_mc(data, KernelSpec.gaussian(), ridge, sigma,
                           QuerySample(test_X, clean_test), noise_draws=2, seed=0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: _exact_cell(lam=np.nan),
+    lambda: _exact_cell(ridge=np.nan),
     lambda: _exact_cell(sigma=-1.0),
     lambda: _spectral_cell(width=39),
     lambda: _spectral_cell(noise_draws=1),
-    lambda: _spectral_cell(lam=-1e-3),
+    lambda: _spectral_cell(ridge=-1e-3),
     lambda: _spectral_cell(sigma=-1.0),
     lambda: _spectral_cell(m=99),
-], ids=["excess_risk_mc-lam", "excess_risk_mc-sigma", "spectral-width",
-        "spectral-noise_draws", "spectral-lam", "spectral-sigma", "spectral-test_points"])
+], ids=["excess_risk_mc-ridge", "excess_risk_mc-sigma", "spectral-width",
+        "spectral-noise_draws", "spectral-ridge", "spectral-sigma", "spectral-test_points"])
 def test_nan_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()
 
 
-def _explicit_cholesky_cell(data, model, lam, sigma, test_X, clean_test, draws, seed):
+def _explicit_cholesky_cell(data, model, ridge, sigma, test_X, clean_test, draws, seed):
     """The cell as one Cholesky solve of [data.responses, eps, cross^T], fits
     read as cross @ coefficients: the reference for `excess_risk_mc`."""
     K, cross = gram_and_cross(model, data, test_X)
     eps = sigma * np.random.default_rng(seed).standard_normal((data.n, draws))
     rhs = np.concatenate([data.responses[:, None], eps, cross.T], axis=1)
-    cf = scipy.linalg.cho_factor(K + data.n * lam * np.eye(data.n), lower=True)
+    cf = scipy.linalg.cho_factor(K + ridge * np.eye(data.n), lower=True)
     sol = scipy.linalg.cho_solve(cf, rhs)
     bias_resid = cross @ sol[:, 0] - clean_test
     resid = bias_resid[:, None] + cross @ sol[:, 1:1 + draws]
@@ -470,8 +469,8 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
     spec = KernelSpec.gaussian()
     model = (spec if kind == "exact" else
              LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
-    est = excess_risk_mc(data, model, 1e-3, 0.7, QuerySample(test_X, clean_test), 20, 5)
-    bias, variance, risk, stderr = _explicit_cholesky_cell(data, model, 1e-3, 0.7,
+    est = excess_risk_mc(data, model, 0.09, 0.7, QuerySample(test_X, clean_test), 20, 5)
+    bias, variance, risk, stderr = _explicit_cholesky_cell(data, model, 0.09, 0.7,
                                                            test_X, clean_test, 20, 5)
     assert est.bias == pytest.approx(bias, rel=1e-12)
     assert est.variance == pytest.approx(variance, rel=1e-12)
@@ -489,7 +488,7 @@ class TestResponseLengths:
         if clean is not None:
             data = Dataset(data.features, clean)
         test = QuerySample(test_X, good_test if clean_test is None else clean_test)
-        return excess_risk_mc(data, KernelSpec.gaussian(), 1e-3, 1.0, test, 4, 0)
+        return excess_risk_mc(data, KernelSpec.gaussian(), 0.03, 1.0, test, 4, 0)
 
     def test_scalar_clean_test(self):
         with pytest.raises(ValueError, match="responses length 1 does not match 120 feature rows"):
@@ -519,7 +518,7 @@ class TestResponseLengths:
         cov, data, test_X, clean_test = _config(n=30, d=40, m=120)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         with pytest.raises(ValueError, match="responses length 29 does not match 30 feature rows"):
-            spectral_risk_mc(Dataset(data.features, np.zeros(29)), LinModel(p), 1e-3, 1.0,
+            spectral_risk_mc(Dataset(data.features, np.zeros(29)), LinModel(p), 0.03, 1.0,
                              QuerySample(test_X, clean_test), 4, 0)
 
 
@@ -540,4 +539,15 @@ def test_non_finite_training_or_test_sample_rejected(route, sample, bad):
              LinModel(linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)))
     cell = excess_risk_mc if route == "exact" else spectral_risk_mc
     with pytest.raises(ValueError, match="contain non-finite entries"):
-        cell(Dataset(*arrays["train"]), model, 1e-3, 1.0, QuerySample(*arrays["test"]), 4, 0)
+        cell(Dataset(*arrays["train"]), model, 0.03, 1.0, QuerySample(*arrays["test"]), 4, 0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: bias_ref(0, 0.5, 1.0), "n must be >= 1"),
+    (lambda: bias_ref(10, 0.5, 0.0), r"r must lie in \(0, 1\]"),
+    (lambda: bias_ref(10, 0.5, 1.5), r"r must lie in \(0, 1\]"),
+    (lambda: bound_v2("radial", 1, 1.0, 1.0), "d must be >= 2"),
+], ids=["bias_ref-n", "bias_ref-r-0", "bias_ref-r-above-1", "bound_v2-d"])
+def test_reference_and_bound_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

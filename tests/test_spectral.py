@@ -329,9 +329,11 @@ class TestExpMonotoneCondition:
     (lambda: peak_point(DecaySpec("harmonic"), np.nan, 0.5, 1.0), "cbar must be >= 0"),
     (lambda: peak_point(DecaySpec("polynomial"), -0.1, 0.5, 1.0), "cbar must be >= 0"),
     (lambda: peak_point(DecaySpec("polynomial"), np.inf, 0.5, 1.0), "cbar must be >= 0"),
+    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 1.0, 1.0), r"theta must lie in \[0, 1\)"),
+    (lambda: peak_point(DecaySpec("polynomial", 1.0), 0.01, -0.1, 1.0), "theta must lie in"),
 ], ids=["peak_point-nan-gamma", "decay-float-r_star", "decay-bool-r_star",
         "peak_point-inf-gamma", "peak_point-nan-cbar", "peak_point-negative-cbar",
-        "peak_point-inf-cbar"])
+        "peak_point-inf-cbar", "peak_point-theta-1", "peak_point-negative-theta"])
 def test_bad_parameters_raise_config_error(call, match):
     with pytest.raises(ConfigError, match=match):
         call()
@@ -386,3 +388,12 @@ def test_spectral_helpers_accept_range_edges():
     assert polynomial_theta_threshold(0.75) == pytest.approx(0.6)
     assert exp_monotone_condition(0.0, 0.0, 0.0, 1.0, 1)
     assert not exp_monotone_condition(0.0, 1.0, 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_decay_spectrum(DecaySpec("harmonic"), 0),
+    lambda: bound_N(DecaySpec("harmonic", 1.0, 10), 0, 1.0),
+], ids=["generate_decay_spectrum", "bound_N"])
+def test_sample_size_below_one_rejected(call):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        call()

@@ -42,3 +42,13 @@ def test_log_scale_for_wide_range(tmp_path):
     assert b"log scale" in blob
     blob2 = emit_plot(str(csv), ["b"], str(tmp_path / "lin.svg"))
     assert b"log scale" not in blob2
+
+
+@pytest.mark.parametrize("text,message", [("", "has no header"), ("n,a,b\n", "has no data rows")],
+                         ids=["empty", "header-only"])
+def test_csv_without_header_or_rows(tmp_path, text, message):
+    csv = tmp_path / "t.csv"
+    csv.write_text(text)
+    with pytest.raises(DataFormatError, match=message):
+        emit_plot(str(csv), ["a"], str(tmp_path / "x.svg"))
+    assert not (tmp_path / "x.svg").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -83,10 +84,18 @@ class TestConfig:
         ("theta", "0.5"), ("fixed_lambda", float("nan")),
         ("gamma_override", float("-inf")), ("gamma_override", -0.1),
         ("use_linearized", "false"), ("source_r", 0.0), ("n_grid", [10, True]),
-        ("input_path", 3)])
+        ("input_path", 3), ("mode", "batch"), ("trials", 0), ("theta", 1.5), ("cbar", -0.5),
+        ("n_grid", "10:x:5"), ("kernel", "spline")])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_every_field_annotation_selects_a_type_check(self):
+        # the type checks are keyed by annotation string; the str fields and
+        # n_grid are checked by value (kernel_by_name, mode, make_covariance,
+        # parse_grid), so a field with any other annotation would go unchecked
+        annotations = {f.type for f in dataclasses.fields(ExperimentConfig)}
+        assert annotations <= set(sweep._TYPE_CHECKS) | {"str", "object"}
 
     @pytest.mark.parametrize("kw,field", [
         (dict(standardize=True), "standardize"), (dict(input_path=FIXTURE), "input_path"),
@@ -228,15 +237,16 @@ def _direct_points(cfg):
     test = QuerySample(test_X, evaluate_target(target, test_X))
     rows = []
     for n in cfg.grid:
-        lam = cfg.fixed_lambda / n if cfg.fixed_lambda is not None else cfg.cbar * n ** -cfg.theta
+        ridge = (cfg.fixed_lambda if cfg.fixed_lambda is not None
+                 else n * (cfg.cbar * n ** -cfg.theta))
         cells = []
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, t])
             data, clean = sample_dataset(cov, n, target, rng)
             data = Dataset(data.features, clean)
-            est = excess_risk_mc(data, model, lam, cfg.sigma, test, cfg.noise_draws, rng)
+            est = excess_risk_mc(data, model, ridge, cfg.sigma, test, cfg.noise_draws, rng)
             v1 = bound_v1(dense_v1_spectrum(params, data), params.beta, cfg.d,
-                          n, lam, gamma, cfg.sigma)
+                          ridge + gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
         b, v, r, se2, v1 = np.mean(cells, axis=0)
         rows.append((b, v, r, np.sqrt(se2 / cfg.trials), v1))
@@ -524,7 +534,7 @@ def test_each_row_is_the_per_column_mean_of_its_cells(kw):
     other_order = False
     for p in points:
         lam = cfg.cbar * float(p.n) ** (-cfg.theta)
-        cells = [sweep._cell(source, p.n, t, lam) for t in range(cfg.trials)]
+        cells = [sweep._cell(source, p.n, t, p.n * lam) for t in range(cfg.trials)]
         bias, var, risk, v1, v2, stderr_sq = (float(np.mean(col)) for col in zip(*cells))
         assert (p.lam, p.bias_emp, p.var_emp, p.risk_emp, p.v1_bound, p.v2_bound,
                 p.mc_stderr) == (lam, bias, var, risk, v1, v2,

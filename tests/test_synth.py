@@ -134,3 +134,11 @@ class TestEigenDecayOfGram:
 def test_target_rejects_bad_noise_sigma(sigma):
     with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
         TargetSpec(noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("kw,match", [
+    (dict(kind="custom"), "custom target needs a callable f"),
+    (dict(kind="cubic"), "unknown target kind 'cubic'")], ids=["custom-without-f", "kind"])
+def test_target_rejects_bad_kind(kw, match):
+    with pytest.raises(ValueError, match=match):
+        TargetSpec(**kw)

@@ -164,14 +164,30 @@ def test_output_digest_values_name_a_one_ulp_move_by_column_and_row():
     assert output_digest.parse_tables(lines) == {("lin_wide", 1, "sweep0"): moved}
 
     report = output_digest.value_moves(table, moved)
-    assert len(report) == len(table["header"])
+    assert len(report) == len(table["header"]) + 1
+    assert report[-1] == "  printed CSV: same"
     var_line = report[table["header"].index("var_emp")]
     assert var_line.startswith("  var_emp: largest relative gap ")
     assert var_line.endswith(f", moved at n={n}")
     gap = float(var_line.split("gap ")[1].split(",")[0])
     assert 0 < gap <= 2.3e-16
     assert all(line.endswith("largest relative gap 0, no row moved")
-               for line in report if line is not var_line)
+               for line in report[:-1] if line is not var_line)
+
+
+@pytest.mark.parametrize("scale,want", [
+    (None, "  printed CSV: same"),
+    (1.0 + 1e-9, "  printed CSV: moved at n=100"),
+], ids=["one-ulp", "1e-9"])
+def test_output_digest_values_tell_last_bits_from_printed_digits(scale, want):
+    # one ulp stays below the 12 printed digits; a 1e-9 relative move does not
+    table = {"header": ["n", "v1_bound"], "rows": [[100, 0.123456789012345], [200, 2.5]]}
+    moved = _nudged_table(table, 0, "v1_bound")
+    if scale is not None:
+        moved["rows"][0][1] = table["rows"][0][1] * scale
+    report = output_digest.value_moves(table, moved)
+    assert report[1].endswith("moved at n=100")
+    assert report[-1] == want
 
 
 def test_output_digest_values_follow_each_differing_output(monkeypatch, capsys):
@@ -188,6 +204,7 @@ def test_output_digest_values_follow_each_differing_output(monkeypatch, capsys):
         "w 1 eig DIFFERS",
         "  i: largest relative gap 0, no row moved",
         "  eig_true: largest relative gap 2.22e-16, moved at i=2",
+        "  printed CSV: same",
         "w 1 svg DIFFERS",
         "  no values to compare (an SVG, an output that raised, or a missing one)",
         "w 1 sweep0 same",

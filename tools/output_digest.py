@@ -38,7 +38,11 @@ its own it appends the table, as JSON, to the output's digest line; with
 `--against`, every output that differs is followed by one line per CSV
 column, with the column's largest relative gap |a - b| / max(|a|, |b|)
 between the trees and the rows that moved, named by their first column
-(`n=600`), so a change that moves values can list each move.
+(`n=600`), so a change that moves values can list each move, and then one
+line, `printed CSV: same` or `printed CSV: moved at n=600 ...`, that says
+whether the rows also differ as the sweep prints them (`sweep._write_rows`:
+the first field as is, the others to 12 significant digits), so a move in
+the last bits can be told from a move in the printed digits.
 """
 
 from __future__ import annotations
@@ -215,10 +219,15 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _printed(row) -> str:
+    """A table row as `sweep._write_rows` prints it."""
+    return ",".join([str(row[0]), *(format(v, ".12g") for v in row[1:])])
+
+
 def value_moves(old, new) -> list:
     """Lines naming, for every column of two tables of one output, its
     largest relative gap and the rows (by their first column) whose value
-    moved."""
+    moved; then one line naming the rows whose printed CSV moved."""
     if old is None or new is None:
         return ["  no values to compare (an SVG, an output that raised, or a missing one)"]
     if old["header"] != new["header"] or len(old["rows"]) != len(new["rows"]):
@@ -232,6 +241,9 @@ def value_moves(old, new) -> list:
         largest = max((g for g, _ in gaps), default=0.0)
         lines.append(f"  {column}: largest relative gap {largest:.3g}"
                      + (f", moved at {' '.join(moved)}" if moved else ", no row moved"))
+    printed = [f"{key}={a[0]:g}" for a, b in zip(old["rows"], new["rows"])
+               if _printed(a) != _printed(b)]
+    lines.append("  printed CSV: " + (f"moved at {' '.join(printed)}" if printed else "same"))
     return lines
 
 
