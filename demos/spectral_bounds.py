@@ -2,7 +2,8 @@
 
 Shows, for the three decay families: the exact quantity N(b) against its
 closed-form upper bound, the effective dimension along the regularization
-path, the closed-form peak locations of the variance-bound curve, and the
+path, the closed-form peak location of the polynomial decay's curve, the
+numeric peak of the variance-bound curve for every decay, and the
 monotone-decrease condition for exponential decay.
 
 Run:  python demos/spectral_bounds.py
@@ -35,7 +36,7 @@ for decay in decays:
     for lam_ed in (1e-3, 1e-1, 10.0):
         print(f"   effective dimension at lambda={lam_ed:g}: "
               f"{effective_dimension(spec, lam_ed):8.2f}")
-    if decay.kind in ("harmonic", "polynomial"):
+    if decay.kind == "polynomial":
         try:
             n_star = peak_point(decay, cbar, theta, gamma=0.5)
             print(f"   closed-form peak (gamma=0.5): n_* = {n_star:.2f}")

@@ -17,8 +17,8 @@ from .linearize import (InterlacingReport, LinFactor, LinModel, LinParams,
                         perturbation_inertia)
 from .spectral import (DecaySpec, Spectrum, bound_N, effective_dimension,
                        exp_monotone_condition, generate_decay_spectrum,
-                       harmonic_theta_threshold, numeric_peak, peak_point,
-                       polynomial_theta_threshold, quantity_N)
+                       numeric_peak, peak_point, polynomial_theta_threshold,
+                       quantity_N)
 from .synth import (CovModel, TargetSpec, evaluate_target, make_covariance,
                     random_orthogonal_rows, sample_dataset, sample_features)
 from .risk import (QuerySample, RiskEstimate, bias_ref, bound_v1, bound_v2,

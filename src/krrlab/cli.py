@@ -2,8 +2,8 @@
 
 Subcommands: synth (generate a dataset, export libsvm), sweep (risk-curve
 experiment, CSV output), eig-compare (spectra of K vs its linearization),
-bounds (print the closed-form bound values for given parameters), plot
-(CSV columns -> SVG).  `--config path.json` takes the place of the sweep
+bounds (print the closed-form bound values and peaks for given parameters),
+plot (CSV columns -> SVG).  `--config path.json` takes the place of the sweep
 flags: giving both is a configuration error.
 
 Exit codes: 0 success, 2 configuration error (ConfigError, raised where the
@@ -23,7 +23,7 @@ from .spectral import (DECAY_KINDS, DecaySpec, bound_N, exp_monotone_condition,
                        generate_decay_spectrum, numeric_peak, peak_point,
                        quantity_N)
 from .svgplot import emit_plot
-from .sweep import KERNELS, ExperimentConfig, classify_curve, eig_compare, run_sweep
+from .sweep import KERNELS, SCALE_LIMIT, ExperimentConfig, classify_curve, eig_compare, run_sweep
 from .synth import COV_KINDS, TargetSpec, make_covariance, sample_dataset
 
 __all__ = ["main"]
@@ -92,11 +92,11 @@ def _cmd_synth(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     points, _ = run_sweep(config)
-    if len(points) >= 5:
-        var_shape = classify_curve([p.var_emp for p in points]).value
-        risk_shape = classify_curve([p.risk_emp for p in points]).value
-    else:
-        var_shape = risk_shape = "n/a (grid too short)"
+    var_shape, risk_shape = (
+        "n/a (grid too short)" if len(points) < 5
+        else "n/a (non-finite values)" if not all(map(math.isfinite, curve))
+        else classify_curve(curve).value
+        for curve in ([p.var_emp for p in points], [p.risk_emp for p in points]))
     dest = config.output_path or "(not written)"
     print(f"sweep done: {len(points)} grid points, variance {var_shape}, "
           f"risk {risk_shape}, csv {dest}")
@@ -119,23 +119,24 @@ def _cmd_bounds(args) -> int:
     _require(0 <= args.theta <= 1, f"theta must lie in [0, 1], got {args.theta}")
     for flag in ("cbar", "gamma", "sigma"):
         value = getattr(args, flag)
-        _require(math.isfinite(value) and value >= 0,
-                 f"--{flag} must be finite and >= 0, got {value}")
+        _require(0 <= value <= SCALE_LIMIT,
+                 f"--{flag} must lie in [0, {SCALE_LIMIT:g}], got {value}")
     _require(math.isfinite(args.beta) and args.beta > 0,
              f"--beta must be finite and > 0, got {args.beta}")
     _require(args.cbar > 0 or args.gamma > 0,
              "cbar = 0 and gamma = 0 make b = n*lambda + gamma = 0; make one positive")
     b = args.n * args.cbar * args.n ** (-args.theta) + args.gamma
+    _require(b <= SCALE_LIMIT, f"b = n*lambda + gamma must be <= {SCALE_LIMIT:g}, got {b:g}")
     exact = quantity_N(generate_decay_spectrum(decay, args.n), b)
     bnd = bound_N(decay, args.n, b)
     print(f"b = n*lambda + gamma = {b:.6g}")
     print(f"exact N = {exact:.6g}")
     print(f"bound N = {bnd:.6g}")
-    if decay.kind in ("harmonic", "polynomial"):
+    if decay.kind == "polynomial":
         try:
             ns = peak_point(decay, args.cbar, args.theta, args.gamma)
             print(f"peak n_* = {ns:.6g}")
-        except ConfigError as exc:                # no closed-form peak here
+        except ConfigError as exc:                # out of regime: no interior peak
             print(f"peak n_*: {exc}")
     step = max(args.n // 10, 1)
     grid = range(step, args.n + 1, step)

@@ -104,11 +104,11 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
 
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
     0 of an affine profile, rounded) is taken as 0.  A degenerate coefficient
-    (beta <= 0, or alpha or gamma below that) is a ConfigError naming tau.
+    (beta <= 0, or alpha or gamma below that) or tau is a ConfigError naming tau.
     """
     if not (0 <= tau < np.inf and 0 <= trace_ratio < np.inf):
-        raise ValueError(f"tau and trace_ratio must be >= 0 and finite, "
-                         f"got tau={tau}, trace_ratio={trace_ratio}")
+        raise ConfigError(f"tau and trace_ratio must be >= 0 and finite, got tau={tau}, "
+                          f"trace_ratio={trace_ratio}; --standardize rescales features this large")
     if spec.family == "inner_product":
         pivot = 0.0
         h0 = float(spec.h(np.float64(0.0)))

@@ -1,14 +1,14 @@
-"""Spectral quantities behind the variance bounds.
+"""Spectral quantities: N(b), its closed-form bounds per decay, and its peaks.
 
 The central object is the quantity
 
     N(spectrum, b) = sum_i  l_i / (b + l_i)^2,
 
-evaluated on the eigenvalues of X~ = beta XX^T/d + alpha 11^T with
-b = n*lambda + gamma.  Closed-form upper bounds exist for three parametric
-eigenvalue decays (harmonic n/i, polynomial n i^{-2a}, exponential
-n e^{-ai}), together with peak-location formulas for the resulting
-variance curves.  `DecaySpec.profile` is the only definition of these
+evaluated on the eigenvalues of X~ = beta XX^T/d + alpha 11^T with the
+effective ridge b = ridge + gamma.  Closed-form upper bounds exist for three
+parametric eigenvalue decays (harmonic n/i, polynomial n i^{-2a},
+exponential n e^{-ai}); the polynomial one alone has a closed-form peak
+location.  `DecaySpec.profile` is the only definition of these
 decays: `synth.make_covariance` draws the sampler's covariance from it too.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "peak_point",
     "numeric_peak",
     "exp_monotone_condition",
-    "harmonic_theta_threshold",
     "polynomial_theta_threshold",
 ]
 
@@ -190,53 +189,38 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
 
 
-def harmonic_theta_threshold(cbar: float) -> float:
-    """Schedule exponent above which the harmonic-decay variance bound has no
-    interior peak: theta >= 1 / (2 (2 - cbar)), for 0 <= cbar < 2 (beyond,
-    2 - 2 theta - cbar < 0 for every theta >= 0 and there is no peak)."""
-    if not 0 <= cbar < 2:
-        raise ConfigError(f"cbar must lie in [0, 2), got {cbar}")
-    return 1.0 / (2.0 * (2.0 - cbar))
-
-
 def polynomial_theta_threshold(a: float) -> float:
-    """Polynomial-decay analogue: theta >= 1 / (1 + 1/(2a)), for a > 1/2."""
+    """Schedule exponent theta* = 1 / (1 + 1/(2a)), a > 1/2, at and above
+    which the polynomial-decay curve N(b(n)) has no interior peak."""
     DecaySpec("polynomial", a)
     return 1.0 / (1.0 + 1.0 / (2.0 * a))
 
 
 def peak_point(decay: DecaySpec, cbar: float, theta: float, gamma: float) -> float:
-    """Closed-form peak location n_* of the variance bound curve.
-
-    harmonic:    (gamma / (2 - 2 theta - cbar))^{1/(1-theta)}
-    polynomial:  (gamma / (2 a cbar (1 - (1 + 1/(2a)) theta)))^{1/(1-theta)}
-
-    No closed form exists for exponential decay; use `numeric_peak`.
-    Parameters with no closed-form peak raise `ConfigError`.
+    """Closed-form peak location n_* of the polynomial-decay curve N(b(n)),
+    b(n) = cbar n^{1-theta} + gamma, on the length-n decay spectrum:
+    (gamma / (2 a cbar (1 - theta/theta*)))^{1/(1-theta)}, theta* =
+    `polynomial_theta_threshold(a)`; inf beyond the float range.  Out of
+    regime (cbar = 0 or theta >= theta*) it raises `ConfigError`, as the
+    harmonic and exponential decays do: use `numeric_peak` for them.
     """
-    if decay.kind == "exponential":
-        raise ConfigError("exponential decay has no closed-form peak; use numeric_peak")
+    if decay.kind != "polynomial":
+        raise ConfigError(f"{decay.kind} decay has no closed-form peak; use numeric_peak")
     if not 0 <= theta < 1:
         raise ConfigError("theta must lie in [0, 1)")
     _check_nonnegative("gamma", gamma)
     _check_nonnegative("cbar", cbar)
-    if decay.kind == "harmonic":
-        den = 2.0 - 2.0 * theta - cbar
-        if den <= 0:
-            raise ConfigError(
-                f"out of regime: 2 - 2*theta - cbar = {den:.3e} <= 0 "
-                "(no interior peak for this schedule)")
-        return float((gamma / den) ** (1.0 / (1.0 - theta)))
-    den = 2.0 * decay.a * cbar * (1.0 - (1.0 + 1.0 / (2.0 * decay.a)) * theta)
+    den = 2.0 * decay.a * cbar * (1.0 - theta / polynomial_theta_threshold(decay.a))
     if den <= 0:
         raise ConfigError(
             f"out of regime: polynomial peak denominator {den:.3e} <= 0")
-    return float((gamma / den) ** (1.0 / (1.0 - theta)))
+    with np.errstate(over="ignore"):
+        return float(np.power(gamma / den, 1.0 / (1.0 - theta)))
 
 
 def numeric_peak(decay: DecaySpec, n_grid, d: int, cbar: float, theta: float,
                  gamma: float, beta: float, sigma: float):
-    """Grid argmax of the variance-bound curve V1(n) = sigma^2 beta/d * N(b(n)).
+    """Grid argmax of V1(n) = sigma^2 beta/d * N(b(n)), a shape curve (`risk.bound_v1`).
 
     Uses the exact decay spectrum at each n (rank capped at min(r_star, n, d))
     with b(n) = n * cbar * n^{-theta} + gamma.  Ties break toward smaller n.
@@ -258,11 +242,17 @@ def numeric_peak(decay: DecaySpec, n_grid, d: int, cbar: float, theta: float,
 
 def exp_monotone_condition(cbar: float, theta: float, gamma: float, a: float,
                            r_star: int) -> bool:
-    """Sufficient condition for the exponential-decay variance bound to be
-    monotone decreasing in n:
+    """Condition on b(n) = cbar n^{1-theta} + gamma for the integral term of
+    `bound_N`'s exponential form (`bound_N` less `_peak_term`) to be
+    non-increasing in n:
 
         (theta*cbar + gamma)^2 <= (e^{-a} + (1-theta) cbar)
                                   * (e^{-a(r*+1)} + (1-theta) cbar).
+
+    Measured over 3000 seeded draws (seed 1; a = 10^U(-2, 0.7), r* =
+    floor(10^U(0, 3)), cbar, theta = U(0, 1), gamma = 10^U(-3, 0.5)): it held
+    in 1681, and in each the integral term was non-increasing over
+    n = 1..10^5; the full `bound_N` rose in 6 of them, at n <= 5.
 
     a and r_star are checked as `DecaySpec` checks an exponential decay;
     cbar and gamma must be finite and >= 0 and theta must lie in [0, 1].

@@ -5,9 +5,9 @@ A sweep walks a grid of sample sizes; at each n it draws `trials`
 independent datasets, fits the (true or linearized) kernel ridge estimator
 under the schedule lambda = cbar * n^(-theta) (or a fixed ridge), and
 records the empirical bias, variance and risk together with the evaluable
-bound curves.  `_cell` is one (n, trial) cell: its seeded draw, its route
+shape curves.  `_cell` is one (n, trial) cell: its seeded draw, its route
 with the ridge `_lambdas` sets (n*lambda, or a fixed lambda itself), both
-bounds at b = ridge + gamma_eff, and six floats (bias, variance, risk, V1,
+curves at b = ridge + gamma_eff, and six floats (bias, variance, risk, V1,
 V2, stderr^2); each point of the curve is the per-column mean of its
 `trials` cells, in trial order.  All Monte-Carlo expectations share one
 test sample per sweep (common random numbers) and every cell carries its
@@ -96,6 +96,9 @@ __all__ = [
 CSV_HEADER = "n,lambda,bias_emp,var_emp,risk_emp,v1_bound,v2_bound,bias_ref,stderr"
 
 KERNELS = ("linear", "polynomial", "exponential_inner", "gaussian")
+# The largest sigma, ridge and gamma accepted, here and by `krrlab bounds`:
+# the variance and V2 square them.
+SCALE_LIMIT = 1e150
 
 
 def kernel_by_name(name: str, degree: int = 3) -> KernelSpec:
@@ -258,8 +261,9 @@ class ExperimentConfig:
             field = "standardize" if self.standardize else "input_path"
             raise ConfigError(f"{field} applies to real mode only, not to mode synth")
         for name in ("sigma", "fixed_lambda", "gamma_override"):
-            if (getattr(self, name) or 0) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not 0 <= (v or 0) <= SCALE_LIMIT:
+                raise ConfigError(f"{name} must lie in [0, {SCALE_LIMIT:g}], got {v}")
         if not (0 <= self.theta <= 1 and 0 <= self.cbar <= 1):
             raise ConfigError("need 0 <= theta <= 1 and 0 <= cbar <= 1")
         if not self.use_linearized and (self.lin_curvature or self.gamma_override is not None):

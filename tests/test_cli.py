@@ -165,15 +165,31 @@ REAL_UNSCALED = ["--mode", "real", "--input", UNSCALED, "--d", "20", "--n-grid",
                  "--trials", "1", "--test-points", "100", "--noise-draws", "2"]
 
 
-@pytest.fixture(scope="module")
-def unscaled_input(tmp_path_factory):
+def _write_gaussian_libsvm(directory, x_scale: float, y_scale: float) -> str:
+    """A 300 x 20 libsvm file of N(0, 1) features and responses, scaled."""
     rng = np.random.default_rng(0)
-    X, y = 40.0 * rng.standard_normal((300, 20)), rng.standard_normal(300)
-    path = tmp_path_factory.mktemp("unscaled") / "unscaled.libsvm"
+    X, y = x_scale * rng.standard_normal((300, 20)), y_scale * rng.standard_normal(300)
+    path = directory / "data.libsvm"
     path.write_text("".join(f"{yi:.6g} " + " ".join(f"{j}:{v:.6g}" for j, v in
                                                     enumerate(xi, 1)) + "\n"
                             for xi, yi in zip(X, y)))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def unscaled_input(tmp_path_factory):
+    return _write_gaussian_libsvm(tmp_path_factory.mktemp("unscaled"), 40.0, 1.0)
+
+
+# Placeholder for the path of the same file with features x 1e160, whose
+# plug-in tau overflows to inf
+HUGE = "<huge.libsvm>"
+REAL_HUGE = [HUGE if a == UNSCALED else a for a in REAL_UNSCALED]
+
+
+@pytest.fixture(scope="module")
+def huge_input(tmp_path_factory):
+    return _write_gaussian_libsvm(tmp_path_factory.mktemp("huge"), 1e160, 1.0)
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -197,12 +213,20 @@ def unscaled_input(tmp_path_factory):
     (["sweep", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
     (["sweep", *REAL_UNSCALED, "--true-kernel"], "standardizing the features"),
     (["eig-compare", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
+    (["sweep", *SMALL, "--sigma", "1e160"], "sigma must lie in [0, 1e+150]"),
+    (["sweep", *SMALL, "--fixed-lambda", "1e155"], "fixed_lambda must lie in [0, 1e+150]"),
+    (["sweep", *SMALL, "--gamma-override", "1e200"], "gamma_override must lie in [0, 1e+150]"),
+    (["sweep", *REAL_HUGE], "tau=inf"),
+    (["sweep", *REAL_HUGE, "--true-kernel"], "--standardize"),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
         "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
         "eig-exact-gamma", "inner-product-curvature", "eig-curvature", "real-beta-underflow",
-        "exact-real-beta-underflow", "eig-real-beta-underflow"])
-def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_input, capsys):
-    argv = [unscaled_input if a == UNSCALED else a for a in argv]
+        "exact-real-beta-underflow", "eig-real-beta-underflow", "sigma-limit",
+        "fixed-lambda-limit", "gamma-override-limit", "real-tau-overflow",
+        "exact-real-tau-overflow"])
+def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_input,
+                                            huge_input, capsys):
+    argv = [{UNSCALED: unscaled_input, HUGE: huge_input}.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
@@ -294,13 +318,18 @@ def test_eig_compare_n_beyond_rows_exits_two(k, capsys):
     (["bounds", "--decay", "harmonic", "--beta", "inf"], "--beta"),
     (["bounds", "--decay", "harmonic", "--gamma", "inf"], "--gamma"),
     (["bounds", "--decay", "harmonic", "--cbar", "inf"], "--cbar"),
+    (["bounds", "--decay", "harmonic", "--sigma", "1e200"], "--sigma must lie in [0, 1e+150]"),
+    (["bounds", "--decay", "harmonic", "--gamma", "1e200"], "--gamma must lie in [0, 1e+150]"),
+    (["bounds", "--decay", "polynomial", "--n", "100000", "--theta", "0", "--cbar", "1e149"],
+     "b = n*lambda + gamma must be <= 1e+150, got 1e+154"),
     (["synth", "--n", "0"], "n must be >= 1"),
     (["bounds", "--decay", "exponential", "--a", "inf"], "a=inf"),
     (["synth", "--n", "5", "--decay", "exponential"], "a=None"),
     (["synth", "--d", "5", "--n", "3", "--decay", "exponential", "--a", "inf"], "a=inf"),
 ], ids=["bounds-n", "bounds-b", "bounds-a", "bounds-theta", "bounds-sigma-nan",
         "bounds-sigma-negative", "bounds-beta-negative", "bounds-beta-inf", "bounds-gamma-inf",
-        "bounds-cbar-inf", "bounds-a-inf", "synth-n", "synth-a", "synth-a-inf"])
+        "bounds-cbar-inf", "bounds-sigma-limit", "bounds-gamma-limit", "bounds-b-limit",
+        "synth-n", "bounds-a-inf", "synth-a", "synth-a-inf"])
 def test_bad_handler_flags_exit_two(argv, field, tmp_path, capsys):
     out = tmp_path / "data.libsvm"
     if argv[0] == "synth":
@@ -336,10 +365,46 @@ def test_polynomial_bounds_near_half_are_silent(a):
 
 
 def test_out_of_regime_peak_is_reported_not_fatal(capsys):
-    rc = cli.main(["bounds", "--decay", "harmonic", "--theta", "0.99", "--cbar", "0.5",
-                   "--gamma", "0.1"])
+    rc = cli.main(["bounds", "--decay", "polynomial", "--a", "1", "--theta", "0.9",
+                   "--cbar", "0.5", "--gamma", "0.1"])
     assert rc == 0
     assert "peak n_*: out of regime" in capsys.readouterr().out
+
+
+def test_peak_beyond_the_float_range_is_reported_not_fatal(capsys):
+    rc = cli.main(["bounds", "--decay", "polynomial", "--a", "100", "--theta", "0.994",
+                   "--gamma", "5"])
+    assert rc == 0
+    assert "peak n_* = inf" in capsys.readouterr().out.splitlines()
+
+
+def test_harmonic_bounds_print_the_numeric_peak_only(capsys):
+    assert cli.main(["bounds", "--decay", "harmonic"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("numeric peak over 10-point grid") for line in out)
+    assert not any(line.startswith("peak n_*") for line in out)
+
+
+def test_scales_at_the_limit_are_accepted(capsys):
+    assert cli.main(["bounds", "--decay", "harmonic", "--sigma", "1e150", "--cbar", "0",
+                     "--gamma", "1e150"]) == 0
+    assert "b = n*lambda + gamma = 1e+150" in capsys.readouterr().out
+    assert cli.main(["sweep", *SMALL, "--sigma", "1e150", "--gamma-override", "1e150"]) == 0
+    assert cli.main(["sweep", *SMALL, "--sigma", "1e150", "--fixed-lambda", "1e150",
+                     "--true-kernel"]) == 0
+
+
+def test_non_finite_sweep_curves_are_reported_not_fatal(tmp_path, capsys):
+    # responses x 1e200 square to inf: bias and risk are written as inf and
+    # the stderr as nan, and the risk curve has no shape
+    path = _write_gaussian_libsvm(tmp_path, 1.0, 1e200)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--mode", "real", "--input", path, "--d", "20",
+                     "--n-grid", "50:150:25", "--trials", "1", "--test-points", "100",
+                     "--noise-draws", "2", "--out", str(out)]) == 0
+    assert "risk n/a (non-finite values)" in capsys.readouterr().out
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.all(np.isinf(rows["risk_emp"])) and np.all(np.isnan(rows["stderr"]))
 
 
 @pytest.mark.parametrize("content,message", [

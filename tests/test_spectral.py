@@ -5,8 +5,8 @@ import pytest
 
 from krrlab import (ConfigError, DecaySpec, Spectrum, bound_N, effective_dimension,
                     exp_monotone_condition, generate_decay_spectrum,
-                    harmonic_theta_threshold, numeric_peak, peak_point,
-                    polynomial_theta_threshold, quantity_N)
+                    numeric_peak, peak_point, polynomial_theta_threshold,
+                    quantity_N)
 
 
 class TestSpectrumType:
@@ -232,29 +232,35 @@ class TestLargeSampleLimit:
 
 
 class TestPeaks:
-    def test_harmonic_unit_peak(self):
-        assert peak_point(DecaySpec("harmonic", r_star=10), 1.0, 0.0, 1.0) == \
-            pytest.approx(1.0)
-
-    def test_small_gamma_peak_below_one(self):
-        n_star = peak_point(DecaySpec("harmonic", r_star=10), 0.5, 0.25, 0.4)
-        assert n_star < 1.0          # gamma < 2 - 2*theta - cbar
-
     def test_polynomial_formula(self):
         n_star = peak_point(DecaySpec("polynomial", a=1.0, r_star=10), 1.0, 0.0, 3.0)
         assert n_star == pytest.approx(1.5)
 
-    def test_exponential_has_no_closed_form(self):
-        with pytest.raises(ValueError):
-            peak_point(DecaySpec("exponential", a=1.0, r_star=10), 0.5, 0.2, 1.0)
+    @pytest.mark.parametrize("kind", ["harmonic", "exponential"])
+    def test_exponential_has_no_closed_form(self, kind):
+        with pytest.raises(ConfigError, match=f"^{kind} decay has no closed-form peak; "
+                                              "use numeric_peak$"):
+            peak_point(DecaySpec(kind, a=1.0, r_star=10), 0.5, 0.2, 1.0)
 
     def test_out_of_regime(self):
         with pytest.raises(ValueError):
-            peak_point(DecaySpec("harmonic", r_star=5), 1.0, 0.9, 1.0)
+            peak_point(DecaySpec("polynomial", a=1.0, r_star=5), 1.0, 0.9, 1.0)
 
     def test_thresholds(self):
-        assert harmonic_theta_threshold(0.0) == pytest.approx(0.25)
         assert polynomial_theta_threshold(1.0) == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("cbar", [0.01, 1.0])
+    @pytest.mark.parametrize("a", [0.75, 0.9, 1.0, 2.5, 7.0])
+    def test_polynomial_pair_agrees_on_its_boundary(self, a, cbar):
+        # an interior peak just below the threshold, none at it; at a = 0.9,
+        # 1 - (1 + 1/(2a)) theta* rounds to a positive number, 1 - theta/theta* to 0
+        decay, theta_star = DecaySpec("polynomial", a, 100), polynomial_theta_threshold(a)
+        assert 0 < peak_point(decay, cbar, theta_star - 1e-6, 0.5) < np.inf
+        with pytest.raises(ConfigError, match="out of regime"):
+            peak_point(decay, cbar, theta_star, 0.5)
+
+    def test_peak_beyond_the_float_range_is_inf(self):
+        assert peak_point(DecaySpec("polynomial", 100.0, 100), 0.01, 0.994, 5.0) == np.inf
 
     def test_polynomial_pair_matches_the_curve_it_names(self):
         # N(b(n)) on the exact length-n spectrum, b(n) = cbar n^(1-theta) + gamma:
@@ -320,16 +326,38 @@ class TestExpMonotoneCondition:
     def test_large_gamma_fails(self):
         assert not exp_monotone_condition(1.0, 1.0, 10.0, 5.0, 10)
 
+    def test_condition_keeps_the_integral_term_non_increasing(self):
+        # the integral term of bound_N's exponential form, without the peak
+        # term P, along b(n) = cbar n^(1-theta) + gamma, on seeded draws
+        from krrlab.spectral import _peak_term
+        rng = np.random.default_rng(1)
+        grid = np.unique(np.concatenate([np.arange(1, 51),
+                                         np.geomspace(50, 10 ** 5, 100).astype(int)]))
+        held = 0
+        for _ in range(300):
+            a, r_star = 10 ** rng.uniform(-2, 0.7), int(10 ** rng.uniform(0, 3))
+            cbar, theta, gamma = rng.uniform(), rng.uniform(), 10 ** rng.uniform(-3, 0.5)
+            if not exp_monotone_condition(cbar, theta, gamma, a, r_star):
+                continue
+            held += 1
+            decay = DecaySpec("exponential", a, r_star)
+            integral = []
+            for n in map(int, grid):
+                b = cbar * n ** (1.0 - theta) + gamma
+                integral.append(bound_N(decay, n, b) - _peak_term(decay, n, b))
+            assert np.all(np.diff(integral) <= 0)
+        assert 100 < held < 300
+
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 0.5, np.nan), "gamma must be >= 0"),
+    (lambda: peak_point(DecaySpec("polynomial"), 0.01, 0.5, np.nan), "gamma must be >= 0"),
     (lambda: DecaySpec("harmonic", 1.0, 2.5), "r_star must be an integer"),
     (lambda: DecaySpec("exponential", 1.0, True), "r_star must be an integer"),
-    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 0.5, np.inf), "gamma must be >= 0"),
-    (lambda: peak_point(DecaySpec("harmonic"), np.nan, 0.5, 1.0), "cbar must be >= 0"),
+    (lambda: peak_point(DecaySpec("polynomial"), 0.01, 0.5, np.inf), "gamma must be >= 0"),
+    (lambda: peak_point(DecaySpec("polynomial"), np.nan, 0.5, 1.0), "cbar must be >= 0"),
     (lambda: peak_point(DecaySpec("polynomial"), -0.1, 0.5, 1.0), "cbar must be >= 0"),
     (lambda: peak_point(DecaySpec("polynomial"), np.inf, 0.5, 1.0), "cbar must be >= 0"),
-    (lambda: peak_point(DecaySpec("harmonic"), 0.01, 1.0, 1.0), r"theta must lie in \[0, 1\)"),
+    (lambda: peak_point(DecaySpec("polynomial"), 0.01, 1.0, 1.0), r"theta must lie in \[0, 1\)"),
     (lambda: peak_point(DecaySpec("polynomial", 1.0), 0.01, -0.1, 1.0), "theta must lie in"),
 ], ids=["peak_point-nan-gamma", "decay-float-r_star", "decay-bool-r_star",
         "peak_point-inf-gamma", "peak_point-nan-cbar", "peak_point-negative-cbar",
@@ -356,10 +384,6 @@ def test_non_finite_scale_rejected(call, match):
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: harmonic_theta_threshold(2.0), r"cbar must lie in \[0, 2\)"),
-    (lambda: harmonic_theta_threshold(3.0), r"cbar must lie in \[0, 2\)"),
-    (lambda: harmonic_theta_threshold(-0.1), r"cbar must lie in \[0, 2\)"),
-    (lambda: harmonic_theta_threshold(np.nan), r"cbar must lie in \[0, 2\)"),
     (lambda: polynomial_theta_threshold(0.0), "polynomial decay requires a > 1/2"),
     (lambda: polynomial_theta_threshold(-1.0), "polynomial decay requires a > 1/2"),
     (lambda: polynomial_theta_threshold(np.nan), "must be finite"),
@@ -373,8 +397,7 @@ def test_non_finite_scale_rejected(call, match):
     (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 0.0, 10), "requires a > 0"),
     (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 1.0, -3), "r_star must be >= 1"),
     (lambda: exp_monotone_condition(0.01, 0.5, 0.0, 1.0, 2.5), "r_star must be an integer"),
-], ids=["harmonic-2", "harmonic-3", "harmonic-negative", "harmonic-nan",
-        "polynomial-0", "polynomial-negative", "polynomial-nan",
+], ids=["polynomial-0", "polynomial-negative", "polynomial-nan",
         "exp-nan-cbar", "exp-negative-cbar", "exp-nan-theta", "exp-theta-above-1",
         "exp-negative-gamma", "exp-inf-gamma", "exp-nan-a", "exp-zero-a",
         "exp-negative-r_star", "exp-float-r_star"])
@@ -384,7 +407,6 @@ def test_spectral_helpers_reject_out_of_range_input(call, match):
 
 
 def test_spectral_helpers_accept_range_edges():
-    assert harmonic_theta_threshold(1.0) == pytest.approx(0.5)
     assert polynomial_theta_threshold(0.75) == pytest.approx(0.6)
     assert exp_monotone_condition(0.0, 0.0, 0.0, 1.0, 1)
     assert not exp_monotone_condition(0.0, 1.0, 1.0, 1.0, 1)

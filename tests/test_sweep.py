@@ -85,10 +85,19 @@ class TestConfig:
         ("gamma_override", float("-inf")), ("gamma_override", -0.1),
         ("use_linearized", "false"), ("source_r", 0.0), ("n_grid", [10, True]),
         ("input_path", 3), ("mode", "batch"), ("trials", 0), ("theta", 1.5), ("cbar", -0.5),
-        ("n_grid", "10:x:5"), ("kernel", "spline")])
+        ("n_grid", "10:x:5"), ("kernel", "spline"), ("sigma", 1e160),
+        ("fixed_lambda", 1e155), ("gamma_override", 1e200)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_scales_at_the_limit_accepted(self):
+        assert sweep.SCALE_LIMIT == 1e150
+        for field in ("sigma", "fixed_lambda", "gamma_override"):
+            assert getattr(ExperimentConfig(**{field: 1e150}), field) == 1e150
+        with pytest.raises(ConfigError,
+                           match=r"^sigma must lie in \[0, 1e\+150\], got 1.0000001e\+150$"):
+            ExperimentConfig(sigma=1.0000001e150)
 
     def test_every_field_annotation_selects_a_type_check(self):
         # the type checks are keyed by annotation string; the str fields and

@@ -102,7 +102,9 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
                              + [("multi_trial", 1, o) for o in (
                                  "lin_schedule", "fixed_lambda_gamma0", "curvature",
                                  "exact_synth", "exact_real", "lin_real", "exact_affine",
-                                 "ridgeless", "ridgeless_noisy", "eig_synth")])
+                                 "ridgeless", "ridgeless_noisy", "eig_synth")]
+                             + [("bounds", 1, o) for o in ("harmonic", "polynomial",
+                                                            "exponential")])
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())
     assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True) == {
         ("lin_wide", 1, "sweep0"): digests["lin_wide", 1, "sweep0"]}
@@ -132,6 +134,18 @@ def test_output_digest_compares_two_trees(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "lin_wide 1 sweep0 same", "lin_wide 2 sweep0 same",
         "output_digest: 2 of 2 outputs identical"]
+
+
+def test_output_digest_bounds_group_holds_the_printouts():
+    out = output_digest.outputs(ROOT, ["bounds"], [1, 2])
+    assert list(out) == [("bounds", s, o) for s in (1, 2)
+                         for o in ("harmonic", "polynomial", "exponential")]
+    for (_, _, decay), text in out.items():
+        assert text == out["bounds", 1, decay]
+        assert text.startswith("b = n*lambda + gamma = ")
+        assert ("peak n_* = " in text) == (decay == "polynomial")
+        assert ("monotone-decrease condition" in text) == (decay == "exponential")
+        assert output_digest.values_table(decay, text) is None
 
 
 def test_output_digest_flags_changed_and_missing_outputs():
@@ -206,6 +220,7 @@ def test_output_digest_values_follow_each_differing_output(monkeypatch, capsys):
         "  eig_true: largest relative gap 2.22e-16, moved at i=2",
         "  printed CSV: same",
         "w 1 svg DIFFERS",
-        "  no values to compare (an SVG, an output that raised, or a missing one)",
+        "  no values to compare (an SVG, a bounds printout, an output that raised, "
+        "or a missing one)",
         "w 1 sweep0 same",
         "output_digest: 1 of 3 outputs identical"]

@@ -23,7 +23,10 @@ fitted by the spectral route), the exact linear kernel with a ridge
 (`ridgeless_noisy`, whose V1 takes the min-norm filter and whose V2 is inf),
 on grids on both sides of n = d, and, as `eig_synth`, one synthetic
 eig-compare CSV, which no workload draws.  A stage that raised prints
-`error:<exception type>` in place of its digest.  Nothing is written under
+`error:<exception type>` in place of its digest.  The group `bounds` holds
+the standard output of `krrlab bounds` (`cli.main`) for a harmonic, a
+polynomial (a = 1) and an exponential (a = 1) decay, with fixed flags; it
+does not depend on the seed.  Nothing is written under
 `bench/`: bytecode caching is off and every output goes to the temporary
 directory.
 
@@ -33,7 +36,8 @@ With `--against`, both trees are digested, each in its own interpreter
 missing on one side.
 
 `--values` also reads each output's values as a table: a sweep's points at
-full precision, a CSV's printed values otherwise (the SVG has none).  On
+full precision, a CSV's printed values otherwise (the SVG and the `bounds`
+printouts have none).  On
 its own it appends the table, as JSON, to the output's digest line; with
 `--against`, every output that differs is followed by one line per CSV
 column, with the column's largest relative gap |a - b| / max(|a|, |b|)
@@ -48,9 +52,12 @@ the last bits can be told from a move in the printed digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import importlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
@@ -64,7 +71,7 @@ sys.path.insert(0, str(TOOLS))
 from bench_pairs import parse_seeds  # noqa: E402
 
 ROOT = TOOLS.parent
-WORKLOADS = ("lin_protocol", "lin_wide", "real_exact", "multi_trial")
+WORKLOADS = ("lin_protocol", "lin_wide", "real_exact", "multi_trial", "bounds")
 
 SAMPLE200 = str(ROOT / "tests" / "data" / "sample200.libsvm")
 # The multi-trial group: one sweep per route and schedule, named by its output ...
@@ -82,6 +89,13 @@ MULTI_TRIAL = {
 }
 # ... and one synthetic eig-compare, at the group's largest n.
 EIG_SYNTH = dict(kernel="gaussian")
+# The bounds group: `krrlab bounds` flags per output, each decay in regime for
+# a closed-form peak where it has one.
+BOUNDS_FLAGS = ["--rstar", "100000", "--n", "500", "--cbar", "0.01", "--theta", "0.3",
+                "--gamma", "5"]
+BOUNDS = {"harmonic": ["--decay", "harmonic"],
+          "polynomial": ["--decay", "polynomial", "--a", "1"],
+          "exponential": ["--decay", "exponential", "--a", "1"]}
 # Full-size grids for the sweeps whose spectral cell switches sides at n = d
 # (the micro grid, 10 to 50 at d = 20, already straddles it).
 FULL_GRID = dict.fromkeys(("exact_affine", "ridgeless", "ridgeless_noisy"),
@@ -118,8 +132,8 @@ def _text(result):
 def values_table(output: str, result):
     """{"header": [...], "rows": [[...], ...]} of one output's values: a
     sweep's points at full precision, a CSV's printed values; None for the
-    SVG and for an output that raised."""
-    if isinstance(result, BaseException) or output == "svg":
+    SVG, the `bounds` printouts and an output that raised."""
+    if isinstance(result, BaseException) or output == "svg" or output in BOUNDS:
         return None
     if isinstance(result, tuple):
         points, csv_text = result
@@ -153,6 +167,22 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
     return out
 
 
+def _bounds(krrlab) -> dict:
+    """{output: `krrlab bounds` standard output, or the exception raised} of
+    the bounds group."""
+    cli = importlib.import_module(krrlab.__name__ + ".cli")
+    out = {}
+    for output, flags in BOUNDS.items():
+        stdout = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                cli.main(["bounds", *flags, *BOUNDS_FLAGS])
+            out[output] = stdout.getvalue()
+        except Exception as exc:
+            out[output] = exc
+    return out
+
+
 def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
     """{(workload, seed, output): sha256} for one pass of each workload."""
     return {key: _sha(_text(result))
@@ -172,8 +202,10 @@ def outputs(tree: Path, workloads: list, seeds: list, micro: bool = False) -> di
     out = {}
     for name in workloads:
         for seed in seeds:
-            if name == "multi_trial":
-                for output, result in _multi_trial(krrlab, seed, micro).items():
+            if name in ("multi_trial", "bounds"):
+                group = (_multi_trial(krrlab, seed, micro) if name == "multi_trial"
+                         else _bounds(krrlab))
+                for output, result in group.items():
                     out[name, seed, output] = result
                 continue
             with tempfile.TemporaryDirectory(prefix="output_digest_") as workdir:
@@ -229,7 +261,8 @@ def value_moves(old, new) -> list:
     largest relative gap and the rows (by their first column) whose value
     moved; then one line naming the rows whose printed CSV moved."""
     if old is None or new is None:
-        return ["  no values to compare (an SVG, an output that raised, or a missing one)"]
+        return ["  no values to compare (an SVG, a bounds printout, an output that raised, "
+                "or a missing one)"]
     if old["header"] != new["header"] or len(old["rows"]) != len(new["rows"]):
         return [f"  shape differs: {old['header']} x {len(old['rows'])} rows -> "
                 f"{new['header']} x {len(new['rows'])} rows"]
