@@ -40,6 +40,7 @@ __all__ = [
     "krr_fit",
     "krr_predict",
     "solve_regularized",
+    "solve_factored",
     "scipy_gram",
     "scipy_product",
     "scipy_eigvalsh",
@@ -253,6 +254,15 @@ def solve_regularized(K: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarra
         raise SingularKernelError(f"system is not positive definite (smallest eigenvalue "
                                   f"{smallest:.3e})", smallest) from None
     return scipy.linalg.cho_solve(cf, rhs, overwrite_b=True, check_finite=False)
+
+
+def solve_factored(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system a `solve_regularized(K, ridge, ...)` call has factored,
+    (K + ridge*I) sol = rhs, with the Cholesky factor K holds since that call.
+    The solution is written over rhs where its layout allows, as there."""
+    import scipy.linalg
+
+    return scipy.linalg.cho_solve((K.T, True), rhs, overwrite_b=True, check_finite=False)
 
 
 def scipy_gram(A: np.ndarray) -> np.ndarray:

@@ -12,16 +12,17 @@ The risk can also be estimated directly by averaging over fresh noise
 draws; the gap to bias + variance is pure Monte-Carlo error.
 
 `excess_risk_mc` computes all three for an exact kernel (`KernelSpec`) by
-one Cholesky solve against the m cross-kernel columns: M is symmetric, so
-the test-point fits of the clean responses and of the noise draws are read
-off M^{-1} C^T (C the m x n cross kernel) without solving for them.  The
-factor overwrites K and the solution overwrites C^T, so K and C are the
-cell's only large matrices.  Like the kernels and the factor, the
+one Cholesky factorization of M and solves against the m cross-kernel
+columns: M is symmetric, so the test-point fits of the clean responses and
+of the noise draws are read off M^{-1} C^T (C the m x n cross kernel)
+without solving for them.  The factor overwrites K, and C is formed,
+solved over and dropped one fixed block of test points at a time, so K is
+the cell's only matrix of size n.  Like the kernels and the factor, the
 predictions are formed on scipy's BLAS (`kernels.scipy_product`), so the
 route does not wake numpy's thread pool.  It also accepts a `LinModel`,
-whose Gram matrix and cross kernel `linearize.build_lin_kernel` and
-`lin_cross_kernel_matrix` form densely; that is the reference the
-linearized route is checked against, not a route of `run_sweep`.
+whose dense Gram matrix (`linearize.build_lin_kernel`) and cross-kernel
+blocks (`lin_cross_kernel_matrix`) make it the reference the linearized
+route is checked against, not a route of `run_sweep`.
 
 Every linearized cell, with or without the radial curvature T, takes
 `spectral_risk_mc`, as does an exact affine kernel, its own linearization:
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import SingularKernelError
 from .kernels import (Dataset, KernelSpec, cross_kernel_matrix, kernel_matrix, scipy_product,
-                      solve_regularized)
+                      solve_factored, solve_regularized)
 from .linearize import LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors
 from .spectral import Spectrum, quantity_N
 
@@ -117,29 +118,48 @@ def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
         raise ValueError(f"test points must be {data.d} wide, got width {test.d}")
 
 
+# Test points per block of `excess_risk_mc`'s cross kernel, 2 MB at n = 2000.
+# Narrower solves run slower: against one n = 2000 factor on 2 cores, 600
+# columns solved 96, 128 or 256 at a time took 1.22, 1.18 and 1.08 times as
+# long as in one solve.
+_TEST_BLOCK = 128
+
+
 def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], ridge: float,
                    sigma: float, test: QuerySample, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
     with its standard error reported in `mc_stderr`.
 
-    One Cholesky solve of M = K + ridge*I against the m cross-kernel columns
-    gives M^{-1} C^T (C the m x n cross kernel, against `test.features`); since
-    M is symmetric the test-point fits of the clean responses `data.responses`
-    and of the noise draws eps (from `seed`) are (M^{-1} C^T)^T [data.responses, eps].
-    The solve factors K in place and writes M^{-1} C^T over C^T, so no copy
-    of either is made.  That product, as every one of the exact kernel's,
-    runs on scipy's BLAS.
+    M = K + ridge*I is factored once, in place in K, by the solve of the
+    first block of `_TEST_BLOCK` test points.  The test sample is then walked
+    in such blocks: each forms its rows C_b of the cross kernel (against
+    `test.features`), solves M^{-1} C_b^T over C_b^T against K's factor, and
+    adds its rows of the predictions and its squared solution norms to the
+    totals before it is dropped, so K is the cell's only matrix of size n.
+    Since M is symmetric the test-point fits of the clean responses
+    `data.responses` and of the noise draws eps (from `seed`) are
+    (M^{-1} C_b^T)^T [data.responses, eps].  That product, as every one of
+    the exact kernel's, runs on scipy's BLAS.
     """
     _check_cell(data, ridge, sigma, test, noise_draws)
-    K, cross = gram_and_cross(model, data, test.features)
-    minv_cross = solve_regularized(K, ridge, cross.T)   # n x m
-    del K, cross
-
-    eps = _noise(seed, sigma, data.n, noise_draws)
-    Y = np.column_stack([data.responses, eps])                    # n x (1+draws)
-    pred = scipy_product(Y.T, minv_cross).T                       # m x (1+draws)
-    variance = float(sigma ** 2 * np.mean(np.sum(minv_cross ** 2, axis=0)))
+    if isinstance(model, KernelSpec):
+        K, cross = kernel_matrix(model, data), cross_kernel_matrix
+    else:
+        K, cross = build_lin_kernel(model, data), lin_cross_kernel_matrix
+    Y = np.column_stack([data.responses, _noise(seed, sigma, data.n, noise_draws)])
+    pred = np.empty((test.n, Y.shape[1]))                         # m x (1+draws)
+    sq_norms = np.empty(test.n)
+    for lo in range(0, test.n, _TEST_BLOCK):
+        rows = slice(lo, lo + _TEST_BLOCK)
+        sol = cross(model, data, test.features[rows]).T           # C_b^T, n x block
+        sol = solve_regularized(K, ridge, sol) if lo == 0 else solve_factored(K, sol)
+        pred[rows] = scipy_product(Y.T, sol).T
+        sol *= sol
+        sq_norms[rows] = sol.sum(axis=0)
+        del sol                     # before the next block is formed
+    del K
+    variance = float(sigma ** 2 * np.mean(sq_norms))
     return _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
 
 

@@ -45,6 +45,8 @@ kernel and `lin_curvature` on an inner-product one are rejected, and a
 ridgeless b = ridge + gamma_eff = 0 runs with or without noise (V1 takes the
 fit's min-norm filter, V2 is inf).  `DataSource` loads the data of one call,
 synthetic or real, in one place and builds its kernel; `_cell` reads both.
+A real pool whose features would overflow the plug-in tau or trace ratio
+is refused there, once, before any cell (`_check_plugin_range`).
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
@@ -360,9 +362,13 @@ class DataSource:
                               f"{config.input_path} has {self.raw.n}")
         X = self.raw.features
         if config.standardize:
+            # z-scores do not change when X is scaled by a power of two, which
+            # is exact and keeps the squares of huge features finite
+            X = X / 2.0 ** np.frexp(np.abs(X).max())[1]
             sd = X.std(axis=0, ddof=0)
             sd[sd == 0] = 1.0
             X = (X - X.mean(axis=0)) / sd
+        _check_plugin_range(X)
         self.pool = Dataset(X, self.raw.responses)
         self.perms = [np.random.default_rng([config.seed, 900, t]).permutation(self.pool.n)
                       for t in range(config.trials)]
@@ -398,6 +404,21 @@ class DataSource:
             params = linearize_params(self.spec, tau, estimate_trace_ratio(X, gram))
         c = self.config         # exact configs set neither field, so keep the implicit gamma
         return LinModel(params, c.gamma_override, c.lin_curvature)
+
+
+def _check_plugin_range(X: np.ndarray) -> None:
+    """Refuse real-mode features whose plug-in tau and trace ratio overflow.
+
+    Every training set's `estimate_trace_ratio` sums squares of the entries
+    of its d x d scatter, each at most 8 t^2 for entries of magnitude <= t,
+    so features below (float max / (64 d^2))^(1/4) keep every sum finite.
+    """
+    top, d = float(np.abs(X).max()), X.shape[1]
+    limit = (np.finfo(float).max / (64.0 * d * d)) ** 0.25
+    if top > limit:
+        raise ConfigError(f"real-mode features reach {top:.3g}, above {limit:.3g}, where the "
+                          f"plug-in tau and trace ratio overflow at d={d}; --standardize "
+                          "rescales features this large")
 
 
 def _lambdas(config: ExperimentConfig, n: int):
@@ -496,6 +517,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
         # unlike the sweep: the raw pool (never standardized), rows drawn by [seed, n, 0]
         rows = rng.permutation(source.raw.n)[:n]
         data = Dataset(source.raw.features[rows], source.raw.responses[rows])
+        _check_plugin_range(data.features)
     lin = source.lin_model(data.features)
     params, gamma_eff = lin.params, lin.gamma
 

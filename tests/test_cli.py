@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def test_sweep_and_plot(tmp_path, capsys):
     rc = cli.main(["plot", "--csv", csv, "--columns", "var_emp,risk_emp,v1_bound",
                    "--out", svg])
     assert rc == 0
-    assert open(svg).read().count("<polyline") == 3
+    assert Path(svg).read_text().count("<polyline") == 3
 
 
 def test_sweep_with_config_file(tmp_path):
@@ -58,7 +59,7 @@ def test_eig_compare_command(tmp_path, capsys):
                    "--eig-out", out])
     assert rc == 0
     assert "interlacing violations" in capsys.readouterr().out
-    assert len(open(out).read().splitlines()) == 21
+    assert len(Path(out).read_text().splitlines()) == 21
 
 
 def test_bounds_command(capsys):
@@ -181,15 +182,23 @@ def unscaled_input(tmp_path_factory):
     return _write_gaussian_libsvm(tmp_path_factory.mktemp("unscaled"), 40.0, 1.0)
 
 
-# Placeholder for the path of the same file with features x 1e160, whose
-# plug-in tau overflows to inf
+# Placeholders for the paths of the same file with features x 1e160, whose
+# plug-in tau overflows to inf, and x 1e100, whose tau is finite but whose
+# trace ratio sums fourth powers that overflow
 HUGE = "<huge.libsvm>"
 REAL_HUGE = [HUGE if a == UNSCALED else a for a in REAL_UNSCALED]
+LARGE = "<large.libsvm>"
+REAL_LARGE = [LARGE if a == UNSCALED else a for a in REAL_UNSCALED]
 
 
 @pytest.fixture(scope="module")
 def huge_input(tmp_path_factory):
     return _write_gaussian_libsvm(tmp_path_factory.mktemp("huge"), 1e160, 1.0)
+
+
+@pytest.fixture(scope="module")
+def large_input(tmp_path_factory):
+    return _write_gaussian_libsvm(tmp_path_factory.mktemp("large"), 1e100, 1.0)
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -216,17 +225,21 @@ def huge_input(tmp_path_factory):
     (["sweep", *SMALL, "--sigma", "1e160"], "sigma must lie in [0, 1e+150]"),
     (["sweep", *SMALL, "--fixed-lambda", "1e155"], "fixed_lambda must lie in [0, 1e+150]"),
     (["sweep", *SMALL, "--gamma-override", "1e200"], "gamma_override must lie in [0, 1e+150]"),
-    (["sweep", *REAL_HUGE], "tau=inf"),
+    (["sweep", *REAL_HUGE], "reach 3.9e+160, above 9.15e+75, where the plug-in tau"),
     (["sweep", *REAL_HUGE, "--true-kernel"], "--standardize"),
+    (["sweep", *REAL_LARGE], "where the plug-in tau and trace ratio overflow at d=20"),
+    (["eig-compare", *REAL_LARGE, "--standardize"], "reach 3.9e+100"),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
         "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
         "eig-exact-gamma", "inner-product-curvature", "eig-curvature", "real-beta-underflow",
         "exact-real-beta-underflow", "eig-real-beta-underflow", "sigma-limit",
         "fixed-lambda-limit", "gamma-override-limit", "real-tau-overflow",
-        "exact-real-tau-overflow"])
+        "exact-real-tau-overflow", "real-trace-ratio-overflow", "eig-raw-trace-ratio-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_input,
-                                            huge_input, capsys):
-    argv = [{UNSCALED: unscaled_input, HUGE: huge_input}.get(a, a) for a in argv]
+                                            huge_input, large_input, capsys):
+    argv = [{UNSCALED: unscaled_input, HUGE: huge_input, LARGE: large_input}.get(a, a)
+            for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
@@ -237,6 +250,20 @@ def test_standardize_removes_the_beta_underflow(unscaled_input, capsys):
     argv = [unscaled_input if a == UNSCALED else a for a in REAL_UNSCALED]
     assert cli.main(["sweep", *argv, "--standardize"]) == 0
     assert "sweep done: 3 grid points" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_standardize_rescales_huge_features_exactly(unscaled_input, huge_input, tmp_path):
+    # z-scores are scale-free: features x 1e160 standardize without overflow,
+    # to the pool of the same file at x 40 up to the files' 6 printed digits
+    outs = []
+    for path in (unscaled_input, huge_input):
+        outs.append(str(tmp_path / f"{len(outs)}.csv"))
+        argv = [path if a == UNSCALED else a for a in REAL_UNSCALED]
+        assert cli.main(["sweep", *argv, "--standardize", "--out", outs[-1]]) == 0
+    a, b = (np.loadtxt(out, delimiter=",", skiprows=1) for out in outs)
+    assert np.all(np.isfinite(b[:, 1:4]))
+    np.testing.assert_allclose(b, a, rtol=1e-4)
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -261,7 +288,7 @@ def test_eig_compare_config_keeps_its_own_flags(tmp_path):
                                     n_grid=[60])))
     assert cli.main(["eig-compare", "--config", str(path), "--n", "50", "--k", "10",
                      "--eig-out", out]) == 0
-    assert len(open(out).read().splitlines()) == 11
+    assert len(Path(out).read_text().splitlines()) == 11
 
 
 @pytest.mark.parametrize("sigma", ["0", "1"])

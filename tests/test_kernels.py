@@ -288,6 +288,16 @@ class TestOverwriteSolve:
         assert np.shares_memory(sol, rhs)
         assert not np.array_equal(work, K)
 
+    def test_solve_factored_reuses_the_factor_k_holds(self):
+        K, y = self._gram()
+        work = K.copy()
+        solve_regularized(work, 0.37, y.copy())
+        rhs = np.asfortranarray(np.column_stack([y ** 2, np.arange(self.N, dtype=float)]))
+        want = _explicit_solve(K, 0.37, rhs)
+        got = kernels.solve_factored(work, rhs)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, rhs)
+
     def test_needs_c_contiguous_float64(self):
         K, y = self._gram()
         for bad in (np.asfortranarray(K), K.astype(np.float32), K.tolist()):
@@ -482,6 +492,17 @@ class TestExactCellMemory:
         data = Dataset(data.features, np.sin(data.features[:, 0]))
         peak, _ = self._peak(lambda: excess_risk_mc(data, spec, 1.0, 0.5, test, 50, 0))
         assert peak < 1.5
+
+    def test_excess_risk_mc_streams_a_large_test_sample(self):
+        # m = 2n: K, one block of test points (its cross-kernel rows and their
+        # scratch) and the m x 51 predictions read 1.33; K with the whole
+        # m x n cross kernel and its products read 4.2
+        spec, data, _ = self._problem()
+        Q = _synth(2 * self.N, self.D, seed=4)[0].features
+        test = QuerySample(Q, np.sin(Q[:, 0]))
+        data = Dataset(data.features, np.sin(data.features[:, 0]))
+        peak, _ = self._peak(lambda: excess_risk_mc(data, spec, 1.0, 0.5, test, 50, 0))
+        assert peak < 1.4
 
     def test_krr_fit_factors_its_own_k(self):
         spec, data, _ = self._problem()

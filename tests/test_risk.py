@@ -9,6 +9,7 @@ from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, SingularKernelEr
                     TargetSpec, bias_ref, bound_v1, bound_v2, build_lin_kernel,
                     evaluate_target, excess_risk_mc, lin_factors, linearize_params,
                     make_covariance, quantity_N, sample_dataset, sample_features, spectral_risk_mc)
+import krrlab.risk as risk
 from krrlab.risk import gram_and_cross
 
 from conftest import dense_v1_spectrum
@@ -465,17 +466,20 @@ def _explicit_cholesky_cell(data, model, ridge, sigma, test_X, clean_test, draws
 
 @pytest.mark.parametrize("kind", ["exact", "lin_curvature"])
 def test_cross_kernel_solve_matches_explicit_cholesky(kind):
-    cov, data, test_X, clean_test = _config(n=90, d=60, m=150)
-    spec = KernelSpec.gaussian()
-    model = (spec if kind == "exact" else
-             LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
-    est = excess_risk_mc(data, model, 0.09, 0.7, QuerySample(test_X, clean_test), 20, 5)
-    bias, variance, risk, stderr = _explicit_cholesky_cell(data, model, 0.09, 0.7,
-                                                           test_X, clean_test, 20, 5)
-    assert est.bias == pytest.approx(bias, rel=1e-12)
-    assert est.variance == pytest.approx(variance, rel=1e-12)
-    assert est.risk == pytest.approx(risk, rel=1e-12)
-    assert est.mc_stderr == pytest.approx(stderr, rel=1e-12)
+    # test samples below, at, one past and across `excess_risk_mc`'s block of test points
+    block = risk._TEST_BLOCK
+    for m in (100, block, block + 1, 2 * block + 37):
+        cov, data, test_X, clean_test = _config(n=90, d=60, m=m)
+        spec = KernelSpec.gaussian()
+        model = (spec if kind == "exact" else
+                 LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
+        est = excess_risk_mc(data, model, 0.09, 0.7, QuerySample(test_X, clean_test), 20, 5)
+        bias, variance, risk_mc, stderr = _explicit_cholesky_cell(data, model, 0.09, 0.7,
+                                                                  test_X, clean_test, 20, 5)
+        assert est.bias == pytest.approx(bias, rel=1e-12), m
+        assert est.variance == pytest.approx(variance, rel=1e-12), m
+        assert est.risk == pytest.approx(risk_mc, rel=1e-12), m
+        assert est.mc_stderr == pytest.approx(stderr, rel=1e-12), m
 
 
 class TestResponseLengths:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestRunSweep:
         _, text1 = run_sweep(_small_config(output_path=out1))
         _, text2 = run_sweep(_small_config(output_path=out2))
         assert text1 == text2
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         assert text1.splitlines()[0] == CSV_HEADER
 
     def test_zero_noise_kills_variance_column(self):
@@ -436,7 +437,7 @@ class TestEigCompare:
         cfg = _small_config(kernel="gaussian", use_linearized=False,
                             gamma_override=None)
         res = eig_compare(cfg, n=30, k=10, output_path=out)
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "i,eig_true,eig_lin,eig_scaled_gram,is_top1"
         assert lines[1].endswith(",1")
         assert all(l.endswith(",0") for l in lines[2:])
