@@ -22,10 +22,11 @@ A `LinModel` holds both choices, the ridge and whether T is fitted, and
 `build_lin_kernel` and `lin_cross_kernel_matrix` assemble the Gram matrix
 and the cross kernel it fits.  `lin_factors` writes both in factored form,
 K_lin - gamma_eff I = F (I + E) F^T and the cross kernel Phi L F^T
-(`LinFactor`).  F's layout is known to this module alone.  The layout of
-Phi = [1, Q, ||q||^2/d] is also written out in `risk`: `QuerySample.sq_norms`
-and `moments` build its columns, and `spectral_risk_mc`'s prediction reads
-`LinFactor.phi`'s start and stop to pick them.
+(`LinFactor`), with Phi = [1, Q, ||q||^2/d] at the test points Q.  The
+layouts of F and Phi are known to this module alone: `LinFactor.eigen`
+decomposes F (I + E) F^T, `LinFactor.predict` and `moments` read the
+columns of Phi that L weighs onto, and `phi_moments` builds the moment
+matrix Phi^T Phi a test sample (`risk.QuerySample`) caches.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "perturbation_inertia",
     "LinFactor",
     "lin_factors",
+    "phi_moments",
     "factored_spectrum",
     "moment_diagnostics",
     "estimate_trace_ratio",
@@ -289,10 +291,10 @@ class LinFactor:
 
     The cross kernel, h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i)
     under curvature, is Phi L F^T with Phi = [1, Q, ||q||^2/d] (psi_q is
-    affine in ||q||^2/d); `phi` names the columns of Phi that L reads and
-    `weigh` applies L.  `core` forms the n x n alpha 11^T + beta XX^T/d,
-    `core_spectrum` its spectrum from the smaller Gram side, and `rotation`
-    turns the eigenpairs of F^T F into those of F (I + E) F^T.
+    affine in ||q||^2/d); `weigh` applies L, and `predict` and `moments`
+    read the columns of Phi it weighs onto.  `eigen` decomposes
+    F (I + E) F^T from its smaller side, and `core_spectrum` gives the
+    spectrum of alpha 11^T + beta XX^T/d.
     """
 
     params: LinParams
@@ -314,12 +316,6 @@ class LinFactor:
         return self.F[:, self.X.shape[1] + 1]
 
     @property
-    def phi(self) -> slice:
-        """The columns of Phi = [1, Q, ||q||^2/d] that L reads."""
-        d = self.X.shape[1]
-        return slice(0 if self.c else 1, d + 2 if self.E.size else d + 1)
-
-    @property
     def D(self) -> np.ndarray:
         """The p x p middle factor I + E."""
         D = np.eye(self.F.shape[1])
@@ -328,7 +324,8 @@ class LinFactor:
 
     def weigh(self, V: np.ndarray) -> np.ndarray:
         """L V: the rows of V, indexed like F's columns, weighed onto the
-        columns `phi` of Phi; a nonzero h_pivot needs F's constant column."""
+        columns of Phi that L reads; a nonzero h_pivot needs F's constant
+        column."""
         if not self.c and self.params.h_pivot != 0:
             raise ValueError("a constant cross kernel term needs alpha > 0")
         a = self.cross_weights
@@ -339,14 +336,21 @@ class LinFactor:
             Z = np.vstack([Z, -0.5 * beta / self.c * V[0]])
         return Z
 
-    def core(self) -> np.ndarray:
-        """The n x n alpha 11^T + beta XX^T/d, without T."""
-        return _core(self.params, self.X)
-
-    def add_curvature(self, K: np.ndarray) -> None:
-        """K += T in place, when the factor carries T."""
+    def predict(self, test, coef: np.ndarray) -> np.ndarray:
+        """Phi coef at the points of a `risk.QuerySample`, for coef indexed
+        like the columns of Phi that L reads (the rows of `weigh`'s output)."""
+        d = self.X.shape[1]
+        pred = test.features @ coef[1:d + 1] + coef[0] if self.c else test.features @ coef
         if self.E.size:
-            _add_curvature(K, self.params, self.psi)
+            pred += test.sq_norms[:, None] * coef[-1]
+        return pred
+
+    def moments(self, test) -> np.ndarray:
+        """The block of a `risk.QuerySample`'s `moments` Phi^T Phi on the
+        columns of Phi that L reads."""
+        d = self.X.shape[1]
+        cols = slice(0 if self.c else 1, d + 2 if self.E.size else d + 1)
+        return test.moments[cols, cols]
 
     def core_spectrum(self, side: Optional[np.ndarray] = None) -> np.ndarray:
         """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
@@ -354,10 +358,10 @@ class LinFactor:
         of its rank deficit.  That matrix is G G^T, G the columns
         [sqrt(alpha) 1, sqrt(beta/d) X] of F.
 
-        `side` passes in a spectral fit's own n x n core (n <= p) or F^T F
-        (n > p, whose block on G's columns is G^T G), decomposed on numpy's
-        LAPACK as the rest of that fit.  Without it, as for an exact cell's
-        V1, G G^T or G^T G, whichever is smaller, is formed and decomposed on
+        `side` passes in `eigen`'s own n x n core (n <= p) or F^T F (n > p,
+        whose block on G's columns is G^T G), decomposed on numpy's LAPACK
+        as the rest of that fit.  Without it, as for an exact cell's V1,
+        G G^T or G^T G, whichever is smaller, is formed and decomposed on
         scipy's BLAS and LAPACK, as the rest of that cell."""
         n = self.F.shape[0]
         x0 = 1 if self.c else 0                 # the first column of sqrt(beta/d) X
@@ -371,23 +375,49 @@ class LinFactor:
         spectrum[:w.size] = np.maximum(w[::-1], 0.0)
         return spectrum
 
-    def rotation(self, s: np.ndarray, V: np.ndarray, proj: np.ndarray):
-        """Eigenpairs of F (I + E) F^T from F^T F = V S V^T (curvature only).
+    def eigen(self, Y: np.ndarray):
+        """Eigenpairs of F (I + E) F^T from its smaller side, without the
+        zeros of its null space: returns (w, L F^T U, U^T Y, V1 spectrum)
+        for its eigenvalues w and orthonormal eigenvectors U.
 
-        F V = U S^1/2 with U orthonormal, so F (I + E) F^T = U B U^T with
+        n <= p decomposes the n x n F (I + E) F^T.  n > p decomposes
+        F^T F = V S V^T: F V = U S^1/2, so F (I + E) F^T = U B U^T with
         B = S + G^T E G, G = V S^1/2, where only G's rows `block` enter.
-        B = P W P^T gives the eigenvectors U P; returns W, F^T U P = G P and
-        (U P)^T Y = P^T S^-1/2 `proj`, `proj` = V^T F^T Y (whose row is 0
-        where s is, and is skipped there).
+        B = P W P^T gives the eigenvectors U P, F^T U P = G P and
+        (U P)^T Y = P^T S^-1/2 V^T F^T Y, whose row is 0 where s is.
+        Without curvature E is empty and P = I, so no p x p `eigh` runs.
+
+        The V1 spectrum is `core_spectrum` of the decomposition's own core
+        before T (n <= p; w itself without curvature) or of its own F^T F
+        (n > p), except at n > p without curvature: there an n x n
+        `eigvalsh` of the core (README "Known limitations").
         """
-        root_s = np.sqrt(np.maximum(s, 0.0))
+        params, F, E = self.params, self.F, self.E
+        if F.shape[0] <= F.shape[1]:
+            core = _core(params, self.X)
+            if E.size:
+                spectrum = self.core_spectrum(core)
+                _add_curvature(core, params, self.psi)      # core = F (I + E) F^T
+            w, U = np.linalg.eigh(core)
+            if not E.size:
+                spectrum = np.maximum(w[::-1], 0.0)
+            return w, self.weigh(F.T @ U), U.T @ Y, spectrum
+        gram = F.T @ F
+        w, V = np.linalg.eigh(gram)
+        # n x n on purpose without curvature: CHANGES.md's FOUND entry on the n x n V1,
+        # ROADMAP item 15
+        spectrum = self.core_spectrum(gram if E.size else _core(params, self.X))
+        root_s = np.sqrt(np.maximum(w, 0.0))
         G = V * root_s
-        rows = G[self.block]
-        B = rows.T @ self.E @ rows
-        B[np.diag_indices_from(B)] += root_s ** 2
-        w, P = np.linalg.eigh(B)
         inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
-        return w, G @ P, P.T @ (inv_root[:, None] * proj)
+        proj = inv_root[:, None] * (V.T @ (F.T @ Y))
+        if E.size:
+            rows = G[self.block]
+            B = rows.T @ E @ rows
+            B[np.diag_indices_from(B)] += root_s ** 2
+            w, P = np.linalg.eigh(B)
+            G, proj = G @ P, P.T @ proj
+        return w, self.weigh(G), proj, spectrum
 
 
 def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
@@ -414,6 +444,20 @@ def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
         scale = np.array([c, 1.0, 1.0])
         E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
     return LinFactor(params, X, np.column_stack(columns), E, c, a)
+
+
+def phi_moments(Q: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """The (d+2) x (d+2) moment matrix Phi^T Phi of Phi = [1, Q, ||q||^2/d]
+    for m x d test points Q and their `sq_norms` ||q||^2/d."""
+    m, d = Q.shape
+    G = np.empty((d + 2, d + 2))
+    G[0, 0] = m
+    G[0, 1:d + 1] = G[1:d + 1, 0] = Q.sum(axis=0)
+    G[1:d + 1, 1:d + 1] = Q.T @ Q
+    G[-1, 0] = G[0, -1] = sq_norms.sum()
+    G[-1, 1:d + 1] = G[1:d + 1, -1] = Q.T @ sq_norms
+    G[-1, -1] = sq_norms @ sq_norms
+    return G
 
 
 def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.ndarray:

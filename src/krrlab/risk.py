@@ -27,10 +27,12 @@ route is checked against, not a route of `run_sweep`.
 Every linearized cell, with or without the radial curvature T, takes
 `spectral_risk_mc`, as does an exact affine kernel, its own linearization:
 K - gamma I = F (I + E) F^T (`linearize.LinFactor`) has rank <= p (d+1, or
-d+3 under curvature), so one eigendecomposition of its smaller side gives
-the fit and variance as filter sums over 1/(w + r), r = ridge + gamma
-(1/w above a roundoff floor at r = 0: the min-norm interpolant), and
-min(w) + r, the exact smallest eigenvalue of M.
+d+3 under curvature), so one eigendecomposition of its smaller side
+(`LinFactor.eigen`) gives the fit and variance as filter sums over
+1/(w + r), r = ridge + gamma (1/w above a roundoff floor at r = 0: the
+min-norm interpolant), and min(w) + r, the exact smallest eigenvalue of M.
+The layouts of F and of the test points' Phi = [1, Q, ||q||^2/d] stay in
+`linearize`: this module keeps only the filters.
 Both routes read the clean responses of the training set and of the test
 sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
 helper checks the test sample's size against the cell and the scalars.
@@ -42,7 +44,7 @@ paper's variable.  `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 n <= p, else its block of F^T F padded with zeros.  Cholesky cells take it
 from a factor without curvature (p = d+1), on scipy's BLAS and LAPACK as
 the rest of their cell, and spectral cells from their own fit
-(`spectral_risk_mc` names the one exception, an n x n `eigvalsh`).
+(`LinFactor.eigen` names the one exception, an n x n `eigvalsh`).
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ import numpy as np
 from .errors import SingularKernelError
 from .kernels import (Dataset, KernelSpec, cross_kernel_matrix, kernel_matrix, scipy_product,
                       solve_factored, solve_regularized)
-from .linearize import LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors
+from .linearize import (LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors,
+                        phi_moments)
 from .spectral import Spectrum, quantity_N
 
 __all__ = [
@@ -90,12 +93,14 @@ def _mc_estimate(bias_resid: np.ndarray, noise_pred: np.ndarray,
                  variance: float) -> RiskEstimate:
     """Bias from the clean-fit residual on the test sample, and the risk
     averaged over the noise draws (columns of `noise_pred`) with its
-    standard error."""
-    bias = float(np.mean(bias_resid ** 2))
-    resid = bias_resid[:, None] + noise_pred                  # m x draws
-    per_draw = np.mean(resid ** 2, axis=0)
-    risk = float(np.mean(per_draw))
-    stderr = float(np.std(per_draw, ddof=1) / np.sqrt(per_draw.shape[0]))
+    standard error.  Residuals too large to square give inf or nan without
+    a warning; the sweep reports such curves itself."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias = float(np.mean(bias_resid ** 2))
+        resid = bias_resid[:, None] + noise_pred                  # m x draws
+        per_draw = np.mean(resid ** 2, axis=0)
+        risk = float(np.mean(per_draw))
+        stderr = float(np.std(per_draw, ddof=1) / np.sqrt(per_draw.shape[0]))
     return RiskEstimate(risk=risk, bias=bias, variance=variance, mc_stderr=stderr)
 
 
@@ -168,10 +173,11 @@ class QuerySample(Dataset):
     `responses`, checked as training data is.
 
     `moments` is the (d+2) x (d+2) moment matrix Phi^T Phi of
-    Phi = [1, Q, ||q||^2/d] that `spectral_risk_mc` weighs eigenvectors by:
-    every linearized cross kernel, the curvature one included, is linear in
-    a row of Phi.  It is computed on first use, so build one QuerySample per
-    test sample and share it across cells.
+    Phi = [1, Q, ||q||^2/d] (`linearize.phi_moments`) that `spectral_risk_mc`
+    weighs eigenvectors by: every linearized cross kernel, the curvature one
+    included, is linear in a row of Phi.  It and `sq_norms` are computed on
+    first use, so build one QuerySample per test sample and share it across
+    cells.
     """
 
     @cached_property
@@ -181,16 +187,7 @@ class QuerySample(Dataset):
 
     @cached_property
     def moments(self) -> np.ndarray:
-        Q, norms = self.features, self.sq_norms
-        m, d = Q.shape
-        G = np.empty((d + 2, d + 2))
-        G[0, 0] = m
-        G[0, 1:d + 1] = G[1:d + 1, 0] = Q.sum(axis=0)
-        G[1:d + 1, 1:d + 1] = Q.T @ Q
-        G[-1, 0] = G[0, -1] = norms.sum()
-        G[-1, 1:d + 1] = G[1:d + 1, -1] = Q.T @ norms
-        G[-1, -1] = norms @ norms
-        return G
+        return phi_moments(self.features, self.sq_norms)
 
 
 def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
@@ -199,80 +196,41 @@ def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
     eigendecomposition of its `linearize.LinFactor`; returns
     (RiskEstimate, V1 spectrum).
 
-    With K - gamma I = F (I + E) F^T, the cross kernel Phi L F^T and
-    r = ridge + gamma, n <= p decomposes the n x n F (I + E) F^T = U W U^T,
-    and
+    With K - gamma I = F (I + E) F^T, the cross kernel Phi L F^T,
+    r = ridge + gamma and F (I + E) F^T = U W U^T without its null space
+    (`LinFactor.eigen`, which also gives the V1 spectrum),
 
         predictions = Phi L F^T U diag(1/(w+r)) U^T y,
-        variance    = sigma^2/m sum_i ||Phi L F^T u_i||^2 / (w_i+r)^2.
+        variance    = sigma^2/m sum_i ||Phi L F^T u_i||^2 / (w_i+r)^2,
 
-    n > p decomposes F^T F = V S V^T, so that F^T U = V S^1/2 without
-    curvature (w = s) and V S^1/2 P with it, P from one p x p rotation
-    (`LinFactor.rotation`); the null space of F^T never reaches a
-    prediction.  ||Phi z||^2 is read off `test.moments`.  y runs over the
-    clean responses and `noise_draws` noise vectors drawn from `seed`
-    exactly as in `excess_risk_mc`, so the two agree draw for draw.
-    min(w) + r, with w padded by the null space's zeros when n > p, is the
-    smallest eigenvalue of K + ridge I; a value <= 0 raises SingularKernelError
-    with it.  At r = 0 the fit is the min-norm interpolant, 1/w above
-    `_roundoff_floor` of size max(n, p), and only min(w) below minus it raises.
-
-    The spectrum is that of alpha 11^T + beta XX^T/d, clipped at 0 and
-    sorted descending: without curvature the eigenvalues of F F^T when
-    n <= p, otherwise a separate n x n `eigvalsh` of it, the one V1 spectrum
-    not read from the smaller side (README "Known limitations"); with
-    curvature `LinFactor.core_spectrum` of the fit's own core before T (n <= p)
-    or of its own F^T F.
+    with Phi's products read through `LinFactor.predict` and `moments`.
+    y runs over the clean responses and `noise_draws` noise vectors drawn
+    from `seed` exactly as in `excess_risk_mc`, so the two agree draw for
+    draw.  min(w) + r, with w padded by the null space's zeros when n > p,
+    is the smallest eigenvalue of K + ridge I; a value <= 0 raises
+    SingularKernelError with it.  At r = 0 the fit is the min-norm
+    interpolant, 1/w above `_roundoff_floor` of size max(n, p), and only
+    min(w) below minus it raises.
     """
     _check_cell(data, ridge, sigma, test, noise_draws)
-    Q, X = test.features, data.features
-    n, d = X.shape
+    n = data.n
     r = ridge + model.gamma
     Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])
-    curved = model.fits_curvature
-    factor = lin_factors(model, X)
-    F, phi = factor.F, factor.phi
+    factor = lin_factors(model, data.features)
     # before the fit: a sample's first cell forms its long-lived moments here, so
     # they do not sit above the fit's freed temporaries (4 MB more peak RSS)
-    S = test.moments[phi, phi]
-
-    if n <= F.shape[1]:
-        core = factor.core()
-        if curved:
-            spectrum = factor.core_spectrum(core)
-            factor.add_curvature(core)                  # core = F (I + E) F^T
-        w, U = np.linalg.eigh(core)
-        Z = factor.weigh(F.T @ U)
-        proj = U.T @ Y
-        smallest = w[0] + r
-        if not curved:
-            spectrum = np.maximum(w[::-1], 0.0)
-    else:
-        gram = F.T @ F
-        w, V = np.linalg.eigh(gram)
-        proj = V.T @ (F.T @ Y)
-        if curved:
-            spectrum = factor.core_spectrum(gram)
-            w, V, proj = factor.rotation(w, V, proj)
-        else:
-            # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 15
-            spectrum = factor.core_spectrum(factor.core())
-        Z = factor.weigh(V)
-        smallest = min(w[0], 0.0) + r
-    floor = _roundoff_floor(w, max(n, F.shape[1])) if r == 0 else 0.0
+    S = factor.moments(test)
+    w, Z, proj, spectrum = factor.eigen(Y)
+    smallest = (w[0] if w.size == n else min(w[0], 0.0)) + r
+    floor = _roundoff_floor(w, max(n, factor.F.shape[1])) if r == 0 else 0.0
     if not smallest > -floor:
         raise SingularKernelError(f"system matrix is not positive definite (smallest "
                                   f"eigenvalue {smallest:.3e})", float(smallest))
     keep = w + r > floor
-    gain = w if n > F.shape[1] and not curved else 1.0
-    mass = np.divide(gain, (w + r) ** 2, out=np.zeros_like(w), where=keep)
+    mass = np.divide(1.0, (w + r) ** 2, out=np.zeros_like(w), where=keep)
     coef = Z @ np.divide(proj, (w + r)[:, None], out=np.zeros_like(proj), where=keep[:, None])
-
-    pred = Q @ coef[1:d + 1] + coef[0] if phi.start == 0 else Q @ coef   # Phi[:, phi] coef
-    if phi.stop == d + 2:
-        pred += test.sq_norms[:, None] * coef[-1]
-    variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z))
-                     / Q.shape[0])
+    pred = factor.predict(test, coef)
+    variance = float(sigma ** 2 * np.sum(mass * np.einsum("ij,ij->j", Z, S @ Z)) / test.n)
     est = _mc_estimate(pred[:, 0] - test.responses, pred[:, 1:], variance)
     return est, spectrum
 

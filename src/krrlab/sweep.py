@@ -406,8 +406,10 @@ class DataSource:
         return LinModel(params, c.gamma_override, c.lin_curvature)
 
 
-def _check_plugin_range(X: np.ndarray) -> None:
-    """Refuse real-mode features whose plug-in tau and trace ratio overflow.
+def _check_plugin_range(X: np.ndarray,
+                        remedy: str = "--standardize rescales features this large") -> None:
+    """Refuse real-mode features whose plug-in tau and trace ratio overflow,
+    with `remedy` closing the message.
 
     Every training set's `estimate_trace_ratio` sums squares of the entries
     of its d x d scatter, each at most 8 t^2 for entries of magnitude <= t,
@@ -417,8 +419,7 @@ def _check_plugin_range(X: np.ndarray) -> None:
     limit = (np.finfo(float).max / (64.0 * d * d)) ** 0.25
     if top > limit:
         raise ConfigError(f"real-mode features reach {top:.3g}, above {limit:.3g}, where the "
-                          f"plug-in tau and trace ratio overflow at d={d}; --standardize "
-                          "rescales features this large")
+                          f"plug-in tau and trace ratio overflow at d={d}; {remedy}")
 
 
 def _lambdas(config: ExperimentConfig, n: int):
@@ -517,7 +518,8 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
         # unlike the sweep: the raw pool (never standardized), rows drawn by [seed, n, 0]
         rows = rng.permutation(source.raw.n)[:n]
         data = Dataset(source.raw.features[rows], source.raw.responses[rows])
-        _check_plugin_range(data.features)
+        _check_plugin_range(data.features, "eig-compare fits the file's raw rows whatever "
+                            "--standardize says")
     lin = source.lin_model(data.features)
     params, gamma_eff = lin.params, lin.gamma
 

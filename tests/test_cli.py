@@ -228,7 +228,9 @@ def large_input(tmp_path_factory):
     (["sweep", *REAL_HUGE], "reach 3.9e+160, above 9.15e+75, where the plug-in tau"),
     (["sweep", *REAL_HUGE, "--true-kernel"], "--standardize"),
     (["sweep", *REAL_LARGE], "where the plug-in tau and trace ratio overflow at d=20"),
-    (["eig-compare", *REAL_LARGE, "--standardize"], "reach 3.9e+100"),
+    (["eig-compare", *REAL_LARGE, "--standardize"],
+     "reach 3.9e+100, above 9.15e+75, where the plug-in tau and trace ratio overflow at d=20; "
+     "eig-compare fits the file's raw rows whatever --standardize says"),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
         "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
         "eig-exact-gamma", "inner-product-curvature", "eig-curvature", "real-beta-underflow",
@@ -421,9 +423,10 @@ def test_scales_at_the_limit_are_accepted(capsys):
                      "--true-kernel"]) == 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_sweep_curves_are_reported_not_fatal(tmp_path, capsys):
     # responses x 1e200 square to inf: bias and risk are written as inf and
-    # the stderr as nan, and the risk curve has no shape
+    # the stderr as nan, and the risk curve has no shape, without a warning
     path = _write_gaussian_libsvm(tmp_path, 1.0, 1e200)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--mode", "real", "--input", path, "--d", "20",

@@ -8,7 +8,7 @@ from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kerne
                     cross_kernel_matrix, estimate_trace_ratio, factored_spectrum,
                     interlacing_check, kernel_matrix, lin_cross_kernel_matrix,
                     lin_factors, linearize_params, make_covariance, moment_diagnostics,
-                    perturbation_inertia, sample_dataset, sample_features,
+                    perturbation_inertia, QuerySample, sample_dataset, sample_features,
                     TargetSpec)
 
 
@@ -380,8 +380,9 @@ _ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
 
 
 class TestLinFactor:
-    """F (I + E) F^T and Phi L F^T against the dense Gram matrix and cross
-    kernel, for every kernel, with and without curvature, and at alpha = 0."""
+    """F (I + E) F^T, Phi L F^T and `eigen` against the dense Gram matrix,
+    cross kernel and solve, for every kernel, with and without curvature,
+    and at alpha = 0."""
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
     @pytest.mark.parametrize("curvature", [False, True])
@@ -409,10 +410,47 @@ class TestLinFactor:
                 factor.weigh(factor.F.T)
             return
         Q = sample_features(cov, m, 8)
-        phi = np.column_stack([np.ones(m), Q, np.einsum("ij,ij->i", Q, Q) / d])
         cross = lin_cross_kernel_matrix(model, data, Q)
-        got = phi[:, factor.phi] @ factor.weigh(factor.F.T)
+        got = factor.predict(QuerySample(Q, np.zeros(m)), factor.weigh(factor.F.T))
         assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
+
+    @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
+    @pytest.mark.parametrize("curvature", [False, True])
+    @pytest.mark.parametrize("alpha_zero", [False, True], ids=["alpha", "alpha-0"])
+    @pytest.mark.parametrize("offset", [-6, 0, 9], ids=["n<p", "n=p", "n>p"])
+    def test_eigen_matches_dense(self, kernel, curvature, alpha_zero, offset):
+        # the eigenvalues, padded with the null space's zeros, are the dense
+        # spectrum, and the filtered fit L F^T (F (I + E) F^T + r I)^-1 Y
+        d, r = 20, 0.3
+        cov, data = _dataset(d + 12, d, seed=11)
+        params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
+        if alpha_zero:
+            params = dataclasses.replace(params, alpha=0.0)
+        model = LinModel(params, curvature=curvature)
+        p = lin_factors(model, data.features).F.shape[1]
+        n = p + offset
+        sample = Dataset(data.features[:n], data.responses[:n])
+        factor = lin_factors(model, sample.features)
+        Y = np.random.default_rng(5).standard_normal((n, 3))
+        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
+            with pytest.raises(ValueError, match="needs alpha > 0"):
+                factor.eigen(Y)
+            return
+        w, Z, proj, spectrum = factor.eigen(Y)
+
+        A = factor.F @ factor.D @ factor.F.T
+        dense = np.linalg.eigvalsh(A)
+        assert w.shape == (min(n, p),)
+        got = np.sort(np.concatenate([w, np.zeros(n - w.size)]))
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+        want = factor.weigh(factor.F.T) @ np.linalg.solve(A + r * np.eye(n), Y)
+        got = Z @ (proj / (w + r)[:, None])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+        core = build_lin_kernel(LinModel(params, 0.0), sample)
+        dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
+        assert np.max(np.abs(spectrum - dense)) <= 1e-12 * dense[0]
 
     @pytest.mark.parametrize("kernel", ["exponential_inner", "gaussian", "polynomial"])
     @pytest.mark.parametrize("n", [15, 30], ids=["n<p", "n>p"])
