@@ -38,8 +38,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=int)
     p.add_argument("--true-kernel", dest="use_linearized", action="store_false",
                    help="fit the exact kernel instead of its linearization")
-    p.add_argument("--lin-curvature", action="store_true",
-                   help="include the radial curvature matrix T in linearized fits")
     p.add_argument("--gamma-override", type=float)
     p.add_argument("--decay", choices=COV_KINDS)
     p.add_argument("--a", type=float, help="decay parameter")

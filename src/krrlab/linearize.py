@@ -18,15 +18,17 @@ move against that of beta XX^T/d + gamma I.  gamma acts as an implicit
 ridge built into the kernel curvature; `gamma_override` replaces it
 (typically with 0) to study explicit regularization in isolation.
 
-A `LinModel` holds both choices, the ridge and whether T is fitted, and
-`build_lin_kernel` and `lin_cross_kernel_matrix` assemble the Gram matrix
-and the cross kernel it fits.  `lin_factors` writes both in factored form,
-K_lin - gamma_eff I = F (I + E) F^T and the cross kernel Phi L F^T
-(`LinFactor`), with Phi = [1, Q, ||q||^2/d] at the test points Q.  The
-layouts of F and Phi are known to this module alone: `LinFactor.eigen`
-decomposes F (I + E) F^T, `LinFactor.predict` and `moments` read the
-columns of Phi that L weighs onto, and `phi_moments` builds the moment
-matrix Phi^T Phi a test sample (`risk.QuerySample`) caches.
+A `LinModel` holds both choices, the ridge and whether T is included.
+`build_lin_kernel` assembles its Gram matrix and `lin_factors` writes it in
+factored form, K_lin - gamma_eff I = F (I + E) F^T (`LinFactor`), with E
+nonzero only under T; both measure T, for `sweep.eig_compare`'s spectra and
+the interlacing checks, but the risk routes fit only the core without T,
+whose cross kernel is `lin_cross_kernel_matrix`, or Phi L F^T with
+Phi = [1, Q] at the test points Q.  The layouts of F and Phi are known to
+this module alone: `LinFactor.eigen` decomposes F F^T, `LinFactor.predict`
+and `moments` read the columns of Phi that L weighs onto, and
+`phi_moments` builds the moment matrix Phi^T Phi a test sample
+(`risk.QuerySample`) caches.
 """
 
 from __future__ import annotations
@@ -145,19 +147,19 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
 
 @dataclass(frozen=True)
 class LinModel:
-    """Linearized-kernel regression model used by the risk sweeps.
+    """Linearized-kernel model: its ridge gamma_eff and whether T is included.
 
-    When `curvature` is False (the default for risk-curve experiments) the
-    Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
-    gamma_eff I, which is positive semi-definite for every sample, and the
-    cross kernel is h_pivot + beta <x, x_i>/d.  That is not the core's
-    bilinear form: its constant is h_pivot where the Gram matrix has alpha.
-    With `curvature` True a radial kernel also fits the correction T
-    (`fits_curvature`).  T is indefinite and its second-order term in psi
-    overshoots once psi is O(1), so K_lin + T can be indefinite under the
-    implicit gamma too, not only under a gamma override of 0: in 3 trials of
-    the default sweep (d = 500, implicit gamma) 7 of the 21 cells with
-    n >= 400 were.
+    Without `curvature` (the model the risk routes fit) the Gram matrix is
+    the rank-structured core alpha 11^T + beta XX^T/d + gamma_eff I, which
+    is positive semi-definite for every sample, and the cross kernel is
+    h_pivot + beta <x, x_i>/d.  That is not the core's bilinear form: its
+    constant is h_pivot where the Gram matrix has alpha.  With `curvature`
+    True a radial kernel's Gram matrix also carries T (`includes_t`), which
+    `build_lin_kernel` and `lin_factors` measure and no route fits: T is
+    indefinite and its second-order term in psi overshoots once psi is O(1),
+    so K_lin + T can be indefinite under the implicit gamma too: with its
+    ridge, the default sweep's first cell at n = 400 (d = 500) has smallest
+    eigenvalue -5.2e-2.
     """
 
     params: LinParams
@@ -175,8 +177,9 @@ class LinModel:
         return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
 
     @property
-    def fits_curvature(self) -> bool:
-        """Whether T is fitted: `curvature` is set and the kernel is radial."""
+    def includes_t(self) -> bool:
+        """Whether the Gram matrix carries T: `curvature` is set and the
+        kernel is radial."""
         return self.curvature and self.params.family == "radial"
 
 
@@ -185,45 +188,35 @@ def _psi(X: np.ndarray, tau: float) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X) / X.shape[1] - tau
 
 
-def _add_curvature(K: np.ndarray, params: LinParams, psi: np.ndarray) -> None:
-    """K += T = h' A + h''/2 (A∘A), A = 1 psi^T + psi 1^T, in place."""
-    A = psi[:, None] + psi[None, :]
-    K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
-
-
 def _core(params: LinParams, X: np.ndarray) -> np.ndarray:
     """The n x n core alpha 11^T + beta XX^T/d."""
     return params.alpha + params.beta * (X @ X.T) / X.shape[1]
 
 
 def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
-    """The n x n Gram matrix `model` fits on a dataset:
-    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when
-    `model.fits_curvature`."""
+    """The n x n Gram matrix of `model` on a dataset:
+    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when `model.includes_t`."""
     params = model.params
     X = data.features
     K = _core(params, X)
     K[np.diag_indices(X.shape[0])] += model.gamma
-    if model.fits_curvature:
-        _add_curvature(K, params, _psi(X, params.tau))
+    if model.includes_t:
+        psi = _psi(X, params.tau)
+        A = psi[:, None] + psi[None, :]
+        K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
     return K
 
 
 def lin_cross_kernel_matrix(model: LinModel, data: Dataset,
                             queries: np.ndarray) -> np.ndarray:
-    """m x n cross kernel `model` fits with: h_pivot 1 + beta Q X^T / d, plus
-    the first-order norm correction -beta/2 (psi_q + psi_i) when
-    `model.fits_curvature`."""
+    """m x n cross kernel the core without T fits with:
+    h_pivot 1 + beta Q X^T / d."""
     params = model.params
     X = data.features
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"queries have width {Q.shape[1]}, expected {X.shape[1]}")
-    out = params.h_pivot + params.beta * (Q @ X.T) / X.shape[1]
-    if model.fits_curvature:
-        out -= 0.5 * params.beta * (_psi(Q, params.tau)[:, None]
-                                    + _psi(X, params.tau)[None, :])
-    return out
+    return params.h_pivot + params.beta * (Q @ X.T) / X.shape[1]
 
 
 def approx_error(K: np.ndarray, K_lin: np.ndarray) -> float:
@@ -280,21 +273,20 @@ def perturbation_inertia(params: LinParams) -> tuple:
 class LinFactor:
     """A linearized model's kernel on the rows of X, in factored form.
 
-    K_lin - gamma_eff I = F D' F^T, F = [c 1, sqrt(beta/d) X] with
-    c = sqrt(alpha) and D' = I; the constant column is dropped when
-    alpha = 0 (`weigh` then raises ValueError unless h_pivot = 0).  When
-    the model fits curvature, F gains the columns psi and psi∘psi (p = d+3),
-    c is 1 if alpha = 0, and D' - I is zero but for its 3 x 3 block E on
-    the columns `block` (c 1, psi, psi∘psi): the form of
-    `perturbation_inertia` scaled by 1/c in its first row and column, minus
-    I.  Without curvature E is empty.
+    K_lin - gamma_eff I = F D F^T, F = [c 1, sqrt(beta/d) X] with
+    c = sqrt(alpha) and D = I; the constant column is dropped when
+    alpha = 0 (`weigh` then raises ValueError unless h_pivot = 0).  When the
+    model includes T, F gains the columns psi and psi∘psi (p = d+3), c is 1
+    if alpha = 0, and D - I is zero but for its 3 x 3 block E on the columns
+    `block` (c 1, psi, psi∘psi): the form of `perturbation_inertia` scaled by
+    1/c in its first row and column, minus I.  Such a factor serves the
+    spectra only (`factored_spectrum(F, D, gamma_eff)` and `core_spectrum`).
 
-    The cross kernel, h_pivot + beta <q, x_i>/d minus beta/2 (psi_q + psi_i)
-    under curvature, is Phi L F^T with Phi = [1, Q, ||q||^2/d] (psi_q is
-    affine in ||q||^2/d); `weigh` applies L, and `predict` and `moments`
-    read the columns of Phi it weighs onto.  `eigen` decomposes
-    F (I + E) F^T from its smaller side, and `core_spectrum` gives the
-    spectrum of alpha 11^T + beta XX^T/d.
+    Without T, E is empty and the cross kernel h_pivot + beta <q, x_i>/d is
+    Phi L F^T with Phi = [1, Q]; `weigh` applies L, and `predict` and
+    `moments` read the columns of Phi it weighs onto.  `eigen` decomposes
+    F F^T from its smaller side, and `core_spectrum` gives the spectrum of
+    alpha 11^T + beta XX^T/d.
     """
 
     params: LinParams
@@ -312,7 +304,7 @@ class LinFactor:
 
     @property
     def psi(self) -> np.ndarray:
-        """Norm fluctuations psi of the rows of X (curvature only)."""
+        """Norm fluctuations psi of the rows of X (under T only)."""
         return self.F[:, self.X.shape[1] + 1]
 
     @property
@@ -328,135 +320,92 @@ class LinFactor:
         column."""
         if not self.c and self.params.h_pivot != 0:
             raise ValueError("a constant cross kernel term needs alpha > 0")
-        a = self.cross_weights
-        Z = a[:, None] * V[:a.size]
-        if self.E.size:
-            beta, d = self.params.beta, self.X.shape[1]
-            Z[0] -= 0.5 * beta * V[d + 1]
-            Z = np.vstack([Z, -0.5 * beta / self.c * V[0]])
-        return Z
+        return self.cross_weights[:, None] * V
 
     def predict(self, test, coef: np.ndarray) -> np.ndarray:
         """Phi coef at the points of a `risk.QuerySample`, for coef indexed
         like the columns of Phi that L reads (the rows of `weigh`'s output)."""
-        d = self.X.shape[1]
-        pred = test.features @ coef[1:d + 1] + coef[0] if self.c else test.features @ coef
-        if self.E.size:
-            pred += test.sq_norms[:, None] * coef[-1]
-        return pred
+        return test.features @ coef[1:] + coef[0] if self.c else test.features @ coef
 
     def moments(self, test) -> np.ndarray:
         """The block of a `risk.QuerySample`'s `moments` Phi^T Phi on the
         columns of Phi that L reads."""
-        d = self.X.shape[1]
-        cols = slice(0 if self.c else 1, d + 2 if self.E.size else d + 1)
+        cols = slice(0 if self.c else 1, None)
         return test.moments[cols, cols]
 
-    def core_spectrum(self, side: Optional[np.ndarray] = None) -> np.ndarray:
+    def core_spectrum(self) -> np.ndarray:
         """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
         sorted descending, from its smaller Gram side, padded with the zeros
         of its rank deficit.  That matrix is G G^T, G the columns
-        [sqrt(alpha) 1, sqrt(beta/d) X] of F.
-
-        `side` passes in `eigen`'s own n x n core (n <= p) or F^T F (n > p,
-        whose block on G's columns is G^T G), decomposed on numpy's LAPACK
-        as the rest of that fit.  Without it, as for an exact cell's V1,
-        G G^T or G^T G, whichever is smaller, is formed and decomposed on
-        scipy's BLAS and LAPACK, as the rest of that cell."""
+        [sqrt(alpha) 1, sqrt(beta/d) X] of F; G G^T or G^T G, whichever is
+        smaller, is formed and decomposed on scipy's BLAS and LAPACK, as the
+        rest of an exact cell, whose V1 it is."""
         n = self.F.shape[0]
         x0 = 1 if self.c else 0                 # the first column of sqrt(beta/d) X
         cols = slice(0 if self.params.alpha > 0 else x0, x0 + self.X.shape[1])
-        if side is None:
-            G = self.F[:, cols]
-            w = scipy_eigvalsh(scipy_gram(G if n <= G.shape[1] else G.T))
-        else:
-            w = np.linalg.eigvalsh(side if side.shape[0] == n else side[cols, cols])
+        G = self.F[:, cols]
+        w = scipy_eigvalsh(scipy_gram(G if n <= G.shape[1] else G.T))
         spectrum = np.zeros(n)
         spectrum[:w.size] = np.maximum(w[::-1], 0.0)
         return spectrum
 
     def eigen(self, Y: np.ndarray):
-        """Eigenpairs of F (I + E) F^T from its smaller side, without the
-        zeros of its null space: returns (w, L F^T U, U^T Y, V1 spectrum)
-        for its eigenvalues w and orthonormal eigenvectors U.
+        """Eigenpairs of F F^T from its smaller side, without the zeros of
+        its null space: returns (w, L F^T U, U^T Y, V1 spectrum) for its
+        eigenvalues w and orthonormal eigenvectors U.
 
-        n <= p decomposes the n x n F (I + E) F^T.  n > p decomposes
-        F^T F = V S V^T: F V = U S^1/2, so F (I + E) F^T = U B U^T with
-        B = S + G^T E G, G = V S^1/2, where only G's rows `block` enter.
-        B = P W P^T gives the eigenvectors U P, F^T U P = G P and
-        (U P)^T Y = P^T S^-1/2 V^T F^T Y, whose row is 0 where s is.
-        Without curvature E is empty and P = I, so no p x p `eigh` runs.
-
-        The V1 spectrum is `core_spectrum` of the decomposition's own core
-        before T (n <= p; w itself without curvature) or of its own F^T F
-        (n > p), except at n > p without curvature: there an n x n
-        `eigvalsh` of the core (README "Known limitations").
+        n <= p decomposes the n x n core F F^T, and the V1 spectrum is w
+        itself, clipped at 0.  n > p decomposes F^T F = V S V^T: F V = U S^1/2,
+        so F^T U = V S^1/2 and U^T Y = S^-1/2 V^T F^T Y, whose row is 0 where
+        s is; the V1 spectrum is then an n x n `eigvalsh` of the core (README
+        "Known limitations").
         """
-        params, F, E = self.params, self.F, self.E
+        F = self.F
         if F.shape[0] <= F.shape[1]:
-            core = _core(params, self.X)
-            if E.size:
-                spectrum = self.core_spectrum(core)
-                _add_curvature(core, params, self.psi)      # core = F (I + E) F^T
-            w, U = np.linalg.eigh(core)
-            if not E.size:
-                spectrum = np.maximum(w[::-1], 0.0)
-            return w, self.weigh(F.T @ U), U.T @ Y, spectrum
-        gram = F.T @ F
-        w, V = np.linalg.eigh(gram)
-        # n x n on purpose without curvature: CHANGES.md's FOUND entry on the n x n V1,
-        # ROADMAP item 15
-        spectrum = self.core_spectrum(gram if E.size else _core(params, self.X))
+            w, U = np.linalg.eigh(_core(self.params, self.X))
+            return w, self.weigh(F.T @ U), U.T @ Y, np.maximum(w[::-1], 0.0)
+        w, V = np.linalg.eigh(F.T @ F)
+        # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 15
+        spectrum = np.maximum(np.linalg.eigvalsh(_core(self.params, self.X))[::-1], 0.0)
         root_s = np.sqrt(np.maximum(w, 0.0))
-        G = V * root_s
         inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
         proj = inv_root[:, None] * (V.T @ (F.T @ Y))
-        if E.size:
-            rows = G[self.block]
-            B = rows.T @ E @ rows
-            B[np.diag_indices_from(B)] += root_s ** 2
-            w, P = np.linalg.eigh(B)
-            G, proj = G @ P, P.T @ proj
-        return w, self.weigh(G), proj, spectrum
+        return w, self.weigh(V * root_s), proj, spectrum
 
 
 def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
     """The `LinFactor` of `model` on the rows of X; `factored_spectrum(F, D,
-    gamma_eff)` is then the spectrum of the n x n Gram matrix `model` fits,
-    without forming it.  F has no constant column when alpha = 0 and there
-    is no curvature; the spectra need none, the cross kernel's h_pivot does."""
+    gamma_eff)` is then the spectrum of the n x n Gram matrix of `model`, T
+    included, without forming it.  F has no constant column when alpha = 0
+    and there is no T; the spectra need none, the cross kernel's h_pivot
+    does."""
     params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    curved = model.fits_curvature
     root = np.sqrt(params.beta / d)
-    if params.alpha > 0 or curved:
+    if params.alpha > 0 or model.includes_t:
         c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
         columns = [np.full(n, c), root * X]
         a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
     else:
         c, columns, a = 0.0, [root * X], np.full(d, root)
     E = np.zeros((0, 0))
-    if curved:
+    if model.includes_t:
         psi = _psi(X, params.tau)
         columns += [psi, psi * psi]
-        a[0] = (params.h_pivot + 0.5 * params.beta * params.tau) / c
         scale = np.array([c, 1.0, 1.0])
         E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
     return LinFactor(params, X, np.column_stack(columns), E, c, a)
 
 
-def phi_moments(Q: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-    """The (d+2) x (d+2) moment matrix Phi^T Phi of Phi = [1, Q, ||q||^2/d]
-    for m x d test points Q and their `sq_norms` ||q||^2/d."""
+def phi_moments(Q: np.ndarray) -> np.ndarray:
+    """The (d+1) x (d+1) moment matrix Phi^T Phi of Phi = [1, Q] for m x d
+    test points Q."""
     m, d = Q.shape
-    G = np.empty((d + 2, d + 2))
+    G = np.empty((d + 1, d + 1))
     G[0, 0] = m
-    G[0, 1:d + 1] = G[1:d + 1, 0] = Q.sum(axis=0)
-    G[1:d + 1, 1:d + 1] = Q.T @ Q
-    G[-1, 0] = G[0, -1] = sq_norms.sum()
-    G[-1, 1:d + 1] = G[1:d + 1, -1] = Q.T @ sq_norms
-    G[-1, -1] = sq_norms @ sq_norms
+    G[0, 1:] = G[1:, 0] = Q.sum(axis=0)
+    G[1:, 1:] = Q.T @ Q
     return G
 
 

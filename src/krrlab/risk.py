@@ -24,27 +24,29 @@ whose dense Gram matrix (`linearize.build_lin_kernel`) and cross-kernel
 blocks (`lin_cross_kernel_matrix`) make it the reference the linearized
 route is checked against, not a route of `run_sweep`.
 
-Every linearized cell, with or without the radial curvature T, takes
-`spectral_risk_mc`, as does an exact affine kernel, its own linearization:
-K - gamma I = F (I + E) F^T (`linearize.LinFactor`) has rank <= p (d+1, or
-d+3 under curvature), so one eigendecomposition of its smaller side
+Every linearized cell takes `spectral_risk_mc`, as does an exact affine
+kernel, its own linearization: K - gamma I = F F^T (`linearize.LinFactor`)
+has rank <= p = d+1, so one eigendecomposition of its smaller side
 (`LinFactor.eigen`) gives the fit and variance as filter sums over
 1/(w + r), r = ridge + gamma (1/w above a roundoff floor at r = 0: the
 min-norm interpolant), and min(w) + r, the exact smallest eigenvalue of M.
-The layouts of F and of the test points' Phi = [1, Q, ||q||^2/d] stay in
-`linearize`: this module keeps only the filters.
+The layouts of F and of the test points' Phi = [1, Q] stay in `linearize`:
+this module keeps only the filters.
 Both routes read the clean responses of the training set and of the test
 sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
-helper checks the test sample's size against the cell and the scalars.
+helper checks the test sample's size against the cell and the scalars, and
+refuses a `LinModel` that includes the radial correction T: both routes fit
+the core without T, which is positive semi-definite where K_lin + T need
+not be.
 
 V1 and V2, shape curves with the paper's bound forms and constants 1, not
 bounds (`bound_v1`), take the effective ridge b = ridge + gamma, the
 paper's variable.  `bound_v1` reads the spectrum of alpha 11^T + beta XX^T/d,
 `LinFactor.core_spectrum`: from its smaller Gram side, the n x n core when
-n <= p, else its block of F^T F padded with zeros.  Cholesky cells take it
-from a factor without curvature (p = d+1), on scipy's BLAS and LAPACK as
-the rest of their cell, and spectral cells from their own fit
-(`LinFactor.eigen` names the one exception, an n x n `eigvalsh`).
+n <= p, else G^T G padded with zeros, on scipy's BLAS and LAPACK as the
+rest of a Cholesky cell.  Spectral cells take it from their own fit, the
+eigenvalues of their n x n core when n <= p (`LinFactor.eigen` names the
+one exception, an n x n `eigvalsh` when n > p).
 """
 
 from __future__ import annotations
@@ -93,14 +95,17 @@ def _mc_estimate(bias_resid: np.ndarray, noise_pred: np.ndarray,
                  variance: float) -> RiskEstimate:
     """Bias from the clean-fit residual on the test sample, and the risk
     averaged over the noise draws (columns of `noise_pred`) with its
-    standard error.  Residuals too large to square give inf or nan without
-    a warning; the sweep reports such curves itself."""
+    standard error, exactly 0 when every draw gives the same risk (sigma = 0),
+    where `np.std` would read the roundoff of their mean.  Residuals too
+    large to square give inf or nan without a warning; the sweep reports
+    such curves itself."""
     with np.errstate(over="ignore", invalid="ignore"):
         bias = float(np.mean(bias_resid ** 2))
         resid = bias_resid[:, None] + noise_pred                  # m x draws
         per_draw = np.mean(resid ** 2, axis=0)
         risk = float(np.mean(per_draw))
-        stderr = float(np.std(per_draw, ddof=1) / np.sqrt(per_draw.shape[0]))
+        stderr = (0.0 if np.ptp(per_draw) == 0       # nan when a draw is inf or nan
+                  else float(np.std(per_draw, ddof=1) / np.sqrt(per_draw.shape[0])))
     return RiskEstimate(risk=risk, bias=bias, variance=variance, mc_stderr=stderr)
 
 
@@ -108,10 +113,13 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
-def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
-                noise_draws: int) -> None:
-    """Check a cell's scalars and that its test sample is at least 100
-    points of the training width."""
+def _check_cell(data: Dataset, model: Union[KernelSpec, LinModel], ridge: float,
+                sigma: float, test: QuerySample, noise_draws: int) -> None:
+    """Check a cell's model and scalars and that its test sample is at least
+    100 points of the training width."""
+    if isinstance(model, LinModel) and model.includes_t:
+        raise ValueError("the risk routes fit the linearized core without T; a LinModel "
+                         "with curvature serves build_lin_kernel and lin_factors' spectra")
     if noise_draws < 2:
         raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
     for name, value in (("ridge", ridge), ("sigma", sigma)):
@@ -147,7 +155,7 @@ def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], ridge: flo
     (M^{-1} C_b^T)^T [data.responses, eps].  That product, as every one of
     the exact kernel's, runs on scipy's BLAS.
     """
-    _check_cell(data, ridge, sigma, test, noise_draws)
+    _check_cell(data, model, ridge, sigma, test, noise_draws)
     if isinstance(model, KernelSpec):
         K, cross = kernel_matrix(model, data), cross_kernel_matrix
     else:
@@ -172,22 +180,16 @@ class QuerySample(Dataset):
     """Test points Q (m x d), its `features`, and their clean responses, its
     `responses`, checked as training data is.
 
-    `moments` is the (d+2) x (d+2) moment matrix Phi^T Phi of
-    Phi = [1, Q, ||q||^2/d] (`linearize.phi_moments`) that `spectral_risk_mc`
-    weighs eigenvectors by: every linearized cross kernel, the curvature one
-    included, is linear in a row of Phi.  It and `sq_norms` are computed on
-    first use, so build one QuerySample per test sample and share it across
-    cells.
+    `moments` is the (d+1) x (d+1) moment matrix Phi^T Phi of Phi = [1, Q]
+    (`linearize.phi_moments`) that `spectral_risk_mc` weighs eigenvectors
+    by: every linearized cross kernel is linear in a row of Phi.  It is
+    computed on first use, so build one QuerySample per test sample and
+    share it across cells.
     """
 
     @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """||q||^2/d for every test point q."""
-        return np.einsum("ij,ij->i", self.features, self.features) / self.d
-
-    @cached_property
     def moments(self) -> np.ndarray:
-        return phi_moments(self.features, self.sq_norms)
+        return phi_moments(self.features)
 
 
 def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
@@ -196,8 +198,8 @@ def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
     eigendecomposition of its `linearize.LinFactor`; returns
     (RiskEstimate, V1 spectrum).
 
-    With K - gamma I = F (I + E) F^T, the cross kernel Phi L F^T,
-    r = ridge + gamma and F (I + E) F^T = U W U^T without its null space
+    With K - gamma I = F F^T, the cross kernel Phi L F^T,
+    r = ridge + gamma and F F^T = U W U^T without its null space
     (`LinFactor.eigen`, which also gives the V1 spectrum),
 
         predictions = Phi L F^T U diag(1/(w+r)) U^T y,
@@ -207,12 +209,12 @@ def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
     y runs over the clean responses and `noise_draws` noise vectors drawn
     from `seed` exactly as in `excess_risk_mc`, so the two agree draw for
     draw.  min(w) + r, with w padded by the null space's zeros when n > p,
-    is the smallest eigenvalue of K + ridge I; a value <= 0 raises
-    SingularKernelError with it.  At r = 0 the fit is the min-norm
-    interpolant, 1/w above `_roundoff_floor` of size max(n, p), and only
-    min(w) below minus it raises.
+    is the smallest eigenvalue of K + ridge I; a value <= 0, which only
+    roundoff can give, raises SingularKernelError with it.  At r = 0 the
+    fit is the min-norm interpolant, 1/w above `_roundoff_floor` of size
+    max(n, p), and only min(w) below minus it raises.
     """
-    _check_cell(data, ridge, sigma, test, noise_draws)
+    _check_cell(data, model, ridge, sigma, test, noise_draws)
     n = data.n
     r = ridge + model.gamma
     Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])

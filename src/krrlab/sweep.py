@@ -13,21 +13,20 @@ V2, stderr^2); each point of the curve is the per-column mean of its
 test sample per sweep (common random numbers) and every cell carries its
 own seeded stream, so the output is byte-identical across reruns.
 
-A sweep has two routes.  Every linearized cell, `lin_curvature` or not, is
-one small-side eigendecomposition of its rank <= d+3 factored form
-(`risk.spectral_risk_mc`): fit, bias, variance and MC risk are filter sums
-over it, a ridgeless cell is the min-norm interpolant, and a cell that is
-not positive semi-definite fails with its exact smallest eigenvalue.  An
-exact affine kernel (`KernelSpec.affine`), its own linearization, takes
-this route too.  Other exact kernels take the Cholesky route,
-`risk.excess_risk_mc`: their Gram matrix has full rank n, so one Cholesky
-factor and a solve against the test points' cross kernel replace a full
-eigendecomposition (a cell that fails to factor raises
-SingularKernelError).  V1's spectrum, of the rank <= d+1 matrix
-alpha 11^T + beta XX^T/d, comes from its smaller Gram side
+A sweep has two routes.  Every linearized cell fits the positive
+semi-definite core alpha 11^T + beta XX^T/d + gamma_eff I, without the
+radial correction T, by one small-side eigendecomposition of its rank
+<= d+1 factored form (`risk.spectral_risk_mc`): fit, bias, variance and MC
+risk are filter sums over it, and a ridgeless cell is the min-norm
+interpolant.  An exact affine kernel (`KernelSpec.affine`), its own
+linearization, takes this route too.  Other exact kernels take the
+Cholesky route, `risk.excess_risk_mc`: their Gram matrix has full rank n,
+so one Cholesky factor and a solve against the test points' cross kernel
+replace a full eigendecomposition (a cell that fails to factor, such as a
+ridgeless one on a rank-deficient K, raises SingularKernelError).  V1's
+spectrum, of the rank <= d+1 core, comes from its smaller Gram side
 (`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
-alpha = 0; a curvature cell reads its own core or F^T F), with the one
-exception that `risk.spectral_risk_mc` names.
+alpha = 0), with the one exception that `risk.spectral_risk_mc` names.
 
 Each route stays on one OpenBLAS, and `DataSource.spectral` names a call's
 route.  Every product and decomposition of a Cholesky cell, V1's and the
@@ -40,21 +39,21 @@ loads no scipy.  One numpy call remains in Cholesky cells, before the
 kernel is built: the synthetic sampler's QR at n <= d.
 
 `ExperimentConfig` checks types and ranges once, when it is built, so no
-cell fails on its input: `lin_curvature` and `gamma_override` on an exact
-kernel and `lin_curvature` on an inner-product one are rejected, and a
-ridgeless b = ridge + gamma_eff = 0 runs with or without noise (V1 takes the
-fit's min-norm filter, V2 is inf).  `DataSource` loads the data of one call,
-synthetic or real, in one place and builds its kernel; `_cell` reads both.
+cell fails on its input: `gamma_override` on an exact kernel is rejected,
+and a ridgeless b = ridge + gamma_eff = 0 runs with or without noise (V1
+takes the fit's min-norm filter, V2 is inf).  `DataSource` loads the data of
+one call, synthetic or real, in one place and builds its kernel; `_cell`
+reads both.
 A real pool whose features would overflow the plug-in tau or trace ratio
 is refused there, once, before any cell (`_check_plugin_range`).
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
 its F-contiguous view K.T, no copy) and returns only its top k eigenvalues.
-The linearized kernel minus gamma_eff I and the Gram matrix XX^T/d have rank
-<= d+3 and d; their spectra come from a thin QR of their n x (d+3) and
-n x d factors (`linearize.lin_factors`, `linearize.factored_spectrum`),
-padded to length n.
+The linearized kernel, T included, minus gamma_eff I and the Gram matrix
+XX^T/d have rank <= d+3 and d; their spectra come from a thin QR of their
+n x (d+3) and n x d factors (`linearize.lin_factors`,
+`linearize.factored_spectrum`), padded to length n.
 """
 
 from __future__ import annotations
@@ -218,7 +217,6 @@ class ExperimentConfig:
     kernel: str = "gaussian"
     degree: int = 3
     use_linearized: bool = True
-    lin_curvature: bool = False           # include the radial correction T in fits
     gamma_override: Optional[float] = None
     decay: str = "harmonic"
     a: Optional[float] = None
@@ -245,7 +243,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{field.name} must be {must_be}, got {v!r}")
         if self.mode not in ("synth", "real"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        spec = kernel_by_name(self.kernel, self.degree)
+        kernel_by_name(self.kernel, self.degree)           # rejects an unknown kernel
         self.grid = parse_grid(self.n_grid)
         if self.d < 2:
             raise ConfigError(f"d must be >= 2, got {self.d}")
@@ -268,12 +266,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie in [0, {SCALE_LIMIT:g}], got {v}")
         if not (0 <= self.theta <= 1 and 0 <= self.cbar <= 1):
             raise ConfigError("need 0 <= theta <= 1 and 0 <= cbar <= 1")
-        if not self.use_linearized and (self.lin_curvature or self.gamma_override is not None):
-            field = "lin_curvature" if self.lin_curvature else "gamma_override"
-            raise ConfigError(f"{field} applies to linearized fits only, not to the exact "
-                              f"kernel (use_linearized false)")
-        if self.lin_curvature and spec.family != "radial":
-            raise ConfigError(f"lin_curvature applies to radial kernels only, not {self.kernel}")
+        if not self.use_linearized and self.gamma_override is not None:
+            raise ConfigError("gamma_override applies to linearized fits only, not to the exact "
+                              "kernel (use_linearized false)")
         if not 0 < self.source_r <= 1:
             raise ConfigError(f"source_r must lie in (0, 1], got {self.source_r}")
         if self.mode == "synth":
@@ -402,8 +397,8 @@ class DataSource:
             tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
             gram = None if self.spectral else scipy_gram
             params = linearize_params(self.spec, tau, estimate_trace_ratio(X, gram))
-        c = self.config         # exact configs set neither field, so keep the implicit gamma
-        return LinModel(params, c.gamma_override, c.lin_curvature)
+        # exact configs set no gamma_override, so they keep the implicit gamma
+        return LinModel(params, self.config.gamma_override)
 
 
 def _check_plugin_range(X: np.ndarray,
@@ -494,22 +489,20 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
 
     K has full rank: one `scipy.linalg.eigh` overwrites it and returns only
     its top k eigenvalues, so K is the only n x n matrix held.  The
-    linearization, T included (a curvature `LinFactor`), and the Gram matrix
-    have rank <= d+3 and d; their spectra come from a thin QR of their
-    factors (`factored_spectrum`, fed F and I + E), at full length n.  QR
-    rather than the fit's rotation from F^T F: on the `real_exact` benchmark
-    draw (seed 2, n = 2000, d = 100) the rotation put the top 60 up to
-    3.9e-12 relative off a dense `eigvalsh` and changed 1-2 printed values per
-    seed, where QR stays within 3.0e-14, the dense reference's own accuracy.
+    linearization, T included (the `LinFactor` of a curvature `LinModel`),
+    and the Gram matrix have rank <= d+3 and d; their spectra come from a
+    thin QR of their factors (`factored_spectrum`, fed F and I + E), at full
+    length n.  QR rather than a rotation of F^T F's eigenbasis by E: on the
+    `real_exact` benchmark draw (seed 2, n = 2000, d = 100) that rotation put
+    the top 60 up to 3.9e-12 relative off a dense `eigvalsh` and changed 1-2
+    printed values per seed, where QR stays within 3.0e-14, the dense
+    reference's own accuracy.
     The first eigenvalue is flagged in the CSV (column is_top1) since its
     scale is dominated by the rank-one mean component.
     """
     n = n if n is not None else config.grid[-1]
     if n < 1 or k < 1:
         raise ConfigError(f"eig-compare needs n >= 1 and k >= 1, got n={n}, k={k}")
-    if config.lin_curvature:
-        raise ConfigError("lin_curvature does not apply to eig-compare: its linearized "
-                          "spectrum always includes T")
     source = DataSource(config, n, with_test=False)
     rng = np.random.default_rng([config.seed, n, 0])
     if source.cov is not None:

@@ -1,9 +1,9 @@
 """The public surface: every exported name resolves, every function the
 benchmark tracer wraps still exists under the module it names, no krrlab
 module imports a private name from another, importing
-krrlab and running its numpy-only paths (linearized sweeps, with and without
-curvature, in synth and real mode, and exact affine sweeps; bounds, synth,
-plot) loads no scipy module at all, and an exact-kernel fit loads
+krrlab and running its numpy-only paths (linearized sweeps in synth and
+real mode, and exact affine sweeps; bounds, synth, plot) loads no scipy
+module at all, and an exact-kernel fit loads
 `scipy.linalg` when it builds its first kernel matrix (`kernels.scipy_gram`)."""
 
 import ast
@@ -91,8 +91,8 @@ def test_numpy_only_paths_load_no_scipy(tmp_path):
             "points, _ = krrlab.run_sweep(cfg)\n"
             "assert len(points) == 4\n"
             "for kw in (dict(), dict(mode='real', input_path=%r, d=24)):\n"
-            "    cfg = krrlab.ExperimentConfig(lin_curvature=True, n_grid=[20, 40], trials=1,\n"
-            "                                  test_points=100, noise_draws=2, **kw)\n"
+            "    cfg = krrlab.ExperimentConfig(n_grid=[20, 40], trials=1, test_points=100,\n"
+            "                                  noise_draws=2, **kw)\n"
             "    assert len(krrlab.run_sweep(cfg)[0]) == 2\n"
             "    cfg = krrlab.ExperimentConfig(kernel='polynomial', degree=1, use_linearized=False,\n"
             "                                  n_grid=[20, 40], trials=1, test_points=100,\n"

@@ -116,12 +116,15 @@ def test_numerical_error_exit_code(monkeypatch, capsys):
 
 
 def test_singular_cell_is_named(capsys):
-    # the canonical config with curvature: K_lin + T is indefinite at n=400
-    rc = cli.main(["sweep", "--lin-curvature", "--trials", "1"])
+    # a ridgeless degree-2 polynomial K at d=3 has rank <= 10: the Cholesky
+    # route fails at n=15, and the message names the cell
+    rc = cli.main(["sweep", "--kernel", "polynomial", "--degree", "2", "--true-kernel",
+                   "--cbar", "0", "--d", "3", "--n-grid", "5:25:5", "--trials", "1",
+                   "--test-points", "100", "--noise-draws", "4", "--seed", "1"])
     assert rc == 4
     err = capsys.readouterr().err
-    assert "cell n=400, trial 0, ridge" in err
-    assert "smallest eigenvalue -5.158e-02" in err
+    assert err.startswith("numerical failure: cell n=15, trial 0, ridge 0: system is not "
+                          "positive definite (smallest eigenvalue ")
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -143,6 +146,23 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--kernel", "not-a-kernel"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "eig-compare"])
+def test_curvature_flag_is_a_usage_error(command, capsys):
+    # sweeps fit the core without T; eig-compare's linearized spectrum includes it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--lin-curvature"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lin-curvature" in capsys.readouterr().err
+
+
+def test_config_with_curvature_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(d=10, lin_curvature=True)))
+    for command in ("sweep", "eig-compare"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config keys: ['lin_curvature']\n"
 
 
 SMALL = ["--d", "10", "--n-grid", "20:40:10", "--trials", "1", "--test-points", "100",
@@ -212,13 +232,8 @@ def large_input(tmp_path_factory):
     (["sweep", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
     (["eig-compare", *SMALL, "--standardize"], "standardize applies to real mode only"),
     (["eig-compare", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
-    (["sweep", *SMALL, "--true-kernel", "--lin-curvature"],
-     "lin_curvature applies to linearized fits only"),
     (["eig-compare", *SMALL, "--true-kernel", "--gamma-override", "0"],
      "gamma_override applies to linearized fits only"),
-    (["sweep", *SMALL, "--kernel", "polynomial", "--lin-curvature"],
-     "lin_curvature applies to radial kernels only"),
-    (["eig-compare", *SMALL, "--lin-curvature"], "lin_curvature"),
     (["sweep", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
     (["sweep", *REAL_UNSCALED, "--true-kernel"], "standardizing the features"),
     (["eig-compare", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
@@ -232,10 +247,9 @@ def large_input(tmp_path_factory):
      "reach 3.9e+100, above 9.15e+75, where the plug-in tau and trace ratio overflow at d=20; "
      "eig-compare fits the file's raw rows whatever --standardize says"),
 ], ids=["source-r", "d", "decay-a", "degree", "eig-n", "eig-k", "synth-standardize",
-        "synth-input", "eig-synth-standardize", "eig-synth-input", "exact-curvature",
-        "eig-exact-gamma", "inner-product-curvature", "eig-curvature", "real-beta-underflow",
-        "exact-real-beta-underflow", "eig-real-beta-underflow", "sigma-limit",
-        "fixed-lambda-limit", "gamma-override-limit", "real-tau-overflow",
+        "synth-input", "eig-synth-standardize", "eig-synth-input", "eig-exact-gamma",
+        "real-beta-underflow", "exact-real-beta-underflow", "eig-real-beta-underflow",
+        "sigma-limit", "fixed-lambda-limit", "gamma-override-limit", "real-tau-overflow",
         "exact-real-tau-overflow", "real-trace-ratio-overflow", "eig-raw-trace-ratio-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_input,

@@ -160,18 +160,8 @@ class TestLinCross:
         cov, data = _dataset(10, 20, seed=5)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
         q = np.linspace(-1, 1, 20)
-        got = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, q[None])[0]
+        got = lin_cross_kernel_matrix(LinModel(p), data, q[None])[0]
         assert np.allclose(got, data.features @ q / 20.0)
-
-    def test_radial_correction_vanishes_at_pivot_norm(self):
-        cov, data = _dataset(10, 30, seed=6, kind="identity")
-        p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        rng = np.random.default_rng(0)
-        q = rng.standard_normal(30)
-        q *= np.sqrt(30.0 * cov.tau) / np.linalg.norm(q)     # ||q||^2/d = tau
-        got = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, q[None])[0]
-        expect = p.h_pivot + p.beta * data.features @ q / 30.0
-        assert np.allclose(got, expect, atol=1e-12)
 
     def test_gaussian_cross_deviation_shrinks_with_d(self):
         spec = KernelSpec.gaussian()
@@ -184,7 +174,7 @@ class TestLinCross:
                 rng = np.random.default_rng([99, d, seed])
                 Q = rng.standard_normal((50, d))
                 true = cross_kernel_matrix(spec, data, Q)
-                lin = lin_cross_kernel_matrix(LinModel(p, curvature=True), data, Q)
+                lin = lin_cross_kernel_matrix(LinModel(p), data, Q)
                 vals.append(np.abs(true - lin).max())
             devs[d] = np.mean(vals)
         assert devs[800] < devs[200]
@@ -381,8 +371,9 @@ _ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
 
 class TestLinFactor:
     """F (I + E) F^T, Phi L F^T and `eigen` against the dense Gram matrix,
-    cross kernel and solve, for every kernel, with and without curvature,
-    and at alpha = 0."""
+    cross kernel and solve, for every kernel and at alpha = 0; the factored
+    Gram matrix and core spectrum also with T, whose factor serves the
+    spectra only."""
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
     @pytest.mark.parametrize("curvature", [False, True])
@@ -405,7 +396,9 @@ class TestLinFactor:
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
 
-        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
+        if model.includes_t:
+            return
+        if params.alpha == 0 and params.h_pivot != 0:
             with pytest.raises(ValueError, match="needs alpha > 0"):
                 factor.weigh(factor.F.T)
             return
@@ -415,12 +408,13 @@ class TestLinFactor:
         assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
-    @pytest.mark.parametrize("curvature", [False, True])
+    # `eigen` serves factors without T; the one value keeps these cases' ids
+    @pytest.mark.parametrize("curvature", [False])
     @pytest.mark.parametrize("alpha_zero", [False, True], ids=["alpha", "alpha-0"])
     @pytest.mark.parametrize("offset", [-6, 0, 9], ids=["n<p", "n=p", "n>p"])
     def test_eigen_matches_dense(self, kernel, curvature, alpha_zero, offset):
         # the eigenvalues, padded with the null space's zeros, are the dense
-        # spectrum, and the filtered fit L F^T (F (I + E) F^T + r I)^-1 Y
+        # spectrum, and the filtered fit L F^T (F F^T + r I)^-1 Y
         d, r = 20, 0.3
         cov, data = _dataset(d + 12, d, seed=11)
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
@@ -432,13 +426,13 @@ class TestLinFactor:
         sample = Dataset(data.features[:n], data.responses[:n])
         factor = lin_factors(model, sample.features)
         Y = np.random.default_rng(5).standard_normal((n, 3))
-        if params.alpha == 0 and params.h_pivot != 0 and not model.fits_curvature:
+        if params.alpha == 0 and params.h_pivot != 0:
             with pytest.raises(ValueError, match="needs alpha > 0"):
                 factor.eigen(Y)
             return
         w, Z, proj, spectrum = factor.eigen(Y)
 
-        A = factor.F @ factor.D @ factor.F.T
+        A = factor.F @ factor.F.T
         dense = np.linalg.eigvalsh(A)
         assert w.shape == (min(n, p),)
         got = np.sort(np.concatenate([w, np.zeros(n - w.size)]))

@@ -1,14 +1,13 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, SingularKernelError,
-                    TargetSpec, bias_ref, bound_v1, bound_v2, build_lin_kernel,
-                    evaluate_target, excess_risk_mc, lin_factors, linearize_params,
-                    make_covariance, quantity_N, sample_dataset, sample_features, spectral_risk_mc)
+from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, TargetSpec, bias_ref,
+                    bound_v1, bound_v2, build_lin_kernel, evaluate_target, excess_risk_mc,
+                    lin_factors, linearize_params, make_covariance, quantity_N,
+                    sample_dataset, sample_features, spectral_risk_mc)
 import krrlab.risk as risk
 from krrlab.risk import gram_and_cross
 
@@ -140,8 +139,7 @@ class TestExcessRiskMc:
 class TestSpectralRiskMc:
     """The small-side spectral cell against the Cholesky route plus the
     n x n V1 spectrum, on both sides of n = p (p = d+1 columns of F, or d
-    for the linear kernel, whose alpha = 0 drops the constant column, or
-    d+3 under curvature)."""
+    for the linear kernel, whose alpha = 0 drops the constant column)."""
 
     D = 30
 
@@ -173,62 +171,18 @@ class TestSpectralRiskMc:
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
         assert spectrum.shape == (n,) and np.all(np.diff(spectrum) <= 0)
 
-    def _curvature_cell(self, n, variant, gamma_override=None):
-        d = self.D
-        cov = make_covariance(d, "harmonic")
-        target = TargetSpec(noise_sigma=1.0)
-        # a plug-in tau off the population's leaves psi uncentred, as in real mode
-        tau = cov.tau * (1.1 if variant == "tau-off" else 1.0)
-        params = linearize_params(KernelSpec.gaussian(), tau, cov.trace_ratio)
-        if variant == "alpha-0":
-            # F keeps its constant column (c = 1); a larger ridge keeps every cell definite
-            params = dataclasses.replace(params, alpha=0.0)
-            gamma_override = 4.0
+    @pytest.mark.parametrize("route", [excess_risk_mc, spectral_risk_mc],
+                             ids=["cholesky", "spectral"])
+    def test_model_with_t_is_refused(self, route):
+        # both routes fit the core without T; a model that includes T is
+        # refused, not fitted with a cross kernel that has no T
+        cov = make_covariance(self.D, "harmonic")
+        params = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         test_X = sample_features(cov, 150, 21)
-        test = QuerySample(test_X, evaluate_target(target, test_X))
-        data = _clean_set(cov, n, target, [4, n])
-        return LinModel(params, gamma_override, curvature=True), data, test
-
-    @pytest.mark.parametrize("n,variant,fixed", itertools.product(
-        (15, 33, 34, 60, 120), ("implicit", "tau-off", "alpha-0"), (False, True)))
-    def test_curvature_matches_dense_reference(self, n, variant, fixed):
-        # p = d+3 = 33 columns of F, so n = 15 and 33 take the n x n core plus
-        # T and n = 34, 60, 120 the p x p rotation
-        model, data, test = self._curvature_cell(n, variant)
-        ridge = 1e-2 if fixed else 0.01 * n ** (1 / 3)      # n * 0.01 n^(-2/3)
-        params = model.params
-        est, spectrum = spectral_risk_mc(data, model, ridge, 0.7, test, 6, 5)
-        want = _explicit_cholesky_cell(data, model, ridge, 0.7, test.features,
-                                       test.responses, 6, 5)
-        for got, ref in zip((est.bias, est.variance, est.risk, est.mc_stderr), want):
-            assert got == pytest.approx(ref, rel=1e-9)
-        b = ridge + model.gamma
-        v1_ref = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, b, 0.7)
-        v1 = bound_v1(spectrum, params.beta, self.D, b, 0.7)
-        assert v1 == pytest.approx(v1_ref, rel=1e-9)
-
-    @pytest.mark.parametrize("n", [60, 120])
-    def test_indefinite_curvature_cell_reports_its_smallest_eigenvalue(self, n):
-        model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
-        ridge = 0.01 * n ** (1 / 3)
-        with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
-            spectral_risk_mc(data, model, ridge, 0.7, test, 6, 5)
-        K, _ = gram_and_cross(model, data, test.features)
-        dense = np.linalg.eigvalsh(K + ridge * np.eye(n))[0]
-        assert dense < 0
-        assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
-
-    @pytest.mark.parametrize("n", [60, 120])
-    def test_ridgeless_indefinite_curvature_cell_raises(self, n):
-        # at ridge + gamma_eff = 0 the min-norm filter drops only the
-        # roundoff null space; a negative eigenvalue still raises
-        model, data, test = self._curvature_cell(n, "implicit", gamma_override=0.0)
-        with pytest.raises(SingularKernelError, match="smallest eigenvalue") as exc:
-            spectral_risk_mc(data, model, 0.0, 0.0, test, 6, 5)
-        K, _ = gram_and_cross(model, data, test.features)
-        dense = np.linalg.eigvalsh(K)[0]
-        assert dense < 0
-        assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
+        test = QuerySample(test_X, np.zeros(150))
+        data = _clean_set(cov, 20, TargetSpec(noise_sigma=1.0), [4, 20])
+        with pytest.raises(ValueError, match="without T"):
+            route(data, LinModel(params, curvature=True), 0.1, 1.0, test, 4, 0)
 
 
 class TestRidgelessFilter:
@@ -464,7 +418,7 @@ def _explicit_cholesky_cell(data, model, ridge, sigma, test_X, clean_test, draws
             float(np.std(per_draw, ddof=1) / np.sqrt(draws)))
 
 
-@pytest.mark.parametrize("kind", ["exact", "lin_curvature"])
+@pytest.mark.parametrize("kind", ["exact", "linearized"])
 def test_cross_kernel_solve_matches_explicit_cholesky(kind):
     # test samples below, at, one past and across `excess_risk_mc`'s block of test points
     block = risk._TEST_BLOCK
@@ -472,7 +426,7 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
         cov, data, test_X, clean_test = _config(n=90, d=60, m=m)
         spec = KernelSpec.gaussian()
         model = (spec if kind == "exact" else
-                 LinModel(linearize_params(spec, cov.tau, cov.trace_ratio), curvature=True))
+                 LinModel(linearize_params(spec, cov.tau, cov.trace_ratio)))
         est = excess_risk_mc(data, model, 0.09, 0.7, QuerySample(test_X, clean_test), 20, 5)
         bias, variance, risk_mc, stderr = _explicit_cholesky_cell(data, model, 0.09, 0.7,
                                                                   test_X, clean_test, 20, 5)

@@ -14,7 +14,6 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
                     sample_features)
 from krrlab import kernels, sweep
-from krrlab.risk import gram_and_cross
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
 from conftest import dense_v1_spectrum
@@ -134,29 +133,25 @@ class TestConfig:
         # V1 takes the same filter and V2 is inf
         dict(kernel="linear", cbar=0.0), dict(kernel="polynomial", degree=1, cbar=0.0),
         dict(cbar=0.0, gamma_override=0.0, sigma=1.0),
-        dict(cbar=0.0, gamma_override=0.0, sigma=0.0),
-        dict(cbar=0.0, gamma_override=0.0, lin_curvature=True, sigma=0.0, d=60,
-             n_grid=[30, 60, 90])],
+        dict(cbar=0.0, gamma_override=0.0, sigma=0.0)],
         ids=["linear-override", "implicit-gamma", "exact-gaussian", "real-ignores-decay",
-             "linear-linearized", "affine", "spectral-noisy", "spectral-noiseless",
-             "curvature-noiseless"])
+             "linear-linearized", "affine", "spectral-noisy", "spectral-noiseless"])
     def test_ridgeless_and_real_configs_that_run_are_accepted(self, kw):
         ExperimentConfig(**kw)
 
-    @pytest.mark.parametrize("kernel", ["polynomial", "linear", "exponential_inner"])
-    def test_curvature_rejected_for_inner_product_kernels(self, kernel):
-        # T is the radial kernel's correction: an inner-product sweep fitted none
-        with pytest.raises(ConfigError, match="lin_curvature applies to radial kernels only"):
-            ExperimentConfig(kernel=kernel, lin_curvature=True)
-
-    @pytest.mark.parametrize("kw,field", [
-        (dict(lin_curvature=True), "lin_curvature"), (dict(gamma_override=0.0), "gamma_override"),
-        (dict(gamma_override=0.5, lin_curvature=True), "lin_curvature")],
-        ids=["curvature", "gamma-zero", "both"])
-    def test_linearized_fields_rejected_for_the_exact_kernel(self, kw, field):
-        # exact cells and exact eig_compare read neither field
-        with pytest.raises(ConfigError, match=f"{field} applies to linearized fits only"):
+    @pytest.mark.parametrize("kw", [dict(gamma_override=0.0), dict(gamma_override=0.5)],
+                             ids=["gamma-zero", "gamma-positive"])
+    def test_linearized_fields_rejected_for_the_exact_kernel(self, kw):
+        # exact cells and exact eig_compare read no gamma override
+        with pytest.raises(ConfigError, match="gamma_override applies to linearized fits only"):
             ExperimentConfig(use_linearized=False, **kw)
+
+    def test_curvature_is_not_a_field(self):
+        # every linearized cell fits the core without T; eig_compare's
+        # linearized spectrum always includes it
+        assert len(dataclasses.fields(ExperimentConfig)) == 21
+        with pytest.raises(TypeError, match="lin_curvature"):
+            ExperimentConfig(lin_curvature=True)
 
     def test_json_string_count_rejected(self, tmp_path):
         p = tmp_path / "config.json"
@@ -186,6 +181,19 @@ class TestRunSweep:
     def test_zero_noise_kills_variance_column(self):
         points, _ = run_sweep(_small_config(sigma=0.0))
         assert all(p.var_emp == 0.0 and p.v1_bound == 0.0 for p in points)
+
+    @pytest.mark.parametrize("kw", [dict(kernel="linear", use_linearized=False),
+                                    dict(kernel="gaussian"),
+                                    dict(kernel="gaussian", use_linearized=False)],
+                             ids=["exact-linear", "linearized-gaussian", "exact-gaussian"])
+    def test_zero_noise_has_zero_stderr(self, kw):
+        # every noise draw gives the same risk, so the stderr is 0, not the
+        # roundoff np.std reads against their mean (2e-18 to 6e-18 here)
+        cfg = ExperimentConfig(d=20, n_grid=[10, 30, 50], trials=9, seed=4, sigma=0.0,
+                               test_points=100, noise_draws=50, **kw)
+        points, text = run_sweep(cfg)
+        assert [p.mc_stderr for p in points] == [0.0] * 3
+        assert [row.split(",")[-1] for row in text.splitlines()[1:]] == ["0"] * 3
 
     def test_schedule_column(self):
         points, _ = run_sweep(_small_config())
@@ -239,8 +247,7 @@ def _direct_points(cfg):
     target = TargetSpec(noise_sigma=cfg.sigma)
     spec = kernel_by_name(cfg.kernel, cfg.degree)
     params = linearize_params(spec, cov.tau, cov.trace_ratio)
-    model = (LinModel(params, cfg.gamma_override, cfg.lin_curvature)
-             if cfg.use_linearized else spec)
+    model = LinModel(params, cfg.gamma_override) if cfg.use_linearized else spec
     gamma = (cfg.gamma_override if cfg.use_linearized and cfg.gamma_override is not None
              else params.gamma)
     test_X = sample_features(cov, cfg.test_points, np.random.default_rng([cfg.seed, 7, 1]))
@@ -270,13 +277,12 @@ def _sweep_rows(points):
 class TestSweepRoutes:
     @pytest.mark.parametrize("kw", [
         dict(use_linearized=False, gamma_override=None),
-        dict(lin_curvature=True, gamma_override=None),
         dict(kernel="linear", use_linearized=False, gamma_override=None),
         dict(kernel="polynomial", degree=1, use_linearized=False, gamma_override=None)],
-        ids=["exact", "curvature", "exact-linear", "exact-polynomial-1"])
+        ids=["exact", "exact-linear", "exact-polynomial-1"])
     def test_cholesky_routes_equal_direct_computation(self, kw):
-        # the curvature sweep and the exact affine ones take the spectral
-        # route; their worst gap to the dense Cholesky cells here is 1.5e-14
+        # the exact affine sweeps take the spectral route; their worst gap
+        # to the dense Cholesky cells here is 1.5e-14
         cfg = _small_config(**kw)
         points, _ = run_sweep(cfg)
         for got, want in zip(_sweep_rows(points), _direct_points(cfg)):
@@ -294,14 +300,12 @@ class TestSweepRoutes:
 
 
 class TestCholeskyV1Spectrum:
-    """Exact and curvature cells read V1 off the (d+1) x (d+1) F^T F, not an
-    n x n eigensolve, once n > d+1.  No eigensolve is larger than the fit's
-    own: d+1 for the exact kernel's V1, d+3 for the curvature fit's F^T F."""
+    """Exact cells read V1 off the (d+1) x (d+1) F^T F, not an n x n
+    eigensolve, once n > d+1, and no eigensolve is larger."""
 
-    @pytest.mark.parametrize("kw,extra", [(dict(use_linearized=False, gamma_override=None), 0),
-                                          (dict(lin_curvature=True, gamma_override=None), 2)],
-                             ids=["exact", "curvature"])
-    def test_spectrum_comes_from_the_small_side(self, kw, extra, monkeypatch):
+    @pytest.mark.parametrize("kw", [dict(use_linearized=False, gamma_override=None)],
+                             ids=["exact"])
+    def test_spectrum_comes_from_the_small_side(self, kw, monkeypatch):
         cfg = _small_config(**kw)           # grid 30, 60, 90 at d=60 crosses n = d+1
         p = cfg.d + 1
         shapes, draws, spectra = [], [], []
@@ -323,7 +327,7 @@ class TestCholeskyV1Spectrum:
                             spy(bound_v1, lambda a, out: spectra.append(np.asarray(a[0]))))
         run_sweep(cfg)
 
-        assert max(max(s) for s in shapes) <= p + extra
+        assert max(max(s) for s in shapes) <= p
         assert shapes.count((p, p)) >= cfg.trials
         cov = make_covariance(cfg.d, cfg.decay, cfg.a)
         params = linearize_params(kernel_by_name(cfg.kernel, cfg.degree), cov.tau,
@@ -505,32 +509,21 @@ class TestEigCompareTopK:
 
 
 def test_singular_cell_reports_the_dense_smallest_eigenvalue():
-    # the spectral route's min(w + r) must be the smallest eigenvalue of the
-    # cell's dense K_lin + T + n*lambda*I, with the cell named
-    cfg = ExperimentConfig(lin_curvature=True, trials=1, n_grid=[400])
-    with pytest.raises(SingularKernelError, match=r"cell n=400, trial 0, ridge") as exc:
+    # a ridgeless degree-2 polynomial K at d=3 has rank <= 10, so the
+    # Cholesky route fails at n=15 and must report the smallest eigenvalue
+    # of the cell's dense K, a roundoff 0, with the cell named
+    cfg = ExperimentConfig(kernel="polynomial", degree=2, use_linearized=False, cbar=0.0,
+                           d=3, n_grid="5:25:5", trials=1, test_points=100, noise_draws=4,
+                           seed=1)
+    with pytest.raises(SingularKernelError, match=r"cell n=15, trial 0, ridge 0: ") as exc:
         run_sweep(cfg)
-    source = DataSource(cfg, 400)
-    data = source.train(400, 0, np.random.default_rng([cfg.seed, 400, 0]))
-    K, _ = gram_and_cross(source.lin_model(data.features), data, source.test(0).features)
-    lam = cfg.cbar * 400.0 ** (-cfg.theta)
-    dense = np.linalg.eigvalsh(K + 400 * lam * np.eye(400))[0]
-    assert dense < 0
-    assert exc.value.smallest_eigenvalue == pytest.approx(dense, rel=1e-10)
-
-
-@pytest.mark.parametrize("mode", ["synth", "real"])
-def test_curvature_sweep_takes_the_spectral_route(mode, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a linearized cell left the spectral route")
-
-    for target in ("krrlab.sweep.excess_risk_mc", "krrlab.risk.excess_risk_mc",
-                   "krrlab.risk.solve_regularized", "krrlab.kernels.solve_regularized"):
-        monkeypatch.setattr(target, refuse)
-    kw = (dict(mode="real", input_path=FIXTURE, d=24, n_grid=[20, 40], test_points=100)
-          if mode == "real" else dict(n_grid=[30, 90]))
-    points, _ = run_sweep(_small_config(lin_curvature=True, gamma_override=None, **kw))
-    assert all(np.isfinite(p.risk_emp) and p.var_emp > 0 for p in points)
+    source = DataSource(cfg, 25)
+    data = source.train(15, 0, np.random.default_rng([cfg.seed, 15, 0]))
+    K = kernel_matrix(source.spec, data)
+    tol = 15 * np.finfo(float).eps * np.linalg.norm(K, 2)
+    dense = np.linalg.eigvalsh(K)[0]
+    assert abs(dense) <= tol
+    assert exc.value.smallest_eigenvalue == pytest.approx(dense, abs=tol)
 
 
 @pytest.mark.parametrize("kw", [dict(), dict(use_linearized=False, gamma_override=None)],

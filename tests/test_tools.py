@@ -100,9 +100,9 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
                              + [("lin_wide", 1, "sweep0")]
                              + [("real_exact", 1, o) for o in ("sweep0", "eig", "svg")]
                              + [("multi_trial", 1, o) for o in (
-                                 "lin_schedule", "fixed_lambda_gamma0", "curvature",
-                                 "exact_synth", "exact_real", "lin_real", "exact_affine",
-                                 "ridgeless", "ridgeless_noisy", "eig_synth")]
+                                 "lin_schedule", "fixed_lambda_gamma0", "exact_synth",
+                                 "exact_real", "lin_real", "exact_affine", "ridgeless",
+                                 "ridgeless_noisy", "eig_synth")]
                              + [("bounds", 1, o) for o in ("harmonic", "polynomial",
                                                             "exponential")])
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())

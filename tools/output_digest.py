@@ -78,7 +78,6 @@ SAMPLE200 = str(ROOT / "tests" / "data" / "sample200.libsvm")
 MULTI_TRIAL = {
     "lin_schedule": dict(kernel="gaussian"),
     "fixed_lambda_gamma0": dict(kernel="polynomial", fixed_lambda=1e-5, gamma_override=0.0),
-    "curvature": dict(kernel="gaussian", lin_curvature=True),
     "exact_synth": dict(kernel="gaussian", use_linearized=False),
     "exact_real": dict(kernel="gaussian", use_linearized=False, mode="real", d=24,
                        input_path=SAMPLE200),
