@@ -14,7 +14,7 @@ from .linearize import (InterlacingReport, LinFactor, LinModel, LinParams,
                         MomentDiagnostics, approx_error, build_lin_kernel, estimate_trace_ratio,
                         factored_spectrum, interlacing_check, lin_cross_kernel_matrix,
                         lin_factors, linearize_params, moment_diagnostics,
-                        perturbation_inertia)
+                        perturbation_inertia, spectrum_with_t)
 from .spectral import (DecaySpec, Spectrum, bound_N, effective_dimension,
                        exp_monotone_condition, generate_decay_spectrum,
                        numeric_peak, peak_point, polynomial_theta_threshold,

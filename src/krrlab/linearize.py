@@ -3,7 +3,7 @@
 For data with d large, an inner-product or radial kernel matrix is well
 approximated in spectral norm by
 
-    K_lin = alpha * 11^T + beta * X X^T / d + gamma * I + T,
+    K_lin + T,   K_lin = alpha * 11^T + beta * X X^T / d + gamma * I,
 
 where (alpha, beta, gamma) depend on the profile h evaluated at the pivot
 (0 for inner-product kernels, 2*tau for radial ones, tau = tr(Sigma)/d),
@@ -13,22 +13,23 @@ and T is a curvature correction that is nonzero only for the radial family:
 
 with psi_i = ||x_i||^2/d - tau.  The perturbation alpha 11^T + T of the
 scaled Gram matrix lies in span{1, psi, psi∘psi}, so it has rank <= 3; its
-inertia (see `perturbation_inertia`) sets how far the spectrum of K_lin can
-move against that of beta XX^T/d + gamma I.  gamma acts as an implicit
+inertia (see `perturbation_inertia`) sets how far the spectrum of K_lin + T
+can move against that of beta XX^T/d + gamma I.  gamma acts as an implicit
 ridge built into the kernel curvature; `gamma_override` replaces it
 (typically with 0) to study explicit regularization in isolation.
 
-A `LinModel` holds both choices, the ridge and whether T is included.
-`build_lin_kernel` assembles its Gram matrix and `lin_factors` writes it in
-factored form, K_lin - gamma_eff I = F (I + E) F^T (`LinFactor`), with E
-nonzero only under T; both measure T, for `sweep.eig_compare`'s spectra and
-the interlacing checks, but the risk routes fit only the core without T,
-whose cross kernel is `lin_cross_kernel_matrix`, or Phi L F^T with
-Phi = [1, Q] at the test points Q.  The layouts of F and Phi are known to
-this module alone: `LinFactor.eigen` decomposes F F^T, `LinFactor.predict`
-and `moments` read the columns of Phi that L weighs onto, and
-`phi_moments` builds the moment matrix Phi^T Phi a test sample
-(`risk.QuerySample`) caches.
+A `LinModel` is the model the risk routes fit: K_lin, with gamma_eff for
+gamma, positive semi-definite for every sample; T is no part of it.
+`build_lin_kernel` assembles its Gram matrix, `lin_cross_kernel_matrix` its
+cross kernel, and `lin_factors` writes it in factored form,
+K_lin - gamma_eff I = F F^T, with cross kernel Phi L F^T, Phi = [1, Q] at
+the test points Q (`LinFactor`).  T is measured, never fitted: `spectrum_with_t` gives the
+spectrum of K_lin + T for `sweep.eig_compare` and the interlacing checks,
+from the factor [V, X] and the form M that `perturbation_inertia` reads.
+The layouts of F, Phi and [V, X] are known to this module alone:
+`LinFactor.eigen` decomposes F F^T, `LinFactor.predict` and `moments` read
+the columns of Phi that L weighs onto, and `phi_moments` builds the moment
+matrix Phi^T Phi a test sample (`risk.QuerySample`) caches.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "lin_factors",
     "phi_moments",
     "factored_spectrum",
+    "spectrum_with_t",
     "moment_diagnostics",
     "estimate_trace_ratio",
 ]
@@ -147,24 +149,20 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
 
 @dataclass(frozen=True)
 class LinModel:
-    """Linearized-kernel model: its ridge gamma_eff and whether T is included.
+    """The linearized model the risk routes fit, and its ridge gamma_eff.
 
-    Without `curvature` (the model the risk routes fit) the Gram matrix is
-    the rank-structured core alpha 11^T + beta XX^T/d + gamma_eff I, which
-    is positive semi-definite for every sample, and the cross kernel is
-    h_pivot + beta <x, x_i>/d.  That is not the core's bilinear form: its
-    constant is h_pivot where the Gram matrix has alpha.  With `curvature`
-    True a radial kernel's Gram matrix also carries T (`includes_t`), which
-    `build_lin_kernel` and `lin_factors` measure and no route fits: T is
-    indefinite and its second-order term in psi overshoots once psi is O(1),
-    so K_lin + T can be indefinite under the implicit gamma too: with its
-    ridge, the default sweep's first cell at n = 400 (d = 500) has smallest
-    eigenvalue -5.2e-2.
+    Its Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
+    gamma_eff I, which is positive semi-definite for every sample, and its
+    cross kernel is h_pivot + beta <x, x_i>/d.  That is not the core's
+    bilinear form: its constant is h_pivot where the Gram matrix has alpha.
+    The radial correction T is no part of it: T is indefinite and its
+    second-order term in psi overshoots once psi is O(1), so K_lin + T can
+    be indefinite under the implicit gamma too (`spectrum_with_t` measures
+    it).
     """
 
     params: LinParams
     gamma_override: Optional[float] = None
-    curvature: bool = False
 
     def __post_init__(self):
         if self.gamma_override is not None and not self.gamma_override >= 0:
@@ -175,12 +173,6 @@ class LinModel:
         """gamma_eff, the ridge the linearized kernel carries: the implicit
         gamma, or `gamma_override` when given."""
         return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
-
-    @property
-    def includes_t(self) -> bool:
-        """Whether the Gram matrix carries T: `curvature` is set and the
-        kernel is radial."""
-        return self.curvature and self.params.family == "radial"
 
 
 def _psi(X: np.ndarray, tau: float) -> np.ndarray:
@@ -195,21 +187,16 @@ def _core(params: LinParams, X: np.ndarray) -> np.ndarray:
 
 def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
     """The n x n Gram matrix of `model` on a dataset:
-    alpha 11^T + beta XX^T/d + gamma_eff I, plus T when `model.includes_t`."""
-    params = model.params
+    alpha 11^T + beta XX^T/d + gamma_eff I."""
     X = data.features
-    K = _core(params, X)
+    K = _core(model.params, X)
     K[np.diag_indices(X.shape[0])] += model.gamma
-    if model.includes_t:
-        psi = _psi(X, params.tau)
-        A = psi[:, None] + psi[None, :]
-        K += params.h1_pivot * A + 0.5 * params.h2_pivot * (A * A)
     return K
 
 
 def lin_cross_kernel_matrix(model: LinModel, data: Dataset,
                             queries: np.ndarray) -> np.ndarray:
-    """m x n cross kernel the core without T fits with:
+    """m x n cross kernel of `model` against the rows of `queries`:
     h_pivot 1 + beta Q X^T / d."""
     params = model.params
     X = data.features
@@ -273,46 +260,20 @@ def perturbation_inertia(params: LinParams) -> tuple:
 class LinFactor:
     """A linearized model's kernel on the rows of X, in factored form.
 
-    K_lin - gamma_eff I = F D F^T, F = [c 1, sqrt(beta/d) X] with
-    c = sqrt(alpha) and D = I; the constant column is dropped when
-    alpha = 0 (`weigh` then raises ValueError unless h_pivot = 0).  When the
-    model includes T, F gains the columns psi and psi∘psi (p = d+3), c is 1
-    if alpha = 0, and D - I is zero but for its 3 x 3 block E on the columns
-    `block` (c 1, psi, psi∘psi): the form of `perturbation_inertia` scaled by
-    1/c in its first row and column, minus I.  Such a factor serves the
-    spectra only (`factored_spectrum(F, D, gamma_eff)` and `core_spectrum`).
-
-    Without T, E is empty and the cross kernel h_pivot + beta <q, x_i>/d is
-    Phi L F^T with Phi = [1, Q]; `weigh` applies L, and `predict` and
-    `moments` read the columns of Phi it weighs onto.  `eigen` decomposes
-    F F^T from its smaller side, and `core_spectrum` gives the spectrum of
-    alpha 11^T + beta XX^T/d.
+    K_lin - gamma_eff I = F F^T, F = [c 1, sqrt(beta/d) X] with
+    c = sqrt(alpha); the constant column is dropped when alpha = 0 (`weigh`
+    then raises ValueError unless h_pivot = 0).  The cross kernel
+    h_pivot + beta <q, x_i>/d is Phi L F^T with Phi = [1, Q]; `weigh`
+    applies L, and `predict` and `moments` read the columns of Phi it weighs
+    onto.  `eigen` decomposes F F^T from its smaller side, and
+    `core_spectrum` gives the spectrum of alpha 11^T + beta XX^T/d.
     """
 
     params: LinParams
     X: np.ndarray
     F: np.ndarray
-    E: np.ndarray
     c: float                    # F's constant column, 0 when F has none
     cross_weights: np.ndarray   # L's diagonal on F's columns [c 1, sqrt(beta/d) X]
-
-    @property
-    def block(self) -> list:
-        """The columns (c 1, psi, psi∘psi) of F that E acts on."""
-        d = self.X.shape[1]
-        return [0, d + 1, d + 2] if self.E.size else []
-
-    @property
-    def psi(self) -> np.ndarray:
-        """Norm fluctuations psi of the rows of X (under T only)."""
-        return self.F[:, self.X.shape[1] + 1]
-
-    @property
-    def D(self) -> np.ndarray:
-        """The p x p middle factor I + E."""
-        D = np.eye(self.F.shape[1])
-        D[np.ix_(self.block, self.block)] += self.E
-        return D
 
     def weigh(self, V: np.ndarray) -> np.ndarray:
         """L V: the rows of V, indexed like F's columns, weighed onto the
@@ -336,15 +297,12 @@ class LinFactor:
     def core_spectrum(self) -> np.ndarray:
         """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
         sorted descending, from its smaller Gram side, padded with the zeros
-        of its rank deficit.  That matrix is G G^T, G the columns
-        [sqrt(alpha) 1, sqrt(beta/d) X] of F; G G^T or G^T G, whichever is
-        smaller, is formed and decomposed on scipy's BLAS and LAPACK, as the
+        of its rank deficit.  That matrix is F F^T; F F^T or F^T F, whichever
+        is smaller, is formed and decomposed on scipy's BLAS and LAPACK, as the
         rest of an exact cell, whose V1 it is."""
-        n = self.F.shape[0]
-        x0 = 1 if self.c else 0                 # the first column of sqrt(beta/d) X
-        cols = slice(0 if self.params.alpha > 0 else x0, x0 + self.X.shape[1])
-        G = self.F[:, cols]
-        w = scipy_eigvalsh(scipy_gram(G if n <= G.shape[1] else G.T))
+        F = self.F
+        n = F.shape[0]
+        w = scipy_eigvalsh(scipy_gram(F if n <= F.shape[1] else F.T))
         spectrum = np.zeros(n)
         spectrum[:w.size] = np.maximum(w[::-1], 0.0)
         return spectrum
@@ -374,28 +332,19 @@ class LinFactor:
 
 
 def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
-    """The `LinFactor` of `model` on the rows of X; `factored_spectrum(F, D,
-    gamma_eff)` is then the spectrum of the n x n Gram matrix of `model`, T
-    included, without forming it.  F has no constant column when alpha = 0
-    and there is no T; the spectra need none, the cross kernel's h_pivot
-    does."""
+    """The `LinFactor` of `model` on the rows of X.  F has no constant column
+    when alpha = 0; the spectra need none, the cross kernel's h_pivot does."""
     params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     root = np.sqrt(params.beta / d)
-    if params.alpha > 0 or model.includes_t:
-        c = np.sqrt(params.alpha) if params.alpha > 0 else 1.0
-        columns = [np.full(n, c), root * X]
+    if params.alpha > 0:
+        c = np.sqrt(params.alpha)
+        F = np.column_stack([np.full(n, c), root * X])
         a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
     else:
-        c, columns, a = 0.0, [root * X], np.full(d, root)
-    E = np.zeros((0, 0))
-    if model.includes_t:
-        psi = _psi(X, params.tau)
-        columns += [psi, psi * psi]
-        scale = np.array([c, 1.0, 1.0])
-        E = _perturbation_form(params) / np.outer(scale, scale) - np.eye(3)
-    return LinFactor(params, X, np.column_stack(columns), E, c, a)
+        c, F, a = 0.0, root * X, np.full(d, root)
+    return LinFactor(params, X, F, c, a)
 
 
 def phi_moments(Q: np.ndarray) -> np.ndarray:
@@ -431,6 +380,33 @@ def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.nd
     out = np.full(n, float(shift))
     out[:core.shape[0]] += scipy_eigvalsh((core + core.T) / 2.0)
     return np.sort(out)[::-1]
+
+
+def spectrum_with_t(model: LinModel, X: np.ndarray) -> np.ndarray:
+    """Spectrum of the n x n matrix K_lin + T of `model` on the rows of X,
+    sorted descending, without forming it.
+
+    K_lin + T - gamma_eff I = W blockdiag(M, beta/d I) W^T with W = [V, X],
+    where alpha 11^T + T = V M V^T, V = [1, psi, psi∘psi] (radial) or [1]
+    (inner product, T = 0), is the form `perturbation_inertia` reads.  The
+    spectrum is `factored_spectrum`'s, on scipy's BLAS and LAPACK.
+    """
+    params = model.params
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    V = [np.ones(n)]
+    if params.family == "radial":
+        psi = _psi(X, params.tau)
+        V += [psi, psi * psi]
+    M = _perturbation_form(params)
+    # a column M weighs by 0 (1 when an inner-product alpha is 0) would put a
+    # roundoff eigenvalue where the padding reads gamma_eff exactly
+    keep = np.flatnonzero(M.any(axis=1))
+    k = keep.size
+    D = np.zeros((k + d, k + d))
+    D[:k, :k] = M[np.ix_(keep, keep)]
+    D[range(k, k + d), range(k, k + d)] = params.beta / d
+    return factored_spectrum(np.column_stack([*(V[i] for i in keep), X]), D, model.gamma)
 
 
 def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,

@@ -34,10 +34,7 @@ The layouts of F and of the test points' Phi = [1, Q] stay in `linearize`:
 this module keeps only the filters.
 Both routes read the clean responses of the training set and of the test
 sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
-helper checks the test sample's size against the cell and the scalars, and
-refuses a `LinModel` that includes the radial correction T: both routes fit
-the core without T, which is positive semi-definite where K_lin + T need
-not be.
+helper checks the test sample's size against the cell and the scalars.
 
 V1 and V2, shape curves with the paper's bound forms and constants 1, not
 bounds (`bound_v1`), take the effective ridge b = ridge + gamma, the
@@ -113,13 +110,10 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
     return sigma * np.random.default_rng(seed).standard_normal((n, noise_draws))
 
 
-def _check_cell(data: Dataset, model: Union[KernelSpec, LinModel], ridge: float,
-                sigma: float, test: QuerySample, noise_draws: int) -> None:
-    """Check a cell's model and scalars and that its test sample is at least
-    100 points of the training width."""
-    if isinstance(model, LinModel) and model.includes_t:
-        raise ValueError("the risk routes fit the linearized core without T; a LinModel "
-                         "with curvature serves build_lin_kernel and lin_factors' spectra")
+def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
+                noise_draws: int) -> None:
+    """Check a cell's scalars and that its test sample is at least 100
+    points of the training width."""
     if noise_draws < 2:
         raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
     for name, value in (("ridge", ridge), ("sigma", sigma)):
@@ -155,7 +149,7 @@ def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], ridge: flo
     (M^{-1} C_b^T)^T [data.responses, eps].  That product, as every one of
     the exact kernel's, runs on scipy's BLAS.
     """
-    _check_cell(data, model, ridge, sigma, test, noise_draws)
+    _check_cell(data, ridge, sigma, test, noise_draws)
     if isinstance(model, KernelSpec):
         K, cross = kernel_matrix(model, data), cross_kernel_matrix
     else:
@@ -214,7 +208,7 @@ def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
     fit is the min-norm interpolant, 1/w above `_roundoff_floor` of size
     max(n, p), and only min(w) below minus it raises.
     """
-    _check_cell(data, model, ridge, sigma, test, noise_draws)
+    _check_cell(data, ridge, sigma, test, noise_draws)
     n = data.n
     r = ridge + model.gamma
     Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])

@@ -36,7 +36,8 @@ def emit_plot(csv_path: str, columns, out_path: str) -> bytes:
 
     The y-axis switches to log scale when the plotted values span more than
     two decades (and are all positive).  A missing, non-numeric or
-    non-finite cell raises DataFormatError.  Creates the parent directory of
+    non-finite cell, or a range of finite values too wide for a float,
+    raises DataFormatError.  Creates the parent directory of
     `out_path` and returns the bytes written.
     """
     # a non-ASCII byte survives as a surrogate and fails the checks below
@@ -73,6 +74,8 @@ def emit_plot(csv_path: str, columns, out_path: str) -> bytes:
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
+        raise DataFormatError(f"{csv_path}: the plotted range overflows a float")
 
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB

@@ -52,7 +52,7 @@ exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
 its F-contiguous view K.T, no copy) and returns only its top k eigenvalues.
 The linearized kernel, T included, minus gamma_eff I and the Gram matrix
 XX^T/d have rank <= d+3 and d; their spectra come from a thin QR of their
-n x (d+3) and n x d factors (`linearize.lin_factors`,
+n x (d+3) and n x d factors (`linearize.spectrum_with_t`,
 `linearize.factored_spectrum`), padded to length n.
 """
 
@@ -74,7 +74,7 @@ from .kernels import Dataset, KernelSpec, kernel_matrix, scipy_gram
 from .libsvm import parse_libsvm
 from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
-                        perturbation_inertia)
+                        perturbation_inertia, spectrum_with_t)
 from .risk import (QuerySample, bias_ref, bound_v1, bound_v2, excess_risk_mc,
                    spectral_risk_mc)
 from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
@@ -489,10 +489,10 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
 
     K has full rank: one `scipy.linalg.eigh` overwrites it and returns only
     its top k eigenvalues, so K is the only n x n matrix held.  The
-    linearization, T included (the `LinFactor` of a curvature `LinModel`),
-    and the Gram matrix have rank <= d+3 and d; their spectra come from a
-    thin QR of their factors (`factored_spectrum`, fed F and I + E), at full
-    length n.  QR rather than a rotation of F^T F's eigenbasis by E: on the
+    linearization, T included (`spectrum_with_t`), and the Gram matrix have
+    rank <= d+3 and d; their spectra come from a thin QR of their factors
+    (`factored_spectrum`), at full length n.  QR rather than a rotation of
+    the factor's Gram eigenbasis by its indefinite middle matrix: on the
     `real_exact` benchmark draw (seed 2, n = 2000, d = 100) that rotation put
     the top 60 up to 3.9e-12 relative off a dense `eigvalsh` and changed 1-2
     printed values per seed, where QR stays within 3.0e-14, the dense
@@ -522,8 +522,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     eig_true = scipy.linalg.eigh(kernel_matrix(source.spec, data).T, eigvals_only=True,
                                  overwrite_a=True, check_finite=False,
                                  subset_by_index=(n - k, n - 1))[::-1]
-    full = lin_factors(LinModel(params, lin.gamma_override, curvature=True), data.features)
-    eig_lin = factored_spectrum(full.F, full.D, gamma_eff)
+    eig_lin = spectrum_with_t(lin, data.features)
     eig_g = factored_spectrum(data.features, np.eye(data.d) / data.d)
 
     report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,

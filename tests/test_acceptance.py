@@ -20,7 +20,9 @@ from krrlab import (Dataset, DecaySpec, ExperimentConfig, KernelSpec, LinModel,
                     moment_diagnostics, numeric_peak, parse_libsvm,
                     perturbation_inertia, quantity_N,
                     run_sweep, sample_dataset, sample_features, export_libsvm,
-                    build_lin_kernel, approx_error)
+                    approx_error)
+
+from conftest import dense_lin_with_t
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
 
@@ -192,7 +194,7 @@ def eig_setup():
 
 def _eig_pieces(cov, data, spec):
     params = linearize_params(spec, cov.tau, cov.trace_ratio)
-    K_lin = build_lin_kernel(LinModel(params, curvature=True), data)
+    K_lin = dense_lin_with_t(LinModel(params), data)
     G = data.features @ data.features.T / data.d
     eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
     eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -360,7 +362,7 @@ def test_c11_linearization_convergence():
             data = Dataset(X, np.zeros(n))
             params = linearize_params(spec, 1.0, 1.0 / d)
             K = kernel_matrix(spec, data)
-            K_lin = build_lin_kernel(LinModel(params, curvature=True), data)
+            K_lin = dense_lin_with_t(LinModel(params), data)
             vals.append(approx_error(K, K_lin))
         errs[(n, d)] = float(np.mean(vals))
     ratio = errs[(400, 800)] / errs[(100, 200)]

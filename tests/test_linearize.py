@@ -9,7 +9,9 @@ from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kerne
                     interlacing_check, kernel_matrix, lin_cross_kernel_matrix,
                     lin_factors, linearize_params, make_covariance, moment_diagnostics,
                     perturbation_inertia, QuerySample, sample_dataset, sample_features,
-                    TargetSpec)
+                    spectrum_with_t, TargetSpec)
+
+from conftest import dense_lin_with_t
 
 
 def _table4(variant, degree, tau, s):
@@ -98,13 +100,13 @@ class TestBuildLinKernel:
     def test_inner_product_has_zero_t(self):
         cov, data = _dataset(20, 50, seed=1)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        full = build_lin_kernel(LinModel(p, curvature=True), data)
+        full = dense_lin_with_t(LinModel(p), data)
         assert np.array_equal(full, build_lin_kernel(LinModel(p), data))
 
     def test_pure_gram_when_alpha_gamma_zero(self):
         cov, data = _dataset(15, 40, seed=2)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
-        K = build_lin_kernel(LinModel(p, curvature=True), data)
+        K = dense_lin_with_t(LinModel(p), data)
         G = data.features @ data.features.T / data.d
         assert np.allclose(K, G, atol=1e-14)
 
@@ -112,17 +114,16 @@ class TestBuildLinKernel:
         # identity covariance + orthogonal rows: ||x_i||^2 = d exactly
         cov, data = _dataset(12, 30, seed=3, kind="identity")
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        psi = lin_factors(LinModel(p, curvature=True), data.features).psi
+        psi = np.sum(data.features ** 2, axis=1) / data.d - p.tau
         assert np.allclose(psi, 0.0, atol=1e-12)
-        T = (build_lin_kernel(LinModel(p, curvature=True), data)
-             - build_lin_kernel(LinModel(p), data))
+        T = dense_lin_with_t(LinModel(p), data) - build_lin_kernel(LinModel(p), data)
         assert np.allclose(T, 0.0, atol=1e-12)
 
     def test_gamma_override_changes_diagonal_only(self):
         cov, data = _dataset(18, 45, seed=4)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        full = build_lin_kernel(LinModel(p, curvature=True), data)
-        noreg = build_lin_kernel(LinModel(p, 0.0, curvature=True), data)
+        full = dense_lin_with_t(LinModel(p), data)
+        noreg = dense_lin_with_t(LinModel(p, 0.0), data)
         diff = full - noreg
         assert np.allclose(diff, p.gamma * np.eye(data.n), atol=1e-14)
 
@@ -141,7 +142,7 @@ class TestBuildLinKernel:
     def test_rank_structure_of_correction(self, seed):
         cov, data = _dataset(25, 60, seed=seed)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        psi = lin_factors(LinModel(p, curvature=True), data.features).psi
+        psi = np.sum(data.features ** 2, axis=1) / data.d - p.tau
         A = psi[:, None] + psi[None, :]
         sv = np.linalg.svd(A, compute_uv=False)
         assert sv[2] <= 1e-8 * sv[0]
@@ -202,7 +203,7 @@ class TestApproxError:
                 data = Dataset(X, np.zeros(n))
                 p = linearize_params(spec, 1.0, 1.0 / d)
                 K = kernel_matrix(spec, data)
-                K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+                K_lin = dense_lin_with_t(LinModel(p), data)
                 vals.append(approx_error(K, K_lin))
             errs[(n, d)] = np.mean(vals)
         assert errs[(400, 800)] < errs[(100, 200)]
@@ -224,7 +225,7 @@ class TestInterlacing:
     def test_rank_one_perturbation_interlaces(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+        K_lin = dense_lin_with_t(LinModel(p), data)
         eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -234,7 +235,7 @@ class TestInterlacing:
     def test_radial_perturbation_obeys_weyl_bracket(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        K_lin = build_lin_kernel(LinModel(p, curvature=True), data)
+        K_lin = dense_lin_with_t(LinModel(p), data)
         eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -305,7 +306,7 @@ class TestPerturbationInertia:
         # the inertia of alpha 11^T + T on data equals that of the 3x3 form
         cov, data = _dataset(40, 90, seed=11)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        K_lin = build_lin_kernel(LinModel(p, 0.0, curvature=True), data)
+        K_lin = dense_lin_with_t(LinModel(p, 0.0), data)
         P = K_lin - p.beta * data.features @ data.features.T / data.d
         w = np.linalg.eigvalsh((P + P.T) / 2.0)
         tol = 1e-10 * np.max(np.abs(w))
@@ -317,9 +318,10 @@ _SPECS = {"polynomial": KernelSpec.polynomial(3), "gaussian": KernelSpec.gaussia
 
 
 class TestFactoredSpectrum:
-    # d = 20: F has p = 23 columns (radial), 21 (inner product) or 20 (the
-    # linear kernel, whose alpha = 0 drops the constant column); the offsets
-    # give n < p, n = p and n > p
+    # d = 20: `spectrum_with_t`'s factor [V, X] has p = 23 columns (radial),
+    # 21 (inner product) or 20 (the linear kernel, whose alpha = 0 weighs the
+    # constant column by 0, so it is dropped); the offsets give n < p, n = p
+    # and n > p
     @pytest.mark.parametrize("kernel", sorted(_SPECS))
     @pytest.mark.parametrize("gamma_override", [None, 0.0])
     @pytest.mark.parametrize("offset", [-6, 0, 17])
@@ -330,15 +332,15 @@ class TestFactoredSpectrum:
         n = p_cols + offset
         cov, data = _dataset(n, d, seed=30 + n)
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
-        model = LinModel(params, gamma_override, curvature=True)
+        model = LinModel(params, gamma_override)
         gamma_eff = model.gamma
-        factor = lin_factors(model, data.features)
-        assert factor.F.shape == (n, p_cols)
 
-        eig_lin = factored_spectrum(factor.F, factor.D, gamma_eff)
-        dense_lin = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
+        eig_lin = spectrum_with_t(model, data.features)
+        dense_lin = np.linalg.eigvalsh(dense_lin_with_t(model, data))[::-1]
         assert eig_lin.shape == (n,)
         assert np.max(np.abs(eig_lin - dense_lin)) <= 1e-10 * abs(dense_lin[0])
+        # the factor's null space reads gamma_eff exactly
+        assert np.sum(eig_lin == gamma_eff) >= n - min(n, p_cols)
 
         X = data.features
         eig_g = factored_spectrum(X, np.eye(d) / d)
@@ -365,30 +367,42 @@ class TestFactoredSpectrum:
         with pytest.raises(ValueError, match="expected"):
             factored_spectrum(np.ones((4, 3)), np.eye(2))
 
+    def test_t_is_no_part_of_the_model(self):
+        # the model is (params, gamma_override); T is measured, never a field
+        cov, _ = _dataset(10, 20)
+        params = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
+        assert [f.name for f in dataclasses.fields(LinModel)] == ["params", "gamma_override"]
+        with pytest.raises(TypeError, match="curvature"):
+            LinModel(params, curvature=True)
+
 
 _ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
 
 
 class TestLinFactor:
-    """F (I + E) F^T, Phi L F^T and `eigen` against the dense Gram matrix,
-    cross kernel and solve, for every kernel and at alpha = 0; the factored
-    Gram matrix and core spectrum also with T, whose factor serves the
-    spectra only."""
+    """F F^T, Phi L F^T and `eigen` against the dense Gram matrix, cross
+    kernel and solve, and `spectrum_with_t` against the dense K_lin + T,
+    for every kernel and at alpha = 0."""
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
-    @pytest.mark.parametrize("curvature", [False, True])
+    @pytest.mark.parametrize("with_t", [False, True])
     @pytest.mark.parametrize("alpha_zero", [False, True], ids=["alpha", "alpha-0"])
-    def test_factored_forms_match_dense(self, kernel, curvature, alpha_zero):
+    def test_factored_forms_match_dense(self, kernel, with_t, alpha_zero):
         n, d, m = 30, 25, 40
         cov, data = _dataset(n, d, seed=7)
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
-        model = LinModel(params, curvature=curvature)
+        model = LinModel(params)
+        if with_t:
+            dense = np.linalg.eigvalsh(dense_lin_with_t(model, data))[::-1]
+            got = spectrum_with_t(model, data.features)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+            return
         factor = lin_factors(model, data.features)
 
         K = build_lin_kernel(model, data) - model.gamma * np.eye(n)
-        got = factor.F @ factor.D @ factor.F.T
+        got = factor.F @ factor.F.T
         assert np.max(np.abs(got - K)) <= 1e-12 * np.max(np.abs(K))
 
         # n > p here, so the core's spectrum comes from its block of F^T F
@@ -396,8 +410,6 @@ class TestLinFactor:
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
 
-        if model.includes_t:
-            return
         if params.alpha == 0 and params.h_pivot != 0:
             with pytest.raises(ValueError, match="needs alpha > 0"):
                 factor.weigh(factor.F.T)
@@ -408,11 +420,9 @@ class TestLinFactor:
         assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
-    # `eigen` serves factors without T; the one value keeps these cases' ids
-    @pytest.mark.parametrize("curvature", [False])
     @pytest.mark.parametrize("alpha_zero", [False, True], ids=["alpha", "alpha-0"])
     @pytest.mark.parametrize("offset", [-6, 0, 9], ids=["n<p", "n=p", "n>p"])
-    def test_eigen_matches_dense(self, kernel, curvature, alpha_zero, offset):
+    def test_eigen_matches_dense(self, kernel, alpha_zero, offset):
         # the eigenvalues, padded with the null space's zeros, are the dense
         # spectrum, and the filtered fit L F^T (F F^T + r I)^-1 Y
         d, r = 20, 0.3
@@ -420,7 +430,7 @@ class TestLinFactor:
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
-        model = LinModel(params, curvature=curvature)
+        model = LinModel(params)
         p = lin_factors(model, data.features).F.shape[1]
         n = p + offset
         sample = Dataset(data.features[:n], data.responses[:n])
@@ -464,7 +474,7 @@ class TestLinFactor:
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
         dense = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
-        got = factored_spectrum(factor.F, factor.D, model.gamma)
+        got = factored_spectrum(factor.F, np.eye(d), model.gamma)
         assert np.max(np.abs(got - dense)) <= 1e-12 * dense[0]
 
 

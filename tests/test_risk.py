@@ -171,19 +171,6 @@ class TestSpectralRiskMc:
         assert v1 == pytest.approx(v1_ref, rel=1e-9)
         assert spectrum.shape == (n,) and np.all(np.diff(spectrum) <= 0)
 
-    @pytest.mark.parametrize("route", [excess_risk_mc, spectral_risk_mc],
-                             ids=["cholesky", "spectral"])
-    def test_model_with_t_is_refused(self, route):
-        # both routes fit the core without T; a model that includes T is
-        # refused, not fitted with a cross kernel that has no T
-        cov = make_covariance(self.D, "harmonic")
-        params = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        test_X = sample_features(cov, 150, 21)
-        test = QuerySample(test_X, np.zeros(150))
-        data = _clean_set(cov, 20, TargetSpec(noise_sigma=1.0), [4, 20])
-        with pytest.raises(ValueError, match="without T"):
-            route(data, LinModel(params, curvature=True), 0.1, 1.0, test, 4, 0)
-
 
 class TestRidgelessFilter:
     """At ridge + gamma_eff = 0 `spectral_risk_mc` fits the min-norm

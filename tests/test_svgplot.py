@@ -52,3 +52,21 @@ def test_csv_without_header_or_rows(tmp_path, text, message):
     with pytest.raises(DataFormatError, match=message):
         emit_plot(str(csv), ["a"], str(tmp_path / "x.svg"))
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("rows", [["1,1e308,1", "2,-1e308,1"], ["-1e308,1,1", "1e308,2,1"]],
+                         ids=["y", "n"])
+def test_range_that_overflows_is_refused(tmp_path, rows):
+    # every value is finite, but max - min is not: the SVG would hold nan and inf
+    csv = tmp_path / "t.csv"
+    _write_csv(csv, rows)
+    with pytest.raises(DataFormatError, match="range overflows"):
+        emit_plot(str(csv), ["a"], str(tmp_path / "x.svg"))
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_widest_finite_range_draws_finite_coordinates(tmp_path):
+    csv = tmp_path / "t.csv"
+    _write_csv(csv, ["1,8e307,1", "2,0,1", "3,-8e307,1"])
+    text = emit_plot(str(csv), ["a"], str(tmp_path / "x.svg")).decode()
+    assert "nan" not in text and "inf" not in text

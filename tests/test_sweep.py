@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
-                    QuerySample, SingularKernelError, TargetSpec, bound_v1, build_lin_kernel,
+                    QuerySample, SingularKernelError, TargetSpec, bound_v1,
                     classify_curve, eig_compare, estimate_trace_ratio, evaluate_target,
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
                     make_covariance, parse_libsvm, run_sweep, sample_dataset,
@@ -16,7 +16,7 @@ from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel
 from krrlab import kernels, sweep
 from krrlab.sweep import CSV_HEADER, DataSource, parse_grid
 
-from conftest import dense_v1_spectrum
+from conftest import dense_lin_with_t, dense_v1_spectrum
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample200.libsvm")
 
@@ -468,7 +468,7 @@ def _dense_eig_columns(cfg, n, k):
     gamma = LinModel(params, cfg.gamma_override if cfg.use_linearized else None).gamma
     X = data.features
     eig_true = np.linalg.eigvalsh(kernel_matrix(spec, data))[::-1]
-    K_lin = build_lin_kernel(LinModel(params, gamma, curvature=True), data)
+    K_lin = dense_lin_with_t(LinModel(params, gamma), data)
     eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
     eig_g = np.linalg.eigvalsh(X @ X.T / cfg.d)[::-1]
     return [eig_true[:k], eig_lin[:k], params.beta * eig_g[:k] + gamma]

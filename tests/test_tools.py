@@ -128,6 +128,37 @@ def test_output_digest_sees_a_one_ulp_change_in_a_benchmark_sweep(monkeypatch):
     assert output_digest.digest(ROOT, ["lin_wide"], [1], micro=True)[key] != want
 
 
+def test_output_digest_reads_a_one_ulp_change_in_eig_lin(monkeypatch, capsys):
+    # a last-bit move in one spectrum value leaves the CSV as printed; the
+    # digest and `--values` read the spectra at full precision
+    eig_compare = sweep.eig_compare
+
+    def nudged(*args, **kwargs):
+        res = eig_compare(*args, **kwargs)
+        eig_lin = res.eig_lin.copy()
+        eig_lin[2] = math.nextafter(eig_lin[2], math.inf)
+        return dataclasses.replace(res, eig_lin=eig_lin)
+
+    key = ("real_exact", 1, "eig")
+    sides = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(sweep, "eig_compare", nudged)
+        result = output_digest.outputs(ROOT, ["real_exact"], [1], micro=True)[key]
+        sides.append(output_digest.format_lines(
+            {key: output_digest._sha(output_digest._text(result))},
+            {key: output_digest.values_table("eig", result)}))
+    children = iter(sides)
+    monkeypatch.setattr(output_digest, "_digest_in_child", lambda tree, args: next(children))
+    assert output_digest.main(["--against", str(ROOT), "--values"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "real_exact 1 eig DIFFERS"
+    lines = dict(line.strip().split(": ", 1) for line in out[1:-1])
+    assert lines["eig_lin"].endswith(", moved at i=3")
+    assert lines["printed CSV"] == "same"
+    assert all(lines[c].endswith("no row moved") for c in ("i", "eig_true", "eig_scaled_gram"))
+
+
 def test_output_digest_compares_two_trees(capsys):
     assert output_digest.main(["--against", str(ROOT), "--workloads", "lin_wide",
                                "--seeds", "1-2", "--micro"]) == 0

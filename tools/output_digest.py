@@ -9,24 +9,25 @@ the tree's own `bench/workloads.py` (`build`, then `run_pass`; `real_exact`
 first writes its libsvm input with `write_real_input`), against the tree's
 own `src/`, in a temporary working directory.  One line is printed per
 output: `<workload> <seed> <output> <sha256>`, where the outputs are each
-sweep (`sweep0`, `sweep1`, ...), the eig-compare CSV (`eig`) and the SVG
+sweep (`sweep0`, `sweep1`, ...), the eig-compare output (`eig`) and the SVG
 (`svg`).  Every sweep is digested in one form: its CSV text followed by the
 `repr` of its points' fields, since the CSV's 12 significant digits hide a
-change in the last bits of a point.  The benchmark workloads all run one
-trial per cell, so the group `multi_trial` adds small sweeps at 9 or more
-trials, built with the tree's own `krrlab.ExperimentConfig` and run on the
-same inputs in every tree, so a change in the order a sweep reduces its
-cells shows too.  It covers both routes in both modes (`lin_real`, a
-linearized real-mode sweep, is the one whose test samples are pool tails
-fitted by the spectral route), the exact linear kernel with a ridge
-(`exact_affine`) and without one, without noise (`ridgeless`) and with it
-(`ridgeless_noisy`, whose V1 takes the min-norm filter and whose V2 is inf),
-on grids on both sides of n = d, and, as `eig_synth`, one synthetic
-eig-compare CSV, which no workload draws.  A stage that raised prints
-`error:<exception type>` in place of its digest.  The group `bounds` holds
-the standard output of `krrlab bounds` (`cli.main`) for a harmonic, a
-polynomial (a = 1) and an exponential (a = 1) decay, with fixed flags; it
-does not depend on the seed.  Nothing is written under
+change in the last bits of a point; every eig-compare output likewise, as
+its CSV text followed by the `repr` of its three spectra.  The benchmark
+workloads all run one trial per cell, so the group `multi_trial` adds small
+sweeps at 9 or more trials, built with the tree's own
+`krrlab.ExperimentConfig` and run on the same inputs in every tree, so a
+change in the order a sweep reduces its cells shows too.  It covers both
+routes in both modes (`lin_real`, a linearized real-mode sweep, is the one
+whose test samples are pool tails fitted by the spectral route), the exact
+linear kernel with a ridge (`exact_affine`) and without one, without noise
+(`ridgeless`) and with it (`ridgeless_noisy`, whose V1 takes the min-norm
+filter and whose V2 is inf), on grids on both sides of n = d, and, as
+`eig_synth`, one synthetic eig-compare, which no workload draws.  A stage
+that raised prints `error:<exception type>` in place of its digest.  The
+group `bounds` holds the standard output of `krrlab bounds` (`cli.main`) for
+a harmonic, a polynomial (a = 1) and an exponential (a = 1) decay, with
+fixed flags; it does not depend on the seed.  Nothing is written under
 `bench/`: bytecode caching is off and every output goes to the temporary
 directory.
 
@@ -35,18 +36,18 @@ With `--against`, both trees are digested, each in its own interpreter
 `same` or `DIFFERS`; the exit status is 1 if any output differs or is
 missing on one side.
 
-`--values` also reads each output's values as a table: a sweep's points at
-full precision, a CSV's printed values otherwise (the SVG and the `bounds`
-printouts have none).  On
-its own it appends the table, as JSON, to the output's digest line; with
-`--against`, every output that differs is followed by one line per CSV
-column, with the column's largest relative gap |a - b| / max(|a|, |b|)
-between the trees and the rows that moved, named by their first column
-(`n=600`), so a change that moves values can list each move, and then one
-line, `printed CSV: same` or `printed CSV: moved at n=600 ...`, that says
-whether the rows also differ as the sweep prints them (`sweep._write_rows`:
-the first field as is, the others to 12 significant digits), so a move in
-the last bits can be told from a move in the printed digits.
+`--values` also reads each output's values as a table: a sweep's points and
+an eig-compare's spectra at full precision (the SVG and the `bounds`
+printouts have none).  On its own it appends the table, as JSON, to the
+output's digest line; with `--against`, every output that differs is
+followed by one line per CSV column, with the column's largest relative gap
+|a - b| / max(|a|, |b|) between the trees and the rows that moved, named by
+their first column (`n=600`), so a change that moves values can list each
+move, and then one line, `printed CSV: same` or `printed CSV: moved at n=600
+...`, that says whether the rows also differ as the CSV prints them
+(`sweep._write_rows`: the first field as is, the others to 12 significant
+digits), so a move in the last bits can be told from a move in the printed
+digits.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ MULTI_TRIAL = {
 }
 # ... and one synthetic eig-compare, at the group's largest n.
 EIG_SYNTH = dict(kernel="gaussian")
+# An eig-compare's spectra: its CSV columns and `EigComparison` fields.
+EIG_SPECTRA = ("eig_true", "eig_lin", "eig_scaled_gram")
 # The bounds group: `krrlab bounds` flags per output, each decay in regime for
 # a closed-form peak where it has one.
 BOUNDS_FLAGS = ["--rstar", "100000", "--n", "500", "--cbar", "0.01", "--theta", "0.3",
@@ -118,33 +121,48 @@ def _sha(data) -> str:
     return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
 
 
+def _spectra(eig) -> list:
+    """An `EigComparison`'s spectra, in `EIG_SPECTRA` order, as lists of
+    floats (whose repr keeps every bit)."""
+    return [getattr(eig, name).tolist() for name in EIG_SPECTRA]
+
+
 def _text(result):
     """The digested form of one output: a sweep's `(points, csv_text)` as its
-    CSV and the repr of its points' fields at full precision; a CSV, the SVG
-    or the exception raised in an output's place as it is."""
+    CSV and the repr of its points' fields at full precision; an
+    `EigComparison` as its CSV and the repr of its spectra; the SVG, a
+    printout or the exception raised in an output's place as it is."""
     if isinstance(result, tuple):
         points, csv_text = result
         return csv_text + repr([dataclasses.astuple(p) for p in points])
+    if hasattr(result, "csv_text"):
+        return result.csv_text + repr(_spectra(result))
     return result
 
 
 def values_table(output: str, result):
-    """{"header": [...], "rows": [[...], ...]} of one output's values: a
-    sweep's points at full precision, a CSV's printed values; None for the
-    SVG, the `bounds` printouts and an output that raised."""
+    """{"header": [...], "rows": [[...], ...]} of one output's values at full
+    precision: a sweep's points, an eig-compare's CSV rows with its spectra
+    in place of their printed digits; None for the SVG, the `bounds`
+    printouts and an output that raised."""
     if isinstance(result, BaseException) or output == "svg" or output in BOUNDS:
         return None
     if isinstance(result, tuple):
         points, csv_text = result
         header, rows = csv_text.split("\n", 1)[0], [list(dataclasses.astuple(p)) for p in points]
-    else:
-        header, *lines = result.splitlines()
-        rows = [[float(v) for v in line.split(",")] for line in lines]
-    return {"header": header.split(","), "rows": rows}
+        return {"header": header.split(","), "rows": rows}
+    header, *lines = result.csv_text.splitlines()
+    header = header.split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    for name, values in zip(EIG_SPECTRA, _spectra(result)):
+        j = header.index(name)
+        for row, value in zip(rows, values):
+            row[j] = value
+    return {"header": header, "rows": rows}
 
 
 def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
-    """{output: sweep or eig-compare CSV, or the exception raised} of the
+    """{output: sweep or `EigComparison`, or the exception raised} of the
     multi-trial group."""
     size = (dict(d=20, n_grid=[10, 30, 50], trials=9, test_points=100, noise_draws=4)
             if micro else
@@ -160,7 +178,7 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
             out[output] = exc
     try:
         out["eig_synth"] = krrlab.eig_compare(krrlab.ExperimentConfig(
-            seed=seed, **dict(size, **EIG_SYNTH))).csv_text
+            seed=seed, **dict(size, **EIG_SYNTH)))
     except Exception as exc:
         out["eig_synth"] = exc
     return out
@@ -190,7 +208,7 @@ def digest(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dic
 
 def outputs(tree: Path, workloads: list, seeds: list, micro: bool = False) -> dict:
     """{(workload, seed, output): result} for one pass of each workload: a
-    sweep's `(points, csv_text)`, the eig-compare CSV, the SVG, or the
+    sweep's `(points, csv_text)`, the `EigComparison`, the SVG, or the
     exception raised in an output's place."""
     caching, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -215,8 +233,7 @@ def outputs(tree: Path, workloads: list, seeds: list, micro: bool = False) -> di
                 for i, sweep in enumerate(res.sweeps):
                     out[name, seed, f"sweep{i}"] = sweep
                 if wl.eig_n is not None:
-                    out[name, seed, "eig"] = (
-                        res.eig if isinstance(res.eig, BaseException) else res.eig.csv_text)
+                    out[name, seed, "eig"] = res.eig
                 if wl.plot_path is not None:
                     out[name, seed, "svg"] = res.plot
     return out
