@@ -8,9 +8,11 @@ analytic terms leaves nothing but Monte-Carlo error.
 Run:  python demos/bias_variance_identity.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, TargetSpec, evaluate_target,
+from krrlab import (Dataset, KernelSpec, QuerySample, TargetSpec, evaluate_target,
                     excess_risk_mc, linearize_params, make_covariance,
                     sample_dataset, sample_features)
 
@@ -21,8 +23,8 @@ test_X = sample_features(cov, 1000, 99)
 test = QuerySample(test_X, evaluate_target(target, test_X))
 
 spec = KernelSpec.gaussian()
-params = linearize_params(spec, cov.tau, cov.trace_ratio)
-model = LinModel(params, gamma_override=0.0)
+# the linearized model without its implicit ridge: the schedule is the only one
+model = dataclasses.replace(linearize_params(spec, cov.tau, cov.trace_ratio), gamma=0.0)
 
 print("n     risk        bias + var   gap/stderr")
 for n in (50, 100, 200, 400):

@@ -10,7 +10,7 @@ from .errors import (ConfigError, DataFormatError, KernelEvaluationError,
                      KrrLabError, NumericalError, SingularKernelError)
 from .kernels import (Dataset, KernelSpec, KrrModel, cross_kernel_matrix,
                       kernel_matrix, krr_fit, krr_predict, solve_regularized)
-from .linearize import (InterlacingReport, LinFactor, LinModel, LinParams,
+from .linearize import (InterlacingReport, LinFactor, LinParams,
                         MomentDiagnostics, approx_error, build_lin_kernel, estimate_trace_ratio,
                         factored_spectrum, interlacing_check, lin_cross_kernel_matrix,
                         lin_factors, linearize_params, moment_diagnostics,

@@ -15,18 +15,19 @@ with psi_i = ||x_i||^2/d - tau.  The perturbation alpha 11^T + T of the
 scaled Gram matrix lies in span{1, psi, psi∘psi}, so it has rank <= 3; its
 inertia (see `perturbation_inertia`) sets how far the spectrum of K_lin + T
 can move against that of beta XX^T/d + gamma I.  gamma acts as an implicit
-ridge built into the kernel curvature; `gamma_override` replaces it
-(typically with 0) to study explicit regularization in isolation.
+ridge built into the kernel curvature; an explicit value can take its place
+(typically 0, `dataclasses.replace(params, gamma=0.0)`) to study explicit
+regularization in isolation.
 
-A `LinModel` is the model the risk routes fit: K_lin, with gamma_eff for
-gamma, positive semi-definite for every sample; T is no part of it.
+A `LinParams` is the model the risk routes fit: K_lin, whose ridge is its
+`gamma`, positive semi-definite for every sample; T is no part of it.
 `build_lin_kernel` assembles its Gram matrix, `lin_cross_kernel_matrix` its
 cross kernel, and `lin_factors` writes it in factored form,
-K_lin - gamma_eff I = F F^T, with cross kernel Phi L F^T, Phi = [1, Q] at
-the test points Q (`LinFactor`).  T is measured, never fitted: `spectrum_with_t` gives the
-spectrum of K_lin + T for `sweep.eig_compare` and the interlacing checks,
-from the factor [V, X] and the form M that `perturbation_inertia` reads.
-The layouts of F, Phi and [V, X] are known to this module alone:
+K_lin - gamma I = F F^T, with cross kernel Phi L F^T, Phi = [1, Q] at the
+test points Q (`LinFactor`).  T is measured, never fitted: `spectrum_with_t`
+gives the spectrum of K_lin + T for `sweep.eig_compare` and the interlacing
+checks, from the factor [V, X] and the form M that `perturbation_inertia`
+reads.  The layouts of F, Phi and [V, X] are known to this module alone:
 `LinFactor.eigen` decomposes F F^T, `LinFactor.predict` and `moments` read
 the columns of Phi that L weighs onto, and `phi_moments` builds the moment
 matrix Phi^T Phi a test sample (`risk.QuerySample`) caches.
@@ -44,7 +45,6 @@ from .kernels import Dataset, KernelSpec, scipy_eigvalsh, scipy_gram, scipy_prod
 
 __all__ = [
     "LinParams",
-    "LinModel",
     "MomentDiagnostics",
     "linearize_params",
     "build_lin_kernel",
@@ -65,11 +65,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinParams:
-    """Linearization coefficients of one kernel at a given pivot.
+    """Linearization coefficients of one kernel at a given pivot, and the
+    linearized model the risk routes fit.
 
     `trace_ratio` is tr(Sigma^2)/d^2.  `h_pivot`, `h1_pivot`, `h2_pivot`
     hold h and its derivatives at the pivot (0 or 2*tau); they drive the
-    curvature matrix T and the linearized cross kernel.
+    curvature matrix T and the linearized cross kernel.  `gamma` is the
+    ridge the model carries: the implicit one `linearize_params` gives, or
+    an explicit one put in its place with `dataclasses.replace`; it must be
+    >= 0 and finite.
+
+    The model's Gram matrix is the rank-structured core alpha 11^T +
+    beta XX^T/d + gamma I, positive semi-definite for every sample.  The
+    radial correction T is no part of it: T is indefinite and its
+    second-order term in psi overshoots once psi is O(1), so K_lin + T can
+    be indefinite under the implicit gamma too (`spectrum_with_t` measures
+    it).
     """
 
     family: str
@@ -81,6 +92,10 @@ class LinParams:
     h_pivot: float
     h1_pivot: float
     h2_pivot: float
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
 
 
 # A coefficient that is 0 in exact arithmetic (gamma of an affine profile:
@@ -109,32 +124,30 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
         gamma = h(0) + 2 tau h'(2 tau) - h(2 tau)
 
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
-    0 of an affine profile, rounded) is taken as 0.  A degenerate coefficient
-    (beta <= 0, or alpha or gamma below that) or tau is a ConfigError naming tau.
+    0 of an affine profile, rounded) is taken as 0.  A coefficient that is not
+    finite (h overflows at a large tau, silently), a degenerate one (beta <= 0,
+    or alpha or gamma below that) or tau is a ConfigError naming tau.
     """
     if not (0 <= tau < np.inf and 0 <= trace_ratio < np.inf):
         raise ConfigError(f"tau and trace_ratio must be >= 0 and finite, got tau={tau}, "
                           f"trace_ratio={trace_ratio}; --standardize rescales features this large")
-    if spec.family == "inner_product":
-        pivot = 0.0
-        h0 = float(spec.h(np.float64(0.0)))
-        h1 = float(spec.h1(pivot))
-        h2 = float(spec.h2(pivot))
-        h_tau = float(spec.h(np.float64(tau)))
+    radial = spec.family == "radial"
+    pivot = 2.0 * tau if radial else 0.0
+    with np.errstate(over="ignore"):            # an h that overflows is refused below
+        h0, h_pivot, h_tau = (float(spec.h(np.float64(t))) for t in (0.0, pivot, tau))
+        h1, h2 = float(spec.h1(pivot)), float(spec.h2(pivot))
+    if radial:
+        alpha = _clip_roundoff(h_pivot + 2.0 * h2 * trace_ratio, h_pivot, 2.0 * h2 * trace_ratio)
+        beta = -2.0 * h1
+        gamma = _clip_roundoff(h0 + 2.0 * tau * h1 - h_pivot, h0, 2.0 * tau * h1, h_pivot)
+    else:
         alpha = _clip_roundoff(h0 + h2 * trace_ratio / 2.0, h0, h2 * trace_ratio / 2.0)
         beta = h1
         gamma = _clip_roundoff(h_tau - h0 - tau * h1, h_tau, h0, tau * h1)
-        h_pivot = h0
-    else:
-        pivot = 2.0 * tau
-        hp = float(spec.h(np.float64(pivot)))
-        h1 = float(spec.h1(pivot))
-        h2 = float(spec.h2(pivot))
-        h0 = float(spec.h(np.float64(0.0)))
-        alpha = _clip_roundoff(hp + 2.0 * h2 * trace_ratio, hp, 2.0 * h2 * trace_ratio)
-        beta = -2.0 * h1
-        gamma = _clip_roundoff(h0 + 2.0 * tau * h1 - hp, h0, 2.0 * tau * h1, hp)
-        h_pivot = hp
+    if not np.all(np.isfinite([alpha, beta, gamma])):
+        raise ConfigError(f"linearization requires finite alpha, beta, gamma, got "
+                          f"alpha={alpha:.3e} beta={beta:.3e} gamma={gamma:.3e} at "
+                          f"tau={tau:.6g}, where the kernel profile h overflows")
     if beta <= 0:
         raise ConfigError(f"linearization requires beta > 0, got {beta:.3e} at tau={tau:.6g}; "
                           f"a radial h'(2 tau) underflows to 0 at a large tau, and "
@@ -147,34 +160,6 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
                      h_pivot, h1, h2)
 
 
-@dataclass(frozen=True)
-class LinModel:
-    """The linearized model the risk routes fit, and its ridge gamma_eff.
-
-    Its Gram matrix is the rank-structured core alpha 11^T + beta XX^T/d +
-    gamma_eff I, which is positive semi-definite for every sample, and its
-    cross kernel is h_pivot + beta <x, x_i>/d.  That is not the core's
-    bilinear form: its constant is h_pivot where the Gram matrix has alpha.
-    The radial correction T is no part of it: T is indefinite and its
-    second-order term in psi overshoots once psi is O(1), so K_lin + T can
-    be indefinite under the implicit gamma too (`spectrum_with_t` measures
-    it).
-    """
-
-    params: LinParams
-    gamma_override: Optional[float] = None
-
-    def __post_init__(self):
-        if self.gamma_override is not None and not self.gamma_override >= 0:
-            raise ValueError("gamma_override must be >= 0")
-
-    @property
-    def gamma(self) -> float:
-        """gamma_eff, the ridge the linearized kernel carries: the implicit
-        gamma, or `gamma_override` when given."""
-        return self.params.gamma if self.gamma_override is None else float(self.gamma_override)
-
-
 def _psi(X: np.ndarray, tau: float) -> np.ndarray:
     """Norm fluctuations psi_i = ||x_i||^2/d - tau of the rows of X."""
     return np.einsum("ij,ij->i", X, X) / X.shape[1] - tau
@@ -185,20 +170,21 @@ def _core(params: LinParams, X: np.ndarray) -> np.ndarray:
     return params.alpha + params.beta * (X @ X.T) / X.shape[1]
 
 
-def build_lin_kernel(model: LinModel, data: Dataset) -> np.ndarray:
-    """The n x n Gram matrix of `model` on a dataset:
-    alpha 11^T + beta XX^T/d + gamma_eff I."""
+def build_lin_kernel(params: LinParams, data: Dataset) -> np.ndarray:
+    """The n x n Gram matrix of `params` on a dataset:
+    alpha 11^T + beta XX^T/d + gamma I."""
     X = data.features
-    K = _core(model.params, X)
-    K[np.diag_indices(X.shape[0])] += model.gamma
+    K = _core(params, X)
+    K[np.diag_indices(X.shape[0])] += params.gamma
     return K
 
 
-def lin_cross_kernel_matrix(model: LinModel, data: Dataset,
+def lin_cross_kernel_matrix(params: LinParams, data: Dataset,
                             queries: np.ndarray) -> np.ndarray:
-    """m x n cross kernel of `model` against the rows of `queries`:
-    h_pivot 1 + beta Q X^T / d."""
-    params = model.params
+    """m x n cross kernel of `params` against the rows of `queries`:
+    h_pivot 1 + beta Q X^T / d.  That is not the bilinear form of the Gram
+    matrix `build_lin_kernel` builds: its constant is h_pivot where the Gram
+    matrix has alpha (ROADMAP item 1)."""
     X = data.features
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     if Q.shape[1] != X.shape[1]:
@@ -260,7 +246,7 @@ def perturbation_inertia(params: LinParams) -> tuple:
 class LinFactor:
     """A linearized model's kernel on the rows of X, in factored form.
 
-    K_lin - gamma_eff I = F F^T, F = [c 1, sqrt(beta/d) X] with
+    K_lin - gamma I = F F^T, F = [c 1, sqrt(beta/d) X] with
     c = sqrt(alpha); the constant column is dropped when alpha = 0 (`weigh`
     then raises ValueError unless h_pivot = 0).  The cross kernel
     h_pivot + beta <q, x_i>/d is Phi L F^T with Phi = [1, Q]; `weigh`
@@ -331,10 +317,9 @@ class LinFactor:
         return w, self.weigh(V * root_s), proj, spectrum
 
 
-def lin_factors(model: LinModel, X: np.ndarray) -> LinFactor:
-    """The `LinFactor` of `model` on the rows of X.  F has no constant column
+def lin_factors(params: LinParams, X: np.ndarray) -> LinFactor:
+    """The `LinFactor` of `params` on the rows of X.  F has no constant column
     when alpha = 0; the spectra need none, the cross kernel's h_pivot does."""
-    params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     root = np.sqrt(params.beta / d)
@@ -382,16 +367,15 @@ def factored_spectrum(W: np.ndarray, D: np.ndarray, shift: float = 0.0) -> np.nd
     return np.sort(out)[::-1]
 
 
-def spectrum_with_t(model: LinModel, X: np.ndarray) -> np.ndarray:
-    """Spectrum of the n x n matrix K_lin + T of `model` on the rows of X,
+def spectrum_with_t(params: LinParams, X: np.ndarray) -> np.ndarray:
+    """Spectrum of the n x n matrix K_lin + T of `params` on the rows of X,
     sorted descending, without forming it.
 
-    K_lin + T - gamma_eff I = W blockdiag(M, beta/d I) W^T with W = [V, X],
+    K_lin + T - gamma I = W blockdiag(M, beta/d I) W^T with W = [V, X],
     where alpha 11^T + T = V M V^T, V = [1, psi, psi∘psi] (radial) or [1]
     (inner product, T = 0), is the form `perturbation_inertia` reads.  The
     spectrum is `factored_spectrum`'s, on scipy's BLAS and LAPACK.
     """
-    params = model.params
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     V = [np.ones(n)]
@@ -400,13 +384,13 @@ def spectrum_with_t(model: LinModel, X: np.ndarray) -> np.ndarray:
         V += [psi, psi * psi]
     M = _perturbation_form(params)
     # a column M weighs by 0 (1 when an inner-product alpha is 0) would put a
-    # roundoff eigenvalue where the padding reads gamma_eff exactly
+    # roundoff eigenvalue where the padding reads gamma exactly
     keep = np.flatnonzero(M.any(axis=1))
     k = keep.size
     D = np.zeros((k + d, k + d))
     D[:k, :k] = M[np.ix_(keep, keep)]
     D[range(k, k + d), range(k, k + d)] = params.beta / d
-    return factored_spectrum(np.column_stack([*(V[i] for i in keep), X]), D, model.gamma)
+    return factored_spectrum(np.column_stack([*(V[i] for i in keep), X]), D, params.gamma)
 
 
 def interlacing_check(eig_klin: np.ndarray, eig_xx: np.ndarray, beta: float,

@@ -19,7 +19,7 @@ without solving for them.  The factor overwrites K, and C is formed,
 solved over and dropped one fixed block of test points at a time, so K is
 the cell's only matrix of size n.  Like the kernels and the factor, the
 predictions are formed on scipy's BLAS (`kernels.scipy_product`), so the
-route does not wake numpy's thread pool.  It also accepts a `LinModel`,
+route does not wake numpy's thread pool.  It also accepts a `LinParams`,
 whose dense Gram matrix (`linearize.build_lin_kernel`) and cross-kernel
 blocks (`lin_cross_kernel_matrix`) make it the reference the linearized
 route is checked against, not a route of `run_sweep`.
@@ -57,7 +57,7 @@ import numpy as np
 from .errors import SingularKernelError
 from .kernels import (Dataset, KernelSpec, cross_kernel_matrix, kernel_matrix, scipy_product,
                       solve_factored, solve_regularized)
-from .linearize import (LinModel, build_lin_kernel, lin_cross_kernel_matrix, lin_factors,
+from .linearize import (LinParams, build_lin_kernel, lin_cross_kernel_matrix, lin_factors,
                         phi_moments)
 from .spectral import Spectrum, quantity_N
 
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 
-def gram_and_cross(model: Union[KernelSpec, LinModel], data: Dataset, queries: np.ndarray):
+def gram_and_cross(model: Union[KernelSpec, LinParams], data: Dataset, queries: np.ndarray):
     """Gram matrix on `data` and m x n cross kernel against `queries`."""
     if isinstance(model, KernelSpec):
         return kernel_matrix(model, data), cross_kernel_matrix(model, data, queries)
@@ -132,7 +132,7 @@ def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
 _TEST_BLOCK = 128
 
 
-def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinModel], ridge: float,
+def excess_risk_mc(data: Dataset, model: Union[KernelSpec, LinParams], ridge: float,
                    sigma: float, test: QuerySample, noise_draws: int, seed) -> RiskEstimate:
     """Estimate risk by averaging over fresh noise draws; also return the
     analytic bias and variance.  risk - bias - variance is pure MC error,
@@ -186,7 +186,7 @@ class QuerySample(Dataset):
         return phi_moments(self.features)
 
 
-def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
+def spectral_risk_mc(data: Dataset, params: LinParams, ridge: float, sigma: float,
                      test: QuerySample, noise_draws: int, seed):
     """`excess_risk_mc` for a linearized model, from one small-side
     eigendecomposition of its `linearize.LinFactor`; returns
@@ -210,9 +210,9 @@ def spectral_risk_mc(data: Dataset, model: LinModel, ridge: float, sigma: float,
     """
     _check_cell(data, ridge, sigma, test, noise_draws)
     n = data.n
-    r = ridge + model.gamma
+    r = ridge + params.gamma
     Y = np.column_stack([data.responses, _noise(seed, sigma, n, noise_draws)])
-    factor = lin_factors(model, data.features)
+    factor = lin_factors(params, data.features)
     # before the fit: a sample's first cell forms its long-lived moments here, so
     # they do not sit above the fit's freed temporaries (4 MB more peak RSS)
     S = factor.moments(test)

@@ -7,14 +7,14 @@ under the schedule lambda = cbar * n^(-theta) (or a fixed ridge), and
 records the empirical bias, variance and risk together with the evaluable
 shape curves.  `_cell` is one (n, trial) cell: its seeded draw, its route
 with the ridge `_lambdas` sets (n*lambda, or a fixed lambda itself), both
-curves at b = ridge + gamma_eff, and six floats (bias, variance, risk, V1,
+curves at b = ridge + gamma, and six floats (bias, variance, risk, V1,
 V2, stderr^2); each point of the curve is the per-column mean of its
 `trials` cells, in trial order.  All Monte-Carlo expectations share one
 test sample per sweep (common random numbers) and every cell carries its
 own seeded stream, so the output is byte-identical across reruns.
 
 A sweep has two routes.  Every linearized cell fits the positive
-semi-definite core alpha 11^T + beta XX^T/d + gamma_eff I, without the
+semi-definite core alpha 11^T + beta XX^T/d + gamma I, without the
 radial correction T, by one small-side eigendecomposition of its rank
 <= d+1 factored form (`risk.spectral_risk_mc`): fit, bias, variance and MC
 risk are filter sums over it, and a ridgeless cell is the min-norm
@@ -40,17 +40,18 @@ kernel is built: the synthetic sampler's QR at n <= d.
 
 `ExperimentConfig` checks types and ranges once, when it is built, so no
 cell fails on its input: `gamma_override` on an exact kernel is rejected,
-and a ridgeless b = ridge + gamma_eff = 0 runs with or without noise (V1
+and a ridgeless b = ridge + gamma = 0 runs with or without noise (V1
 takes the fit's min-norm filter, V2 is inf).  `DataSource` loads the data of
 one call, synthetic or real, in one place and builds its kernel; `_cell`
 reads both.
 A real pool whose features would overflow the plug-in tau or trace ratio
-is refused there, once, before any cell (`_check_plugin_range`).
+is refused there, once, before any cell (`_check_plugin_range`); a profile
+h that overflows at the plug-in tau is refused at the cell that reads it.
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
 its F-contiguous view K.T, no copy) and returns only its top k eigenvalues.
-The linearized kernel, T included, minus gamma_eff I and the Gram matrix
+The linearized kernel, T included, minus gamma I and the Gram matrix
 XX^T/d have rank <= d+3 and d; their spectra come from a thin QR of their
 n x (d+3) and n x d factors (`linearize.spectrum_with_t`,
 `linearize.factored_spectrum`), padded to length n.
@@ -72,7 +73,7 @@ import numpy as np
 from .errors import ConfigError, SingularKernelError
 from .kernels import Dataset, KernelSpec, kernel_matrix, scipy_gram
 from .libsvm import parse_libsvm
-from .linearize import (LinModel, estimate_trace_ratio, factored_spectrum,
+from .linearize import (LinParams, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
                         perturbation_inertia, spectrum_with_t)
 from .risk import (QuerySample, bias_ref, bound_v1, bound_v2, excess_risk_mc,
@@ -329,7 +330,10 @@ class DataSource:
     cells.  Real mode: the parsed, optionally standardized pool and one
     permutation per trial from [seed, 900, t]; training sets are its nested
     prefixes and its tail of up to `test_points` (at least 100) rows is held
-    out.  `with_test` False builds no test sample (eig_compare needs none).
+    out.  `with_test` False, eig_compare's source, builds no test sample, and
+    in real mode only parses the file: eig_compare fits the raw rows, so no
+    pool is built or checked.  `gamma_override`, when set, takes the place of
+    every LinParams' implicit gamma (`_fitted`).
     `spec` is the call's kernel, and `spectral` the route of its cells:
     linearized fits, and an exact affine kernel (its own linearization),
     take the spectral route, on numpy; other exact kernels the Cholesky
@@ -343,7 +347,8 @@ class DataSource:
         if config.mode == "synth":
             self.cov = make_covariance(config.d, config.decay, config.a)
             self.target = TargetSpec(noise_sigma=config.sigma)
-            self.params = linearize_params(self.spec, self.cov.tau, self.cov.trace_ratio)
+            self.params = self._fitted(linearize_params(self.spec, self.cov.tau,
+                                                        self.cov.trace_ratio))
             if with_test:
                 test_X = sample_features(self.cov, config.test_points,
                                          np.random.default_rng([config.seed, 7, 1]))
@@ -355,6 +360,8 @@ class DataSource:
         if self.raw.n < need:
             raise ConfigError(f"real mode needs {need} rows for n = {n_max}; "
                               f"{config.input_path} has {self.raw.n}")
+        if not with_test:
+            return
         X = self.raw.features
         if config.standardize:
             # z-scores do not change when X is scaled by a power of two, which
@@ -367,10 +374,9 @@ class DataSource:
         self.pool = Dataset(X, self.raw.responses)
         self.perms = [np.random.default_rng([config.seed, 900, t]).permutation(self.pool.n)
                       for t in range(config.trials)]
-        if with_test:
-            tails = [p[max(self.pool.n - config.test_points, n_max):] for p in self.perms]
-            self._tests = [QuerySample(self.pool.features[h], self.pool.responses[h])
-                           for h in tails]
+        tails = [p[max(self.pool.n - config.test_points, n_max):] for p in self.perms]
+        self._tests = [QuerySample(self.pool.features[h], self.pool.responses[h])
+                       for h in tails]
 
     def train(self, n: int, trial: int, rng: np.random.Generator) -> Dataset:
         """Training set of cell (n, trial): its points and their clean
@@ -386,19 +392,21 @@ class DataSource:
     def test(self, trial: int) -> QuerySample:
         return self._tests[trial]
 
-    def lin_model(self, X: np.ndarray) -> LinModel:
-        """The LinModel that fits and bounds training set X (plain for exact
-        kernels); its LinParams are the covariance's (synth) or plug-in
-        estimates from X (real).  The plug-in's d x d product runs on the
-        BLAS of the call's route: numpy's on the spectral route, scipy's on
-        the Cholesky route."""
-        params = self.params
-        if self.cov is None:
-            tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
-            gram = None if self.spectral else scipy_gram
-            params = linearize_params(self.spec, tau, estimate_trace_ratio(X, gram))
-        # exact configs set no gamma_override, so they keep the implicit gamma
-        return LinModel(params, self.config.gamma_override)
+    def lin_params(self, X: np.ndarray) -> LinParams:
+        """The LinParams that fit and bound training set X: the covariance's
+        (synth) or plug-in estimates from X (real).  The plug-in's d x d
+        product runs on the BLAS of the call's route: numpy's on the spectral
+        route, scipy's on the Cholesky route."""
+        if self.cov is not None:
+            return self.params
+        tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
+        gram = None if self.spectral else scipy_gram
+        return self._fitted(linearize_params(self.spec, tau, estimate_trace_ratio(X, gram)))
+
+    def _fitted(self, params: LinParams) -> LinParams:
+        """`params` with gamma replaced by `gamma_override`, when set."""
+        g = self.config.gamma_override
+        return params if g is None else dataclasses.replace(params, gamma=float(g))
 
 
 def _check_plugin_range(X: np.ndarray,
@@ -433,19 +441,19 @@ def _cell(source: DataSource, n: int, t: int, ridge: float) -> tuple:
     rng = np.random.default_rng([config.seed, n, t])
     data = source.train(n, t, rng)
     test = source.test(t)
-    lin = source.lin_model(data.features)
+    params = source.lin_params(data.features)
     try:
         if source.spectral:
-            est, spectrum = spectral_risk_mc(data, lin, ridge, config.sigma, test,
+            est, spectrum = spectral_risk_mc(data, params, ridge, config.sigma, test,
                                              config.noise_draws, rng)
         else:
             est = excess_risk_mc(data, spec, ridge, config.sigma, test, config.noise_draws, rng)
-            spectrum = lin_factors(lin, data.features).core_spectrum()
+            spectrum = lin_factors(params, data.features).core_spectrum()
     except SingularKernelError as exc:
         raise SingularKernelError(f"cell n={n}, trial {t}, ridge {ridge:.6g}: {exc}",
                                   exc.smallest_eigenvalue) from exc
-    b = ridge + lin.gamma
-    v1 = bound_v1(spectrum, lin.params.beta, data.d, b, config.sigma)
+    b = ridge + params.gamma
+    v1 = bound_v1(spectrum, params.beta, data.d, b, config.sigma)
     v2 = bound_v2(spec.family, data.d, b, config.sigma)
     return est.bias, est.variance, est.risk, v1, v2, est.mc_stderr ** 2
 
@@ -513,8 +521,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
         data = Dataset(source.raw.features[rows], source.raw.responses[rows])
         _check_plugin_range(data.features, "eig-compare fits the file's raw rows whatever "
                             "--standardize says")
-    lin = source.lin_model(data.features)
-    params, gamma_eff = lin.params, lin.gamma
+    params = source.lin_params(data.features)
 
     k = min(k, n)
     import scipy.linalg        # loaded on use, as throughout the exact route
@@ -522,13 +529,13 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
     eig_true = scipy.linalg.eigh(kernel_matrix(source.spec, data).T, eigvals_only=True,
                                  overwrite_a=True, check_finite=False,
                                  subset_by_index=(n - k, n - 1))[::-1]
-    eig_lin = spectrum_with_t(lin, data.features)
+    eig_lin = spectrum_with_t(params, data.features)
     eig_g = factored_spectrum(data.features, np.eye(data.d) / data.d)
 
-    report = interlacing_check(eig_lin, eig_g, params.beta, gamma_eff,
+    report = interlacing_check(eig_lin, eig_g, params.beta, params.gamma,
                                perturbation_inertia(params))
 
-    scaled = params.beta * eig_g[:k] + gamma_eff
+    scaled = params.beta * eig_g[:k] + params.gamma
     csv_text = _write_rows("i,eig_true,eig_lin,eig_scaled_gram,is_top1",
                            [(i + 1, eig_true[i], eig_lin[i], scaled[i], int(i == 0))
                             for i in range(k)], output_path)

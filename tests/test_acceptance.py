@@ -5,6 +5,7 @@ session-scoped fixtures.  Every tolerance is pinned here, not tuned at
 runtime.
 """
 
+import dataclasses
 import os
 import time
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from krrlab import (Dataset, DecaySpec, ExperimentConfig, KernelSpec, LinModel,
+from krrlab import (Dataset, DecaySpec, ExperimentConfig, KernelSpec,
                     QuerySample, TargetSpec, bound_N, classify_curve, CurveShape,
                     excess_risk_mc, emit_plot, evaluate_target, exp_monotone_condition,
                     generate_decay_spectrum, interlacing_check, kernel_matrix,
@@ -172,7 +173,7 @@ def test_c04_decomposition_identity():
         spec = KernelSpec.gaussian() if kernel == "gaussian" else KernelSpec.polynomial(3)
         data, clean = sample_dataset(cov, n, target, [4, n])
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
-        model = LinModel(params, gamma_override=0.0)
+        model = dataclasses.replace(params, gamma=0.0)
         lam = CBAR * n ** (-2 / 3)
         est = excess_risk_mc(Dataset(data.features, clean), model, n * lam, SIGMA, test,
                              noise_draws=50, seed=[5, n])
@@ -194,7 +195,7 @@ def eig_setup():
 
 def _eig_pieces(cov, data, spec):
     params = linearize_params(spec, cov.tau, cov.trace_ratio)
-    K_lin = dense_lin_with_t(LinModel(params), data)
+    K_lin = dense_lin_with_t(params, data)
     G = data.features @ data.features.T / data.d
     eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
     eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -362,7 +363,7 @@ def test_c11_linearization_convergence():
             data = Dataset(X, np.zeros(n))
             params = linearize_params(spec, 1.0, 1.0 / d)
             K = kernel_matrix(spec, data)
-            K_lin = dense_lin_with_t(LinModel(params), data)
+            K_lin = dense_lin_with_t(params, data)
             vals.append(approx_error(K, K_lin))
         errs[(n, d)] = float(np.mean(vals))
     ratio = errs[(400, 800)] / errs[(100, 200)]

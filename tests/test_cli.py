@@ -262,6 +262,36 @@ def test_bad_flags_exit_two_before_sampling(argv, field, no_sampling, unscaled_i
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kernel", "polynomial", "--degree", "1030", "--d", "20", "--n-grid", "5:25:5",
+     "--trials", "1", "--test-points", "100", "--noise-draws", "2"],
+    ["sweep", "--kernel", "exponential_inner", *REAL_UNSCALED],
+], ids=["synth-polynomial-1030", "real-exponential-inner"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_linearization_exits_two(argv, unscaled_input, capsys):
+    # h(tau) overflows, so gamma would be inf: (1 + tau)^1030 at the synthetic
+    # tau, and exp(2 tau) at the plug-in tau (about 1600) of the N(0, 40^2) file
+    argv = [unscaled_input if a == UNSCALED else a for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: linearization requires finite alpha, beta, gamma")
+    assert "gamma=inf at tau=" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--standardize"]], ids=["raw", "standardize"])
+@pytest.mark.filterwarnings("error")
+def test_real_eig_compare_refuses_its_raw_rows_without_advising_standardize(
+        extra, large_input, capsys):
+    # eig-compare fits the file's raw rows whatever --standardize says, so the
+    # refusal is its own, and advising the flag would not help
+    argv = [large_input if a == LARGE else a for a in REAL_LARGE]
+    assert cli.main(["eig-compare", *argv, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: real-mode features reach 3.9e+100")
+    assert "eig-compare fits the file's raw rows" in err
+    assert "--standardize rescales" not in err and len(err.splitlines()) == 1
+
+
 def test_standardize_removes_the_beta_underflow(unscaled_input, capsys):
     argv = [unscaled_input if a == UNSCALED else a for a in REAL_UNSCALED]
     assert cli.main(["sweep", *argv, "--standardize"]) == 0

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import krrlab
 import krrlab.kernels as kernels
-from krrlab import (Dataset, KernelSpec, LinModel, approx_error, build_lin_kernel,
+from krrlab import (ConfigError, Dataset, KernelSpec, LinParams, approx_error, build_lin_kernel,
                     cross_kernel_matrix, estimate_trace_ratio, factored_spectrum,
                     interlacing_check, kernel_matrix, lin_cross_kernel_matrix,
                     lin_factors, linearize_params, make_covariance, moment_diagnostics,
@@ -89,6 +90,16 @@ class TestLinearizeParams:
         with pytest.raises(ValueError, match="gamma="):
             linearize_params(bad, 1e-6, 0.0)
 
+    @pytest.mark.parametrize("spec,tau", [(KernelSpec.polynomial(1030), 1.0),
+                                          (KernelSpec.exponential_inner(), 400.0)],
+                             ids=["polynomial-1030", "exponential-inner"])
+    def test_overflowing_profile_rejected(self, spec, tau):
+        # h(tau) overflows to inf, so gamma would be inf; the overflow's
+        # RuntimeWarning (an error under this suite) must not come first
+        with pytest.raises(ConfigError, match=r"requires finite alpha, beta, gamma, got "
+                                              rf".* gamma=inf at tau={tau:.6g}, "):
+            linearize_params(spec, tau, 0.01)
+
 
 def _dataset(n, d, seed=0, kind="harmonic"):
     cov = make_covariance(d, kind)
@@ -100,13 +111,13 @@ class TestBuildLinKernel:
     def test_inner_product_has_zero_t(self):
         cov, data = _dataset(20, 50, seed=1)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        full = dense_lin_with_t(LinModel(p), data)
-        assert np.array_equal(full, build_lin_kernel(LinModel(p), data))
+        full = dense_lin_with_t(p, data)
+        assert np.array_equal(full, build_lin_kernel(p, data))
 
     def test_pure_gram_when_alpha_gamma_zero(self):
         cov, data = _dataset(15, 40, seed=2)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
-        K = dense_lin_with_t(LinModel(p), data)
+        K = dense_lin_with_t(p, data)
         G = data.features @ data.features.T / data.d
         assert np.allclose(K, G, atol=1e-14)
 
@@ -116,27 +127,29 @@ class TestBuildLinKernel:
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         psi = np.sum(data.features ** 2, axis=1) / data.d - p.tau
         assert np.allclose(psi, 0.0, atol=1e-12)
-        T = dense_lin_with_t(LinModel(p), data) - build_lin_kernel(LinModel(p), data)
+        T = dense_lin_with_t(p, data) - build_lin_kernel(p, data)
         assert np.allclose(T, 0.0, atol=1e-12)
 
     def test_gamma_override_changes_diagonal_only(self):
         cov, data = _dataset(18, 45, seed=4)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        full = dense_lin_with_t(LinModel(p), data)
-        noreg = dense_lin_with_t(LinModel(p, 0.0), data)
+        full = dense_lin_with_t(p, data)
+        noreg = dense_lin_with_t(dataclasses.replace(p, gamma=0.0), data)
         diff = full - noreg
         assert np.allclose(diff, p.gamma * np.eye(data.n), atol=1e-14)
 
-    def test_gamma_eff_is_decided_by_lin_model(self):
+    def test_gamma_is_the_ridge_the_params_carry(self):
+        # an explicit gamma takes the implicit one's place on the diagonal
+        # only, and one below 0 or not finite is refused
         cov, data = _dataset(10, 30, seed=4)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        assert LinModel(p).gamma == p.gamma
-        assert LinModel(p, gamma_override=0.25).gamma == 0.25
-        diff = (build_lin_kernel(LinModel(p, 0.25), data)
-                - build_lin_kernel(LinModel(p, 0.0), data))
+        assert dataclasses.replace(p, gamma=0.25).gamma == 0.25
+        diff = (build_lin_kernel(dataclasses.replace(p, gamma=0.25), data)
+                - build_lin_kernel(dataclasses.replace(p, gamma=0.0), data))
         assert np.allclose(diff, 0.25 * np.eye(data.n), atol=1e-14)
-        with pytest.raises(ValueError, match="gamma_override"):
-            LinModel(p, gamma_override=-0.1)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+                dataclasses.replace(p, gamma=bad)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rank_structure_of_correction(self, seed):
@@ -161,7 +174,7 @@ class TestLinCross:
         cov, data = _dataset(10, 20, seed=5)
         p = linearize_params(KernelSpec.linear(), cov.tau, cov.trace_ratio)
         q = np.linspace(-1, 1, 20)
-        got = lin_cross_kernel_matrix(LinModel(p), data, q[None])[0]
+        got = lin_cross_kernel_matrix(p, data, q[None])[0]
         assert np.allclose(got, data.features @ q / 20.0)
 
     def test_gaussian_cross_deviation_shrinks_with_d(self):
@@ -175,7 +188,7 @@ class TestLinCross:
                 rng = np.random.default_rng([99, d, seed])
                 Q = rng.standard_normal((50, d))
                 true = cross_kernel_matrix(spec, data, Q)
-                lin = lin_cross_kernel_matrix(LinModel(p), data, Q)
+                lin = lin_cross_kernel_matrix(p, data, Q)
                 vals.append(np.abs(true - lin).max())
             devs[d] = np.mean(vals)
         assert devs[800] < devs[200]
@@ -203,7 +216,7 @@ class TestApproxError:
                 data = Dataset(X, np.zeros(n))
                 p = linearize_params(spec, 1.0, 1.0 / d)
                 K = kernel_matrix(spec, data)
-                K_lin = dense_lin_with_t(LinModel(p), data)
+                K_lin = dense_lin_with_t(p, data)
                 vals.append(approx_error(K, K_lin))
             errs[(n, d)] = np.mean(vals)
         assert errs[(400, 800)] < errs[(100, 200)]
@@ -225,7 +238,7 @@ class TestInterlacing:
     def test_rank_one_perturbation_interlaces(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.polynomial(3), cov.tau, cov.trace_ratio)
-        K_lin = dense_lin_with_t(LinModel(p), data)
+        K_lin = dense_lin_with_t(p, data)
         eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -235,7 +248,7 @@ class TestInterlacing:
     def test_radial_perturbation_obeys_weyl_bracket(self):
         cov, data = _dataset(40, 90, seed=10)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        K_lin = dense_lin_with_t(LinModel(p), data)
+        K_lin = dense_lin_with_t(p, data)
         eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
         G = data.features @ data.features.T / data.d
         eig_g = np.linalg.eigvalsh(G)[::-1]
@@ -306,7 +319,7 @@ class TestPerturbationInertia:
         # the inertia of alpha 11^T + T on data equals that of the 3x3 form
         cov, data = _dataset(40, 90, seed=11)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        K_lin = dense_lin_with_t(LinModel(p, 0.0), data)
+        K_lin = dense_lin_with_t(dataclasses.replace(p, gamma=0.0), data)
         P = K_lin - p.beta * data.features @ data.features.T / data.d
         w = np.linalg.eigvalsh((P + P.T) / 2.0)
         tol = 1e-10 * np.max(np.abs(w))
@@ -332,7 +345,8 @@ class TestFactoredSpectrum:
         n = p_cols + offset
         cov, data = _dataset(n, d, seed=30 + n)
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
-        model = LinModel(params, gamma_override)
+        model = (params if gamma_override is None
+                 else dataclasses.replace(params, gamma=gamma_override))
         gamma_eff = model.gamma
 
         eig_lin = spectrum_with_t(model, data.features)
@@ -368,12 +382,12 @@ class TestFactoredSpectrum:
             factored_spectrum(np.ones((4, 3)), np.eye(2))
 
     def test_t_is_no_part_of_the_model(self):
-        # the model is (params, gamma_override); T is measured, never a field
-        cov, _ = _dataset(10, 20)
-        params = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        assert [f.name for f in dataclasses.fields(LinModel)] == ["params", "gamma_override"]
-        with pytest.raises(TypeError, match="curvature"):
-            LinModel(params, curvature=True)
+        # LinParams is the model the routes fit, with no wrapper around it;
+        # T is measured, never a field
+        assert not hasattr(krrlab, "LinModel")
+        assert [f.name for f in dataclasses.fields(LinParams)] == [
+            "family", "alpha", "beta", "gamma", "tau", "trace_ratio", "h_pivot", "h1_pivot",
+            "h2_pivot"]
 
 
 _ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
@@ -393,7 +407,7 @@ class TestLinFactor:
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
-        model = LinModel(params)
+        model = params
         if with_t:
             dense = np.linalg.eigvalsh(dense_lin_with_t(model, data))[::-1]
             got = spectrum_with_t(model, data.features)
@@ -406,7 +420,7 @@ class TestLinFactor:
         assert np.max(np.abs(got - K)) <= 1e-12 * np.max(np.abs(K))
 
         # n > p here, so the core's spectrum comes from its block of F^T F
-        core = build_lin_kernel(LinModel(params, 0.0), data)
+        core = build_lin_kernel(dataclasses.replace(params, gamma=0.0), data)
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
 
@@ -430,7 +444,7 @@ class TestLinFactor:
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
-        model = LinModel(params)
+        model = params
         p = lin_factors(model, data.features).F.shape[1]
         n = p + offset
         sample = Dataset(data.features[:n], data.responses[:n])
@@ -452,7 +466,7 @@ class TestLinFactor:
         got = Z @ (proj / (w + r)[:, None])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-        core = build_lin_kernel(LinModel(params, 0.0), sample)
+        core = build_lin_kernel(dataclasses.replace(params, gamma=0.0), sample)
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(spectrum - dense)) <= 1e-12 * dense[0]
 
@@ -466,11 +480,11 @@ class TestLinFactor:
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         params = dataclasses.replace(params, alpha=0.0)
         assert params.h_pivot != 0
-        model = LinModel(params)
+        model = params
         factor = lin_factors(model, data.features)
         assert factor.F.shape == (n, d)
 
-        core = build_lin_kernel(LinModel(params, 0.0), data)
+        core = build_lin_kernel(dataclasses.replace(params, gamma=0.0), data)
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
         dense = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
@@ -574,7 +588,7 @@ def test_nan_rejected(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: lin_cross_kernel_matrix(LinModel(linearize_params(KernelSpec.gaussian(), 1.0, 0.1)),
+    lambda: lin_cross_kernel_matrix(linearize_params(KernelSpec.gaussian(), 1.0, 0.1),
                                     Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((5, 2))),
     lambda: moment_diagnostics(Dataset(np.ones((4, 3)), np.zeros(4)), np.ones((100, 2)),
                                sigma_d=np.ones(3)),

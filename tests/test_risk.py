@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from krrlab import (Dataset, KernelSpec, LinModel, QuerySample, TargetSpec, bias_ref,
+from krrlab import (Dataset, KernelSpec, QuerySample, TargetSpec, bias_ref,
                     bound_v1, bound_v2, build_lin_kernel, evaluate_target, excess_risk_mc,
                     lin_factors, linearize_params, make_covariance, quantity_N,
                     sample_dataset, sample_features, spectral_risk_mc)
@@ -124,7 +125,7 @@ class TestExcessRiskMc:
     def test_linearized_model_identity(self):
         cov, data, test_X, clean_test = _config(n=70, d=140, m=400)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-        model = LinModel(p, gamma_override=0.0)
+        model = dataclasses.replace(p, gamma=0.0)
         est = excess_risk_mc(data, model, 0.07, 1.0, QuerySample(test_X, clean_test),
                              noise_draws=50, seed=4)
         assert abs(est.risk - est.bias - est.variance) <= 4.0 * est.mc_stderr
@@ -153,7 +154,8 @@ class TestSpectralRiskMc:
         spec = {"polynomial": KernelSpec.polynomial(3), "gaussian": KernelSpec.gaussian(),
                 "linear": KernelSpec.linear()}[kernel]
         params = linearize_params(spec, cov.tau, cov.trace_ratio)
-        model = LinModel(params, gamma_override=gamma_override)
+        model = (params if gamma_override is None
+                 else dataclasses.replace(params, gamma=gamma_override))
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
         data = _clean_set(cov, n, target, [4, n])
@@ -184,7 +186,7 @@ class TestRidgelessFilter:
         cov = make_covariance(self.D, "harmonic")
         target = TargetSpec(noise_sigma=1.0)
         spec = KernelSpec.linear() if kernel == "linear" else KernelSpec.polynomial(1)
-        model = LinModel(linearize_params(spec, cov.tau, cov.trace_ratio))
+        model = linearize_params(spec, cov.tau, cov.trace_ratio)
         test_X = sample_features(cov, 150, 21)
         test = QuerySample(test_X, evaluate_target(target, test_X))
         data = _clean_set(cov, n, target, [4, n])
@@ -196,8 +198,8 @@ class TestRidgelessFilter:
 
     @staticmethod
     def _factor(model, X):
-        cols = [np.sqrt(model.params.beta / X.shape[1]) * X]
-        if model.params.alpha > 0:      # the polynomial's h_pivot = alpha = 1
+        cols = [np.sqrt(model.beta / X.shape[1]) * X]
+        if model.alpha > 0:      # the polynomial's h_pivot = alpha = 1
             cols.insert(0, np.ones(X.shape[0]))
         return np.column_stack(cols)
 
@@ -295,7 +297,7 @@ class TestRidgelessBounds:
     def test_v1_is_the_pseudo_inverse_trace(self, kernel, n):
         # the dense n x n spectrum, whose n - rank roundoff eigenvalues the floor drops
         params, data = self._cell(kernel, n)
-        K = build_lin_kernel(LinModel(params, gamma_override=0.0), data)
+        K = build_lin_kernel(dataclasses.replace(params, gamma=0.0), data)
         pinv = np.linalg.pinv(K, rcond=1e-10, hermitian=True)
         want = 0.7 ** 2 * params.beta / self.D * np.trace(pinv)
         got = bound_v1(dense_v1_spectrum(params, data), params.beta, self.D, 0.0, 0.7)
@@ -304,7 +306,7 @@ class TestRidgelessBounds:
     @pytest.mark.parametrize("kernel,n", itertools.product(("linear", "polynomial"), (15, 60)))
     def test_v1_is_the_limit_of_a_vanishing_ridge(self, kernel, n):
         params, data = self._cell(kernel, n)
-        spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
+        spectrum = lin_factors(params, data.features).core_spectrum()
         at_zero = bound_v1(spectrum, params.beta, self.D, 0.0, 0.7)
         gaps = [abs(bound_v1(spectrum, params.beta, self.D, b, 0.7) / at_zero - 1)
                 for b in (1e-4, 1e-6, 1e-8)]
@@ -314,7 +316,7 @@ class TestRidgelessBounds:
     def test_v1_ignores_roundoff_eigenvalues(self, n):
         # the small side's exact zeros, raised to the roundoff an n x n eigensolve leaves
         params, data = self._cell("polynomial", n)
-        spectrum = lin_factors(LinModel(params), data.features).core_spectrum()
+        spectrum = lin_factors(params, data.features).core_spectrum()
         assert np.count_nonzero(spectrum) == self.D + 1
         noisy = np.where(spectrum > 0, spectrum, 1e-13)
         assert (bound_v1(noisy, params.beta, self.D, 0.0, 0.7)
@@ -346,7 +348,7 @@ class TestInSpanRate:
         d = 100
         cov = make_covariance(d, "harmonic")
         p = linearize_params(KernelSpec.gaussian(), cov.tau, 0.0)
-        model = LinModel(p, gamma_override=0.0)      # schedule is the only ridge
+        model = dataclasses.replace(p, gamma=0.0)      # schedule is the only ridge
         test_X = sample_features(cov, 400, 77)
         ones_test = np.ones(400)
         biases, ns = [], [200, 400, 800]
@@ -363,7 +365,7 @@ class TestInSpanRate:
 def _spectral_cell(ridge=0.03, sigma=1.0, m=120, width=40, noise_draws=4):
     cov, data, test_X, clean_test = _config(n=30, d=40, m=m)
     p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
-    return spectral_risk_mc(data, LinModel(p), ridge, sigma,
+    return spectral_risk_mc(data, p, ridge, sigma,
                             QuerySample(test_X[:, :width], clean_test), noise_draws, 0)
 
 
@@ -413,7 +415,7 @@ def test_cross_kernel_solve_matches_explicit_cholesky(kind):
         cov, data, test_X, clean_test = _config(n=90, d=60, m=m)
         spec = KernelSpec.gaussian()
         model = (spec if kind == "exact" else
-                 LinModel(linearize_params(spec, cov.tau, cov.trace_ratio)))
+                 linearize_params(spec, cov.tau, cov.trace_ratio))
         est = excess_risk_mc(data, model, 0.09, 0.7, QuerySample(test_X, clean_test), 20, 5)
         bias, variance, risk_mc, stderr = _explicit_cholesky_cell(data, model, 0.09, 0.7,
                                                                   test_X, clean_test, 20, 5)
@@ -463,7 +465,7 @@ class TestResponseLengths:
         cov, data, test_X, clean_test = _config(n=30, d=40, m=120)
         p = linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)
         with pytest.raises(ValueError, match="responses length 29 does not match 30 feature rows"):
-            spectral_risk_mc(Dataset(data.features, np.zeros(29)), LinModel(p), 0.03, 1.0,
+            spectral_risk_mc(Dataset(data.features, np.zeros(29)), p, 0.03, 1.0,
                              QuerySample(test_X, clean_test), 4, 0)
 
 
@@ -481,7 +483,7 @@ def test_non_finite_training_or_test_sample_rejected(route, sample, bad):
     else:
         X[5, 2] = np.inf
     model = (KernelSpec.gaussian() if route == "exact" else
-             LinModel(linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio)))
+             linearize_params(KernelSpec.gaussian(), cov.tau, cov.trace_ratio))
     cell = excess_risk_mc if route == "exact" else spectral_risk_mc
     with pytest.raises(ValueError, match="contain non-finite entries"):
         cell(Dataset(*arrays["train"]), model, 0.03, 1.0, QuerySample(*arrays["test"]), 4, 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig, LinModel,
+from krrlab import (ConfigError, CurveShape, Dataset, ExperimentConfig,
                     QuerySample, SingularKernelError, TargetSpec, bound_v1,
                     classify_curve, eig_compare, estimate_trace_ratio, evaluate_target,
                     excess_risk_mc, kernel_by_name, kernel_matrix, linearize_params,
@@ -240,18 +240,21 @@ class TestRunSweep:
 
 def _direct_points(cfg):
     """bias, variance, risk, stderr and V1 per grid row, recomputed cell by
-    cell through the Cholesky route excess_risk_mc (a LinModel's dense Gram
+    cell through the Cholesky route excess_risk_mc (the LinParams' dense Gram
     matrix and cross kernel when linearized) and the n x n V1 spectrum, on
-    the same per-cell streams as run_sweep (synth mode)."""
-    cov = make_covariance(cfg.d, cfg.decay, cfg.a)
-    target = TargetSpec(noise_sigma=cfg.sigma)
+    the same per-cell streams as run_sweep.  Synth mode draws from the
+    covariance; real mode takes DataSource's training sets and test samples
+    and plugs each cell's LinParams in from its rows.  A gamma_override
+    replaces the LinParams' gamma."""
     spec = kernel_by_name(cfg.kernel, cfg.degree)
-    params = linearize_params(spec, cov.tau, cov.trace_ratio)
-    model = LinModel(params, cfg.gamma_override) if cfg.use_linearized else spec
-    gamma = (cfg.gamma_override if cfg.use_linearized and cfg.gamma_override is not None
-             else params.gamma)
-    test_X = sample_features(cov, cfg.test_points, np.random.default_rng([cfg.seed, 7, 1]))
-    test = QuerySample(test_X, evaluate_target(target, test_X))
+    if cfg.mode == "synth":
+        cov = make_covariance(cfg.d, cfg.decay, cfg.a)
+        target = TargetSpec(noise_sigma=cfg.sigma)
+        synth_params = linearize_params(spec, cov.tau, cov.trace_ratio)
+        test_X = sample_features(cov, cfg.test_points, np.random.default_rng([cfg.seed, 7, 1]))
+        test = QuerySample(test_X, evaluate_target(target, test_X))
+    else:
+        source = DataSource(cfg, cfg.grid[-1])
     rows = []
     for n in cfg.grid:
         ridge = (cfg.fixed_lambda if cfg.fixed_lambda is not None
@@ -259,15 +262,28 @@ def _direct_points(cfg):
         cells = []
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, t])
-            data, clean = sample_dataset(cov, n, target, rng)
-            data = Dataset(data.features, clean)
-            est = excess_risk_mc(data, model, ridge, cfg.sigma, test, cfg.noise_draws, rng)
+            if cfg.mode == "synth":
+                data, clean = sample_dataset(cov, n, target, rng)
+                data, params = Dataset(data.features, clean), synth_params
+            else:
+                data, test = source.train(n, t, rng), source.test(t)
+                X = data.features
+                tau = float(np.mean(np.sum(X * X, axis=1))) / cfg.d
+                params = linearize_params(spec, tau, estimate_trace_ratio(X))
+            if cfg.gamma_override is not None:
+                params = dataclasses.replace(params, gamma=cfg.gamma_override)
+            est = excess_risk_mc(data, params if cfg.use_linearized else spec, ridge,
+                                 cfg.sigma, test, cfg.noise_draws, rng)
             v1 = bound_v1(dense_v1_spectrum(params, data), params.beta, cfg.d,
-                          ridge + gamma, cfg.sigma)
+                          ridge + params.gamma, cfg.sigma)
             cells.append((est.bias, est.variance, est.risk, est.mc_stderr ** 2, v1))
         b, v, r, se2, v1 = np.mean(cells, axis=0)
         rows.append((b, v, r, np.sqrt(se2 / cfg.trials), v1))
     return rows
+
+
+# real-mode sweeps on the fixture, whose grid straddles n = d+1
+REAL = dict(mode="real", input_path=FIXTURE, d=24, n_grid=[20, 60, 90], test_points=100)
 
 
 def _sweep_rows(points):
@@ -278,8 +294,9 @@ class TestSweepRoutes:
     @pytest.mark.parametrize("kw", [
         dict(use_linearized=False, gamma_override=None),
         dict(kernel="linear", use_linearized=False, gamma_override=None),
-        dict(kernel="polynomial", degree=1, use_linearized=False, gamma_override=None)],
-        ids=["exact", "exact-linear", "exact-polynomial-1"])
+        dict(kernel="polynomial", degree=1, use_linearized=False, gamma_override=None),
+        dict(REAL, use_linearized=False, gamma_override=None)],
+        ids=["exact", "exact-linear", "exact-polynomial-1", "exact-real"])
     def test_cholesky_routes_equal_direct_computation(self, kw):
         # the exact affine sweeps take the spectral route; their worst gap
         # to the dense Cholesky cells here is 1.5e-14
@@ -289,8 +306,10 @@ class TestSweepRoutes:
             assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kw", [dict(), dict(kernel="polynomial", fixed_lambda=1e-2),
-                                    dict(kernel="linear", gamma_override=None)],
-                             ids=["gaussian-schedule", "polynomial-fixed", "linear"])
+                                    dict(kernel="linear", gamma_override=None),
+                                    dict(REAL), dict(REAL, gamma_override=None)],
+                             ids=["gaussian-schedule", "polynomial-fixed", "linear",
+                                  "real-gamma-0", "real-implicit-gamma"])
     def test_spectral_route_matches_cholesky_route(self, kw):
         # grid 30, 60, 90 at d=60 straddles n = d+1, so both sides are swept
         cfg = _small_config(**kw)
@@ -465,13 +484,13 @@ def _dense_eig_columns(cfg, n, k):
         X = data.features
         tau = float(np.mean(np.sum(X * X, axis=1))) / cfg.d
         params = linearize_params(spec, tau, estimate_trace_ratio(X))
-    gamma = LinModel(params, cfg.gamma_override if cfg.use_linearized else None).gamma
+    if cfg.gamma_override is not None:
+        params = dataclasses.replace(params, gamma=cfg.gamma_override)
     X = data.features
     eig_true = np.linalg.eigvalsh(kernel_matrix(spec, data))[::-1]
-    K_lin = dense_lin_with_t(LinModel(params, gamma), data)
-    eig_lin = np.linalg.eigvalsh(K_lin)[::-1]
+    eig_lin = np.linalg.eigvalsh(dense_lin_with_t(params, data))[::-1]
     eig_g = np.linalg.eigvalsh(X @ X.T / cfg.d)[::-1]
-    return [eig_true[:k], eig_lin[:k], params.beta * eig_g[:k] + gamma]
+    return [eig_true[:k], eig_lin[:k], params.beta * eig_g[:k] + params.gamma]
 
 
 class TestEigCompareSmallSide:

@@ -102,7 +102,7 @@ def test_output_digest_names_every_output_and_writes_nothing_under_bench():
                              + [("multi_trial", 1, o) for o in (
                                  "lin_schedule", "fixed_lambda_gamma0", "exact_synth",
                                  "exact_real", "lin_real", "exact_affine", "ridgeless",
-                                 "ridgeless_noisy", "eig_synth")]
+                                 "ridgeless_noisy", "eig_synth", "eig_real")]
                              + [("bounds", 1, o) for o in ("harmonic", "polynomial",
                                                             "exponential")])
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in digests.values())

@@ -22,9 +22,11 @@ routes in both modes (`lin_real`, a linearized real-mode sweep, is the one
 whose test samples are pool tails fitted by the spectral route), the exact
 linear kernel with a ridge (`exact_affine`) and without one, without noise
 (`ridgeless`) and with it (`ridgeless_noisy`, whose V1 takes the min-norm
-filter and whose V2 is inf), on grids on both sides of n = d, and, as
-`eig_synth`, one synthetic eig-compare, which no workload draws.  A stage
-that raised prints `error:<exception type>` in place of its digest.  The
+filter and whose V2 is inf), on grids on both sides of n = d, and two
+eig-compares, which no workload draws: a synthetic one (`eig_synth`) and a
+linearized real-mode one on the raw rows with gamma_override 0
+(`eig_real`).  A stage that raised prints `error:<exception type>` in place
+of its digest.  The
 group `bounds` holds the standard output of `krrlab bounds` (`cli.main`) for
 a harmonic, a polynomial (a = 1) and an exponential (a = 1) decay, with
 fixed flags; it does not depend on the seed.  Nothing is written under
@@ -87,8 +89,10 @@ MULTI_TRIAL = {
     "ridgeless": dict(kernel="linear", use_linearized=False, cbar=0.0, sigma=0.0),
     "ridgeless_noisy": dict(kernel="linear", use_linearized=False, cbar=0.0, sigma=1.0),
 }
-# ... and one synthetic eig-compare, at the group's largest n.
-EIG_SYNTH = dict(kernel="gaussian")
+# ... and two eig-compares, at the group's largest n.
+EIGS = {"eig_synth": dict(kernel="gaussian"),
+        "eig_real": dict(kernel="gaussian", mode="real", d=24, input_path=SAMPLE200,
+                         gamma_override=0.0)}
 # An eig-compare's spectra: its CSV columns and `EigComparison` fields.
 EIG_SPECTRA = ("eig_true", "eig_lin", "eig_scaled_gram")
 # The bounds group: `krrlab bounds` flags per output, each decay in regime for
@@ -176,11 +180,12 @@ def _multi_trial(krrlab, seed: int, micro: bool) -> dict:
                 seed=seed, **dict(size, **kw, **grid)))
         except Exception as exc:     # digested as error:<type>
             out[output] = exc
-    try:
-        out["eig_synth"] = krrlab.eig_compare(krrlab.ExperimentConfig(
-            seed=seed, **dict(size, **EIG_SYNTH)))
-    except Exception as exc:
-        out["eig_synth"] = exc
+    for output, kw in EIGS.items():
+        try:
+            out[output] = krrlab.eig_compare(krrlab.ExperimentConfig(
+                seed=seed, **dict(size, **kw)))
+        except Exception as exc:
+            out[output] = exc
     return out
 
 
