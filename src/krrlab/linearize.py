@@ -23,14 +23,15 @@ A `LinParams` is the model the risk routes fit: K_lin, whose ridge is its
 `gamma`, positive semi-definite for every sample; T is no part of it.
 `build_lin_kernel` assembles its Gram matrix, `lin_cross_kernel_matrix` its
 cross kernel, and `lin_factors` writes it in factored form,
-K_lin - gamma I = F F^T, with cross kernel Phi L F^T, Phi = [1, Q] at the
-test points Q (`LinFactor`).  T is measured, never fitted: `spectrum_with_t`
-gives the spectrum of K_lin + T for `sweep.eig_compare` and the interlacing
-checks, from the factor [V, X] and the form M that `perturbation_inertia`
-reads.  The layouts of F, Phi and [V, X] are known to this module alone:
-`LinFactor.eigen` decomposes F F^T, `LinFactor.predict` and `moments` read
-the columns of Phi that L weighs onto, and `phi_moments` builds the moment
-matrix Phi^T Phi a test sample (`risk.QuerySample`) caches.
+K_lin - gamma I = F F^T with F = [sqrt(alpha) 1, sqrt(beta/d) X] for every
+alpha, and cross kernel Phi L F^T, Phi = [1, Q] at the test points Q
+(`LinFactor`).  T is measured, never fitted: `spectrum_with_t` gives the
+spectrum of K_lin + T for `sweep.eig_compare` and the interlacing checks,
+from the factor [V, X] and the form M that `perturbation_inertia` reads.
+The layouts of F, Phi and [V, X] are known to this module alone:
+`LinFactor.eigen` decomposes F F^T and applies L, `LinFactor.predict`
+reads Phi, and `phi_moments` builds the moment matrix Phi^T Phi, indexed
+like F's columns, that a test sample (`risk.QuerySample`) caches.
 """
 
 from __future__ import annotations
@@ -126,11 +127,12 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
     alpha or gamma within a few ulps below 0 of the terms it sums (the exact
     0 of an affine profile, rounded) is taken as 0.  A coefficient that is not
     finite (h overflows at a large tau, silently), a degenerate one (beta <= 0,
-    or alpha or gamma below that) or tau is a ConfigError naming tau.
+    or alpha or gamma below that) or tau is a ConfigError naming tau; its
+    caller knows the remedy.
     """
     if not (0 <= tau < np.inf and 0 <= trace_ratio < np.inf):
         raise ConfigError(f"tau and trace_ratio must be >= 0 and finite, got tau={tau}, "
-                          f"trace_ratio={trace_ratio}; --standardize rescales features this large")
+                          f"trace_ratio={trace_ratio}")
     radial = spec.family == "radial"
     pivot = 2.0 * tau if radial else 0.0
     with np.errstate(over="ignore"):            # an h that overflows is refused below
@@ -150,8 +152,7 @@ def linearize_params(spec: KernelSpec, tau: float, trace_ratio: float) -> LinPar
                           f"tau={tau:.6g}, where the kernel profile h overflows")
     if beta <= 0:
         raise ConfigError(f"linearization requires beta > 0, got {beta:.3e} at tau={tau:.6g}; "
-                          f"a radial h'(2 tau) underflows to 0 at a large tau, and "
-                          f"standardizing the features removes the underflow")
+                          f"a radial h'(2 tau) underflows to 0 at a large tau")
     if gamma < 0 or alpha < 0:
         raise ConfigError(
             f"linearization requires alpha, gamma >= 0, got alpha={alpha:.3e} "
@@ -246,39 +247,23 @@ def perturbation_inertia(params: LinParams) -> tuple:
 class LinFactor:
     """A linearized model's kernel on the rows of X, in factored form.
 
-    K_lin - gamma I = F F^T, F = [c 1, sqrt(beta/d) X] with
-    c = sqrt(alpha); the constant column is dropped when alpha = 0 (`weigh`
-    then raises ValueError unless h_pivot = 0).  The cross kernel
-    h_pivot + beta <q, x_i>/d is Phi L F^T with Phi = [1, Q]; `weigh`
-    applies L, and `predict` and `moments` read the columns of Phi it weighs
-    onto.  `eigen` decomposes F F^T from its smaller side, and
-    `core_spectrum` gives the spectrum of alpha 11^T + beta XX^T/d.
+    K_lin - gamma I = F F^T, F = [sqrt(alpha) 1, sqrt(beta/d) X], whose
+    constant column is 0 when alpha = 0.  The cross kernel
+    h_pivot + beta <q, x_i>/d is Phi L F^T with Phi = [1, Q] and L diagonal,
+    h_pivot/sqrt(alpha) on the constant column and sqrt(beta/d) on the
+    others; `eigen` applies it, and `predict` reads Phi.  `eigen` decomposes
+    F F^T from its smaller side, and `core_spectrum` gives the spectrum of
+    alpha 11^T + beta XX^T/d.
     """
 
     params: LinParams
     X: np.ndarray
     F: np.ndarray
-    c: float                    # F's constant column, 0 when F has none
-    cross_weights: np.ndarray   # L's diagonal on F's columns [c 1, sqrt(beta/d) X]
-
-    def weigh(self, V: np.ndarray) -> np.ndarray:
-        """L V: the rows of V, indexed like F's columns, weighed onto the
-        columns of Phi that L reads; a nonzero h_pivot needs F's constant
-        column."""
-        if not self.c and self.params.h_pivot != 0:
-            raise ValueError("a constant cross kernel term needs alpha > 0")
-        return self.cross_weights[:, None] * V
 
     def predict(self, test, coef: np.ndarray) -> np.ndarray:
         """Phi coef at the points of a `risk.QuerySample`, for coef indexed
-        like the columns of Phi that L reads (the rows of `weigh`'s output)."""
-        return test.features @ coef[1:] + coef[0] if self.c else test.features @ coef
-
-    def moments(self, test) -> np.ndarray:
-        """The block of a `risk.QuerySample`'s `moments` Phi^T Phi on the
-        columns of Phi that L reads."""
-        cols = slice(0 if self.c else 1, None)
-        return test.moments[cols, cols]
+        like F's columns."""
+        return test.features @ coef[1:] + coef[0]
 
     def core_spectrum(self) -> np.ndarray:
         """Spectrum of alpha 11^T + beta XX^T/d (n values), clipped at 0 and
@@ -298,38 +283,38 @@ class LinFactor:
         its null space: returns (w, L F^T U, U^T Y, V1 spectrum) for its
         eigenvalues w and orthonormal eigenvectors U.
 
-        n <= p decomposes the n x n core F F^T, and the V1 spectrum is w
+        n <= p = d+1 decomposes the n x n core F F^T, and the V1 spectrum is w
         itself, clipped at 0.  n > p decomposes F^T F = V S V^T: F V = U S^1/2,
         so F^T U = V S^1/2 and U^T Y = S^-1/2 V^T F^T Y, whose row is 0 where
         s is; the V1 spectrum is then an n x n `eigvalsh` of the core (README
-        "Known limitations").
+        "Known limitations").  alpha = 0 with h_pivot != 0 raises ValueError:
+        the cross kernel's constant then lies outside F's column space.
         """
-        F = self.F
+        params, F = self.params, self.F
+        c = np.sqrt(params.alpha)
+        if not c and params.h_pivot != 0:
+            raise ValueError("a constant cross kernel term needs alpha > 0")
+        L = np.full(F.shape[1], np.sqrt(params.beta / self.X.shape[1]))
+        L[0] = params.h_pivot / c if c else 0.0
         if F.shape[0] <= F.shape[1]:
-            w, U = np.linalg.eigh(_core(self.params, self.X))
-            return w, self.weigh(F.T @ U), U.T @ Y, np.maximum(w[::-1], 0.0)
+            w, U = np.linalg.eigh(_core(params, self.X))
+            return w, L[:, None] * (F.T @ U), U.T @ Y, np.maximum(w[::-1], 0.0)
         w, V = np.linalg.eigh(F.T @ F)
         # n x n on purpose: CHANGES.md's FOUND entry on the n x n V1, ROADMAP item 15
-        spectrum = np.maximum(np.linalg.eigvalsh(_core(self.params, self.X))[::-1], 0.0)
+        spectrum = np.maximum(np.linalg.eigvalsh(_core(params, self.X))[::-1], 0.0)
         root_s = np.sqrt(np.maximum(w, 0.0))
         inv_root = np.divide(1.0, root_s, out=np.zeros_like(root_s), where=root_s > 0)
         proj = inv_root[:, None] * (V.T @ (F.T @ Y))
-        return w, self.weigh(V * root_s), proj, spectrum
+        return w, L[:, None] * (V * root_s), proj, spectrum
 
 
 def lin_factors(params: LinParams, X: np.ndarray) -> LinFactor:
-    """The `LinFactor` of `params` on the rows of X.  F has no constant column
-    when alpha = 0; the spectra need none, the cross kernel's h_pivot does."""
+    """The `LinFactor` of `params` on the rows of X: F = [sqrt(alpha) 1,
+    sqrt(beta/d) X] for every alpha."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    root = np.sqrt(params.beta / d)
-    if params.alpha > 0:
-        c = np.sqrt(params.alpha)
-        F = np.column_stack([np.full(n, c), root * X])
-        a = np.concatenate([[params.h_pivot / c], np.full(d, root)])
-    else:
-        c, F, a = 0.0, root * X, np.full(d, root)
-    return LinFactor(params, X, F, c, a)
+    F = np.column_stack([np.full(n, np.sqrt(params.alpha)), np.sqrt(params.beta / d) * X])
+    return LinFactor(params, X, F)
 
 
 def phi_moments(Q: np.ndarray) -> np.ndarray:

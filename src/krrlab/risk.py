@@ -26,12 +26,12 @@ route is checked against, not a route of `run_sweep`.
 
 Every linearized cell takes `spectral_risk_mc`, as does an exact affine
 kernel, its own linearization: K - gamma I = F F^T (`linearize.LinFactor`)
-has rank <= p = d+1, so one eigendecomposition of its smaller side
-(`LinFactor.eigen`) gives the fit and variance as filter sums over
-1/(w + r), r = ridge + gamma (1/w above a roundoff floor at r = 0: the
-min-norm interpolant), and min(w) + r, the exact smallest eigenvalue of M.
-The layouts of F and of the test points' Phi = [1, Q] stay in `linearize`:
-this module keeps only the filters.
+has rank <= p = d+1, F's column count for every kernel, so one
+eigendecomposition of its smaller side (`LinFactor.eigen`) gives the fit and
+variance as filter sums over 1/(w + r), r = ridge + gamma (1/w above a
+roundoff floor at r = 0: the min-norm interpolant), and min(w) + r, the
+exact smallest eigenvalue of M.  The layouts of F and of the test points'
+Phi = [1, Q] stay in `linearize`: this module keeps only the filters.
 Both routes read the clean responses of the training set and of the test
 sample (a `QuerySample`) from `kernels.Dataset`s, checked when built; one
 helper checks the test sample's size against the cell and the scalars.
@@ -71,6 +71,8 @@ __all__ = [
     "bound_v2",
     "bias_ref",
 ]
+
+MIN_TEST_POINTS = 100       # the smallest test sample of a cell, and of a sweep's config
 
 
 def gram_and_cross(model: Union[KernelSpec, LinParams], data: Dataset, queries: np.ndarray):
@@ -112,15 +114,16 @@ def _noise(seed, sigma: float, n: int, noise_draws: int) -> np.ndarray:
 
 def _check_cell(data: Dataset, ridge: float, sigma: float, test: QuerySample,
                 noise_draws: int) -> None:
-    """Check a cell's scalars and that its test sample is at least 100
-    points of the training width."""
+    """Check a cell's scalars and that its test sample is at least
+    `MIN_TEST_POINTS` points of the training width."""
     if noise_draws < 2:
         raise ValueError(f"noise_draws must be >= 2, got {noise_draws}")
     for name, value in (("ridge", ridge), ("sigma", sigma)):
         if not 0 <= value < np.inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-    if test.n < 100:
-        raise ValueError(f"the test sample must be at least 100 points, got {test.n}")
+    if test.n < MIN_TEST_POINTS:
+        raise ValueError(f"the test sample must be at least {MIN_TEST_POINTS} points, "
+                         f"got {test.n}")
     if test.d != data.d:
         raise ValueError(f"test points must be {data.d} wide, got width {test.d}")
 
@@ -199,14 +202,14 @@ def spectral_risk_mc(data: Dataset, params: LinParams, ridge: float, sigma: floa
         predictions = Phi L F^T U diag(1/(w+r)) U^T y,
         variance    = sigma^2/m sum_i ||Phi L F^T u_i||^2 / (w_i+r)^2,
 
-    with Phi's products read through `LinFactor.predict` and `moments`.
+    with Phi's products read through `LinFactor.predict` and `test.moments`.
     y runs over the clean responses and `noise_draws` noise vectors drawn
     from `seed` exactly as in `excess_risk_mc`, so the two agree draw for
-    draw.  min(w) + r, with w padded by the null space's zeros when n > p,
+    draw.  min(w) + r, with w padded by the null space's zeros when n > d+1,
     is the smallest eigenvalue of K + ridge I; a value <= 0, which only
     roundoff can give, raises SingularKernelError with it.  At r = 0 the
     fit is the min-norm interpolant, 1/w above `_roundoff_floor` of size
-    max(n, p), and only min(w) below minus it raises.
+    max(n, d+1), as `bound_v1`'s, and only min(w) below minus it raises.
     """
     _check_cell(data, ridge, sigma, test, noise_draws)
     n = data.n
@@ -215,10 +218,10 @@ def spectral_risk_mc(data: Dataset, params: LinParams, ridge: float, sigma: floa
     factor = lin_factors(params, data.features)
     # before the fit: a sample's first cell forms its long-lived moments here, so
     # they do not sit above the fit's freed temporaries (4 MB more peak RSS)
-    S = factor.moments(test)
+    S = test.moments
     w, Z, proj, spectrum = factor.eigen(Y)
     smallest = (w[0] if w.size == n else min(w[0], 0.0)) + r
-    floor = _roundoff_floor(w, max(n, factor.F.shape[1])) if r == 0 else 0.0
+    floor = _roundoff_floor(w, max(n, data.d + 1)) if r == 0 else 0.0
     if not smallest > -floor:
         raise SingularKernelError(f"system matrix is not positive definite (smallest "
                                   f"eigenvalue {smallest:.3e})", float(smallest))

@@ -25,8 +25,8 @@ so one Cholesky factor and a solve against the test points' cross kernel
 replace a full eigendecomposition (a cell that fails to factor, such as a
 ridgeless one on a rank-deficient K, raises SingularKernelError).  V1's
 spectrum, of the rank <= d+1 core, comes from its smaller Gram side
-(`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns, or d when
-alpha = 0), with the one exception that `risk.spectral_risk_mc` names.
+(`linearize.LinFactor.core_spectrum`: F^T F has d+1 columns), with the one
+exception that `risk.spectral_risk_mc` names.
 
 Each route stays on one OpenBLAS, and `DataSource.spectral` names a call's
 route.  Every product and decomposition of a Cholesky cell, V1's and the
@@ -46,7 +46,8 @@ one call, synthetic or real, in one place and builds its kernel; `_cell`
 reads both.
 A real pool whose features would overflow the plug-in tau or trace ratio
 is refused there, once, before any cell (`_check_plugin_range`); a profile
-h that overflows at the plug-in tau is refused at the cell that reads it.
+h that overflows or underflows at the plug-in tau is refused at the cell
+that reads it; both refusals close with `DataSource.remedy`.
 
 `eig_compare` reports the top-k spectra and the Weyl interlacing count.  The
 exact K has full rank; LAPACK reduces it in place (`scipy.linalg.eigh` on
@@ -76,8 +77,8 @@ from .libsvm import parse_libsvm
 from .linearize import (LinParams, estimate_trace_ratio, factored_spectrum,
                         interlacing_check, lin_factors, linearize_params,
                         perturbation_inertia, spectrum_with_t)
-from .risk import (QuerySample, bias_ref, bound_v1, bound_v2, excess_risk_mc,
-                   spectral_risk_mc)
+from .risk import (MIN_TEST_POINTS, QuerySample, bias_ref, bound_v1, bound_v2,
+                   excess_risk_mc, spectral_risk_mc)
 from .synth import (TargetSpec, evaluate_target, make_covariance, sample_dataset,
                     sample_features)
 
@@ -252,8 +253,9 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.test_points < 100:
-            raise ConfigError(f"test_points must be >= 100, got {self.test_points}")
+        if self.test_points < MIN_TEST_POINTS:
+            raise ConfigError(f"test_points must be >= {MIN_TEST_POINTS}, "
+                              f"got {self.test_points}")
         if self.noise_draws < 2:
             raise ConfigError(f"noise_draws must be >= 2, got {self.noise_draws}")
         if self.mode == "real" and not self.input_path:
@@ -329,11 +331,12 @@ class DataSource:
     on the covariance) and one test sample from [seed, 7, 1] shared by all
     cells.  Real mode: the parsed, optionally standardized pool and one
     permutation per trial from [seed, 900, t]; training sets are its nested
-    prefixes and its tail of up to `test_points` (at least 100) rows is held
-    out.  `with_test` False, eig_compare's source, builds no test sample, and
-    in real mode only parses the file: eig_compare fits the raw rows, so no
-    pool is built or checked.  `gamma_override`, when set, takes the place of
-    every LinParams' implicit gamma (`_fitted`).
+    prefixes and its tail of up to `test_points` (at least `MIN_TEST_POINTS`)
+    rows is held out.  `with_test` False, eig_compare's source, builds no
+    test sample, and in real mode only parses the file: eig_compare fits the
+    raw rows, so no pool is built or checked, and its `remedy` for too large
+    features says so.  `gamma_override`, when set, takes the place of every
+    LinParams' implicit gamma (`_fitted`).
     `spec` is the call's kernel, and `spectral` the route of its cells:
     linearized fits, and an exact affine kernel (its own linearization),
     take the spectral route, on numpy; other exact kernels the Cholesky
@@ -356,7 +359,9 @@ class DataSource:
                 self._tests = [shared] * config.trials
             return
         self.raw = parse_libsvm(config.input_path, config.d)
-        need = n_max + (100 if with_test else 0)
+        self.remedy = ("--standardize rescales features this large" if with_test else
+                       "eig-compare fits the file's raw rows whatever --standardize says")
+        need = n_max + (MIN_TEST_POINTS if with_test else 0)
         if self.raw.n < need:
             raise ConfigError(f"real mode needs {need} rows for n = {n_max}; "
                               f"{config.input_path} has {self.raw.n}")
@@ -370,7 +375,7 @@ class DataSource:
             sd = X.std(axis=0, ddof=0)
             sd[sd == 0] = 1.0
             X = (X - X.mean(axis=0)) / sd
-        _check_plugin_range(X)
+        _check_plugin_range(X, self.remedy)
         self.pool = Dataset(X, self.raw.responses)
         self.perms = [np.random.default_rng([config.seed, 900, t]).permutation(self.pool.n)
                       for t in range(config.trials)]
@@ -401,7 +406,11 @@ class DataSource:
             return self.params
         tau = float(np.mean(np.einsum("ij,ij->i", X, X))) / X.shape[1]
         gram = None if self.spectral else scipy_gram
-        return self._fitted(linearize_params(self.spec, tau, estimate_trace_ratio(X, gram)))
+        try:
+            params = linearize_params(self.spec, tau, estimate_trace_ratio(X, gram))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}; {self.remedy}") from None
+        return self._fitted(params)
 
     def _fitted(self, params: LinParams) -> LinParams:
         """`params` with gamma replaced by `gamma_override`, when set."""
@@ -409,8 +418,7 @@ class DataSource:
         return params if g is None else dataclasses.replace(params, gamma=float(g))
 
 
-def _check_plugin_range(X: np.ndarray,
-                        remedy: str = "--standardize rescales features this large") -> None:
+def _check_plugin_range(X: np.ndarray, remedy: str) -> None:
     """Refuse real-mode features whose plug-in tau and trace ratio overflow,
     with `remedy` closing the message.
 
@@ -519,8 +527,7 @@ def eig_compare(config: ExperimentConfig, n: Optional[int] = None, k: int = 60,
         # unlike the sweep: the raw pool (never standardized), rows drawn by [seed, n, 0]
         rows = rng.permutation(source.raw.n)[:n]
         data = Dataset(source.raw.features[rows], source.raw.responses[rows])
-        _check_plugin_range(data.features, "eig-compare fits the file's raw rows whatever "
-                            "--standardize says")
+        _check_plugin_range(data.features, source.remedy)
     params = source.lin_params(data.features)
 
     k = min(k, n)

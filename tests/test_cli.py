@@ -234,8 +234,11 @@ def large_input(tmp_path_factory):
     (["eig-compare", *SMALL, "--input", FIXTURE], "input_path applies to real mode only"),
     (["eig-compare", *SMALL, "--true-kernel", "--gamma-override", "0"],
      "gamma_override applies to linearized fits only"),
-    (["sweep", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
-    (["sweep", *REAL_UNSCALED, "--true-kernel"], "standardizing the features"),
+    # a sweep fits the pool --standardize rescales, so it advises the flag
+    (["sweep", *REAL_UNSCALED],
+     "underflows to 0 at a large tau; --standardize rescales features this large"),
+    (["sweep", *REAL_UNSCALED, "--true-kernel"],
+     "underflows to 0 at a large tau; --standardize rescales features this large"),
     (["eig-compare", *REAL_UNSCALED], "beta > 0, got 0.000e+00 at tau="),
     (["sweep", *SMALL, "--sigma", "1e160"], "sigma must lie in [0, 1e+150]"),
     (["sweep", *SMALL, "--fixed-lambda", "1e155"], "fixed_lambda must lie in [0, 1e+150]"),
@@ -278,18 +281,27 @@ def test_overflowing_linearization_exits_two(argv, unscaled_input, capsys):
     assert "gamma=inf at tau=" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--standardize"]], ids=["raw", "standardize"])
+# features x 1e100 overflow the plug-in trace ratio; the N(0, 40^2) file's
+# plug-in tau underflows beta
+@pytest.mark.parametrize("path,refusal,extra", [
+    (LARGE, "real-mode features reach 3.9e+100", []),
+    (LARGE, "real-mode features reach 3.9e+100", ["--standardize"]),
+    (UNSCALED, "linearization requires beta > 0, got 0.000e+00", []),
+    (UNSCALED, "linearization requires beta > 0, got 0.000e+00", ["--standardize"]),
+], ids=["raw", "standardize", "unscaled-raw", "unscaled-standardize"])
 @pytest.mark.filterwarnings("error")
 def test_real_eig_compare_refuses_its_raw_rows_without_advising_standardize(
-        extra, large_input, capsys):
+        path, refusal, extra, large_input, unscaled_input, capsys):
     # eig-compare fits the file's raw rows whatever --standardize says, so the
     # refusal is its own, and advising the flag would not help
-    argv = [large_input if a == LARGE else a for a in REAL_LARGE]
+    path = {LARGE: large_input, UNSCALED: unscaled_input}[path]
+    argv = [path if a == UNSCALED else a for a in REAL_UNSCALED]
     assert cli.main(["eig-compare", *argv, *extra]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: real-mode features reach 3.9e+100")
+    assert err.startswith("config error: " + refusal)
     assert "eig-compare fits the file's raw rows" in err
-    assert "--standardize rescales" not in err and len(err.splitlines()) == 1
+    assert "--standardize rescales" not in err and "standardizing" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_standardize_removes_the_beta_underflow(unscaled_input, capsys):

@@ -394,9 +394,10 @@ _ALL_SPECS = dict(_SPECS, exponential_inner=KernelSpec.exponential_inner())
 
 
 class TestLinFactor:
-    """F F^T, Phi L F^T and `eigen` against the dense Gram matrix, cross
-    kernel and solve, and `spectrum_with_t` against the dense K_lin + T,
-    for every kernel and at alpha = 0."""
+    """F F^T, the cross kernel Phi L F^T through `predict` and `eigen`
+    against the dense Gram matrix, cross kernel and solve, and
+    `spectrum_with_t` against the dense K_lin + T, for every kernel and at
+    alpha = 0, where F keeps its constant column, 0."""
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
     @pytest.mark.parametrize("with_t", [False, True])
@@ -414,6 +415,7 @@ class TestLinFactor:
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
             return
         factor = lin_factors(model, data.features)
+        assert factor.F.shape == (n, d + 1)
 
         K = build_lin_kernel(model, data) - model.gamma * np.eye(n)
         got = factor.F @ factor.F.T
@@ -426,11 +428,14 @@ class TestLinFactor:
 
         if params.alpha == 0 and params.h_pivot != 0:
             with pytest.raises(ValueError, match="needs alpha > 0"):
-                factor.weigh(factor.F.T)
+                factor.eigen(np.eye(n))
             return
+        # on Y = I the unfiltered fit Z proj is L F^T U U^T = L F^T, which
+        # `predict` turns into the cross kernel Phi L F^T
         Q = sample_features(cov, m, 8)
         cross = lin_cross_kernel_matrix(model, data, Q)
-        got = factor.predict(QuerySample(Q, np.zeros(m)), factor.weigh(factor.F.T))
+        _, Z, proj, _ = factor.eigen(np.eye(n))
+        got = factor.predict(QuerySample(Q, np.zeros(m)), Z @ proj)
         assert np.max(np.abs(got - cross)) <= 1e-12 * np.max(np.abs(cross))
 
     @pytest.mark.parametrize("kernel", sorted(_ALL_SPECS))
@@ -438,17 +443,19 @@ class TestLinFactor:
     @pytest.mark.parametrize("offset", [-6, 0, 9], ids=["n<p", "n=p", "n>p"])
     def test_eigen_matches_dense(self, kernel, alpha_zero, offset):
         # the eigenvalues, padded with the null space's zeros, are the dense
-        # spectrum, and the filtered fit L F^T (F F^T + r I)^-1 Y
-        d, r = 20, 0.3
+        # spectrum, and the filtered fit at the test points, through
+        # `predict`, is the dense C (F F^T + r I)^-1 Y, C the cross kernel
+        d, r, m = 20, 0.3, 40
         cov, data = _dataset(d + 12, d, seed=11)
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
         if alpha_zero:
             params = dataclasses.replace(params, alpha=0.0)
         model = params
-        p = lin_factors(model, data.features).F.shape[1]
+        p = d + 1
         n = p + offset
         sample = Dataset(data.features[:n], data.responses[:n])
         factor = lin_factors(model, sample.features)
+        assert factor.F.shape == (n, p)
         Y = np.random.default_rng(5).standard_normal((n, 3))
         if params.alpha == 0 and params.h_pivot != 0:
             with pytest.raises(ValueError, match="needs alpha > 0"):
@@ -462,8 +469,9 @@ class TestLinFactor:
         got = np.sort(np.concatenate([w, np.zeros(n - w.size)]))
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-        want = factor.weigh(factor.F.T) @ np.linalg.solve(A + r * np.eye(n), Y)
-        got = Z @ (proj / (w + r)[:, None])
+        Q = sample_features(cov, m, 8)
+        want = lin_cross_kernel_matrix(model, sample, Q) @ np.linalg.solve(A + r * np.eye(n), Y)
+        got = factor.predict(QuerySample(Q, np.zeros(m)), Z @ (proj / (w + r)[:, None]))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
         core = build_lin_kernel(dataclasses.replace(params, gamma=0.0), sample)
@@ -473,8 +481,9 @@ class TestLinFactor:
     @pytest.mark.parametrize("kernel", ["exponential_inner", "gaussian", "polynomial"])
     @pytest.mark.parametrize("n", [15, 30], ids=["n<p", "n>p"])
     def test_spectra_need_no_constant_column(self, kernel, n):
-        # alpha = 0 with h_pivot != 0: the cross kernel's constant has no
-        # column, but the core and the Gram matrix the model fits do not read it
+        # alpha = 0 with h_pivot != 0: F keeps its constant column, 0, and the
+        # core and the Gram matrix the model fits do not read it; the fit,
+        # whose cross kernel needs the constant, raises
         d = 25
         cov, data = _dataset(n, d, seed=7)
         params = linearize_params(_ALL_SPECS[kernel], cov.tau, cov.trace_ratio)
@@ -482,14 +491,16 @@ class TestLinFactor:
         assert params.h_pivot != 0
         model = params
         factor = lin_factors(model, data.features)
-        assert factor.F.shape == (n, d)
+        assert factor.F.shape == (n, d + 1) and not factor.F[:, 0].any()
 
         core = build_lin_kernel(dataclasses.replace(params, gamma=0.0), data)
         dense = np.maximum(np.linalg.eigvalsh(core)[::-1], 0.0)
         assert np.max(np.abs(factor.core_spectrum() - dense)) <= 1e-12 * dense[0]
         dense = np.linalg.eigvalsh(build_lin_kernel(model, data))[::-1]
-        got = factored_spectrum(factor.F, np.eye(d), model.gamma)
+        got = factored_spectrum(factor.F, np.eye(d + 1), model.gamma)
         assert np.max(np.abs(got - dense)) <= 1e-12 * dense[0]
+        with pytest.raises(ValueError, match="needs alpha > 0"):
+            factor.eigen(data.responses[:, None])
 
 
 class TestMomentDiagnostics:

@@ -139,8 +139,8 @@ class TestExcessRiskMc:
 
 class TestSpectralRiskMc:
     """The small-side spectral cell against the Cholesky route plus the
-    n x n V1 spectrum, on both sides of n = p (p = d+1 columns of F, or d
-    for the linear kernel, whose alpha = 0 drops the constant column)."""
+    n x n V1 spectrum, on both sides of n = p (p = d+1 columns of F for
+    every kernel; the linear kernel's alpha = 0 makes the constant one 0)."""
 
     D = 30
 
@@ -205,6 +205,8 @@ class TestRidgelessFilter:
 
     @pytest.mark.parametrize("kernel,n,duplicate", [
         ("linear", 15, False), ("linear", 15, True), ("linear", 60, False),
+        # F's d+1 columns: n = D+1 is the last n that decomposes the n x n core
+        ("linear", 30, False), ("linear", 31, False), ("linear", 31, True),
         ("polynomial", 15, False), ("polynomial", 15, True), ("polynomial", 60, False)])
     def test_matches_least_squares_min_norm_fit(self, kernel, n, duplicate):
         model, data, test = self._cell(kernel, n, duplicate)

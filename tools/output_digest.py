@@ -22,11 +22,11 @@ routes in both modes (`lin_real`, a linearized real-mode sweep, is the one
 whose test samples are pool tails fitted by the spectral route), the exact
 linear kernel with a ridge (`exact_affine`) and without one, without noise
 (`ridgeless`) and with it (`ridgeless_noisy`, whose V1 takes the min-norm
-filter and whose V2 is inf), on grids on both sides of n = d, and two
-eig-compares, which no workload draws: a synthetic one (`eig_synth`) and a
-linearized real-mode one on the raw rows with gamma_override 0
-(`eig_real`).  A stage that raised prints `error:<exception type>` in place
-of its digest.  The
+filter and whose V2 is inf), on grids that reach n = d+1, where the
+spectral cell switches sides, and both sides of it, and two eig-compares,
+which no workload draws: a synthetic one (`eig_synth`) and a linearized
+real-mode one on the raw rows with gamma_override 0 (`eig_real`).  A stage
+that raised prints `error:<exception type>` in place of its digest.  The
 group `bounds` holds the standard output of `krrlab bounds` (`cli.main`) for
 a harmonic, a polynomial (a = 1) and an exponential (a = 1) decay, with
 fixed flags; it does not depend on the seed.  Nothing is written under
@@ -102,10 +102,11 @@ BOUNDS_FLAGS = ["--rstar", "100000", "--n", "500", "--cbar", "0.01", "--theta", 
 BOUNDS = {"harmonic": ["--decay", "harmonic"],
           "polynomial": ["--decay", "polynomial", "--a", "1"],
           "exponential": ["--decay", "exponential", "--a", "1"]}
-# Full-size grids for the sweeps whose spectral cell switches sides at n = d
-# (the micro grid, 10 to 50 at d = 20, already straddles it).
+# Full-size grids for the sweeps whose spectral cell switches sides after
+# n = d+1, F's column count (the micro grid, 10 to 50 at d = 20, already
+# straddles it).
 FULL_GRID = dict.fromkeys(("exact_affine", "ridgeless", "ridgeless_noisy"),
-                          [60, 90, 100, 110, 140])
+                          [60, 90, 100, 101, 110, 140])
 
 
 def _load_workloads(tree: Path):
